@@ -9,31 +9,31 @@ directory. Exit codes: 0 success, 2 validation error, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
-from decimal import Decimal
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .economics import (
+    BLOCKS_PER_DAY,
     PriceSource,
     SimulationReport,
     attach_deltas,
-    depreciation_cost,
+    case_totals,
     months_spanned,
+    read_ledger_totals,
     run_case,
-    usd_cents,
     usd_millions,
     write_ledger_csv,
 )
 from .errors import DataInsufficientError, ValidationError
 from .fleet import (
     DEFAULT_LOSS_RATE,
-    DEFAULT_MINER,
     MinerSpec,
     ScenarioPlan,
     build_scenarios,
@@ -47,52 +47,46 @@ from .ingest import (
     MarketSeries,
     fill_gaps,
     monthly_totals,
+    output_file,
     parse_market_csv,
     parse_surplus_csv,
     write_market_csv,
+    write_output_csv,
 )
 from .lstm import TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm
-from .metrics import EvalReport, evaluate, write_eval_csv
+from .metrics import evaluate, write_eval_csv
 
 logger = logging.getLogger(__name__)
 
 VALID_CASES = ("actual-1", "actual-2", "forest-1", "forest-2", "lstm-1", "lstm-2")
 
-_CONFIG_KEYS = {
-    "market_csv", "surplus_csv", "out_dir",
-    "analysis_start", "analysis_end",
-    "train_start", "train_end", "test_start", "test_end",
-    "sim_start", "sim_end",
-    "seed", "loss_rate", "blocks_per_day", "cases", "surplus_months",
-    "forest", "lstm", "miner",
-}
-_FOREST_KEYS = {"n_trees", "m_try", "min_samples_leaf", "max_depth"}
-_LSTM_KEYS = {"epochs", "window", "hidden_size", "learning_rate", "batch_size", "clip_norm"}
-_MINER_KEYS = {"name", "hashrate_ths", "power_w", "efficiency_j_per_th", "unit_price_usd", "lifespan_months"}
-
 
 @dataclass
 class RunConfig:
+    """The run config. The fields here and in the forest, lstm and miner
+    sections are the config file's keys, and their defaults are the keys'
+    defaults; a field with metadata config_key=False is set by the loader."""
+
     market_csv: str
     surplus_csv: str
-    out_dir: str
-    base_dir: str
-    analysis_start: date
-    analysis_end: date
-    train_start: date
-    train_end: date
-    test_start: date
-    test_end: date
-    sim_start: date
-    sim_end: date
-    seed: int
-    loss_rate: float
-    blocks_per_day: int
-    cases: tuple[str, ...]
-    surplus_months: tuple[str, str]
-    forest: ForestParams
-    lstm: TrainConfig
-    miner: MinerSpec
+    analysis_start: date = date(2016, 1, 1)
+    analysis_end: date = date(2023, 9, 23)
+    train_start: date = date(2016, 1, 16)
+    train_end: date = date(2022, 12, 31)
+    test_start: date = date(2023, 1, 1)
+    test_end: date = date(2023, 12, 31)
+    sim_start: date = date(2023, 1, 1)
+    sim_end: date = date(2023, 12, 31)
+    seed: int = 42
+    loss_rate: float = DEFAULT_LOSS_RATE
+    blocks_per_day: int = BLOCKS_PER_DAY
+    cases: tuple[str, ...] = VALID_CASES
+    surplus_months: tuple[str, str] = DEFAULT_SURPLUS_MONTHS
+    forest: ForestParams = field(default_factory=ForestParams)
+    lstm: TrainConfig = field(default_factory=TrainConfig)
+    miner: MinerSpec = field(default_factory=MinerSpec)
+    out_dir: str = "out"
+    base_dir: str = field(default=".", metadata={"config_key": False})  # the config file's directory
 
     def __post_init__(self) -> None:
         if self.train_end >= self.test_start:
@@ -120,11 +114,64 @@ class RunConfig:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-def _parse_iso(value: str, key: str) -> date:
-    try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"config key {key!r}: invalid ISO date {value!r}") from None
+def _config_keys(cls) -> list:
+    """The fields of a config dataclass (or instance) that the config file sets."""
+    return [f for f in fields(cls) if f.metadata.get("config_key", True)]
+
+
+def _typed(value, tp, key: str):
+    """A JSON value as the field type tp: date, str, int, float, `X | None`, or a
+    tuple of strings. Anything else is a ValidationError naming the key."""
+    if get_origin(tp) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp = next(arg for arg in get_args(tp) if arg is not type(None))
+    if tp is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"config key {key!r}: invalid ISO date {value!r}") from None
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        size = None if args[-1] is Ellipsis else len(args)
+        if isinstance(value, list) and all(type(v) is str for v in value) and size in (None, len(value)):
+            return tuple(value)
+        want = "a list of strings" if size is None else f"a list of {size} strings"
+        raise ValidationError(f"config key {key!r}: expected {want}, got {value!r}")
+    if tp is float and type(value) is int:
+        value = float(value)
+    if type(value) is not tp:
+        raise ValidationError(f"config key {key!r}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _read_section(cls, raw, prefix: str = "", **loader_set):
+    """Build config dataclass `cls` from a JSON object over the field defaults.
+
+    A nested dataclass field is a section, read the same way; its fields that
+    are not config keys take the run's value of the same name (the seed).
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config key {prefix[:-1]!r}: expected an object, got {raw!r}")
+    keys = _config_keys(cls)
+    names = {f.name for f in keys}
+    for key in raw:
+        if key not in names:
+            raise ValidationError(f"unknown config key {prefix + key!r}")
+    hints = get_type_hints(cls)
+    values = dict(loader_set)
+    for f in keys:
+        tp = hints[f.name]
+        if is_dataclass(tp):
+            inherited = {g.name: values[g.name] for g in fields(tp) if not g.metadata.get("config_key", True)}
+            values[f.name] = _read_section(tp, raw.get(f.name, {}), f"{prefix}{f.name}.", **inherited)
+        elif f.name in raw:
+            values[f.name] = _typed(raw[f.name], tp, prefix + f.name)
+        elif f.default is not MISSING:
+            values[f.name] = f.default
+        else:
+            raise ValidationError(f"missing required key {prefix + f.name!r}")
+    return cls(**values)
 
 
 def load_config(
@@ -133,7 +180,7 @@ def load_config(
     cases: list[str] | None = None,
     out_dir: str | None = None,
 ) -> RunConfig:
-    """Read the JSON config, merge defaults, and apply CLI overrides."""
+    """Read the JSON config over the RunConfig defaults, with CLI overrides."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -143,98 +190,33 @@ def load_config(
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    overrides = {"seed": seed, "cases": cases, "out_dir": out_dir}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        return _read_section(RunConfig, raw, base_dir=str(path.parent))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
-    for key in raw:
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"{path}: unknown config key {key!r}")
-    for section, allowed in (("forest", _FOREST_KEYS), ("lstm", _LSTM_KEYS), ("miner", _MINER_KEYS)):
-        for key in raw.get(section, {}):
-            if key not in allowed:
-                raise ValidationError(f"{path}: unknown {section} key {key!r}")
 
-    for required in ("market_csv", "surplus_csv"):
-        if required not in raw:
-            raise ValidationError(f"{path}: missing required key {required!r}")
-
-    master_seed = seed if seed is not None else int(raw.get("seed", 42))
-
-    forest_raw = dict(raw.get("forest", {}))
-    lstm_raw = dict(raw.get("lstm", {}))
-    miner_raw = raw.get("miner")
-
-    months_raw = raw.get("surplus_months", list(DEFAULT_SURPLUS_MONTHS))
-    if not (isinstance(months_raw, list) and len(months_raw) == 2):
-        raise ValidationError(f"{path}: surplus_months must be [first, last]")
-
-    case_list = cases if cases is not None else list(raw.get("cases", VALID_CASES))
-
-    cfg = RunConfig(
-        market_csv=str(raw["market_csv"]),
-        surplus_csv=str(raw["surplus_csv"]),
-        out_dir=out_dir if out_dir is not None else raw.get("out_dir", "out"),
-        base_dir=str(path.parent),
-        analysis_start=_parse_iso(raw.get("analysis_start", "2016-01-01"), "analysis_start"),
-        analysis_end=_parse_iso(raw.get("analysis_end", "2023-09-23"), "analysis_end"),
-        train_start=_parse_iso(raw.get("train_start", "2016-01-16"), "train_start"),
-        train_end=_parse_iso(raw.get("train_end", "2022-12-31"), "train_end"),
-        test_start=_parse_iso(raw.get("test_start", "2023-01-01"), "test_start"),
-        test_end=_parse_iso(raw.get("test_end", "2023-12-31"), "test_end"),
-        sim_start=_parse_iso(raw.get("sim_start", "2023-01-01"), "sim_start"),
-        sim_end=_parse_iso(raw.get("sim_end", "2023-12-31"), "sim_end"),
-        seed=master_seed,
-        loss_rate=float(raw.get("loss_rate", DEFAULT_LOSS_RATE)),
-        blocks_per_day=int(raw.get("blocks_per_day", 144)),
-        cases=tuple(case_list),
-        surplus_months=(str(months_raw[0]), str(months_raw[1])),
-        forest=ForestParams(seed=master_seed, **forest_raw),
-        lstm=TrainConfig(seed=master_seed, **lstm_raw),
-        miner=MinerSpec(**miner_raw) if miner_raw else DEFAULT_MINER,
-    )
-    return cfg
+def _as_json(obj) -> dict:
+    """A config dataclass's keys and values as JSON data, in field order."""
+    doc = {}
+    for f in _config_keys(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _as_json(value)
+        elif isinstance(value, date):
+            value = value.isoformat()
+        doc[f.name] = value
+    return doc
 
 
 def effective_config(cfg: RunConfig) -> dict:
     """The config as actually used. out_dir and the config file's location are
     excluded: outputs must not depend on where they are written or read from."""
-    return {
-        "market_csv": cfg.market_csv,
-        "surplus_csv": cfg.surplus_csv,
-        "analysis_start": cfg.analysis_start.isoformat(),
-        "analysis_end": cfg.analysis_end.isoformat(),
-        "train_start": cfg.train_start.isoformat(),
-        "train_end": cfg.train_end.isoformat(),
-        "test_start": cfg.test_start.isoformat(),
-        "test_end": cfg.test_end.isoformat(),
-        "sim_start": cfg.sim_start.isoformat(),
-        "sim_end": cfg.sim_end.isoformat(),
-        "seed": cfg.seed,
-        "loss_rate": cfg.loss_rate,
-        "blocks_per_day": cfg.blocks_per_day,
-        "cases": list(cfg.cases),
-        "surplus_months": list(cfg.surplus_months),
-        "forest": {
-            "n_trees": cfg.forest.n_trees,
-            "m_try": cfg.forest.m_try,
-            "min_samples_leaf": cfg.forest.min_samples_leaf,
-            "max_depth": cfg.forest.max_depth,
-        },
-        "lstm": {
-            "epochs": cfg.lstm.epochs,
-            "window": cfg.lstm.window,
-            "hidden_size": cfg.lstm.hidden_size,
-            "learning_rate": cfg.lstm.learning_rate,
-            "batch_size": cfg.lstm.batch_size,
-            "clip_norm": cfg.lstm.clip_norm,
-        },
-        "miner": {
-            "name": cfg.miner.name,
-            "hashrate_ths": cfg.miner.hashrate_ths,
-            "power_w": cfg.miner.power_w,
-            "efficiency_j_per_th": cfg.miner.efficiency_j_per_th,
-            "unit_price_usd": cfg.miner.unit_price_usd,
-            "lifespan_months": cfg.miner.lifespan_months,
-        },
-    }
+    doc = _as_json(cfg)
+    del doc["out_dir"]
+    return doc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -250,10 +232,16 @@ def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, **effective_config(cfg)}
-    with open(out / "config_used.json", "w", encoding="utf-8") as fh:
+    with output_file(out / "config_used.json") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return out
+
+
+def _write_text(cfg: RunConfig, path: Path, lines: list[str]) -> None:
+    """A text output: the config header line, then `lines`."""
+    with output_file(path, _header(cfg)) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _require_file(path: Path, what: str) -> None:
@@ -298,16 +286,15 @@ def cmd_ingest(cfg: RunConfig) -> None:
     totals = monthly_totals(surplus)
 
     write_market_csv(filled, out / "market_clean.csv", header_comment=_header(cfg))
-    with open(out / "surplus_monthly.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_header(cfg)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["month", "total_kwh"])
-        for t in totals:
-            writer.writerow([t.month, repr(t.total_kwh)])
+    write_output_csv(
+        out / "surplus_monthly.csv",
+        ["month", "total_kwh"],
+        ([t.month, repr(t.total_kwh)] for t in totals),
+        _header(cfg),
+    )
 
     regions = sorted({r.region for r in surplus})
     lines = [
-        f"# {_header(cfg)}",
         "ingest summary",
         f"market rows (cleaned): {len(filled)}",
         f"market span: {filled.start.isoformat()}..{filled.end.isoformat()}",
@@ -316,8 +303,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
         f"surplus months: {totals[0].month}..{totals[-1].month} ({len(totals)} months)",
         f"surplus regions: {', '.join(regions)}",
     ]
-    (out / "ingest_summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines[1:]))
+    _write_text(cfg, out / "ingest_summary.txt", lines)
+    print("\n".join(lines))
 
 
 def cmd_features(cfg: RunConfig) -> None:
@@ -378,7 +365,6 @@ def cmd_train(cfg: RunConfig) -> None:
     write_eval_csv([forest_eval, lstm_eval], out / "eval.csv", header_comment=_header(cfg))
 
     lines = [
-        f"# {_header(cfg)}",
         "training summary",
         f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
         f"test rows: {len(test)} ({test.rows[0].day.isoformat()}..{test.rows[-1].day.isoformat()})",
@@ -393,8 +379,8 @@ def cmd_train(cfg: RunConfig) -> None:
     note = _window_note(cfg)
     if note:
         lines.append(f"note: {note}")
-    (out / "train_summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines[1:]))
+    _write_text(cfg, out / "train_summary.txt", lines)
+    print("\n".join(lines))
 
 
 def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
@@ -435,11 +421,10 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
     return sources
 
 
-def render_report(reports: list[SimulationReport], cfg: RunConfig) -> str:
+def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
     """Fixed-width summary table: revenue/cost/profit per case, exact and in millions."""
     months = months_spanned(cfg.sim_start, cfg.sim_end)
     lines = [
-        f"# {_header(cfg)}",
         f"profit summary: {cfg.sim_start.isoformat()}..{cfg.sim_end.isoformat()} "
         f"({months} months), miner: {cfg.miner.name}",
         "",
@@ -488,7 +473,15 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> str:
         lines.append("")
         lines.append("notes:")
         lines.extend(f"- {n}" for n in notes)
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def _write_report(reports: list[SimulationReport], cfg: RunConfig, out: Path) -> None:
+    """Fill the deltas, write report.txt, and print it."""
+    attach_deltas(reports)
+    path = out / "report.txt"
+    _write_text(cfg, path, render_report(reports, cfg))
+    print(path.read_text(encoding="utf-8"), end="")
 
 
 def cmd_simulate(cfg: RunConfig) -> None:
@@ -515,13 +508,9 @@ def cmd_simulate(cfg: RunConfig) -> None:
                 cfg.blocks_per_day,
             )
         )
-    attach_deltas(reports)
-
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
     write_ledger_csv(reports, out / "ledger.csv", header_comment=_header(cfg))
-    text = render_report(reports, cfg)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    _write_report(reports, cfg, out)
 
 
 def cmd_report(cfg: RunConfig) -> None:
@@ -531,50 +520,17 @@ def cmd_report(cfg: RunConfig) -> None:
     if not ledger_path.is_file():
         raise ValidationError(f"no ledger found at {ledger_path}; run simulate first")
 
-    revenue: dict[str, float] = {}
-    scenario_of: dict[str, int] = {}
-    fallback: dict[str, int] = {}
-    with open(ledger_path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        for row in reader:
-            case = f"{row['price_source']}-{row['scenario']}"
-            revenue[case] = revenue.get(case, 0.0) + float(row["revenue_usd"])
-            scenario_of[case] = int(row["scenario"])
-            fallback[case] = fallback.get(case, 0) + int(row["price_is_fallback"])
-    if not revenue:
+    totals = read_ledger_totals(ledger_path)
+    if not totals:
         raise DataInsufficientError(f"{ledger_path}: no ledger rows")
 
     plans = _build_plans(cfg)
     months = months_spanned(cfg.sim_start, cfg.sim_end)
-    reports = []
-    for case in sorted(revenue):
-        scenario = scenario_of[case]
-        plan = plans[scenario - 1]
-        rev = usd_cents(revenue[case])
-        cost = depreciation_cost(
-            plan.owned_units, cfg.miner.unit_price_usd, months, cfg.miner.lifespan_months
-        )
-        reports.append(
-            SimulationReport(
-                case_label=case,
-                scenario=scenario,
-                price_source=case.rsplit("-", 1)[0],
-                revenue_usd=rev,
-                cost_usd=cost,
-                profit_usd=rev - cost,
-                monthly=(),
-                delta_vs_actual_pct=None,
-                ledger=[],
-                fallback_days=fallback[case],
-            )
-        )
-    attach_deltas(reports)
-    text = render_report(reports, cfg)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    reports = [
+        case_totals(source, revenue, plans[scenario - 1], cfg.miner, months, fallback_days)
+        for (source, scenario), (revenue, fallback_days) in totals.items()
+    ]
+    _write_report(reports, cfg, out)
 
 
 COMMANDS = {

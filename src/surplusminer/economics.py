@@ -10,7 +10,6 @@ the cent.
 from __future__ import annotations
 
 import bisect
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -20,14 +19,17 @@ from fractions import Fraction
 
 from .errors import DataInsufficientError, ValidationError
 from .fleet import MinerSpec, ScenarioPlan, block_reward
-from .ingest import MarketSeries
+from .ingest import MarketSeries, _data_rows, _parse_float, write_output_csv
 
 logger = logging.getLogger(__name__)
 
 BLOCKS_PER_DAY = 144
 
-DEFAULT_SIM_START = date(2023, 1, 1)
-DEFAULT_SIM_END = date(2023, 12, 31)
+LEDGER_COLUMNS = (
+    "date", "scenario", "price_source", "operating_units",
+    "fleet_hashrate_ths", "network_hashrate_ths",
+    "btc_mined", "revenue_usd", "price_used_usd", "price_is_fallback",
+)
 
 _CENT = Decimal("0.01")
 
@@ -170,16 +172,9 @@ class DailyLedgerEntry:
     price_is_fallback: bool
 
 
-@dataclass(frozen=True)
-class MonthlyResult:
-    month: str
-    btc_mined: float
-    revenue_usd: float
-
-
 @dataclass
 class SimulationReport:
-    """Totals for one case, plus its per-day ledger."""
+    """Totals for one case (one report row), plus its per-day ledger."""
 
     case_label: str
     scenario: int
@@ -187,10 +182,9 @@ class SimulationReport:
     revenue_usd: Decimal
     cost_usd: Decimal
     profit_usd: Decimal
-    monthly: tuple[MonthlyResult, ...]
-    delta_vs_actual_pct: float | None
-    ledger: list[DailyLedgerEntry]
     fallback_days: int
+    ledger: list[DailyLedgerEntry] = field(default_factory=list)
+    delta_vs_actual_pct: float | None = None
 
 
 def months_spanned(start: date, end: date) -> int:
@@ -200,13 +194,40 @@ def months_spanned(start: date, end: date) -> int:
     return (end.year - start.year) * 12 + (end.month - start.month) + 1
 
 
+def case_totals(
+    price_source: str,
+    revenue: float,
+    plan: ScenarioPlan,
+    miner: MinerSpec,
+    months: int,
+    fallback_days: int,
+    ledger: list[DailyLedgerEntry] | None = None,
+) -> SimulationReport:
+    """The report row of one case: its summed float revenue in exact cents,
+    the plan's hardware depreciation over `months`, and their difference."""
+    revenue_cents = usd_cents(revenue)
+    cost_cents = depreciation_cost(
+        plan.owned_units, miner.unit_price_usd, months, miner.lifespan_months
+    )
+    return SimulationReport(
+        case_label=f"{price_source}-{plan.scenario}",
+        scenario=plan.scenario,
+        price_source=price_source,
+        revenue_usd=revenue_cents,
+        cost_usd=cost_cents,
+        profit_usd=revenue_cents - cost_cents,
+        fallback_days=fallback_days,
+        ledger=ledger or [],
+    )
+
+
 def run_case(
     plan: ScenarioPlan,
     prices: PriceSource,
     market: MarketSeries,
     miner: MinerSpec,
-    sim_start: date = DEFAULT_SIM_START,
-    sim_end: date = DEFAULT_SIM_END,
+    sim_start: date,
+    sim_end: date,
     blocks_per_day: int = BLOCKS_PER_DAY,
 ) -> SimulationReport:
     """Simulate one case day by day over [sim_start, sim_end].
@@ -220,8 +241,6 @@ def run_case(
 
     entries: list[DailyLedgerEntry] = []
     total_revenue = 0.0
-    monthly_rev: dict[str, float] = {}
-    monthly_btc: dict[str, float] = {}
     fallback_days = 0
 
     day = sim_start
@@ -230,8 +249,7 @@ def run_case(
         if record is None:
             raise ValidationError(f"market series has no hash rate for {day.isoformat()}")
         month = f"{day.year:04d}-{day.month:02d}"
-        fleet_month = plan.fleet_for(month)
-        operating = fleet_month.operating
+        operating = plan.fleet_for(month).operating
         fleet_ths = operating * miner.hashrate_ths
         price, is_fallback = prices.price_for(day)
         fallback_days += is_fallback
@@ -252,31 +270,10 @@ def run_case(
             )
         )
         total_revenue += revenue
-        monthly_rev[month] = monthly_rev.get(month, 0.0) + revenue
-        monthly_btc[month] = monthly_btc.get(month, 0.0) + btc
         day += timedelta(days=1)
 
-    revenue_cents = usd_cents(total_revenue)
-    cost_cents = depreciation_cost(
-        plan.owned_units,
-        miner.unit_price_usd,
-        months_spanned(sim_start, sim_end),
-        miner.lifespan_months,
-    )
-    return SimulationReport(
-        case_label=f"{prices.label}-{plan.scenario}",
-        scenario=plan.scenario,
-        price_source=prices.label,
-        revenue_usd=revenue_cents,
-        cost_usd=cost_cents,
-        profit_usd=revenue_cents - cost_cents,
-        monthly=tuple(
-            MonthlyResult(m, monthly_btc[m], monthly_rev[m]) for m in sorted(monthly_rev)
-        ),
-        delta_vs_actual_pct=None,
-        ledger=entries,
-        fallback_days=fallback_days,
-    )
+    months = months_spanned(sim_start, sim_end)
+    return case_totals(prices.label, total_revenue, plan, miner, months, fallback_days, entries)
 
 
 def attach_deltas(reports: list[SimulationReport]) -> None:
@@ -295,30 +292,42 @@ def attach_deltas(reports: list[SimulationReport]) -> None:
 
 def write_ledger_csv(reports: list[SimulationReport], path, header_comment: str | None = None) -> None:
     """All cases' daily rows, ordered by case label then date."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+    write_output_csv(
+        path,
+        LEDGER_COLUMNS,
+        (
             [
-                "date", "scenario", "price_source", "operating_units",
-                "fleet_hashrate_ths", "network_hashrate_ths",
-                "btc_mined", "revenue_usd", "price_used_usd", "price_is_fallback",
+                e.day.isoformat(),
+                e.scenario,
+                e.price_source,
+                e.operating_units,
+                repr(e.fleet_hashrate_ths),
+                repr(e.network_hashrate_ths),
+                repr(e.btc_mined),
+                repr(e.revenue_usd),
+                repr(e.price_used_usd),
+                int(e.price_is_fallback),
             ]
-        )
-        for report in sorted(reports, key=lambda r: r.case_label):
-            for e in report.ledger:
-                writer.writerow(
-                    [
-                        e.day.isoformat(),
-                        e.scenario,
-                        e.price_source,
-                        e.operating_units,
-                        repr(e.fleet_hashrate_ths),
-                        repr(e.network_hashrate_ths),
-                        repr(e.btc_mined),
-                        repr(e.revenue_usd),
-                        repr(e.price_used_usd),
-                        int(e.price_is_fallback),
-                    ]
-                )
+            for report in sorted(reports, key=lambda r: r.case_label)
+            for e in report.ledger
+        ),
+        header_comment,
+    )
+
+
+def read_ledger_totals(path) -> dict[tuple[str, int], tuple[float, int]]:
+    """Per (price source, scenario) in a ledger.csv: the revenue summed in file
+    order, as run_case sums it, and the number of fallback days.
+
+    A wrong header, a short row or a bad value is a ValidationError naming the line.
+    """
+    totals: dict[tuple[str, int], tuple[float, int]] = {}
+    for line_no, row in _data_rows(path, LEDGER_COLUMNS):
+        where = f"{path}:{line_no}"
+        _, scenario, source, _, _, _, _, revenue_text, _, fallback = row
+        if scenario not in ("1", "2") or fallback not in ("0", "1"):
+            raise ValidationError(f"{where}: invalid scenario {scenario!r} or fallback flag {fallback!r}")
+        key = (source, int(scenario))
+        revenue, days = totals.get(key, (0.0, 0))
+        totals[key] = (revenue + _parse_float(revenue_text, where, "revenue_usd"), days + int(fallback))
+    return totals

@@ -8,14 +8,13 @@ and runs what it owns, capped by the month's supported count.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 from datetime import date
 
 from .errors import DataInsufficientError, ValidationError
-from .ingest import MonthlySurplusTotal, days_in_month
+from .ingest import MonthlySurplusTotal, days_in_month, write_output_csv
 
 logger = logging.getLogger(__name__)
 
@@ -26,12 +25,12 @@ DEFAULT_LOSS_RATE = 0.0359  # combined transmission/conversion loss fraction
 class MinerSpec:
     """Nameplate figures for one mining unit."""
 
-    name: str
-    hashrate_ths: float
-    power_w: float
-    efficiency_j_per_th: float
-    unit_price_usd: float
-    lifespan_months: int
+    name: str = "Antminer S21 XP Hyd"
+    hashrate_ths: float = 473.0
+    power_w: float = 5676.0
+    efficiency_j_per_th: float = 12.0
+    unit_price_usd: float = 10165.0
+    lifespan_months: int = 90
 
     def __post_init__(self) -> None:
         for attr in ("hashrate_ths", "power_w", "efficiency_j_per_th", "unit_price_usd"):
@@ -51,14 +50,7 @@ class MinerSpec:
         return self.power_w / 1000.0
 
 
-DEFAULT_MINER = MinerSpec(
-    name="Antminer S21 XP Hyd",
-    hashrate_ths=473.0,
-    power_w=5676.0,
-    efficiency_j_per_th=12.0,
-    unit_price_usd=10165.0,
-    lifespan_months=90,
-)
+DEFAULT_MINER = MinerSpec()
 
 
 def usable_energy(surplus_kwh: float, loss_rate: float = DEFAULT_LOSS_RATE) -> float:
@@ -208,22 +200,20 @@ def block_reward(day: date) -> float:
 
 def write_fleet_csv(plans: list[ScenarioPlan], path, header_comment: str | None = None) -> None:
     """Write per-month fleet rows (month,scenario,supported,operating,energy_used_kwh,energy_idle_kwh)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["month", "scenario", "supported", "operating", "energy_used_kwh", "energy_idle_kwh"]
-        )
-        for plan in plans:
-            for mf in plan.monthly:
-                writer.writerow(
-                    [
-                        mf.month,
-                        plan.scenario,
-                        mf.supported,
-                        mf.operating,
-                        repr(mf.energy_used_kwh),
-                        repr(mf.energy_idle_kwh),
-                    ]
-                )
+    write_output_csv(
+        path,
+        ["month", "scenario", "supported", "operating", "energy_used_kwh", "energy_idle_kwh"],
+        (
+            [
+                mf.month,
+                plan.scenario,
+                mf.supported,
+                mf.operating,
+                repr(mf.energy_used_kwh),
+                repr(mf.energy_idle_kwh),
+            ]
+            for plan in plans
+            for mf in plan.monthly
+        ),
+        header_comment,
+    )

@@ -9,7 +9,7 @@ function of (data, params).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
+from .ingest import output_file
 
 FOREST_SCHEMA = "forest-model/1"
 
@@ -49,7 +50,7 @@ class ForestParams:
     m_try: int | None = None  # None: max(1, floor(p / 3))
     min_samples_leaf: int = 1
     max_depth: int | None = None
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config_key": False})  # the run's master seed
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -89,16 +90,6 @@ def bootstrap_sample(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _sse_tolerance(sq_sum: float) -> float:
     return _TIE_REL * (sq_sum + 1.0)
-
-
-def node_sse(y: np.ndarray) -> float:
-    """Sum of squared deviations from the mean, clamped at zero."""
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n == 0:
-        return 0.0
-    total = float(np.sum(y))
-    return max(float(np.dot(y, y)) - total * total / n, 0.0)
 
 
 def best_split(
@@ -296,16 +287,10 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
     doc = {
         "schema": FOREST_SCHEMA,
         "feature_count": model.feature_count,
-        "params": {
-            "n_trees": model.params.n_trees,
-            "m_try": model.params.m_try,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "max_depth": model.params.max_depth,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "trees": [_tree_to_nodes(t) for t in model.trees],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -8,7 +8,6 @@ exactly from the defining formula at any index.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
-from .ingest import MarketSeries
+from .ingest import MarketSeries, write_output_csv
 
 FEATURE_NAMES = ("sma14", "wma14", "momentum", "k_pct", "d_pct", "rsi")
 
@@ -167,9 +166,6 @@ class FeatureMatrix:
     def target_array(self) -> np.ndarray:
         return np.array([r.target_price for r in self.rows], dtype=float)
 
-    def dates(self) -> list[date]:
-        return [r.day for r in self.rows]
-
     def slice_dates(self, start: date, end: date) -> "FeatureMatrix":
         """Rows whose date falls in [start, end]."""
         return FeatureMatrix([r for r in self.rows if start <= r.day <= end])
@@ -224,14 +220,12 @@ def build_features(
 
 def write_features_csv(matrix: FeatureMatrix, path, header_comment: str | None = None) -> None:
     """Export the feature matrix (date,sma14,wma14,momentum,k_pct,d_pct,rsi,target)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + list(FEATURE_NAMES) + ["target"])
-        for r in matrix.rows:
-            writer.writerow(
-                [r.day.isoformat()]
-                + [repr(v) for v in r.features()]
-                + [repr(r.target_price)]
-            )
+    write_output_csv(
+        path,
+        ["date", *FEATURE_NAMES, "target"],
+        (
+            [r.day.isoformat(), *(repr(v) for v in r.features()), repr(r.target_price)]
+            for r in matrix.rows
+        ),
+        header_comment,
+    )

@@ -3,9 +3,9 @@
 Two inputs drive every run: a daily Bitcoin market file (closing price and
 network hash rate) and a monthly surplus-electricity file from the utility.
 Both arrive as CSV. This module parses them into typed records, rejects rows
-that violate the documented invariants (with file/line context), fills
-calendar gaps in the market series by carrying the previous day forward, and
-converts monthly energy totals into per-day values.
+that violate the documented invariants (with file/line context), and fills
+calendar gaps in the market series by carrying the previous day forward. It
+also owns the format of every file the package writes (output_file).
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -90,12 +91,6 @@ class MarketSeries:
     def dates(self) -> list[date]:
         return [r.day for r in self.records]
 
-    def is_contiguous(self) -> bool:
-        """True when every calendar day between start and end has a record."""
-        if not self.records:
-            return True
-        return len(self.records) == (self.end - self.start).days + 1
-
     def clip(self, start: date | None = None, end: date | None = None) -> "MarketSeries":
         """Records within [start, end], inclusive; bounds default to the series edges."""
         kept = [
@@ -106,18 +101,34 @@ class MarketSeries:
         return MarketSeries(kept)
 
 
-def _data_rows(path: str | Path):
-    """Yield (line_number, row) from a CSV file, skipping blank and '#' lines.
+def _data_rows(path: str | Path, columns: tuple[str, ...]):
+    """Yield (line_number, row) for each data row of a CSV file whose header
+    row is `columns`, skipping blank and '#' lines.
 
     The '#' skip lets files written by this package (which carry a provenance
-    header line) round-trip through the same parser.
+    header line, see output_file) round-trip through the same parser. A file
+    without a header is a DataInsufficientError; a different header, or a row
+    of another width, is a ValidationError naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        header = None
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            yield reader.line_num, row
+            where = f"{path}:{reader.line_num}"
+            if header is None:
+                header = row
+                if tuple(h.strip() for h in header) != columns:
+                    raise ValidationError(
+                        f"{where}: expected header {','.join(columns)}, got {','.join(header)!r}"
+                    )
+            elif len(row) != len(columns):
+                raise ValidationError(f"{where}: expected {len(columns)} columns, got {len(row)}")
+            else:
+                yield reader.line_num, row
+    if header is None:
+        raise DataInsufficientError(f"{path}: no records")
 
 
 def _parse_date(text: str, where: str) -> date:
@@ -145,25 +156,10 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
     line. A file with no data rows is a data-insufficiency error.
     """
     path = Path(path)
-    rows = list(_data_rows(path))
-    if not rows:
-        raise DataInsufficientError(f"{path}: no records")
-
-    line_no, header = rows[0]
-    if tuple(h.strip() for h in header) != MARKET_COLUMNS:
-        raise ValidationError(
-            f"{path}:{line_no}: expected header {','.join(MARKET_COLUMNS)}, "
-            f"got {','.join(header)!r}"
-        )
-
     records: list[MarketRecord] = []
     seen: dict[date, int] = {}
-    for line_no, row in rows[1:]:
+    for line_no, row in _data_rows(path, MARKET_COLUMNS):
         where = f"{path}:{line_no}"
-        if len(row) != len(MARKET_COLUMNS):
-            raise ValidationError(
-                f"{where}: expected {len(MARKET_COLUMNS)} columns, got {len(row)}"
-            )
         day = _parse_date(row[0], where)
         if day in seen:
             raise ValidationError(
@@ -184,15 +180,34 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
     return MarketSeries(records)
 
 
-def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str | None = None) -> None:
-    """Serialize a market series back to CSV (UTF-8, LF line endings)."""
+@contextmanager
+def output_file(path: str | Path, header_comment: str | None = None):
+    """Open a file for writing in the one output format: UTF-8, LF line endings
+    on every platform, and a first line `# <header_comment>` when one is given."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
+        yield fh
+
+
+def write_output_csv(path: str | Path, columns, rows, header_comment: str | None = None) -> None:
+    """Write an output CSV: the column header, then `rows`, in csv's default
+    dialect with LF terminators. Floats should be passed as repr() strings so
+    they round-trip exactly."""
+    with output_file(path, header_comment) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MARKET_COLUMNS)
-        for r in series.records:
-            writer.writerow([r.day.isoformat(), repr(r.price_usd), repr(r.network_hashrate_ths)])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str | None = None) -> None:
+    """Serialize a market series back to CSV."""
+    write_output_csv(
+        path,
+        MARKET_COLUMNS,
+        ([r.day.isoformat(), repr(r.price_usd), repr(r.network_hashrate_ths)] for r in series.records),
+        header_comment,
+    )
 
 
 def fill_gaps(
@@ -278,26 +293,11 @@ def parse_surplus_csv(
     zero households but positive energy is accepted with a warning.
     """
     path = Path(path)
-    rows = list(_data_rows(path))
-    if not rows:
-        raise DataInsufficientError(f"{path}: no records")
-
-    line_no, header = rows[0]
-    if tuple(h.strip() for h in header) != SURPLUS_COLUMNS:
-        raise ValidationError(
-            f"{path}:{line_no}: expected header {','.join(SURPLUS_COLUMNS)}, "
-            f"got {','.join(header)!r}"
-        )
-
     month_lo, month_hi = months
     records: list[SurplusRecord] = []
     seen: dict[tuple[str, str], int] = {}
-    for line_no, row in rows[1:]:
+    for line_no, row in _data_rows(path, SURPLUS_COLUMNS):
         where = f"{path}:{line_no}"
-        if len(row) != len(SURPLUS_COLUMNS):
-            raise ValidationError(
-                f"{where}: expected {len(SURPLUS_COLUMNS)} columns, got {len(row)}"
-            )
         region = row[0].strip()
         if not region:
             raise ValidationError(f"{where}: empty region")
@@ -353,8 +353,3 @@ def days_in_month(month: str) -> int:
         raise ValidationError(f"invalid month {month!r}, expected YYYY-MM")
     year, mon = int(month[:4]), int(month[5:7])
     return calendar.monthrange(year, mon)[1]
-
-
-def monthly_to_daily(total: MonthlySurplusTotal) -> float:
-    """Average energy available per day of the month, in kWh."""
-    return total.total_kwh / days_in_month(total.month)

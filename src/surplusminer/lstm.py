@@ -9,7 +9,7 @@ column's scaling so predictions invert back to dollars.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
+from .ingest import output_file
 
 LSTM_SCHEMA = "lstm-model/1"
 
@@ -37,7 +38,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     clip_norm: float = 1.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"config_key": False})  # the run's master seed
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -369,15 +370,7 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
     doc = {
         "schema": LSTM_SCHEMA,
         "input_dim": model.input_dim,
-        "config": {
-            "epochs": model.config.epochs,
-            "window": model.config.window,
-            "hidden_size": model.config.hidden_size,
-            "learning_rate": model.config.learning_rate,
-            "batch_size": model.config.batch_size,
-            "clip_norm": model.config.clip_norm,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "scaler": {
             "mins": model.scaler.mins.tolist(),
             "maxs": model.scaler.maxs.tolist(),
@@ -386,7 +379,7 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
         "weights": {name: arr.tolist() for name, arr in model.weights.items()},
         "loss_trace": model.loss_trace,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -1,13 +1,13 @@
 """Regression error metrics and the evaluation report row."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .ingest import write_output_csv
 
 
 def _paired(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -78,10 +78,9 @@ def evaluate(model: str, split: str, actual: Sequence[float], predicted: Sequenc
 
 def write_eval_csv(reports: Sequence[EvalReport], path, header_comment: str | None = None) -> None:
     """Write evaluation rows (model,split,n,mae,mse,r2)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "split", "n", "mae", "mse", "r2"])
-        for r in reports:
-            writer.writerow([r.model, r.split, r.n, repr(r.mae), repr(r.mse), repr(r.r2)])
+    write_output_csv(
+        path,
+        ["model", "split", "n", "mae", "mse", "r2"],
+        ([r.model, r.split, r.n, repr(r.mae), repr(r.mse), repr(r.r2)] for r in reports),
+        header_comment,
+    )

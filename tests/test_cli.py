@@ -1,4 +1,5 @@
 """End-to-end command-line runs on the bundled fixture data."""
+import hashlib
 import json
 import logging
 import shutil
@@ -48,6 +49,13 @@ class TestFullPipeline:
     def test_report_matches_golden(self, pipeline_out):
         got = (pipeline_out / "report.txt").read_bytes()
         want = (DATA_DIR / "golden_report.txt").read_bytes()
+        assert got == want
+
+    def test_output_bytes_match_golden_digests(self, pipeline_out):
+        """sha256 of each output whose bytes do not depend on BLAS summation
+        order (the LSTM outputs and what is priced from them are left out)."""
+        want = json.loads((DATA_DIR / "golden_digests.json").read_text(encoding="utf-8"))
+        got = {name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest() for name in want}
         assert got == want
 
     def test_text_outputs_carry_config_header(self, pipeline_out):
@@ -164,9 +172,64 @@ class TestConfigValidation:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"forest": {"n_trees": "abc"}}, "forest.n_trees"),
+            ({"forest": {"n_trees": 2.5}}, "forest.n_trees"),
+            ({"forest": 5}, "forest"),
+            ({"seed": "abc"}, "seed"),
+            ({"loss_rate": "x"}, "loss_rate"),
+            ({"cases": "actual-1"}, "cases"),
+            ({"miner": {"power_w": "big"}}, "miner.power_w"),
+            ({"surplus_months": ["2021-01"]}, "surplus_months"),
+        ],
+    )
+    def test_wrongly_typed_value_exits_2_naming_the_key(self, tmp_path, caplog, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config key {key!r}" in caplog.text
+
+    def test_partial_miner_section_merges_over_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, miner={"name": "x"})
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+        miner = json.loads((out / "config_used.json").read_text(encoding="utf-8"))["miner"]
+        assert miner["name"] == "x"
+        assert miner["hashrate_ths"] == 473.0 and miner["lifespan_months"] == 90
+
     def test_report_without_ledger_exits_2(self, tmp_path):
         rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+
+class TestReportFromLedger:
+    def _report_on_edited_ledger(self, pipeline_out, tmp_path, edit) -> int:
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / "ledger.csv").write_text("".join(edit(lines)), encoding="utf-8")
+        return main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+
+    def test_report_on_truncated_ledger_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(
+                pipeline_out, tmp_path, lambda lines: lines[:-1] + [lines[-1][:25]]
+            )
+        assert rc == 2
+        n_lines = len((pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines())
+        assert f"ledger.csv:{n_lines}:" in caplog.text
+
+    def test_report_on_ledger_missing_a_column_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
+        def drop_price_source(lines):
+            return lines[:1] + [",".join(ln.split(",")[:2] + ln.split(",")[3:]) for ln in lines[1:]]
+
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(pipeline_out, tmp_path, drop_price_source)
+        assert rc == 2
+        assert "ledger.csv:2:" in caplog.text
 
 
 class TestOverrides:

@@ -199,14 +199,6 @@ class TestRunCase:
             day += timedelta(days=1)
         assert float(report.revenue_usd) == pytest.approx(total, rel=1e-9)
 
-    def test_monthly_breakdown_sums_to_total(self):
-        series, plans, sim_start, sim_end = simple_setup()
-        src = PriceSource.from_market(series)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
-        assert len(report.monthly) == 2
-        monthly_sum = sum(m.revenue_usd for m in report.monthly)
-        assert monthly_sum == pytest.approx(float(report.revenue_usd), rel=1e-9)
-
     def test_scenario2_never_exceeds_scenario1(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)

@@ -7,11 +7,9 @@ from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.ingest import (
     MarketRecord,
     MarketSeries,
-    MonthlySurplusTotal,
     SurplusRecord,
     days_in_month,
     fill_gaps,
-    monthly_to_daily,
     monthly_totals,
     parse_market_csv,
     parse_surplus_csv,
@@ -107,16 +105,6 @@ class TestMarketSeries:
         series = make_series([1, 2])
         assert series.lookup(date(1999, 1, 1)) is None
 
-    def test_contiguity(self):
-        assert make_series([1, 2, 3]).is_contiguous()
-        gappy = MarketSeries(
-            (
-                MarketRecord(date(2023, 1, 1), 1.0, 1.0),
-                MarketRecord(date(2023, 1, 3), 2.0, 1.0),
-            )
-        )
-        assert not gappy.is_contiguous()
-
 
 class TestFillGaps:
     def test_carries_previous_day_forward(self):
@@ -130,7 +118,7 @@ class TestFillGaps:
         assert len(filled) == 4
         assert filled.lookup(date(2023, 1, 2)).price_usd == 10.0
         assert filled.lookup(date(2023, 1, 3)).network_hashrate_ths == 100.0
-        assert filled.is_contiguous()
+        assert len(filled) == (filled.end - filled.start).days + 1
 
     def test_requested_start_before_data_raises(self):
         series = make_series([1, 2, 3], start=date(2023, 1, 10))
@@ -210,7 +198,3 @@ class TestCalendar:
     )
     def test_days_in_month(self, month, days):
         assert days_in_month(month) == days
-
-    def test_monthly_to_daily(self):
-        total = MonthlySurplusTotal("2023-01", 3100.0)
-        assert monthly_to_daily(total) == 100.0

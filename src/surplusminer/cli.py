@@ -40,7 +40,9 @@ from .fleet import (
     month_capacity,
     write_fleet_csv,
 )
-from .forest import ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest
+# predict_forest is not called here; it stays bound in this namespace, where
+# bench/layertrace.py wraps every forest layer function by name.
+from .forest import ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest  # noqa: F401
 from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
@@ -50,6 +52,7 @@ from .ingest import (
     output_file,
     parse_market_csv,
     parse_surplus_csv,
+    read_json_object,
     write_market_csv,
     write_output_csv,
 )
@@ -184,12 +187,7 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    raw = read_json_object(path)
     overrides = {"seed": seed, "cases": cases, "out_dir": out_dir}
     raw.update((key, value) for key, value in overrides.items() if value is not None)
     try:
@@ -406,11 +404,8 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
             model_path = out / "forest_model.json"
             if not model_path.is_file():
                 raise ValidationError(f"forest cases requested but {model_path} is missing; run train first")
-            model = load_forest(model_path)
-            preds = {
-                row.day + timedelta(days=1): predict_forest(model, row.features())
-                for row in test.rows
-            }
+            days = [row.day + timedelta(days=1) for row in test.rows]
+            preds = dict(zip(days, predict_matrix(load_forest(model_path), test).tolist()))
             sources["forest"] = PriceSource.from_predictions("forest", preds)
         if "lstm" in needed:
             model_path = out / "lstm_model.json"

@@ -5,12 +5,14 @@ network hash rate) and a monthly surplus-electricity file from the utility.
 Both arrive as CSV. This module parses them into typed records, rejects rows
 that violate the documented invariants (with file/line context), and fills
 calendar gaps in the market series by carrying the previous day forward. It
-also owns the format of every file the package writes (output_file).
+also owns the format of every file the package writes (output_file) and the
+checked reading of the JSON files it reads back (read_json_object).
 """
 from __future__ import annotations
 
 import calendar
 import csv
+import json
 import logging
 import math
 import re
@@ -18,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 
@@ -188,6 +192,46 @@ def output_file(path: str | Path, header_comment: str | None = None):
         if header_comment:
             fh.write(f"# {header_comment}\n")
         yield fh
+
+
+def read_json_object(path: str | Path) -> dict:
+    """Parse a JSON file that holds one object. Unparsable JSON or another
+    top-level value is a ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return doc
+
+
+def json_value(doc: dict, key: str, kind: type | tuple[type, ...]):
+    """doc[key] when it is present and an instance of `kind` (a JSON boolean
+    never counts as a number); otherwise a ValidationError naming the key."""
+    if key not in doc:
+        raise ValidationError(f"missing key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"key {key!r}: unexpected {type(value).__name__}")
+    return value
+
+
+def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
+    """doc[key], a nested list of numbers, as an ndim-dimensional array of
+    dtype int or float. A string, null or object element, a float where ints
+    are due, an all-boolean list or a ragged nesting is a ValidationError (a
+    boolean among numbers is read as 0 or 1)."""
+    raw = json_value(doc, key, list)
+    try:
+        arr = np.array(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    kinds = "i" if dtype is int else "if"
+    if arr is None or arr.dtype.kind not in kinds or arr.ndim != ndim:
+        raise ValidationError(f"key {key!r}: expected a {ndim}-d array of {dtype.__name__}")
+    return arr.astype(np.int64 if dtype is int else float)
 
 
 def write_output_csv(path: str | Path, columns, rows, header_comment: str | None = None) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
-from .ingest import output_file
+from .ingest import json_array, json_value, output_file, read_json_object
 
 LSTM_SCHEMA = "lstm-model/1"
 
@@ -97,15 +97,19 @@ def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
         raise ValidationError("input_dim and hidden_size must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC311)))
     k = 1.0 / np.sqrt(hidden_size)
-    shapes = {
+    shapes = _weight_shapes(input_dim, hidden_size)
+    values = {name: rng.uniform(-k, k, size=shapes[name]) for name in PARAM_NAMES}
+    return LstmWeights(**values)
+
+
+def _weight_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    return {
         **{f"W_{g}": (hidden_size, input_dim) for g in "fico"},
         **{f"U_{g}": (hidden_size, hidden_size) for g in "fico"},
         **{f"b_{g}": (hidden_size,) for g in "fico"},
         "V": (hidden_size,),
         "c": (1,),
     }
-    values = {name: rng.uniform(-k, k, size=shapes[name]) for name in PARAM_NAMES}
-    return LstmWeights(**values)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -385,21 +389,39 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
 
 
 def load_lstm(path: str | Path) -> LstmModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != LSTM_SCHEMA:
-        raise ValidationError(f"unsupported model schema {doc.get('schema')!r}")
-    config = TrainConfig(**doc["config"])
-    weights = LstmWeights(**{name: np.array(doc["weights"][name], dtype=float) for name in PARAM_NAMES})
-    scaler = MinMaxScaler(
-        mins=np.array(doc["scaler"]["mins"], dtype=float),
-        maxs=np.array(doc["scaler"]["maxs"], dtype=float),
-        target_column=doc["scaler"]["target_column"],
-    )
+    """Read a model written by save_lstm. A file that is not one (bad JSON, a
+    missing or mistyped key, an array of the wrong shape) is a
+    ValidationError naming the file."""
+    doc = read_json_object(path)
+    try:
+        schema = doc.get("schema")
+        if schema != LSTM_SCHEMA:
+            raise ValidationError(f"unsupported model schema {schema!r}")
+        try:
+            config = TrainConfig(**json_value(doc, "config", dict))
+        except TypeError as exc:
+            raise ValidationError(f"key 'config': {exc}") from None
+        input_dim = json_value(doc, "input_dim", int)
+        weights_doc = json_value(doc, "weights", dict)
+        weights = {}
+        for name, shape in _weight_shapes(input_dim, config.hidden_size).items():
+            weights[name] = json_array(weights_doc, name, float, ndim=len(shape))
+            if weights[name].shape != shape:
+                raise ValidationError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
+        scaler_doc = json_value(doc, "scaler", dict)
+        mins, maxs = (json_array(scaler_doc, key, float) for key in ("mins", "maxs"))
+        if mins.shape != (input_dim,) or maxs.shape != (input_dim,):
+            raise ValidationError(f"scaler bounds must have {input_dim} entries")
+        target_column = json_value(scaler_doc, "target_column", int)
+        if not -input_dim <= target_column < input_dim:
+            raise ValidationError(f"scaler target_column {target_column} out of range")
+        loss_trace = json_array(doc, "loss_trace", float).tolist()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return LstmModel(
-        weights=weights,
-        scaler=scaler,
+        weights=LstmWeights(**weights),
+        scaler=MinMaxScaler(mins=mins, maxs=maxs, target_column=target_column),
         config=config,
-        input_dim=doc["input_dim"],
-        loss_trace=list(doc["loss_trace"]),
+        input_dim=input_dim,
+        loss_trace=loss_trace,
     )

@@ -24,7 +24,7 @@ from surplusminer.economics import (
 )
 from surplusminer.errors import ValidationError
 from surplusminer.fleet import HALVING_SCHEDULE, block_reward
-from surplusminer.forest import ForestParams, bootstrap_sample, grow_tree, predict_tree
+from surplusminer.forest import LEAF, ForestParams, bootstrap_sample, grow_tree, predict_tree
 from surplusminer.indicators import build_features, momentum, rsi, sma, stoch_d, stoch_k, wma
 from surplusminer.lstm import PARAM_NAMES, TrainConfig, bptt_gradients, fit_lstm, init_weights
 
@@ -123,14 +123,26 @@ def test_c04_tree_growth_matches_exhaustive_search():
     verdict("C04", checked == 200, f"{checked}/200 random trees equal exhaustive search")
 
 
-def _same_tree(node, naive):
-    if node.is_leaf != (naive.value is not None):
-        return False
-    if node.is_leaf:
-        return naive.value == pytest.approx(node.value, rel=1e-12, abs=1e-15)
-    if node.feature != naive.feature or node.threshold != naive.threshold:
-        return False
-    return _same_tree(node.left, naive.left) and _same_tree(node.right, naive.right)
+def _same_tree(tree, naive):
+    """Walk the flat preorder arrays against the oracle's node graph: same
+    topology and split features, thresholds bitwise, leaves to rel 1e-12,
+    and every array node reached exactly once."""
+    stack = [(0, naive)]
+    reached = 0
+    while stack:
+        i, node = stack.pop()
+        reached += 1
+        if (tree.feature[i] == LEAF) != (node.value is not None):
+            return False
+        if node.value is not None:
+            if node.value != pytest.approx(tree.value[i], rel=1e-12, abs=1e-15):
+                return False
+            continue
+        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
+            return False
+        stack.append((tree.right[i], node.right))
+        stack.append((tree.left[i], node.left))
+    return reached == tree.node_count
 
 
 def test_c05_bootstrap_distinct_fraction():

@@ -232,6 +232,73 @@ class TestReportFromLedger:
         assert "ledger.csv:2:" in caplog.text
 
 
+class TestHostileModelFiles:
+    """A damaged model file makes simulate exit 2 naming the file, not 4."""
+
+    def _simulate_on_edited_model(self, pipeline_out, tmp_path, name, case, edit) -> int:
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        path = out / name
+        path.write_bytes(edit(path.read_bytes()))
+        return main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", case, "--out", str(out)])
+
+    @staticmethod
+    def _edit_json(change):
+        def edit(raw):
+            doc = json.loads(raw)
+            change(doc)
+            return json.dumps(doc).encode()
+
+        return edit
+
+    def test_truncated_forest_model_exits_2(self, pipeline_out, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = self._simulate_on_edited_model(
+                pipeline_out, tmp_path, "forest_model.json", "forest-1", lambda raw: raw[:5000]
+            )
+        assert rc == 2
+        assert "forest_model.json: invalid JSON" in caplog.text
+
+    def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path, caplog):
+        def far_child(doc):
+            doc["trees"][0]["right"][0] = 99999
+
+        with caplog.at_level(logging.ERROR):
+            rc = self._simulate_on_edited_model(
+                pipeline_out, tmp_path, "forest_model.json", "forest-1", self._edit_json(far_child)
+            )
+        assert rc == 2
+        assert "forest_model.json: tree 0: child index" in caplog.text
+
+    def test_truncated_lstm_model_exits_2(self, pipeline_out, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = self._simulate_on_edited_model(
+                pipeline_out, tmp_path, "lstm_model.json", "lstm-1", lambda raw: raw[:5000]
+            )
+        assert rc == 2
+        assert "lstm_model.json: invalid JSON" in caplog.text
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc["weights"].pop("U_o"), "missing key 'U_o'"),
+            (lambda doc: doc.update(input_dim="7"), "key 'input_dim'"),
+            (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
+            (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
+        ],
+        ids=["missing-weight", "mistyped-input-dim", "mistyped-scaler-bounds", "misshapen-weight"],
+    )
+    def test_lstm_model_with_missing_or_mistyped_key_exits_2(
+        self, pipeline_out, tmp_path, caplog, change, message
+    ):
+        with caplog.at_level(logging.ERROR):
+            rc = self._simulate_on_edited_model(
+                pipeline_out, tmp_path, "lstm_model.json", "lstm-1", self._edit_json(change)
+            )
+        assert rc == 2
+        assert f"lstm_model.json: {message}" in caplog.text
+
+
 class TestOverrides:
     def test_seed_override_changes_hash(self, tmp_path):
         out = tmp_path / "out"

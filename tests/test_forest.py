@@ -1,13 +1,19 @@
 """Regression forest: split search vs brute force, bootstrap, determinism."""
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from surplusminer.errors import DataInsufficientError, ValidationError
+from surplusminer import forest
 from surplusminer.forest import (
+    LEAF,
+    ForestModel,
     ForestParams,
+    Tree,
     best_split,
     bootstrap_sample,
     fit_forest,
@@ -31,15 +37,51 @@ def random_matrix(n_days=80, seed=0):
     return build_features(make_series(prices))
 
 
-def trees_equal(node, naive, rel=1e-12):
-    """Same topology and split features, thresholds bitwise, leaves to rel."""
-    if node.is_leaf != (naive.value is not None):
-        return False
-    if node.is_leaf:
-        return naive.value == pytest.approx(node.value, rel=rel, abs=1e-15)
-    if node.feature != naive.feature or node.threshold != naive.threshold:
-        return False
-    return trees_equal(node.left, naive.left, rel) and trees_equal(node.right, naive.right, rel)
+def trees_equal(tree, naive, rel=1e-12):
+    """Same topology and split features, thresholds bitwise, leaves to rel.
+    Walks the flat preorder arrays against the oracle's node graph, and
+    requires every array node to be reached exactly once."""
+    stack = [(0, naive)]
+    reached = 0
+    while stack:
+        i, node = stack.pop()
+        reached += 1
+        if (tree.feature[i] == LEAF) != (node.value is not None):
+            return False
+        if node.value is not None:
+            if node.value != pytest.approx(tree.value[i], rel=rel, abs=1e-15):
+                return False
+            continue
+        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
+            return False
+        stack.append((tree.right[i], node.right))
+        stack.append((tree.left[i], node.left))
+    return reached == tree.node_count
+
+
+def chain_tree(depth):
+    """A hand-built flat chain: at level k, x <= k + 0.5 goes to a leaf of
+    value k, anything larger one level down; the last leaf holds `depth`."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    for level in range(depth):
+        node = len(feature)
+        feature += [0, LEAF]
+        threshold += [level + 0.5, 0.0]
+        left += [node + 1, LEAF]
+        right += [node + 2, LEAF]
+        value += [0.0, float(level)]
+    feature.append(LEAF)
+    threshold.append(0.0)
+    left.append(LEAF)
+    right.append(LEAF)
+    value.append(float(depth))
+    return Tree(
+        feature=np.array(feature),
+        threshold=np.array(threshold),
+        left=np.array(left),
+        right=np.array(right),
+        value=np.array(value),
+    )
 
 
 class TestBestSplit:
@@ -83,6 +125,17 @@ class TestBestSplit:
         assert feature == 0
         mask = X[:, 0] <= threshold
         assert mask.sum() == 2
+
+    def test_midpoint_rounding_up_snaps_to_the_lower_value(self):
+        """With an odd last mantissa bit on lo, (lo + hi) / 2 rounds to hi
+        itself, which would send every row left."""
+        lo = math.nextafter(1.0, 2.0)
+        hi = math.nextafter(lo, 2.0)
+        assert (lo + hi) / 2.0 == hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0.0, 0.0, 10.0, 10.0])
+        feature, threshold, _ = best_split(X, y, [0])
+        assert (feature, threshold) == (0, lo)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -133,9 +186,10 @@ class TestGrowTree:
         params = ForestParams(n_trees=1, m_try=1, max_depth=0)
         X = np.array([[1.0], [2.0]])
         y = np.array([1.0, 2.0])
-        node = grow_tree(X, y, params, tree_rng(0, 0))
-        assert node.is_leaf
-        assert node.value == 1.5
+        tree = grow_tree(X, y, params, tree_rng(0, 0))
+        assert tree.node_count == 1
+        assert tree.feature[0] == LEAF
+        assert tree.value[0] == 1.5
 
     def test_min_samples_leaf_gates_splitting(self):
         """Nodes smaller than 2 * min_samples_leaf must never split."""
@@ -143,17 +197,41 @@ class TestGrowTree:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 1))
         y = rng.normal(size=10)
-        node = grow_tree(X, y, params, tree_rng(0, 0))
+        tree = grow_tree(X, y, params, tree_rng(0, 0))
 
-        def check(nd, rows):
-            if nd.is_leaf:
-                return
+        stack = [(0, X)]
+        while stack:
+            i, rows = stack.pop()
+            if tree.feature[i] == LEAF:
+                continue
             assert len(rows) >= 2 * 3
-            mask = rows[:, 0] <= nd.threshold
-            check(nd.left, rows[mask])
-            check(nd.right, rows[~mask])
+            mask = rows[:, tree.feature[i]] <= tree.threshold[i]
+            stack.append((tree.left[i], rows[mask]))
+            stack.append((tree.right[i], rows[~mask]))
 
-        check(node, X)
+    def test_grows_a_chain_deeper_than_the_recursion_limit(self):
+        """Targets growing by a factor of 3 make the exhaustive tree a chain:
+        every split peels the largest row off into a right leaf. Grown under a
+        recursion limit below its depth, it must still come out whole."""
+        n = 300
+        X = np.arange(n, dtype=float).reshape(-1, 1)
+        y = 3.0 ** np.arange(n)
+        params = ForestParams(n_trees=1, m_try=1, seed=0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            tree = grow_tree(X, y, params, tree_rng(0, 0))
+        finally:
+            sys.setrecursionlimit(limit)
+
+        assert tree.node_count == 2 * n - 1
+        internal = np.flatnonzero(tree.feature != LEAF)
+        # the chain runs down the left children, one level per row
+        assert internal.tolist() == list(range(n - 1))
+        assert tree.threshold[internal].tolist() == [n - 1.5 - k for k in range(n - 1)]
+        assert [tree.value[tree.right[i]] for i in internal] == y[::-1][: n - 1].tolist()
+        assert tree.value[n - 1] == y[0]
+        assert [predict_tree(tree, row) for row in X] == y.tolist()
 
     def test_memorizes_distinct_rows_without_bootstrap(self):
         matrix = random_matrix(n_days=50, seed=8)
@@ -226,6 +304,43 @@ class TestDeterminism:
             assert predict_tree(node, row) == predict_tree(node2, row2)
 
 
+class TestWorkers:
+    """fit_forest grows trees in one forked worker per available CPU; the
+    model must not depend on how many there are."""
+
+    def test_worker_count_does_not_change_the_model(self, tmp_path, monkeypatch):
+        matrix = random_matrix(seed=6)
+        params = ForestParams(n_trees=5, seed=2)
+        saved, predicted = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+            model = fit_forest(matrix, params)
+            path = tmp_path / f"{cpus}.json"
+            save_forest(model, path)
+            saved[cpus] = path.read_bytes()
+            predicted[cpus] = predict_matrix(model, matrix).tobytes()
+        assert saved[1] == saved[2]
+        assert predicted[1] == predicted[2]
+
+    def test_sampler_reaches_the_workers(self, tmp_path, monkeypatch):
+        """The test hook runs in the worker processes: it logs their pids,
+        and its identity draw makes the forest memorize the rows."""
+        log = tmp_path / "pids"
+
+        def identity(n, rng):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return np.arange(n)
+
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        matrix = random_matrix(n_days=50, seed=8)
+        model = fit_forest(matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=identity)
+        pids = log.read_text().split()
+        assert len(pids) == 3
+        assert str(os.getpid()) not in pids
+        assert predict_matrix(model, matrix) == pytest.approx(matrix.target_array(), rel=1e-12)
+
+
 class TestSerialization:
     def test_round_trip_predictions_bitwise(self, tmp_path):
         matrix = random_matrix(seed=13)
@@ -244,31 +359,106 @@ class TestSerialization:
             load_forest(path)
 
     def test_deep_chain_tree_round_trip(self, tmp_path):
-        """The flat node encoding must survive depth far beyond the Python
+        """The flat encoding must survive depth far beyond the Python
         recursion limit; the chain is built by hand to force it."""
-        import sys
-
-        from surplusminer.forest import ForestModel, TreeNode
-
         depth = sys.getrecursionlimit() + 500
-        node = TreeNode(value=float(depth))
-        for level in range(depth - 1, -1, -1):
-            node = TreeNode(
-                feature=0,
-                threshold=level + 0.5,
-                left=TreeNode(value=float(level)),
-                right=node,
-            )
-
+        tree = chain_tree(depth)
         params = ForestParams(n_trees=1, m_try=1, seed=0)
-        model = ForestModel(trees=[node], params=params, feature_count=1)
+        model = ForestModel(trees=[tree], params=params, feature_count=1)
         path = tmp_path / "deep.json"
         save_forest(model, path)
         loaded = load_forest(path)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(loaded.trees[0], name), getattr(tree, name)), name
         # x = k + 0.2 descends k levels right, then one left, to leaf value k
         for x in (0.0, 7.2, float(depth - 1) + 0.2, float(depth) + 5.0):
-            assert predict_tree(loaded.trees[0], [x]) == predict_tree(node, [x])
+            assert predict_tree(loaded.trees[0], [x]) == predict_tree(tree, [x])
+            assert predict_forest(loaded, [x]) == predict_tree(tree, [x])
         assert predict_tree(loaded.trees[0], [7.2]) == 7.0
+        assert predict_forest(loaded, [float(depth) + 5.0]) == float(depth)
+
+
+def _saved_model_doc(tmp_path):
+    """A small fitted model's JSON document, to be edited into a bad file."""
+    path = tmp_path / "m.json"
+    save_forest(fit_forest(random_matrix(seed=4), ForestParams(n_trees=2, seed=1)), path)
+    return json.loads(path.read_text())
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "forest_model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestHostileModelFiles:
+    """Every malformed model file is a ValidationError naming the file and
+    the fault, never a crash or a prediction that does not terminate."""
+
+    def test_truncated_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_forest(fit_forest(random_matrix(seed=4), ForestParams(n_trees=2, seed=1)), path)
+        path.write_bytes(path.read_bytes()[:5000])
+        with pytest.raises(ValidationError, match=r"m\.json: invalid JSON"):
+            load_forest(path)
+
+    def test_missing_key(self, tmp_path):
+        doc = _saved_model_doc(tmp_path)
+        del doc["trees"][1]["right"]
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'right'"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key, bad", [("left", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1])])
+    def test_mistyped_array_element(self, tmp_path, key, bad):
+        doc = _saved_model_doc(tmp_path)
+        doc["trees"][0][key][0] = bad
+        with pytest.raises(ValidationError, match=rf"forest_model\.json: tree 0: key '{key}'"):
+            load_forest(_write(tmp_path, doc))
+
+    def test_mistyped_feature_count(self, tmp_path):
+        doc = _saved_model_doc(tmp_path)
+        doc["feature_count"] = "6"
+        with pytest.raises(ValidationError, match=r"forest_model\.json: key 'feature_count'"):
+            load_forest(_write(tmp_path, doc))
+
+    def test_unequal_array_lengths(self, tmp_path):
+        doc = _saved_model_doc(tmp_path)
+        doc["trees"][0]["value"].pop()
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*equal length"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("side, index", [("left", 99999), ("right", 99999), ("right", 0), ("left", -1)])
+    def test_child_index_out_of_order(self, tmp_path, side, index):
+        """A child past the end would index out of bounds; one at or before
+        its node could make prediction loop forever."""
+        doc = _saved_model_doc(tmp_path)
+        tree = doc["trees"][0]
+        assert tree["feature"][0] != LEAF
+        tree[side][0] = index
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: child index"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("feature", [6, -2])
+    def test_split_feature_out_of_range(self, tmp_path, feature):
+        doc = _saved_model_doc(tmp_path)
+        doc["trees"][0]["feature"][0] = feature
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: split feature out of range"):
+            load_forest(_write(tmp_path, doc))
+
+    def test_leaf_with_a_child(self, tmp_path):
+        doc = _saved_model_doc(tmp_path)
+        tree = doc["trees"][0]
+        leaf = tree["feature"].index(LEAF)
+        tree["right"][leaf] = leaf + 1
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: leaf child index"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["threshold", "value"])
+    def test_non_finite_number(self, tmp_path, key):
+        doc = _saved_model_doc(tmp_path)
+        doc["trees"][0][key][0] = float("nan")
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*finite"):
+            load_forest(_write(tmp_path, doc))
 
 
 class TestParams:

@@ -40,8 +40,8 @@ from .fleet import (
     month_capacity,
     write_fleet_csv,
 )
-# predict_forest is not called here; it stays bound in this namespace, where
-# bench/layertrace.py wraps every forest layer function by name.
+# predict_forest and predict_window are not called here; they stay bound in
+# this namespace, where bench/layertrace.py wraps every layer function by name.
 from .forest import ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest  # noqa: F401
 from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
@@ -56,7 +56,7 @@ from .ingest import (
     write_market_csv,
     write_output_csv,
 )
-from .lstm import TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm
+from .lstm import TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm  # noqa: F401
 from .metrics import evaluate, write_eval_csv
 
 logger = logging.getLogger(__name__)
@@ -327,21 +327,6 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
     return train, test
 
 
-def _lstm_eval_arrays(model, test: FeatureMatrix) -> tuple[list[float], list[float]]:
-    """Aligned (actual, predicted) for windows fully inside the test split."""
-    T = model.config.window
-    if len(test) < T:
-        raise DataInsufficientError(
-            f"test split has {len(test)} rows, shorter than the {T}-day window"
-        )
-    inputs = test.input_array()
-    targets = test.target_array()
-    predicted = [
-        predict_window(model, inputs[i : i + T]) for i in range(len(test) - T + 1)
-    ]
-    return list(targets[T - 1 :]), predicted
-
-
 def cmd_train(cfg: RunConfig) -> None:
     """Fit both models on the train split and evaluate on the test split."""
     out = _prepare_out(cfg)
@@ -357,8 +342,11 @@ def cmd_train(cfg: RunConfig) -> None:
 
     lstm_model = fit_lstm(train, cfg.lstm)
     save_lstm(lstm_model, out / "lstm_model.json")
-    actual, predicted = _lstm_eval_arrays(lstm_model, test)
-    lstm_eval = evaluate("lstm", "test", actual, predicted)
+    T = cfg.lstm.window
+    if len(test) < T:
+        raise DataInsufficientError(f"test split has {len(test)} rows, shorter than the {T}-day window")
+    predicted = list(predict_series(lstm_model, test).values())
+    lstm_eval = evaluate("lstm", "test", test.target_array()[T - 1 :], predicted)
 
     write_eval_csv([forest_eval, lstm_eval], out / "eval.csv", header_comment=_header(cfg))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import calendar
 import csv
+import itertools
 import json
 import logging
 import math
@@ -220,16 +221,18 @@ def json_value(doc: dict, key: str, kind: type | tuple[type, ...]):
 
 def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
     """doc[key], a nested list of numbers, as an ndim-dimensional array of
-    dtype int or float. A string, null or object element, a float where ints
-    are due, an all-boolean list or a ragged nesting is a ValidationError (a
-    boolean among numbers is read as 0 or 1)."""
+    dtype int or float. A string, null, boolean or object element, a float
+    where ints are due or a ragged nesting is a ValidationError."""
     raw = json_value(doc, key, list)
     try:
         arr = np.array(raw)
     except ValueError:  # ragged nesting
         arr = None
     kinds = "i" if dtype is int else "if"
-    if arr is None or arr.dtype.kind not in kinds or arr.ndim != ndim:
+    elements = raw  # numpy reads a boolean among numbers as 0 or 1, so look in raw
+    for _ in range(ndim - 1):  # lazily, so only a regular nesting is flattened
+        elements = itertools.chain.from_iterable(elements)
+    if arr is None or arr.dtype.kind not in kinds or arr.ndim != ndim or bool in map(type, elements):
         raise ValidationError(f"key {key!r}: expected a {ndim}-d array of {dtype.__name__}")
     return arr.astype(np.int64 if dtype is int else float)
 

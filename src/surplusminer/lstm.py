@@ -148,17 +148,16 @@ def cell_forward(
     return h_t, c_t, cache
 
 
-def _run_batch(windows: np.ndarray, w: LstmWeights) -> tuple[np.ndarray, np.ndarray, list]:
-    """Forward a (m, T, d) batch of windows; returns (preds, h_T, caches)."""
+def _forward(windows: np.ndarray, w: LstmWeights) -> np.ndarray:
+    """Scaled predictions for a (m, T, d) stack of windows (a strided view is
+    fine): T cell steps over all m windows at once, keeping only h and c, so
+    memory does not grow with T (bptt_gradients records its own caches)."""
     m, T, _ = windows.shape
     h = np.zeros((m, w.hidden_size))
     c = np.zeros((m, w.hidden_size))
-    caches = []
     for t in range(T):
-        h, c, cache = cell_forward(windows[:, t, :], h, c, w)
-        caches.append(cache)
-    preds = h @ w.V + w.c[0]
-    return preds, h, caches
+        h, c, _ = cell_forward(windows[:, t, :], h, c, w)
+    return h @ w.V + w.c[0]
 
 
 def forward_window(window: np.ndarray, w: LstmWeights) -> float:
@@ -168,8 +167,7 @@ def forward_window(window: np.ndarray, w: LstmWeights) -> float:
         raise ValidationError(
             f"window must be (steps, {w.input_dim}) with steps >= 1, got {arr.shape}"
         )
-    preds, _, _ = _run_batch(arr[np.newaxis, :, :], w)
-    return float(preds[0])
+    return float(_forward(arr[np.newaxis, :, :], w)[0])
 
 
 def bptt_gradients(
@@ -191,17 +189,23 @@ def bptt_gradients(
             f"targets shape {targets.shape} does not match batch {windows.shape[0]}"
         )
 
-    preds, h_last, caches = _run_batch(windows, w)
+    m, T, _ = windows.shape
+    h = np.zeros((m, w.hidden_size))
+    c = np.zeros((m, w.hidden_size))
+    caches = []
+    for t in range(T):
+        h, c, cache = cell_forward(windows[:, t, :], h, c, w)
+        caches.append(cache)
+    preds = h @ w.V + w.c[0]
     err = preds - targets
     if not np.all(np.isfinite(err)):
         bad = int(np.argmax(~np.isfinite(err)))
         raise ValidationError(f"non-finite loss at window {bad}")
-    m = len(targets)
     loss = float(np.mean(err**2))
 
     grads = {name: np.zeros_like(arr) for name, arr in w.items()}
     dpred = (2.0 / m) * err  # (m,)
-    grads["V"] = dpred @ h_last
+    grads["V"] = dpred @ h
     grads["c"] = np.array([float(np.sum(dpred))])
 
     dh = np.outer(dpred, w.V)  # (m, hidden)
@@ -344,29 +348,36 @@ def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
     )
 
 
+def _predict_rows(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
+    """Next-day prices for every T-row window of the (n, d) raw inputs, n >= T:
+    one batched forward pass over an overlapping-window view (no copies)."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        model.scaler.transform(inputs), model.config.window, axis=0
+    ).transpose(0, 2, 1)
+    return model.scaler.inverse_target(_forward(windows, model.weights))
+
+
 def predict_window(model: LstmModel, window_rows: np.ndarray) -> float:
     """Next-day price (in original units) from one (T, d) window of raw inputs."""
     arr = np.asarray(window_rows, dtype=float)
     expected = (model.config.window, model.input_dim)
     if arr.shape != expected:
         raise ValidationError(f"incomplete window: expected {expected}, got {arr.shape}")
-    scaled_pred = forward_window(model.scaler.transform(arr), model.weights)
-    return float(model.scaler.inverse_target(scaled_pred))
+    return float(_predict_rows(model, arr)[0])
 
 
 def predict_series(model: LstmModel, features: FeatureMatrix) -> dict[date, float]:
     """Predictions keyed by the day they refer to (the day after each window).
 
     The first T-1 rows seed windows only, so the earliest prediction targets
-    the day after row T-1; days before that have no prediction.
+    the day after row T-1; days before that have no prediction, and a matrix
+    shorter than T has none at all.
     """
     T = model.config.window
-    inputs = features.input_array()
-    out: dict[date, float] = {}
-    for i in range(len(features.rows) - T + 1):
-        day = features.rows[i + T - 1].day + timedelta(days=1)
-        out[day] = predict_window(model, inputs[i : i + T])
-    return out
+    if len(features) < T:
+        return {}
+    days = [row.day + timedelta(days=1) for row in features.rows[T - 1 :]]
+    return dict(zip(days, _predict_rows(model, features.input_array()).tolist()))
 
 
 def save_lstm(model: LstmModel, path: str | Path) -> None:

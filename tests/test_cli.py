@@ -285,8 +285,9 @@ class TestHostileModelFiles:
             (lambda doc: doc.update(input_dim="7"), "key 'input_dim'"),
             (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
             (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
+            (lambda doc: doc["weights"]["W_f"][0].__setitem__(0, True), "key 'W_f'"),
         ],
-        ids=["missing-weight", "mistyped-input-dim", "mistyped-scaler-bounds", "misshapen-weight"],
+        ids=["missing-weight", "mistyped-input-dim", "mistyped-scaler-bounds", "misshapen-weight", "boolean-weight"],
     )
     def test_lstm_model_with_missing_or_mistyped_key_exits_2(
         self, pipeline_out, tmp_path, caplog, change, message

@@ -408,7 +408,9 @@ class TestHostileModelFiles:
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'right'"):
             load_forest(_write(tmp_path, doc))
 
-    @pytest.mark.parametrize("key, bad", [("left", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1])])
+    @pytest.mark.parametrize(
+        "key, bad", [("left", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1]), ("feature", True)]
+    )
     def test_mistyped_array_element(self, tmp_path, key, bad):
         doc = _saved_model_doc(tmp_path)
         doc["trees"][0][key][0] = bad

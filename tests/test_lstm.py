@@ -1,14 +1,16 @@
 """LSTM cell math, gradients vs finite differences, scaling, determinism."""
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from surplusminer.errors import DataInsufficientError, ValidationError
-from surplusminer.indicators import build_features
+from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.lstm import (
     PARAM_NAMES,
+    LstmModel,
     LstmWeights,
     MinMaxScaler,
     TrainConfig,
@@ -36,6 +38,17 @@ def zero_weights(input_dim, hidden):
     for _, arr in w.items():
         arr[...] = 0.0
     return w
+
+
+def untrained_model(matrix, window, hidden):
+    """A model with initial weights, scaled on `matrix`: enough to predict with."""
+    inputs = matrix.input_array()
+    return LstmModel(
+        weights=init_weights(inputs.shape[1], hidden, seed=8),
+        scaler=MinMaxScaler.fit(inputs),
+        config=TrainConfig(window=window, hidden_size=hidden),
+        input_dim=inputs.shape[1],
+    )
 
 
 class TestCellForward:
@@ -249,6 +262,51 @@ class TestPrediction:
         assert min(preds) == first_covered + timedelta(days=1)
         assert max(preds) == matrix.rows[-1].day + timedelta(days=1)
         assert len(preds) == len(matrix) - config.window + 1
+
+    def test_series_matches_per_window_reference(self):
+        """The batched pass against one forward_window call per day. Not
+        bitwise: a matrix product over all windows may sum each dot product
+        in a different order (blocked kernels) than a one-row product, so
+        the last bit can differ; anything beyond rounding cannot pass."""
+        T = 14
+        matrix = build_features(make_series(sine_prices(300)))
+        model = untrained_model(matrix, window=T, hidden=32)
+        inputs = model.scaler.transform(matrix.input_array())
+        want = {
+            matrix.rows[i + T - 1].day + timedelta(days=1): float(
+                model.scaler.inverse_target(forward_window(inputs[i : i + T], model.weights))
+            )
+            for i in range(len(matrix) - T + 1)
+        }
+        got = predict_series(model, matrix)
+        assert list(got) == list(want)
+        for day, value in want.items():
+            assert got[day] == pytest.approx(value, rel=1e-12, abs=0.0), day
+
+    def test_series_shorter_than_a_window(self):
+        matrix = build_features(make_series(sine_prices(60)))
+        model = untrained_model(matrix, window=8, hidden=4)
+        short = FeatureMatrix(matrix.rows[:7])
+        assert predict_series(model, short) == {}
+        exact = FeatureMatrix(matrix.rows[:8])
+        preds = predict_series(model, exact)
+        assert list(preds) == [exact.rows[-1].day + timedelta(days=1)]
+        assert preds[exact.rows[-1].day + timedelta(days=1)] == predict_window(model, exact.input_array())
+
+    def test_series_memory_does_not_grow_with_steps(self):
+        """About 1,470 windows of 14 steps at hidden 64. Keeping every
+        step's gate activations (14 x 8 arrays of 1,470 x 64 floats) would
+        take ~83 MB; the forward pass keeps only h and c."""
+        matrix = build_features(make_series(sine_prices(1500)))
+        model = untrained_model(matrix, window=14, hidden=64)
+        tracemalloc.start()
+        try:
+            preds = predict_series(model, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(preds) >= 1400
+        assert peak < 25e6
 
     def test_round_trip_predictions_bitwise(self, tmp_path):
         matrix = build_features(make_series(sine_prices(60)))

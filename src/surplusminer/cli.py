@@ -334,13 +334,17 @@ def cmd_train(cfg: RunConfig) -> None:
     matrix = build_features(filled)
     train, test = _split_features(cfg, matrix)
 
-    forest_model = fit_forest(train, cfg.forest)
+    # the LSTM trains in this process while the forest's workers grow trees
+    lstm_fit: list = []
+    forest_model = fit_forest(
+        train, cfg.forest, meanwhile=lambda: lstm_fit.append(fit_lstm(train, cfg.lstm))
+    )
+    (lstm_model,) = lstm_fit
     save_forest(forest_model, out / "forest_model.json")
     forest_eval = evaluate(
         "forest", "test", test.target_array(), predict_matrix(forest_model, test)
     )
 
-    lstm_model = fit_lstm(train, cfg.lstm)
     save_lstm(lstm_model, out / "lstm_model.json")
     T = cfg.lstm.window
     if len(test) < T:

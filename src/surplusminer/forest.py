@@ -298,6 +298,7 @@ def fit_forest(
     features: FeatureMatrix,
     params: ForestParams,
     sampler: Sampler | None = None,
+    meanwhile: Callable[[], object] | None = None,
 ) -> ForestModel:
     """Fit B trees on bootstrap resamples of the feature matrix.
 
@@ -305,6 +306,11 @@ def fit_forest(
     available CPU (at most B), and collected in tree order; with one worker
     they are grown in this process. Tree b depends only on stream (seed, b),
     so the model is the same for any worker count.
+
+    `meanwhile`, when given, runs in this process while the workers grow
+    trees, or after the trees with one worker. It starts only once every
+    worker is forked, so no fork happens while it runs. If it raises, the
+    pool is terminated and the exception propagates.
 
     `sampler` is a test hook replacing the bootstrap draw (e.g. identity
     indices); it receives (n, rng) and must return row indices.
@@ -318,6 +324,8 @@ def fit_forest(
     workers = min(_available_cpus(), params.n_trees)
     if workers == 1 or not hasattr(os, "fork"):
         trees = [_grow_bagged_tree(job, b) for b in range(params.n_trees)]
+        if meanwhile is not None:
+            meanwhile()
     else:
         import multiprocessing  # here, so commands that never fit skip its ~7 ms import
 
@@ -326,7 +334,10 @@ def fit_forest(
         # re-importing numpy, which costs about as much as a small fit
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
-            trees = pool.map(_grow_in_worker, range(params.n_trees), chunksize=1)
+            pending = pool.map_async(_grow_in_worker, range(params.n_trees), chunksize=1)
+            if meanwhile is not None:
+                meanwhile()
+            trees = pending.get()
     return ForestModel(trees=trees, params=params, feature_count=X.shape[1])
 
 

@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -188,11 +189,22 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
 @contextmanager
 def output_file(path: str | Path, header_comment: str | None = None):
     """Open a file for writing in the one output format: UTF-8, LF line endings
-    on every platform, and a first line `# <header_comment>` when one is given."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        yield fh
+    on every platform, and a first line `# <header_comment>` when one is given.
+
+    The bytes go to a sibling temp file that replaces `path` when the block
+    completes; if it raises, the temp file is deleted and a previous `path`
+    is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            if header_comment:
+                fh.write(f"# {header_comment}\n")
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json_object(path: str | Path) -> dict:

@@ -1,12 +1,17 @@
 """End-to-end command-line runs on the bundled fixture data."""
+import contextlib
 import hashlib
+import io
 import json
 import logging
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
+from surplusminer import cli, forest
 from surplusminer.cli import main
 
 from conftest import DATA_DIR, FIXTURE_CONFIG
@@ -330,3 +335,65 @@ class TestOverrides:
             ])
         assert rc == 2
         assert "train" in caplog.text
+
+
+TRAIN_OUTPUTS = ("forest_model.json", "lstm_model.json", "eval.csv", "train_summary.txt")
+
+
+@pytest.fixture(scope="module")
+def train_by_cpus(tmp_path_factory):
+    """Fixture `train` with one and with two available CPUs, cli.fit_lstm
+    recording the process it runs in and how many pool workers are alive:
+    {cpus: {"files": bytes by name, "stdout": str, "calls": [(pid, workers)]}}."""
+    runs = {}
+    for cpus in (1, 2):
+        out = tmp_path_factory.mktemp(f"train_{cpus}cpu")
+        calls = []
+        fit_lstm = cli.fit_lstm
+
+        def recording(*args, **kwargs):
+            calls.append((os.getpid(), len(multiprocessing.active_children())))
+            return fit_lstm(*args, **kwargs)
+
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+            mp.setattr(forest, "_available_cpus", lambda: cpus)
+            mp.setattr(cli, "fit_lstm", recording)
+            rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+        assert rc == 0
+        files = {name: (out / name).read_bytes() for name in TRAIN_OUTPUTS}
+        runs[cpus] = {"files": files, "stdout": stdout.getvalue(), "calls": calls}
+    return runs
+
+
+class TestTrainFits:
+    """train fits the LSTM in this process while the forest's workers grow
+    trees (serially after the trees with one CPU)."""
+
+    def test_outputs_do_not_depend_on_cpu_count(self, train_by_cpus):
+        serial, overlapped = train_by_cpus[1], train_by_cpus[2]
+        for name in TRAIN_OUTPUTS:
+            assert overlapped["files"][name] == serial["files"][name], name
+        assert overlapped["stdout"] == serial["stdout"]
+
+    def test_lstm_trains_in_this_process_while_workers_are_alive(self, train_by_cpus):
+        # in this process, so the layer trace, which wraps cli.fit_lstm here, sees its span
+        ((pid, workers),) = train_by_cpus[2]["calls"]
+        assert pid == os.getpid()
+        assert workers > 0
+
+    def test_one_cpu_trains_the_lstm_once_without_workers(self, train_by_cpus):
+        assert train_by_cpus[1]["calls"] == [(os.getpid(), 0)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lstm_failure_exits_3_and_leaves_no_worker(self, tmp_path, caplog, monkeypatch, cpus):
+        monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+        cfg = write_config(tmp_path, lstm={"epochs": 5, "hidden_size": 16, "window": 1000})
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "need at least 1000 feature rows" in caplog.text
+        assert multiprocessing.active_children() == []
+        # the forest is saved only once both fits have succeeded
+        assert not (out / "forest_model.json").exists()

@@ -11,6 +11,7 @@ from surplusminer.ingest import (
     days_in_month,
     fill_gaps,
     monthly_totals,
+    output_file,
     parse_market_csv,
     parse_surplus_csv,
     write_market_csv,
@@ -198,3 +199,25 @@ class TestCalendar:
     )
     def test_days_in_month(self, month, days):
         assert days_in_month(month) == days
+
+
+class TestOutputFile:
+    def test_writes_in_place_with_the_mode_of_a_plain_open(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with output_file(path, "hdr") as fh:
+            fh.write("body\n")
+        assert path.read_bytes() == b"# hdr\nbody\n"
+        (tmp_path / "plain.txt").write_text("")
+        assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+    def test_failed_write_keeps_the_previous_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with output_file(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

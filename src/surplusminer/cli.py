@@ -333,6 +333,9 @@ def cmd_train(cfg: RunConfig) -> None:
     filled, _ = _load_clean_market(cfg)
     matrix = build_features(filled)
     train, test = _split_features(cfg, matrix)
+    T = cfg.lstm.window
+    if len(test) < T:
+        raise DataInsufficientError(f"test split has {len(test)} rows, shorter than the {T}-day window")
 
     # the LSTM trains in this process while the forest's workers grow trees
     lstm_fit: list = []
@@ -346,9 +349,6 @@ def cmd_train(cfg: RunConfig) -> None:
     )
 
     save_lstm(lstm_model, out / "lstm_model.json")
-    T = cfg.lstm.window
-    if len(test) < T:
-        raise DataInsufficientError(f"test split has {len(test)} rows, shorter than the {T}-day window")
     predicted = list(predict_series(lstm_model, test).values())
     lstm_eval = evaluate("lstm", "test", test.target_array()[T - 1 :], predicted)
 

@@ -7,6 +7,12 @@ per-tree substream derived by hashing (seed, tree index), so a fit is a pure
 function of (data, params), and the trees are grown in parallel worker
 processes without changing a bit of the result.
 
+A tree grows one depth level at a time, as in SLIQ (Mehta, Agrawal and
+Rissanen, EDBT 1996) and SPRINT (Shafer et al., VLDB 1996): the stream first
+gives the bootstrap draw, then, level by level, the feature subsets of that
+level's splittable nodes in breadth-first order (left child before right),
+and all nodes of a similar size are searched in one padded numpy pass.
+
 Each tree is one `Tree` record of parallel arrays in preorder (the layout of
 scikit-learn's `Tree`): growing, saving, loading and predicting all use it.
 """
@@ -105,10 +111,6 @@ def bootstrap_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _sse_tolerance(sq_sum: float) -> float:
-    return _TIE_REL * (sq_sum + 1.0)
-
-
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -135,60 +137,100 @@ def best_split(
             raise ValidationError(f"feature index {f} out of range for p={X.shape[1]}")
     if n < 2 or not features.size:
         return None
-    return _split_search(X[:, features], y, features)
+    feature, threshold, sse = _split_search(
+        X, y, np.arange(n)[None, :], np.array([n]), features[None, :]
+    )
+    if feature[0] == LEAF:
+        return None
+    return int(feature[0]), float(threshold[0]), float(sse[0])
 
 
 def _split_search(
-    Xs: np.ndarray, y: np.ndarray, features: np.ndarray
-) -> Optional[tuple[int, float, float]]:
-    """best_split on the (n >= 2, m) columns Xs of the sorted `features`,
-    all m in one 2-D pass; each column's arithmetic is that of a 1-D pass.
-    Reductions call the ufuncs directly (np.sum is np.add.reduce)."""
-    n, m = Xs.shape
-    sq_sum = float(np.dot(y, y))
-    tol = _sse_tolerance(sq_sum)
-    parent = max(sq_sum - float(np.add.reduce(y)) ** 2 / n, 0.0)
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """best_split for k nodes at once, in one padded pass.
 
-    order = Xs.argsort(axis=0, kind="stable")
-    cols = np.arange(m)
-    xs = Xs[order, cols]
-    ys = y[order]
-    csum = np.add.accumulate(ys, axis=0)
-    csq = np.add.accumulate(ys * ys, axis=0)
-    # row k - 1 holds the candidate with k rows on the left; only boundaries
-    # between distinct values are candidates
-    k = np.arange(1, n)[:, None]
-    valid = xs[1:] > xs[:-1]
-    left_sum, left_sq = csum[:-1], csq[:-1]
-    sse_left = left_sq - left_sum**2 / k
-    sse_right = (csq[-1] - left_sq) - (csum[-1] - left_sum) ** 2 / (n - k)
+    Node i holds the sizes[i] >= 2 rows rows[i, :sizes[i]] (the rest of the
+    row is padding) and searches the sorted features subsets[i]. Every
+    (node, feature) lane runs the arithmetic of a 1-D pass over that node
+    alone: a stable sort, sequential cumulative sums, and the same SSE
+    expressions and tie rules. Returns per node (feature, threshold,
+    children_sse), with feature LEAF and threshold 0.0 where the node does
+    not split. Reductions call the ufuncs directly (np.sum is np.add.reduce).
+    """
+    k, width = rows.shape
+    real = np.arange(width) < sizes[:, None]
+    Y = np.where(real, y[rows], 0.0)
+    # the node's own sums, from 1-D calls on its rows in row order, so that
+    # tolerance and parent SSE are those of the node searched alone
+    sq_sums, parent = [], []
+    for row, n in zip(Y, sizes.tolist()):
+        ys = row[:n]
+        sq_sum = float(np.dot(ys, ys))
+        sq_sums.append(sq_sum)
+        parent.append(max(sq_sum - float(np.add.reduce(ys)) ** 2 / n, 0.0))
+    tol, parent = _TIE_REL * (np.array(sq_sums) + 1.0), np.array(parent)
+
+    # lanes (node, feature) along the first two axes, rows along the last;
+    # NaN sorts after every number, +inf included, so each lane's real rows
+    # come first and keep their 1-D order, and padded y is 0 and adds nothing
+    m = subsets.shape[1]
+    Xs = np.where(real[:, None, :], X[rows[:, None, :], subsets[:, :, None]], np.nan)
+    order = Xs.argsort(axis=2, kind="stable")
+    xs = Xs.take(order + np.arange(0, k * m * width, width).reshape(k, m, 1))
+    ys = Y.take(order + np.arange(0, k * width, width).reshape(k, 1, 1))
+    csum = np.add.accumulate(ys, axis=2)
+    csq = np.add.accumulate(ys * ys, axis=2)
+    node, col, last = np.arange(k)[:, None], np.arange(m), (sizes - 1)[:, None]
+    total_sum = csum[node, col, last][:, :, None]
+    total_sq = csq[node, col, last][:, :, None]
+    # position j - 1 holds the candidate with j rows on the left; only
+    # boundaries between distinct values inside the node are candidates
+    j = np.arange(1, width)
+    n = sizes[:, None, None]
+    valid = (xs[:, :, 1:] > xs[:, :, :-1]) & (j < n)
+    left_sum, left_sq = csum[:, :, :-1], csq[:, :, :-1]
+    sse_left = left_sq - left_sum**2 / j
+    # padded lanes get a right-hand count of 1 instead of 0 or less; valid
+    # lanes keep n - j, which is already >= 1
+    sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / np.maximum(n - j, 1)
     totals = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
-    fmin = np.minimum.reduce(totals, axis=0, where=valid, initial=np.inf)
-    # per feature, the lowest threshold among its tied minima (the first
+    fmin = np.minimum.reduce(totals, axis=2, where=valid, initial=np.inf)
+    # per lane, the lowest threshold among its tied minima (the first
     # candidate when a NaN total leaves none)
-    tied = valid & (totals <= fmin + tol)
-    first = tied.argmax(axis=0)
+    tied = valid & (totals <= (fmin + tol[:, None])[:, :, None])
+    first = tied.argmax(axis=2)
+    idx = np.where(tied[node, col, first], first, valid.argmax(axis=2))
+    has_candidate = np.logical_or.reduce(valid, axis=2)
+    cand_sse = totals[node, col, idx]
+    lo = np.where(has_candidate, xs[node, col, idx], 0.0)
+    hi = np.where(has_candidate, xs[node, col, idx + 1], 0.0)
+    threshold = (lo + hi) / 2.0
+    # the midpoint of ulp-adjacent values can round up to hi, which would
+    # send every row left; snap to lo so the partition stays two-sided
+    threshold = np.where(threshold >= hi, lo, threshold)
 
-    best: tuple[float, int, float] | None = None  # (children_sse, feature, threshold)
-    for j, has_candidate in enumerate(np.logical_or.reduce(valid, axis=0).tolist()):
-        if not has_candidate:
-            continue
-        idx = first[j] if tied[first[j], j] else valid[:, j].argmax()
-        cand_sse = float(totals[idx, j])
-        lo, hi = float(xs[idx, j]), float(xs[idx + 1, j])
-        threshold = (lo + hi) / 2.0
-        # the midpoint of ulp-adjacent values can round up to hi, which would
-        # send every row left; snap to lo so the partition stays two-sided
-        if threshold >= hi:
-            threshold = lo
-        # strict improvement beyond the tie band; on a tie the earlier
-        # (lower-index) feature stands
-        if best is None or cand_sse < best[0] - tol:
-            best = (cand_sse, int(features[j]), threshold)
+    # features in ascending order: a later one replaces the best only by a
+    # strict improvement beyond the tie band, so on a tie the lower index stands
+    found = np.zeros(k, dtype=bool)
+    best_sse = np.zeros(k)
+    best_col = np.zeros(k, dtype=np.int64)
+    for col in range(m):
+        take = has_candidate[:, col] & (~found | (cand_sse[:, col] < best_sse - tol))
+        best_sse = np.where(take, cand_sse[:, col], best_sse)
+        best_col = np.where(take, col, best_col)
+        found |= has_candidate[:, col]
+    best_sse = np.where(found, best_sse, 0.0)
+    split = found & ~(parent - best_sse <= tol)
+    at = np.arange(k), best_col
+    return np.where(split, subsets[at], LEAF), np.where(split, threshold[at], 0.0), best_sse
 
-    if best is None or parent - best[0] <= tol:
-        return None
-    return best[1], best[2], best[0]
+
+def _size_buckets(sizes: np.ndarray) -> list[np.ndarray]:
+    """Indices of the nodes grouped by size, bucket j holding sizes in
+    (4**(j-1), 4**j], so that padding at most quadruples a bucket's work."""
+    bucket = np.searchsorted(4 ** np.arange(32, dtype=np.int64), sizes)
+    return [np.flatnonzero(bucket == b) for b in np.unique(bucket).tolist()]
 
 
 def grow_tree(
@@ -197,12 +239,19 @@ def grow_tree(
     params: ForestParams,
     rng: np.random.Generator,
 ) -> Tree:
-    """Grow one tree in preorder, left child first, from an explicit stack.
+    """Grow one tree one depth level at a time, as SLIQ and SPRINT do.
 
     Leaves form when targets are constant, the node is smaller than
     2 * min_samples_leaf, max_depth is reached, or no gaining split exists.
-    The feature subset is redrawn from rng at every node that may split, in
-    preorder. Depth is bounded by the row count, not by the Python stack.
+    Each level takes its nodes in breadth-first order, left child before
+    right, and draws the feature subsets of the nodes that may split in one
+    call: node i of the k such nodes gets the m lowest-ranked of p uniform
+    variates in row i of rng.random((k, p)), in ascending feature order.
+    Nodes are then bucketed by size (powers of 4) and each bucket is searched
+    in one padded pass of `_split_search`. A node's rows keep their ascending
+    order, so its split is that of the node searched alone. The breadth-first
+    nodes are laid out in preorder at the end. Depth is bounded by the row
+    count, not by the Python stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -213,54 +262,91 @@ def grow_tree(
     min_split = 2 * params.min_samples_leaf
     max_depth = params.max_depth
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    right: list[int] = []
-    value: list[float] = []
-    # (row indices of the node, its depth, the node whose right child it is)
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(len(y)), 0, LEAF)]
-    while stack:
-        rows, depth, parent = stack.pop()
-        node = len(feature)
-        if parent != LEAF:
-            right[parent] = node
-        found = None
-        if len(rows) > 1:
-            ys = y[rows]
-            if not (
-                np.minimum.reduce(ys) == np.maximum.reduce(ys)
-                or len(rows) < min_split
-                or (max_depth is not None and depth >= max_depth)
-            ):
-                subset = np.sort(rng.choice(p, size=m, replace=False))
-                found = _split_search(X[rows[:, None], subset], ys, subset)
-        if found is None:
-            # np.mean's arithmetic: a pairwise sum, then one division (for
-            # one row, the row's value)
-            leaf = float(np.add.reduce(ys)) / len(rows) if len(rows) > 1 else float(y[rows[0]])
-            feature.append(LEAF)
-            threshold.append(0.0)
-            right.append(LEAF)
-            value.append(leaf)
-            continue
-        f, thr, _ = found
-        mask = X[rows, f] <= thr
-        feature.append(f)
-        threshold.append(thr)
-        right.append(LEAF)  # set when the right child is popped
-        value.append(0.0)
-        stack.append((rows[~mask], depth + 1, node))
-        stack.append((rows[mask], depth + 1, LEAF))
+    # the open nodes of the current level: their rows, concatenated in
+    # breadth-first node order, and each node's row count
+    rows = np.arange(len(y))
+    sizes = np.array([len(y)])
+    # per level: each node's feature (LEAF unless it splits), threshold, value
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    depth = 0
+    while sizes.size:
+        k = len(sizes)
+        starts = np.add.accumulate(sizes) - sizes
+        ys = y[rows]
+        may_split = (
+            (np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts))
+            & (sizes >= min_split)
+            & (max_depth is None or depth < max_depth)
+        )
+        feature = np.full(k, LEAF, dtype=np.int64)
+        threshold = np.zeros(k)
+        candidates = np.flatnonzero(may_split)
+        if candidates.size:
+            subsets = np.sort(rng.random((candidates.size, p)).argsort(axis=1)[:, :m], axis=1)
+            for bucket in _size_buckets(sizes[candidates]):
+                nodes = candidates[bucket]
+                n = sizes[nodes]
+                offsets = np.minimum(np.arange(n.max()), (n - 1)[:, None])
+                feature[nodes], threshold[nodes], _ = _split_search(
+                    X, y, rows[starts[nodes][:, None] + offsets], n, subsets[bucket]
+                )
+        split = feature != LEAF
 
-    feature_arr = np.array(feature, dtype=np.int64)
-    internal = feature_arr != LEAF
-    return Tree(
-        feature=feature_arr,
-        threshold=np.array(threshold, dtype=float),
-        left=np.where(internal, np.arange(1, len(feature) + 1), LEAF),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=float),
-    )
+        # np.mean's arithmetic at a leaf: a pairwise sum, then one division
+        # (for one row, the row's value)
+        value = np.zeros(k)
+        one = ~split & (sizes == 1)
+        value[one] = ys[starts[one]]
+        many = np.flatnonzero(~split & (sizes > 1))
+        value[many] = [
+            float(np.add.reduce(ys[a : a + n])) / n
+            for a, n in zip(starts[many].tolist(), sizes[many].tolist())
+        ]
+        levels.append((feature, threshold, value))
+
+        # the next level: each split node's rows, left child's then right
+        # child's, each in ascending order (a stable sort by child)
+        node_of_row = np.repeat(np.arange(k), sizes)
+        kept = split[node_of_row]
+        node_of_row, rows = node_of_row[kept], rows[kept]
+        goes_right = ~(X[rows, feature[node_of_row]] <= threshold[node_of_row])
+        child = 2 * (np.add.accumulate(split) - 1)[node_of_row] + goes_right
+        rows = rows[child.argsort(kind="stable")]
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        depth += 1
+    return _preorder(levels)
+
+
+def _preorder(levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Tree:
+    """The Tree of nodes grown level by level. The split nodes of a level own
+    the next level's nodes in pairs, left then right, in their own order."""
+    # subtree sizes, bottom up
+    subtree = [np.ones(len(f), dtype=np.int64) for f, _, _ in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        below = subtree[d + 1]
+        subtree[d][levels[d][0] != LEAF] += below[0::2] + below[1::2]
+    # preorder positions, top down: the left child follows its parent, the
+    # right child follows the left child's subtree
+    count = int(subtree[0][0])
+    feature = np.full(count, LEAF, dtype=np.int64)
+    threshold = np.zeros(count)
+    left = np.full(count, LEAF, dtype=np.int64)
+    right = np.full(count, LEAF, dtype=np.int64)
+    value = np.zeros(count)
+    position = np.zeros(1, dtype=np.int64)
+    for d, (f, thr, v) in enumerate(levels):
+        feature[position] = f
+        threshold[position] = thr
+        value[position] = v
+        if d + 1 == len(levels):
+            break
+        parent = position[f != LEAF]
+        left_child = parent + 1
+        right_child = left_child + subtree[d + 1][0::2]
+        left[parent] = left_child
+        right[parent] = right_child
+        position = np.column_stack([left_child, right_child]).ravel()
+    return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
 
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]

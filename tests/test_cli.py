@@ -388,12 +388,32 @@ class TestTrainFits:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_lstm_failure_exits_3_and_leaves_no_worker(self, tmp_path, caplog, monkeypatch, cpus):
         monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-        cfg = write_config(tmp_path, lstm={"epochs": 5, "hidden_size": 16, "window": 1000})
+        # 12 training rows, fewer than the 14-day window, while the test
+        # split is long enough: the LSTM fails inside the fit
+        cfg = write_config(tmp_path, train_start="2023-05-20")
         out = tmp_path / "out"
         with caplog.at_level(logging.ERROR):
             rc = main(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
-        assert "need at least 1000 feature rows" in caplog.text
+        assert "need at least 14 feature rows, got 12" in caplog.text
         assert multiprocessing.active_children() == []
         # the forest is saved only once both fits have succeeded
         assert not (out / "forest_model.json").exists()
+
+    def test_short_test_window_exits_3_before_any_fit(self, tmp_path, caplog):
+        """A test split shorter than one LSTM window is refused before either
+        fit runs: no model is written and an earlier run's model stays."""
+        cfg = write_config(
+            tmp_path,
+            test_start="2023-09-15", test_end="2023-09-23", sim_start="2023-09-15", sim_end="2023-09-23",
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = b'{"a forest model": "from an earlier run"}\n'
+        (out / "forest_model.json").write_bytes(earlier)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "test split has 8 rows, shorter than the 14-day window" in caplog.text
+        assert (out / "forest_model.json").read_bytes() == earlier
+        assert not (out / "lstm_model.json").exists()

@@ -1,4 +1,5 @@
 """Regression forest: split search vs brute force, bootstrap, determinism."""
+import hashlib
 import json
 import math
 import os
@@ -26,8 +27,9 @@ from surplusminer.forest import (
     tree_rng,
 )
 from surplusminer.indicators import build_features
+from surplusminer.ingest import parse_market_csv
 
-from conftest import make_series
+from conftest import DATA_DIR, make_series
 from oracles import naive_best_split, naive_grow, naive_predict
 
 
@@ -182,6 +184,46 @@ class TestGrowTree:
             naive_sse = sum((naive_predict(naive, row) - t) ** 2 for row, t in zip(X, y))
             assert sse == pytest.approx(naive_sse, rel=1e-9, abs=1e-12)
 
+    def test_full_depth_tree_matches_exhaustive_oracle(self):
+        """A whole tree, grown to purity on 200 rows with every feature tried
+        at each node: bootstrap-style duplicated rows, and two of the three
+        columns full of tied values."""
+        rng = np.random.default_rng(2024)
+        base_n = 120
+        base = np.column_stack([
+            rng.integers(0, 8, size=base_n).astype(float),
+            rng.normal(0.0, 1.0, size=base_n),
+            np.round(rng.normal(0.0, 1.0, size=base_n), 1),
+        ])
+        base_y = np.round(rng.normal(0.0, 5.0, size=base_n), 1)
+        idx = rng.integers(0, base_n, size=200)
+        X, y = base[idx], base_y[idx]
+        tree = grow_tree(X, y, ForestParams(n_trees=1, m_try=3), tree_rng(0, 0))
+        naive = naive_grow([list(r) for r in X], list(y), max_depth=None)
+        assert trees_equal(tree, naive)
+        assert tree.node_count > 100
+
+    def test_every_node_is_its_rows_searched_alone(self):
+        """Level-wise growth must not change a node's arithmetic: each split is
+        best_split on the node's rows in ascending order, and each leaf value
+        is np.mean of them, bit for bit."""
+        rng = np.random.default_rng(31)
+        n, p = 300, 3
+        X = np.round(rng.normal(0.0, 1.0, size=(n, p)), 2)
+        y = rng.normal(0.0, 5.0, size=n)
+        tree = grow_tree(X, y, ForestParams(n_trees=1, m_try=p, max_depth=4), tree_rng(0, 0))
+        stack = [(0, np.arange(n))]
+        while stack:
+            i, rows = stack.pop()
+            if tree.feature[i] == LEAF:
+                assert tree.value[i] == float(np.mean(y[rows])), i
+                continue
+            f, thr, _ = best_split(X[rows], y[rows], range(p))
+            assert (tree.feature[i], tree.threshold[i]) == (f, thr), i
+            mask = X[rows, f] <= thr
+            stack.append((tree.right[i], rows[~mask]))
+            stack.append((tree.left[i], rows[mask]))
+
     def test_max_depth_zero_is_a_stump(self):
         params = ForestParams(n_trees=1, m_try=1, max_depth=0)
         X = np.array([[1.0], [2.0]])
@@ -302,6 +344,47 @@ class TestDeterminism:
         node2 = grow_tree(X2, y, params, tree_rng(9, 0))
         for row, row2 in zip(X, X2):
             assert predict_tree(node, row) == predict_tree(node2, row2)
+
+
+class TestDraws:
+    """Each level draws the feature subsets of its splittable nodes in one
+    call; the split arithmetic itself does not depend on the draw."""
+
+    def test_full_feature_fit_matches_recorded_digest(self, tmp_path):
+        """With m_try = p every node searches every feature, so the order of
+        the subset draws cannot matter: only a change in the split arithmetic
+        or the tie rules can change these bytes. The digest was recorded from
+        the preorder stack grower that the level-wise grower replaced."""
+        matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
+        assert matrix.feature_count == 6
+        path = tmp_path / "m.json"
+        save_forest(fit_forest(matrix, ForestParams(n_trees=5, m_try=6, seed=1)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d7a103b4b233fde94c85fca1805f3a58c1f734c15c5dc6a5d6b45a9e125edd2b"
+
+    def test_split_features_in_range(self):
+        matrix = random_matrix(seed=5)
+        p = matrix.feature_count
+        model = fit_forest(matrix, ForestParams(n_trees=10, m_try=2, seed=4))
+        for tree in model.trees:
+            split = tree.feature[tree.feature != LEAF]
+            assert split.size
+            assert np.all((split >= 0) & (split < p))
+
+    def test_single_feature_draw_is_uniform(self):
+        """m_try=1 on a target that every feature explains: each split uses
+        the one drawn feature, so split features are near uniform. A draw
+        that favoured the first columns would fail here."""
+        rng = np.random.default_rng(17)
+        n, p = 200, 6
+        X = rng.random((n, p))
+        y = X.sum(axis=1)
+        params = ForestParams(n_trees=1, m_try=1)
+        trees = [grow_tree(X, y, params, tree_rng(3, b)) for b in range(50)]
+        split = np.concatenate([t.feature[t.feature != LEAF] for t in trees])
+        freq = np.bincount(split, minlength=p) / split.size
+        assert split.size > 1000
+        assert np.all(np.abs(freq - 1.0 / p) <= 0.05), freq
 
 
 class TestWorkers:

@@ -42,7 +42,7 @@ from .fleet import (
 )
 # predict_forest and predict_window are not called here; they stay bound in
 # this namespace, where bench/layertrace.py wraps every layer function by name.
-from .forest import ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest  # noqa: F401
+from .forest import ForestModel, ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest  # noqa: F401
 from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
@@ -56,7 +56,7 @@ from .ingest import (
     write_market_csv,
     write_output_csv,
 )
-from .lstm import TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm  # noqa: F401
+from .lstm import LstmModel, TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm  # noqa: F401
 from .metrics import evaluate, write_eval_csv
 
 logger = logging.getLogger(__name__)
@@ -73,7 +73,6 @@ class RunConfig:
     market_csv: str
     surplus_csv: str
     analysis_start: date = date(2016, 1, 1)
-    analysis_end: date = date(2023, 9, 23)
     train_start: date = date(2016, 1, 16)
     train_end: date = date(2022, 12, 31)
     test_start: date = date(2023, 1, 1)
@@ -265,15 +264,6 @@ def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
     return filled, len(filled) - len(clipped)
 
 
-def _window_note(cfg: RunConfig) -> str | None:
-    if cfg.test_end > cfg.analysis_end:
-        return (
-            f"evaluation window ends {cfg.test_end.isoformat()}, after the configured "
-            f"analysis window end {cfg.analysis_end.isoformat()}; split dates follow the config"
-        )
-    return None
-
-
 def cmd_ingest(cfg: RunConfig) -> None:
     """Validate inputs and write the cleaned series plus a summary."""
     out = _prepare_out(cfg)
@@ -318,24 +308,47 @@ def cmd_features(cfg: RunConfig) -> None:
 
 
 def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
-    train = matrix.slice_dates(cfg.train_start, cfg.train_end)
-    test = matrix.slice_dates(cfg.test_start, cfg.test_end)
+    """The training rows and the forecast rows, under one rule: the forecast
+    for day d comes from the feature row dated d-1, whose target is d's price.
+
+    Training rows are dated train_start..train_end-1, so every training target
+    falls on or before train_end. Forecast rows are dated test_start-1..
+    test_end-1, led by the lstm.window-1 rows before them: the LSTM's window
+    history, all known by the time of each forecast. Rows are consecutive
+    days, as build_features makes them from the gap-filled series.
+    """
+    day = timedelta(days=1)
+    T = cfg.lstm.window
+    train = matrix.slice_dates(cfg.train_start, cfg.train_end - day)
     if len(train) == 0:
         raise DataInsufficientError("no feature rows in the training window")
-    if len(test) == 0:
-        raise DataInsufficientError("no feature rows in the test window")
-    return train, test
+    first = cfg.test_start - T * day
+    forecast = matrix.slice_dates(first, cfg.test_end - day)
+    history = sum(row.day < cfg.test_start for row in forecast.rows)
+    if history < T:
+        raise DataInsufficientError(
+            f"too little history before test_start {cfg.test_start}: the {T}-day window "
+            f"needs the feature rows dated {first}..{cfg.test_start - day}, got {history}"
+        )
+    return train, forecast
+
+
+def _forecast(cfg: RunConfig, forecast: FeatureMatrix, model: ForestModel | LstmModel) -> dict[date, float]:
+    """A model's price for each test day, keyed by day. The LSTM reads each
+    window of the forecast rows; the forest reads the rows after the window
+    history, one per day."""
+    if isinstance(model, LstmModel):
+        return predict_series(model, forecast)
+    rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
+    return dict(zip((row.target_day for row in rows.rows), predict_matrix(model, rows).tolist()))
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    """Fit both models on the train split and evaluate on the test split."""
+    """Fit both models on the training rows and evaluate them on every test day."""
     out = _prepare_out(cfg)
     filled, _ = _load_clean_market(cfg)
     matrix = build_features(filled)
-    train, test = _split_features(cfg, matrix)
-    T = cfg.lstm.window
-    if len(test) < T:
-        raise DataInsufficientError(f"test split has {len(test)} rows, shorter than the {T}-day window")
+    train, forecast = _split_features(cfg, matrix)
 
     # the LSTM trains in this process while the forest's workers grow trees
     lstm_fit: list = []
@@ -344,31 +357,28 @@ def cmd_train(cfg: RunConfig) -> None:
     )
     (lstm_model,) = lstm_fit
     save_forest(forest_model, out / "forest_model.json")
-    forest_eval = evaluate(
-        "forest", "test", test.target_array(), predict_matrix(forest_model, test)
-    )
-
     save_lstm(lstm_model, out / "lstm_model.json")
-    predicted = list(predict_series(lstm_model, test).values())
-    lstm_eval = evaluate("lstm", "test", test.target_array()[T - 1 :], predicted)
 
-    write_eval_csv([forest_eval, lstm_eval], out / "eval.csv", header_comment=_header(cfg))
+    actual = PriceSource.from_market(filled)
+    evals = []
+    for name, model in (("forest", forest_model), ("lstm", lstm_model)):
+        predicted = _forecast(cfg, forecast, model)
+        evals.append(evaluate(name, "test", [actual.price_for(d) for d in predicted], list(predicted.values())))
+    write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
 
+    days = list(predicted)  # the same for both models
     lines = [
         "training summary",
         f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
-        f"test rows: {len(test)} ({test.rows[0].day.isoformat()}..{test.rows[-1].day.isoformat()})",
+        f"test days: {len(days)} ({days[0].isoformat()}..{days[-1].isoformat()}), each forecast from the day before",
         f"forest: {cfg.forest.n_trees} trees, m_try={cfg.forest.resolved_m_try(matrix.feature_count)}",
         f"lstm: {cfg.lstm.epochs} epochs, hidden={cfg.lstm.hidden_size}, window={cfg.lstm.window}",
         "lstm loss trace: " + ", ".join(f"{v:.6f}" for v in lstm_model.loss_trace),
     ]
-    for ev in (forest_eval, lstm_eval):
+    for ev in evals:
         lines.append(
             f"{ev.model}/{ev.split}: n={ev.n} mae={ev.mae:.4f} mse={ev.mse:.4f} r2={ev.r2:.4f}"
         )
-    note = _window_note(cfg)
-    if note:
-        lines.append(f"note: {note}")
     _write_text(cfg, out / "train_summary.txt", lines)
     print("\n".join(lines))
 
@@ -390,21 +400,13 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
     if "actual" in needed:
         sources["actual"] = PriceSource.from_market(market)
     if "forest" in needed or "lstm" in needed:
-        matrix = build_features(market)
-        _, test = _split_features(cfg, matrix)
-        if "forest" in needed:
-            model_path = out / "forest_model.json"
-            if not model_path.is_file():
-                raise ValidationError(f"forest cases requested but {model_path} is missing; run train first")
-            days = [row.day + timedelta(days=1) for row in test.rows]
-            preds = dict(zip(days, predict_matrix(load_forest(model_path), test).tolist()))
-            sources["forest"] = PriceSource.from_predictions("forest", preds)
-        if "lstm" in needed:
-            model_path = out / "lstm_model.json"
-            if not model_path.is_file():
-                raise ValidationError(f"lstm cases requested but {model_path} is missing; run train first")
-            model = load_lstm(model_path)
-            sources["lstm"] = PriceSource.from_predictions("lstm", predict_series(model, test))
+        _, forecast = _split_features(cfg, build_features(market))
+        for name, load in (("forest", load_forest), ("lstm", load_lstm)):
+            if name in needed:
+                model_path = out / f"{name}_model.json"
+                if not model_path.is_file():
+                    raise ValidationError(f"{name} cases requested but {model_path} is missing; run train first")
+                sources[name] = PriceSource(name, _forecast(cfg, forecast, load(model_path)))
     return sources
 
 
@@ -421,8 +423,7 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
         "rev_m", "cost_m", "profit_m", "vs_actual",
     ]
     body = []
-    ordered = sorted(reports, key=lambda r: r.case_label)
-    for r in ordered:
+    for r in sorted(reports, key=lambda r: r.case_label):
         body.append(
             [
                 r.case_label,
@@ -448,18 +449,6 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
     lines.append(fmt(header))
     for row in body:
         lines.append(fmt(row))
-
-    notes = []
-    note = _window_note(cfg)
-    if note:
-        notes.append(note)
-    fallbacks = [f"{r.case_label}={r.fallback_days}" for r in ordered if r.fallback_days]
-    if fallbacks:
-        notes.append("price-fallback days: " + ", ".join(fallbacks))
-    if notes:
-        lines.append("")
-        lines.append("notes:")
-        lines.extend(f"- {n}" for n in notes)
     return lines
 
 
@@ -501,8 +490,10 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    """Rebuild the summary report from an existing ledger.csv."""
+    """Rebuild the summary report of the requested cases from an existing ledger.csv."""
     out = _prepare_out(cfg)
+    if not cfg.cases:
+        raise ValidationError("no cases requested")
     ledger_path = out / "ledger.csv"
     if not ledger_path.is_file():
         raise ValidationError(f"no ledger found at {ledger_path}; run simulate first")
@@ -510,13 +501,17 @@ def cmd_report(cfg: RunConfig) -> None:
     totals = read_ledger_totals(ledger_path)
     if not totals:
         raise DataInsufficientError(f"{ledger_path}: no ledger rows")
+    revenue = {f"{source}-{scenario}": value for (source, scenario), value in totals.items()}
+    missing = sorted(set(cfg.cases) - set(revenue))
+    if missing:
+        raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")
 
     plans = _build_plans(cfg)
     months = months_spanned(cfg.sim_start, cfg.sim_end)
-    reports = [
-        case_totals(source, revenue, plans[scenario - 1], cfg.miner, months, fallback_days)
-        for (source, scenario), (revenue, fallback_days) in totals.items()
-    ]
+    reports = []
+    for case in sorted(set(cfg.cases)):
+        source, scenario = case.rsplit("-", 1)
+        reports.append(case_totals(source, revenue[case], plans[int(scenario) - 1], cfg.miner, months))
     _write_report(reports, cfg, out)
 
 

@@ -9,7 +9,6 @@ the cent.
 """
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ BLOCKS_PER_DAY = 144
 LEDGER_COLUMNS = (
     "date", "scenario", "price_source", "operating_units",
     "fleet_hashrate_ths", "network_hashrate_ths",
-    "btc_mined", "revenue_usd", "price_used_usd", "price_is_fallback",
+    "btc_mined", "revenue_usd", "price_used_usd",
 )
 
 _CENT = Decimal("0.01")
@@ -120,42 +119,24 @@ def usd_millions(amount: Decimal) -> int:
 
 @dataclass
 class PriceSource:
-    """Daily prices for one case, keyed by the day they apply to.
-
-    Prediction sources allow fallback: a day with no prediction uses the
-    most recent earlier one (or the earliest available when nothing precedes,
-    which only happens during the model's warm-up at the start of the range).
-    Fallback days are flagged so the ledger records them.
-    """
+    """Daily prices for one case, keyed by the day they apply to."""
 
     label: str
     prices: dict[date, float]
-    allow_fallback: bool = False
-    _days: list[date] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.prices:
             raise DataInsufficientError(f"price source {self.label!r} is empty")
-        self._days = sorted(self.prices)
 
     @classmethod
     def from_market(cls, market: MarketSeries) -> "PriceSource":
         return cls("actual", {r.day: r.price_usd for r in market.records})
 
-    @classmethod
-    def from_predictions(cls, label: str, predictions: dict[date, float]) -> "PriceSource":
-        return cls(label, dict(predictions), allow_fallback=True)
-
-    def price_for(self, day: date) -> tuple[float, bool]:
-        """(price, is_fallback) for the given day."""
-        exact = self.prices.get(day)
-        if exact is not None:
-            return exact, False
-        if not self.allow_fallback:
+    def price_for(self, day: date) -> float:
+        price = self.prices.get(day)
+        if price is None:
             raise ValidationError(f"price source {self.label!r} has no price for {day.isoformat()}")
-        pos = bisect.bisect_right(self._days, day)
-        fallback_day = self._days[pos - 1] if pos > 0 else self._days[0]
-        return self.prices[fallback_day], True
+        return price
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,6 @@ class DailyLedgerEntry:
     btc_mined: float
     revenue_usd: float
     price_used_usd: float
-    price_is_fallback: bool
 
 
 @dataclass
@@ -182,7 +162,6 @@ class SimulationReport:
     revenue_usd: Decimal
     cost_usd: Decimal
     profit_usd: Decimal
-    fallback_days: int
     ledger: list[DailyLedgerEntry] = field(default_factory=list)
     delta_vs_actual_pct: float | None = None
 
@@ -200,7 +179,6 @@ def case_totals(
     plan: ScenarioPlan,
     miner: MinerSpec,
     months: int,
-    fallback_days: int,
     ledger: list[DailyLedgerEntry] | None = None,
 ) -> SimulationReport:
     """The report row of one case: its summed float revenue in exact cents,
@@ -216,7 +194,6 @@ def case_totals(
         revenue_usd=revenue_cents,
         cost_usd=cost_cents,
         profit_usd=revenue_cents - cost_cents,
-        fallback_days=fallback_days,
         ledger=ledger or [],
     )
 
@@ -234,14 +211,13 @@ def run_case(
 
     Each day uses block_reward(day), the plan's operating units for the
     day's month, the day's actual network hash rate, and the case's price.
-    Missing hash rate or (non-fallback) price for any day is an error.
+    Missing hash rate or price for any day is an error.
     """
     if sim_end < sim_start:
         raise ValidationError("sim_end before sim_start")
 
     entries: list[DailyLedgerEntry] = []
     total_revenue = 0.0
-    fallback_days = 0
 
     day = sim_start
     while day <= sim_end:
@@ -251,8 +227,7 @@ def run_case(
         month = f"{day.year:04d}-{day.month:02d}"
         operating = plan.fleet_for(month).operating
         fleet_ths = operating * miner.hashrate_ths
-        price, is_fallback = prices.price_for(day)
-        fallback_days += is_fallback
+        price = prices.price_for(day)
         btc = btc_per_day(fleet_ths, record.network_hashrate_ths, block_reward(day), blocks_per_day)
         revenue = daily_revenue(price, btc)
         entries.append(
@@ -266,14 +241,13 @@ def run_case(
                 btc_mined=btc,
                 revenue_usd=revenue,
                 price_used_usd=price,
-                price_is_fallback=is_fallback,
             )
         )
         total_revenue += revenue
         day += timedelta(days=1)
 
     months = months_spanned(sim_start, sim_end)
-    return case_totals(prices.label, total_revenue, plan, miner, months, fallback_days, entries)
+    return case_totals(prices.label, total_revenue, plan, miner, months, entries)
 
 
 def attach_deltas(reports: list[SimulationReport]) -> None:
@@ -306,7 +280,6 @@ def write_ledger_csv(reports: list[SimulationReport], path, header_comment: str 
                 repr(e.btc_mined),
                 repr(e.revenue_usd),
                 repr(e.price_used_usd),
-                int(e.price_is_fallback),
             ]
             for report in sorted(reports, key=lambda r: r.case_label)
             for e in report.ledger
@@ -315,19 +288,18 @@ def write_ledger_csv(reports: list[SimulationReport], path, header_comment: str 
     )
 
 
-def read_ledger_totals(path) -> dict[tuple[str, int], tuple[float, int]]:
+def read_ledger_totals(path) -> dict[tuple[str, int], float]:
     """Per (price source, scenario) in a ledger.csv: the revenue summed in file
-    order, as run_case sums it, and the number of fallback days.
+    order, as run_case sums it.
 
     A wrong header, a short row or a bad value is a ValidationError naming the line.
     """
-    totals: dict[tuple[str, int], tuple[float, int]] = {}
+    totals: dict[tuple[str, int], float] = {}
     for line_no, row in _data_rows(path, LEDGER_COLUMNS):
         where = f"{path}:{line_no}"
-        _, scenario, source, _, _, _, _, revenue_text, _, fallback = row
-        if scenario not in ("1", "2") or fallback not in ("0", "1"):
-            raise ValidationError(f"{where}: invalid scenario {scenario!r} or fallback flag {fallback!r}")
+        _, scenario, source, _, _, _, _, revenue_text, _ = row
+        if scenario not in ("1", "2"):
+            raise ValidationError(f"{where}: invalid scenario {scenario!r}")
         key = (source, int(scenario))
-        revenue, days = totals.get(key, (0.0, 0))
-        totals[key] = (revenue + _parse_float(revenue_text, where, "revenue_usd"), days + int(fallback))
+        totals[key] = totals.get(key, 0.0) + _parse_float(revenue_text, where, "revenue_usd")
     return totals

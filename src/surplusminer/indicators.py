@@ -9,7 +9,7 @@ exactly from the defining formula at any index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +132,12 @@ class FeatureRow:
     rsi: float
     price: float
     target_price: float
+
+    @property
+    def target_day(self) -> date:
+        """The day whose price is this row's target, and so the day this row
+        forecasts: the forecast for day d comes from the row dated d-1."""
+        return self.day + timedelta(days=1)
 
     def features(self) -> tuple[float, ...]:
         return (self.sma14, self.wma14, self.momentum, self.k_pct, self.d_pct, self.rsi)

@@ -35,6 +35,10 @@ SURPLUS_COLUMNS = ("region", "month", "households", "surplus_kwh")
 # Months the utility dataset is allowed to cover unless config widens it.
 DEFAULT_SURPLUS_MONTHS = ("2021-01", "2023-12")
 
+# Far above any Bitcoin price yet, and far below the magnitudes (~1e154) at
+# which the forest's sums of squared prices overflow a float.
+MAX_PRICE_USD = 1e12
+
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
 
@@ -47,9 +51,9 @@ class MarketRecord:
     network_hashrate_ths: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.price_usd) or self.price_usd < 0:
+        if not 0 <= self.price_usd <= MAX_PRICE_USD:
             raise ValidationError(
-                f"price_usd must be finite and >= 0, got {self.price_usd!r}"
+                f"price_usd must be in [0, {MAX_PRICE_USD:g}], got {self.price_usd!r}"
             )
         if not math.isfinite(self.network_hashrate_ths) or self.network_hashrate_ths <= 0:
             raise ValidationError(

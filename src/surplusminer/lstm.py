@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -367,16 +367,15 @@ def predict_window(model: LstmModel, window_rows: np.ndarray) -> float:
 
 
 def predict_series(model: LstmModel, features: FeatureMatrix) -> dict[date, float]:
-    """Predictions keyed by the day they refer to (the day after each window).
+    """Predictions keyed by the target day of each window's last row.
 
-    The first T-1 rows seed windows only, so the earliest prediction targets
-    the day after row T-1; days before that have no prediction, and a matrix
-    shorter than T has none at all.
+    The first T-1 rows seed windows only, so the earliest prediction is for
+    row T-1's target day; a matrix shorter than T has none at all.
     """
     T = model.config.window
     if len(features) < T:
         return {}
-    days = [row.day + timedelta(days=1) for row in features.rows[T - 1 :]]
+    days = [row.target_day for row in features.rows[T - 1 :]]
     return dict(zip(days, _predict_rows(model, features.input_array()).tolist()))
 
 

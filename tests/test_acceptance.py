@@ -249,7 +249,6 @@ def test_c11_real_data_quality(tmp_path):
         "market_csv": str(Path(REAL_MARKET).resolve()),
         "surplus_csv": str(Path(REAL_SURPLUS).resolve()),
         "analysis_start": "2016-01-01",
-        "analysis_end": "2023-09-23",
         "train_start": "2016-01-16",
         "train_end": "2022-12-31",
         "test_start": "2023-01-01",

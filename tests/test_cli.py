@@ -7,16 +7,22 @@ import logging
 import multiprocessing
 import os
 import shutil
+from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surplusminer import cli, forest
 from surplusminer.cli import main
+from surplusminer.ingest import MarketSeries
 
 from conftest import DATA_DIR, FIXTURE_CONFIG
 
-FIXTURE_HASH = "243f6682a61c"
+FIXTURE_HASH = "11e51f6d5144"
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +84,11 @@ class TestFullPipeline:
         assert "base_dir" not in doc
 
     def test_eval_covers_both_models(self, pipeline_out):
-        body = (pipeline_out / "eval.csv").read_text(encoding="utf-8")
-        assert "forest,test," in body
-        assert "lstm,test," in body
+        rows = (pipeline_out / "eval.csv").read_text(encoding="utf-8").splitlines()[2:]
+        n = {row.split(",")[0]: int(row.split(",")[2]) for row in rows}
+        cfg = cli.load_config(FIXTURE_CONFIG)
+        test_days = (cfg.test_end - cfg.test_start).days + 1
+        assert n == {"forest": test_days, "lstm": test_days}
 
     def test_simulate_rerun_is_byte_identical(self, pipeline_out):
         before = {n: (pipeline_out / n).read_bytes() for n in ("report.txt", "ledger.csv", "fleet.csv")}
@@ -95,6 +103,26 @@ class TestFullPipeline:
         rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(pipeline_out)])
         assert rc == 0
         assert (pipeline_out / "report.txt").read_bytes() == want
+
+
+class TestCausalForecasts:
+    """No forest or LSTM price used on day d depends on a market price dated
+    d or later. The models are the pipeline run's; only the inputs change."""
+
+    @given(st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_perturbing_prices_from_d_on_leaves_the_price_on_d(self, pipeline_out, data):
+        cfg = cli.load_config(FIXTURE_CONFIG)
+        market, _ = cli._load_clean_market(cfg)
+        d = cfg.sim_start + timedelta(days=data.draw(st.integers(0, (cfg.sim_end - cfg.sim_start).days)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        perturbed = MarketSeries(
+            [replace(r, price_usd=r.price_usd * rng.uniform(0.5, 2.0)) if r.day >= d else r for r in market.records]
+        )
+        before = cli._price_sources(cfg, pipeline_out, market)
+        after = cli._price_sources(cfg, pipeline_out, perturbed)
+        for name in ("forest", "lstm"):
+            assert after[name].price_for(d) == before[name].price_for(d), name
 
 
 class TestIngest:
@@ -127,6 +155,18 @@ class TestIngest:
             rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "market.csv:5" in caplog.text
+
+    def test_huge_price_exits_2_naming_the_line(self, tmp_path, caplog):
+        """A price above MAX_PRICE_USD is refused at ingest, before the
+        forest's sums of squares could overflow in train."""
+        lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines()
+        lines[300] = lines[300].replace(lines[300].split(",")[1], "1.8e212")
+        (tmp_path / "market.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "market.csv:301: price_usd must be in [0, 1e+12], got 1.8e+212" in caplog.text
 
     def test_missing_market_file_exits_2(self, tmp_path, caplog):
         cfg = write_config(tmp_path, market_csv="absent.csv")
@@ -211,12 +251,27 @@ class TestConfigValidation:
 
 
 class TestReportFromLedger:
-    def _report_on_edited_ledger(self, pipeline_out, tmp_path, edit) -> int:
+    def _report_on_edited_ledger(self, pipeline_out, tmp_path, edit, *args) -> int:
         out = tmp_path / "out"
         out.mkdir()
         lines = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         (out / "ledger.csv").write_text("".join(edit(lines)), encoding="utf-8")
-        return main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+        return main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out), *args])
+
+    def test_report_prints_only_the_requested_cases(self, pipeline_out, tmp_path, capsys):
+        rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines, "--cases", "lstm-2,actual-1")
+        assert rc == 0
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+        assert [line.split()[0] for line in report.splitlines()[4:]] == ["actual-1", "lstm-2"]
+        assert capsys.readouterr().out == report
+
+    def test_report_on_ledger_lacking_a_requested_case_exits_2_naming_it(self, pipeline_out, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(
+                pipeline_out, tmp_path, lambda lines: [ln for ln in lines if ",forest," not in ln]
+            )
+        assert rc == 2
+        assert "no rows for requested case(s): forest-1, forest-2" in caplog.text
 
     def test_report_on_truncated_ledger_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):
@@ -388,24 +443,26 @@ class TestTrainFits:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_lstm_failure_exits_3_and_leaves_no_worker(self, tmp_path, caplog, monkeypatch, cpus):
         monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-        # 12 training rows, fewer than the 14-day window, while the test
-        # split is long enough: the LSTM fails inside the fit
+        # 11 training rows (2023-05-20..2023-05-30, whose targets fall on or
+        # before train_end), fewer than the 14-day window: the LSTM fails
+        # inside the fit
         cfg = write_config(tmp_path, train_start="2023-05-20")
         out = tmp_path / "out"
         with caplog.at_level(logging.ERROR):
             rc = main(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
-        assert "need at least 14 feature rows, got 12" in caplog.text
+        assert "need at least 14 feature rows, got 11" in caplog.text
         assert multiprocessing.active_children() == []
         # the forest is saved only once both fits have succeeded
         assert not (out / "forest_model.json").exists()
 
-    def test_short_test_window_exits_3_before_any_fit(self, tmp_path, caplog):
-        """A test split shorter than one LSTM window is refused before either
-        fit runs: no model is written and an earlier run's model stays."""
+    def test_too_little_history_before_test_start_exits_3_before_any_fit(self, tmp_path, caplog):
+        """Fewer feature rows before test_start than one LSTM window is refused
+        before either fit runs: no model is written and an earlier run's model
+        stays. Feature rows start 2022-01-17, so 8 precede 2022-01-25."""
         cfg = write_config(
-            tmp_path,
-            test_start="2023-09-15", test_end="2023-09-23", sim_start="2023-09-15", sim_end="2023-09-23",
+            tmp_path, analysis_start="2022-01-01", train_start="2022-01-01", train_end="2022-01-24",
+            test_start="2022-01-25", test_end="2022-03-31", sim_start="2022-01-25", sim_end="2022-03-31",
         )
         out = tmp_path / "out"
         out.mkdir()
@@ -414,6 +471,7 @@ class TestTrainFits:
         with caplog.at_level(logging.ERROR):
             rc = main(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
-        assert "test split has 8 rows, shorter than the 14-day window" in caplog.text
+        assert "too little history before test_start 2022-01-25" in caplog.text
+        assert "2022-01-11..2022-01-24, got 8" in caplog.text
         assert (out / "forest_model.json").read_bytes() == earlier
         assert not (out / "lstm_model.json").exists()

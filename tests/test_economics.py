@@ -132,34 +132,17 @@ class TestPriceSource:
         series = make_series([10.0, 20.0, 30.0], start=date(2023, 1, 1))
         src = PriceSource.from_market(series)
         assert src.label == "actual"
-        price, fallback = src.price_for(date(2023, 1, 2))
-        assert price == 20.0
-        assert not fallback
-        with pytest.raises(ValidationError):
+        assert src.price_for(date(2023, 1, 2)) == 20.0
+        with pytest.raises(ValidationError, match="2024-01-01"):
             src.price_for(date(2024, 1, 1))
 
-    def test_prediction_fallback_to_most_recent(self):
-        preds = {date(2023, 1, 10): 100.0, date(2023, 1, 12): 120.0}
-        src = PriceSource.from_predictions("lstm", preds)
-        price, fallback = src.price_for(date(2023, 1, 11))
-        assert price == 100.0
-        assert fallback
-
-    def test_leading_edge_falls_back_to_earliest(self):
-        preds = {date(2023, 1, 10): 100.0, date(2023, 1, 12): 120.0}
-        src = PriceSource.from_predictions("lstm", preds)
-        price, fallback = src.price_for(date(2023, 1, 2))
-        assert price == 100.0
-        assert fallback
-
     def test_exact_day_not_flagged(self):
-        preds = {date(2023, 1, 10): 100.0}
-        src = PriceSource.from_predictions("forest", preds)
-        assert src.price_for(date(2023, 1, 10)) == (100.0, False)
+        src = PriceSource("forest", {date(2023, 1, 10): 100.0})
+        assert src.price_for(date(2023, 1, 10)) == 100.0
 
     def test_empty_rejected(self):
         with pytest.raises(DataInsufficientError):
-            PriceSource.from_predictions("forest", {})
+            PriceSource("forest", {})
 
 
 def simple_setup(n_days=59, price=25000.0, hashrate=4.0e8, kwh=5.0e6):
@@ -177,7 +160,6 @@ class TestRunCase:
         report = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
         assert report.case_label == "actual-1"
         assert len(report.ledger) == 59
-        assert report.fallback_days == 0
         acc = 0.0
         for entry in report.ledger:
             acc += entry.revenue_usd
@@ -219,15 +201,12 @@ class TestRunCase:
         with pytest.raises(ValidationError):
             run_case(plans[0], src, series, DEFAULT_MINER, sim_start, date(2023, 2, 28), 144)
 
-    def test_prediction_case_flags_fallback_days(self):
+    def test_prediction_source_missing_a_day_rejected(self):
         series, plans, sim_start, sim_end = simple_setup()
-        preds = {sim_start + timedelta(days=5): 26000.0}
-        src = PriceSource.from_predictions("forest", preds)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
-        assert report.case_label == "forest-1"
-        assert report.fallback_days == 58
-        flagged = [e for e in report.ledger if e.price_is_fallback]
-        assert len(flagged) == 58
+        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59) if i != 5}
+        src = PriceSource("forest", preds)
+        with pytest.raises(ValidationError, match="'forest' has no price for 2023-01-06"):
+            run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
 
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
@@ -286,7 +265,7 @@ class TestDeltas:
         series, plans, sim_start, sim_end = simple_setup()
         actual = run_case(plans[0], PriceSource.from_market(series), series, DEFAULT_MINER, sim_start, sim_end, 144)
         preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
-        forest = run_case(plans[0], PriceSource.from_predictions("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
+        forest = run_case(plans[0], PriceSource("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
         attach_deltas([actual, forest])
         assert actual.delta_vs_actual_pct is None
         # predicted price is 4% above actual flat 25000
@@ -295,6 +274,6 @@ class TestDeltas:
     def test_no_actual_case_leaves_none(self):
         series, plans, sim_start, sim_end = simple_setup()
         preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
-        forest = run_case(plans[0], PriceSource.from_predictions("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
+        forest = run_case(plans[0], PriceSource("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
         attach_deltas([forest])
         assert forest.delta_vs_actual_pct is None

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -122,8 +123,9 @@ def _config_keys(cls) -> list:
 
 
 def _typed(value, tp, key: str):
-    """A JSON value as the field type tp: date, str, int, float, `X | None`, or a
-    tuple of strings. Anything else is a ValidationError naming the key."""
+    """A JSON value as the field type tp: date, str, int, a finite float,
+    `X | None`, or a tuple of strings. Anything else is a ValidationError naming
+    the key."""
     if get_origin(tp) in (Union, types.UnionType):  # X | None
         if value is None:
             return None
@@ -144,6 +146,8 @@ def _typed(value, tp, key: str):
         value = float(value)
     if type(value) is not tp:
         raise ValidationError(f"config key {key!r}: expected {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValidationError(f"config key {key!r}: expected a finite float, got {value!r}")
     return value
 
 

@@ -13,8 +13,9 @@ gives the bootstrap draw, then, level by level, the feature subsets of that
 level's splittable nodes in breadth-first order (left child before right),
 and all nodes of a similar size are searched in one padded numpy pass.
 
-Each tree is one `Tree` record of parallel arrays in preorder (the layout of
-scikit-learn's `Tree`): growing, saving, loading and predicting all use it.
+Each tree is one `Tree` record of parallel arrays over its nodes in the order
+they grow, level after level: growing, saving, loading and predicting all use
+it.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
 from .ingest import json_array, json_value, output_file, read_json_object
 
-FOREST_SCHEMA = "forest-model/2"
+FOREST_SCHEMA = "forest-model/3"
 
 # Candidate totals within this relative band of the best are treated as tied
 # and broken by (feature index, threshold). The band is scaled by the node's
@@ -39,24 +40,25 @@ FOREST_SCHEMA = "forest-model/2"
 # would turn those ties into coin flips.
 _TIE_REL = 1e-12
 
-LEAF = -1  # feature, left and right of a leaf node
+LEAF = -1  # feature and left of a leaf node
 
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One regression tree as parallel arrays over its nodes in preorder.
+    """One regression tree as parallel arrays over its nodes in level order.
 
-    Node 0 is the root. Internal node i sends rows with
-    x[feature[i]] <= threshold[i] to left[i] (i + 1 in a grown tree) and the
-    rest to right[i]; both children come after i. At a leaf, feature, left and right
-    are LEAF and value[i] is the prediction. Unused threshold and value
-    entries are 0.0.
+    Node 0 is the root, and each depth level follows the one above it, its
+    nodes in pairs, left child then right, in the order of their parents.
+    Internal node i sends rows with x[feature[i]] <= threshold[i] to left[i]
+    and the rest to left[i] + 1; both come after i (in a grown tree, the j-th
+    internal node's children are nodes 2j + 1 and 2j + 2). At a leaf, feature
+    and left are LEAF and value[i] is the prediction. Unused threshold and
+    value entries are 0.0.
     """
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
     left: np.ndarray  # int64
-    right: np.ndarray  # int64
     value: np.ndarray  # float64
 
     @property
@@ -64,7 +66,7 @@ class Tree:
         return len(self.feature)
 
 
-_TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+_TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "value": float}
 
 
 @dataclass(frozen=True)
@@ -249,9 +251,9 @@ def grow_tree(
     variates in row i of rng.random((k, p)), in ascending feature order.
     Nodes are then bucketed by size (powers of 4) and each bucket is searched
     in one padded pass of `_split_search`. A node's rows keep their ascending
-    order, so its split is that of the node searched alone. The breadth-first
-    nodes are laid out in preorder at the end. Depth is bounded by the row
-    count, not by the Python stack.
+    order, so its split is that of the node searched alone. The levels, laid
+    end to end, are the Tree. Depth is bounded by the row count, not by the
+    Python stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -314,39 +316,11 @@ def grow_tree(
         rows = rows[child.argsort(kind="stable")]
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
         depth += 1
-    return _preorder(levels)
-
-
-def _preorder(levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Tree:
-    """The Tree of nodes grown level by level. The split nodes of a level own
-    the next level's nodes in pairs, left then right, in their own order."""
-    # subtree sizes, bottom up
-    subtree = [np.ones(len(f), dtype=np.int64) for f, _, _ in levels]
-    for d in range(len(levels) - 2, -1, -1):
-        below = subtree[d + 1]
-        subtree[d][levels[d][0] != LEAF] += below[0::2] + below[1::2]
-    # preorder positions, top down: the left child follows its parent, the
-    # right child follows the left child's subtree
-    count = int(subtree[0][0])
-    feature = np.full(count, LEAF, dtype=np.int64)
-    threshold = np.zeros(count)
-    left = np.full(count, LEAF, dtype=np.int64)
-    right = np.full(count, LEAF, dtype=np.int64)
-    value = np.zeros(count)
-    position = np.zeros(1, dtype=np.int64)
-    for d, (f, thr, v) in enumerate(levels):
-        feature[position] = f
-        threshold[position] = thr
-        value[position] = v
-        if d + 1 == len(levels):
-            break
-        parent = position[f != LEAF]
-        left_child = parent + 1
-        right_child = left_child + subtree[d + 1][0::2]
-        left[parent] = left_child
-        right[parent] = right_child
-        position = np.column_stack([left_child, right_child]).ravel()
-    return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    feature, threshold, value = (np.concatenate(column) for column in zip(*levels))
+    internal = np.flatnonzero(feature != LEAF)
+    left = np.full(len(feature), LEAF, dtype=np.int64)
+    left[internal] = 2 * np.arange(len(internal)) + 1
+    return Tree(feature=feature, threshold=threshold, left=left, value=value)
 
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -431,7 +405,7 @@ def predict_tree(tree: Tree, x: Sequence[float]) -> float:
     node = 0
     while tree.feature[node] != LEAF:
         goes_left = x[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if goes_left else tree.right[node]
+        node = tree.left[node] + (not goes_left)
     return float(tree.value[node])
 
 
@@ -446,7 +420,7 @@ def _tree_predictions(tree: Tree, X: np.ndarray) -> np.ndarray:
         internal = f != LEAF
         active, at, f = active[internal], at[internal], f[internal]
         goes_left = X[active, f] <= tree.threshold[at]
-        node[active] = np.where(goes_left, tree.left[at], tree.right[at])
+        node[active] = tree.left[at] + ~goes_left
     return tree.value[node]
 
 
@@ -487,23 +461,20 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 def _checked_tree(doc: dict, feature_count: int) -> Tree:
     """A Tree from its JSON arrays, checked so that prediction stays in bounds
-    and terminates: every child index points forward."""
+    and terminates: both children of node i, left[i] and left[i] + 1, come
+    after i and lie inside the tree."""
     tree = Tree(**{name: json_array(doc, name, dtype) for name, dtype in _TREE_ARRAYS.items()})
     n = tree.node_count
     if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_ARRAYS):
         raise ValidationError("tree arrays must be non-empty and of equal length")
-    leaf = tree.feature == LEAF
-    nodes = np.arange(n)
-    internal = ~leaf
+    internal = tree.feature != LEAF
     if not np.all((tree.feature[internal] >= 0) & (tree.feature[internal] < feature_count)):
         raise ValidationError(f"split feature out of range for {feature_count} features")
-    for side in (tree.left, tree.right):
-        if not np.all((side[internal] > nodes[internal]) & (side[internal] < n)):
-            raise ValidationError("child index must come after its node and within the tree")
-        if not np.all(side[leaf] == LEAF):
-            raise ValidationError(f"leaf child index must be {LEAF}")
-    if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
-        raise ValidationError("thresholds and values must be finite")
+    left = tree.left[internal]
+    if not np.all((left > np.flatnonzero(internal)) & (left < n - 1)):
+        raise ValidationError("child index must come after its node and within the tree")
+    if not np.all(tree.left[~internal] == LEAF):
+        raise ValidationError(f"leaf child index must be {LEAF}")
     return tree
 
 

@@ -238,7 +238,8 @@ def json_value(doc: dict, key: str, kind: type | tuple[type, ...]):
 def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
     """doc[key], a nested list of numbers, as an ndim-dimensional array of
     dtype int or float. A string, null, boolean or object element, a float
-    where ints are due or a ragged nesting is a ValidationError."""
+    where ints are due, a number that is not finite (json reads NaN and
+    Infinity, and 1e999 as inf) or a ragged nesting is a ValidationError."""
     raw = json_value(doc, key, list)
     try:
         arr = np.array(raw)
@@ -250,6 +251,8 @@ def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
         elements = itertools.chain.from_iterable(elements)
     if arr is None or arr.dtype.kind not in kinds or arr.ndim != ndim or bool in map(type, elements):
         raise ValidationError(f"key {key!r}: expected a {ndim}-d array of {dtype.__name__}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"key {key!r}: numbers must be finite")
     return arr.astype(np.int64 if dtype is int else float)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import pytest
+
 
 def oracle_sma(prices: Sequence[float], t: int, n: int) -> float:
     acc = 0.0
@@ -163,3 +165,26 @@ def naive_predict(node: NaiveNode, x: Sequence[float]) -> float:
     while node.value is None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.value
+
+
+def same_tree(tree, naive: NaiveNode) -> bool:
+    """Walk a package tree's level-order arrays against the oracle's node
+    graph: same topology and split features, thresholds bitwise, leaves to
+    rel 1e-12, and every array node reached exactly once. A leaf has feature
+    -1; internal node i's children are left[i] and left[i] + 1."""
+    stack = [(0, naive)]
+    reached = []
+    while stack:
+        i, node = stack.pop()
+        reached.append(i)
+        if (tree.feature[i] == -1) != (node.value is not None):
+            return False
+        if node.value is not None:
+            if node.value != pytest.approx(tree.value[i], rel=1e-12, abs=1e-15):
+                return False
+            continue
+        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
+            return False
+        stack.append((tree.left[i] + 1, node.right))
+        stack.append((tree.left[i], node.left))
+    return sorted(reached) == list(range(tree.node_count))

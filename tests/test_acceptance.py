@@ -24,7 +24,7 @@ from surplusminer.economics import (
 )
 from surplusminer.errors import ValidationError
 from surplusminer.fleet import HALVING_SCHEDULE, block_reward
-from surplusminer.forest import LEAF, ForestParams, bootstrap_sample, grow_tree, predict_tree
+from surplusminer.forest import ForestParams, bootstrap_sample, grow_tree, predict_tree
 from surplusminer.indicators import build_features, momentum, rsi, sma, stoch_d, stoch_k, wma
 from surplusminer.lstm import PARAM_NAMES, TrainConfig, bptt_gradients, fit_lstm, init_weights
 
@@ -115,34 +115,12 @@ def test_c04_tree_growth_matches_exhaustive_search():
         tree = grow_tree(X, y, params, np.random.default_rng(trial))
         naive = oracles.naive_grow([list(row) for row in X], list(y), depth)
 
-        assert _same_tree(tree, naive), f"trial {trial}: structure differs"
+        assert oracles.same_tree(tree, naive), f"trial {trial}: structure differs"
         got_sse = sum((predict_tree(tree, row) - t) ** 2 for row, t in zip(X, y))
         want_sse = sum((oracles.naive_predict(naive, list(row)) - t) ** 2 for row, t in zip(X, y))
         assert got_sse == pytest.approx(want_sse, rel=1e-9, abs=1e-12), f"trial {trial}: SSE"
         checked += 1
     verdict("C04", checked == 200, f"{checked}/200 random trees equal exhaustive search")
-
-
-def _same_tree(tree, naive):
-    """Walk the flat preorder arrays against the oracle's node graph: same
-    topology and split features, thresholds bitwise, leaves to rel 1e-12,
-    and every array node reached exactly once."""
-    stack = [(0, naive)]
-    reached = 0
-    while stack:
-        i, node = stack.pop()
-        reached += 1
-        if (tree.feature[i] == LEAF) != (node.value is not None):
-            return False
-        if node.value is not None:
-            if node.value != pytest.approx(tree.value[i], rel=1e-12, abs=1e-15):
-                return False
-            continue
-        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
-            return False
-        stack.append((tree.right[i], node.right))
-        stack.append((tree.left[i], node.left))
-    return reached == tree.node_count
 
 
 def test_c05_bootstrap_distinct_fraction():

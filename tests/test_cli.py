@@ -228,6 +228,9 @@ class TestConfigValidation:
             ({"cases": "actual-1"}, "cases"),
             ({"miner": {"power_w": "big"}}, "miner.power_w"),
             ({"surplus_months": ["2021-01"]}, "surplus_months"),
+            # json reads Infinity, and 1e999, as inf
+            ({"miner": {"unit_price_usd": float("inf")}}, "miner.unit_price_usd"),
+            ({"miner": {"power_w": float("nan")}}, "miner.power_w"),
         ],
     )
     def test_wrongly_typed_value_exits_2_naming_the_key(self, tmp_path, caplog, overrides, key):
@@ -321,7 +324,7 @@ class TestHostileModelFiles:
 
     def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path, caplog):
         def far_child(doc):
-            doc["trees"][0]["right"][0] = 99999
+            doc["trees"][0]["left"][0] = 99999
 
         with caplog.at_level(logging.ERROR):
             rc = self._simulate_on_edited_model(
@@ -346,8 +349,18 @@ class TestHostileModelFiles:
             (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
             (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
             (lambda doc: doc["weights"]["W_f"][0].__setitem__(0, True), "key 'W_f'"),
+            (lambda doc: doc["weights"]["V"].__setitem__(0, float("nan")), "key 'V': numbers must be finite"),
+            (lambda doc: doc["scaler"]["maxs"].__setitem__(0, float("inf")), "key 'maxs': numbers must be finite"),
         ],
-        ids=["missing-weight", "mistyped-input-dim", "mistyped-scaler-bounds", "misshapen-weight", "boolean-weight"],
+        ids=[
+            "missing-weight",
+            "mistyped-input-dim",
+            "mistyped-scaler-bounds",
+            "misshapen-weight",
+            "boolean-weight",
+            "nan-weight",
+            "infinite-scaler-bound",
+        ],
     )
     def test_lstm_model_with_missing_or_mistyped_key_exits_2(
         self, pipeline_out, tmp_path, caplog, change, message

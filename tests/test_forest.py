@@ -30,7 +30,7 @@ from surplusminer.indicators import build_features
 from surplusminer.ingest import parse_market_csv
 
 from conftest import DATA_DIR, make_series
-from oracles import naive_best_split, naive_grow, naive_predict
+from oracles import naive_best_split, naive_grow, naive_predict, same_tree
 
 
 def random_matrix(n_days=80, seed=0):
@@ -39,49 +39,25 @@ def random_matrix(n_days=80, seed=0):
     return build_features(make_series(prices))
 
 
-def trees_equal(tree, naive, rel=1e-12):
-    """Same topology and split features, thresholds bitwise, leaves to rel.
-    Walks the flat preorder arrays against the oracle's node graph, and
-    requires every array node to be reached exactly once."""
-    stack = [(0, naive)]
-    reached = 0
-    while stack:
-        i, node = stack.pop()
-        reached += 1
-        if (tree.feature[i] == LEAF) != (node.value is not None):
-            return False
-        if node.value is not None:
-            if node.value != pytest.approx(tree.value[i], rel=rel, abs=1e-15):
-                return False
-            continue
-        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
-            return False
-        stack.append((tree.right[i], node.right))
-        stack.append((tree.left[i], node.left))
-    return reached == tree.node_count
-
-
 def chain_tree(depth):
     """A hand-built flat chain: at level k, x <= k + 0.5 goes to a leaf of
-    value k, anything larger one level down; the last leaf holds `depth`."""
-    feature, threshold, left, right, value = [], [], [], [], []
+    value k, anything larger one level down; the last leaf holds `depth`.
+    Each level is the pair (leaf, next split), so the nodes are in level order."""
+    feature, threshold, left, value = [], [], [], []
     for level in range(depth):
         node = len(feature)
         feature += [0, LEAF]
         threshold += [level + 0.5, 0.0]
         left += [node + 1, LEAF]
-        right += [node + 2, LEAF]
         value += [0.0, float(level)]
     feature.append(LEAF)
     threshold.append(0.0)
     left.append(LEAF)
-    right.append(LEAF)
     value.append(float(depth))
     return Tree(
         feature=np.array(feature),
         threshold=np.array(threshold),
         left=np.array(left),
-        right=np.array(right),
         value=np.array(value),
     )
 
@@ -169,7 +145,7 @@ class TestGrowTree:
             y = rng.normal(0.0, 5.0, size=n)
             node = grow_tree(X, y, params, tree_rng(0, trial))
             naive = naive_grow([list(r) for r in X], list(y), max_depth=2)
-            assert trees_equal(node, naive), f"trial {trial}"
+            assert same_tree(node, naive), f"trial {trial}"
 
     def test_training_sse_matches_oracle(self):
         rng = np.random.default_rng(4321)
@@ -200,7 +176,7 @@ class TestGrowTree:
         X, y = base[idx], base_y[idx]
         tree = grow_tree(X, y, ForestParams(n_trees=1, m_try=3), tree_rng(0, 0))
         naive = naive_grow([list(r) for r in X], list(y), max_depth=None)
-        assert trees_equal(tree, naive)
+        assert same_tree(tree, naive)
         assert tree.node_count > 100
 
     def test_every_node_is_its_rows_searched_alone(self):
@@ -221,7 +197,7 @@ class TestGrowTree:
             f, thr, _ = best_split(X[rows], y[rows], range(p))
             assert (tree.feature[i], tree.threshold[i]) == (f, thr), i
             mask = X[rows, f] <= thr
-            stack.append((tree.right[i], rows[~mask]))
+            stack.append((tree.left[i] + 1, rows[~mask]))
             stack.append((tree.left[i], rows[mask]))
 
     def test_max_depth_zero_is_a_stump(self):
@@ -249,7 +225,7 @@ class TestGrowTree:
             assert len(rows) >= 2 * 3
             mask = rows[:, tree.feature[i]] <= tree.threshold[i]
             stack.append((tree.left[i], rows[mask]))
-            stack.append((tree.right[i], rows[~mask]))
+            stack.append((tree.left[i] + 1, rows[~mask]))
 
     def test_grows_a_chain_deeper_than_the_recursion_limit(self):
         """Targets growing by a factor of 3 make the exhaustive tree a chain:
@@ -268,11 +244,12 @@ class TestGrowTree:
 
         assert tree.node_count == 2 * n - 1
         internal = np.flatnonzero(tree.feature != LEAF)
-        # the chain runs down the left children, one level per row
-        assert internal.tolist() == list(range(n - 1))
+        # the chain runs down the left children, one level per row: each
+        # level below the root is the pair (split, right leaf)
+        assert internal.tolist() == [0] + list(range(1, 2 * n - 4, 2))
         assert tree.threshold[internal].tolist() == [n - 1.5 - k for k in range(n - 1)]
-        assert [tree.value[tree.right[i]] for i in internal] == y[::-1][: n - 1].tolist()
-        assert tree.value[n - 1] == y[0]
+        assert [tree.value[tree.left[i] + 1] for i in internal] == y[::-1][: n - 1].tolist()
+        assert tree.value[tree.left[internal[-1]]] == y[0]
         assert [predict_tree(tree, row) for row in X] == y.tolist()
 
     def test_memorizes_distinct_rows_without_bootstrap(self):
@@ -352,15 +329,18 @@ class TestDraws:
 
     def test_full_feature_fit_matches_recorded_digest(self, tmp_path):
         """With m_try = p every node searches every feature, so the order of
-        the subset draws cannot matter: only a change in the split arithmetic
-        or the tie rules can change these bytes. The digest was recorded from
-        the preorder stack grower that the level-wise grower replaced."""
+        the subset draws cannot matter: only a change in the split arithmetic,
+        the tie rules or the file format can change these bytes. The trees
+        are node for node those of the preorder stack grower that the
+        level-wise grower replaced; the digest was recorded in the level-order
+        format (forest-model/3) after a walk of both files had matched every
+        node."""
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         assert matrix.feature_count == 6
         path = tmp_path / "m.json"
         save_forest(fit_forest(matrix, ForestParams(n_trees=5, m_try=6, seed=1)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "d7a103b4b233fde94c85fca1805f3a58c1f734c15c5dc6a5d6b45a9e125edd2b"
+        assert digest == "4e8b5d8dd1cb443ff3b668861be096b16913dd62f94eda70ca52e468fb967505"
 
     def test_split_features_in_range(self):
         matrix = random_matrix(seed=5)
@@ -451,7 +431,7 @@ class TestSerialization:
         path = tmp_path / "deep.json"
         save_forest(model, path)
         loaded = load_forest(path)
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "left", "value"):
             assert np.array_equal(getattr(loaded.trees[0], name), getattr(tree, name)), name
         # x = k + 0.2 descends k levels right, then one left, to leaf value k
         for x in (0.0, 7.2, float(depth - 1) + 0.2, float(depth) + 5.0):
@@ -481,14 +461,14 @@ class TestHostileModelFiles:
     def test_truncated_json(self, tmp_path):
         path = tmp_path / "m.json"
         save_forest(fit_forest(random_matrix(seed=4), ForestParams(n_trees=2, seed=1)), path)
-        path.write_bytes(path.read_bytes()[:5000])
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(ValidationError, match=r"m\.json: invalid JSON"):
             load_forest(path)
 
     def test_missing_key(self, tmp_path):
         doc = _saved_model_doc(tmp_path)
-        del doc["trees"][1]["right"]
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'right'"):
+        del doc["trees"][1]["left"]
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'left'"):
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize(
@@ -512,14 +492,15 @@ class TestHostileModelFiles:
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*equal length"):
             load_forest(_write(tmp_path, doc))
 
-    @pytest.mark.parametrize("side, index", [("left", 99999), ("right", 99999), ("right", 0), ("left", -1)])
-    def test_child_index_out_of_order(self, tmp_path, side, index):
-        """A child past the end would index out of bounds; one at or before
-        its node could make prediction loop forever."""
+    @pytest.mark.parametrize("index", [99999, "last", 0, -1], ids=lambda index: f"left-{index}")
+    def test_child_index_out_of_order(self, tmp_path, index):
+        """A child past the end would index out of bounds: left[i] is past it,
+        or left[i] is the last node and the right child left[i] + 1 is. One at
+        or before its node could make prediction loop forever."""
         doc = _saved_model_doc(tmp_path)
         tree = doc["trees"][0]
         assert tree["feature"][0] != LEAF
-        tree[side][0] = index
+        tree["left"][0] = len(tree["left"]) - 1 if index == "last" else index
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: child index"):
             load_forest(_write(tmp_path, doc))
 
@@ -534,7 +515,7 @@ class TestHostileModelFiles:
         doc = _saved_model_doc(tmp_path)
         tree = doc["trees"][0]
         leaf = tree["feature"].index(LEAF)
-        tree["right"][leaf] = leaf + 1
+        tree["left"][leaf] = leaf + 1
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: leaf child index"):
             load_forest(_write(tmp_path, doc))
 

@@ -12,10 +12,10 @@ from .economics import (
 )
 from .errors import DataInsufficientError, ValidationError
 from .fleet import DEFAULT_MINER, MinerSpec, block_reward, build_scenarios
-from .forest import ForestParams, fit_forest, load_forest, predict_forest, save_forest
+from .forest import ForestParams, fit_forest, load_forest, predict_matrix, save_forest
 from .indicators import FeatureMatrix, build_features
 from .ingest import MarketSeries, fill_gaps, parse_market_csv, parse_surplus_csv
-from .lstm import TrainConfig, fit_lstm, load_lstm, predict_window, save_lstm
+from .lstm import TrainConfig, fit_lstm, load_lstm, predict_series, save_lstm
 from .metrics import evaluate
 
 __version__ = "0.1.0"
@@ -31,12 +31,12 @@ __all__ = [
     "build_features",
     "ForestParams",
     "fit_forest",
-    "predict_forest",
+    "predict_matrix",
     "save_forest",
     "load_forest",
     "TrainConfig",
     "fit_lstm",
-    "predict_window",
+    "predict_series",
     "save_lstm",
     "load_lstm",
     "evaluate",

@@ -12,13 +12,11 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import sys
-import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .economics import (
     BLOCKS_PER_DAY,
@@ -54,6 +52,7 @@ from .ingest import (
     parse_market_csv,
     parse_surplus_csv,
     read_json_object,
+    typed_value,
     write_market_csv,
     write_output_csv,
 )
@@ -122,35 +121,6 @@ def _config_keys(cls) -> list:
     return [f for f in fields(cls) if f.metadata.get("config_key", True)]
 
 
-def _typed(value, tp, key: str):
-    """A JSON value as the field type tp: date, str, int, a finite float,
-    `X | None`, or a tuple of strings. Anything else is a ValidationError naming
-    the key."""
-    if get_origin(tp) in (Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        tp = next(arg for arg in get_args(tp) if arg is not type(None))
-    if tp is date:
-        try:
-            return date.fromisoformat(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"config key {key!r}: invalid ISO date {value!r}") from None
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
-        size = None if args[-1] is Ellipsis else len(args)
-        if isinstance(value, list) and all(type(v) is str for v in value) and size in (None, len(value)):
-            return tuple(value)
-        want = "a list of strings" if size is None else f"a list of {size} strings"
-        raise ValidationError(f"config key {key!r}: expected {want}, got {value!r}")
-    if tp is float and type(value) is int:
-        value = float(value)
-    if type(value) is not tp:
-        raise ValidationError(f"config key {key!r}: expected {tp.__name__}, got {value!r}")
-    if tp is float and not math.isfinite(value):
-        raise ValidationError(f"config key {key!r}: expected a finite float, got {value!r}")
-    return value
-
-
 def _read_section(cls, raw, prefix: str = "", **loader_set):
     """Build config dataclass `cls` from a JSON object over the field defaults.
 
@@ -172,7 +142,7 @@ def _read_section(cls, raw, prefix: str = "", **loader_set):
             inherited = {g.name: values[g.name] for g in fields(tp) if not g.metadata.get("config_key", True)}
             values[f.name] = _read_section(tp, raw.get(f.name, {}), f"{prefix}{f.name}.", **inherited)
         elif f.name in raw:
-            values[f.name] = _typed(raw[f.name], tp, prefix + f.name)
+            values[f.name] = typed_value(raw[f.name], tp, f"config key {prefix + f.name!r}")
         elif f.default is not MISSING:
             values[f.name] = f.default
         else:
@@ -410,7 +380,12 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
                 model_path = out / f"{name}_model.json"
                 if not model_path.is_file():
                     raise ValidationError(f"{name} cases requested but {model_path} is missing; run train first")
-                sources[name] = PriceSource(name, _forecast(cfg, forecast, load(model_path)))
+                model = load(model_path)
+                try:
+                    prices = _forecast(cfg, forecast, model)
+                except ValidationError as exc:  # a model that does not fit the features
+                    raise ValidationError(f"{model_path}: {exc}") from None
+                sources[name] = PriceSource(name, prices)
     return sources
 
 

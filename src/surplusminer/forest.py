@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,9 +30,9 @@ import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
-from .ingest import json_array, json_value, output_file, read_json_object
+from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 
-FOREST_SCHEMA = "forest-model/3"
+FOREST_SCHEMA = "forest-model/4"
 
 # Candidate totals within this relative band of the best are treated as tied
 # and broken by (feature index, threshold). The band is scaled by the node's
@@ -40,7 +41,7 @@ FOREST_SCHEMA = "forest-model/3"
 # would turn those ties into coin flips.
 _TIE_REL = 1e-12
 
-LEAF = -1  # feature and left of a leaf node
+LEAF = -1  # feature and left child of a leaf node
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,25 +49,29 @@ class Tree:
     """One regression tree as parallel arrays over its nodes in level order.
 
     Node 0 is the root, and each depth level follows the one above it, its
-    nodes in pairs, left child then right, in the order of their parents.
-    Internal node i sends rows with x[feature[i]] <= threshold[i] to left[i]
-    and the rest to left[i] + 1; both come after i (in a grown tree, the j-th
-    internal node's children are nodes 2j + 1 and 2j + 2). At a leaf, feature
-    and left are LEAF and value[i] is the prediction. Unused threshold and
-    value entries are 0.0.
+    nodes in pairs, left child then right, in the order of their parents, so
+    the j-th internal node's children are nodes 2j + 1 and 2j + 2. Internal
+    node i sends rows with x[feature[i]] <= threshold[i] to left[i] and the
+    rest to left[i] + 1. At a leaf, feature is LEAF and value[i] is the
+    prediction. Unused threshold and value entries are 0.0.
     """
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
-    left: np.ndarray  # int64
     value: np.ndarray  # float64
 
     @property
     def node_count(self) -> int:
         return len(self.feature)
 
+    @cached_property
+    def left(self) -> np.ndarray:
+        """Each node's left child, 2j + 1 at the j-th internal node; LEAF at a leaf."""
+        internal = self.feature != LEAF
+        return np.where(internal, 2 * np.cumsum(internal) - 1, LEAF)
 
-_TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "value": float}
+
+_TREE_ARRAYS = {"feature": int, "threshold": float, "value": float}
 
 
 @dataclass(frozen=True)
@@ -317,10 +322,7 @@ def grow_tree(
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
         depth += 1
     feature, threshold, value = (np.concatenate(column) for column in zip(*levels))
-    internal = np.flatnonzero(feature != LEAF)
-    left = np.full(len(feature), LEAF, dtype=np.int64)
-    left[internal] = 2 * np.arange(len(internal)) + 1
-    return Tree(feature=feature, threshold=threshold, left=left, value=value)
+    return Tree(feature=feature, threshold=threshold, value=value)
 
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -461,20 +463,21 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 def _checked_tree(doc: dict, feature_count: int) -> Tree:
     """A Tree from its JSON arrays, checked so that prediction stays in bounds
-    and terminates: both children of node i, left[i] and left[i] + 1, come
-    after i and lie inside the tree."""
+    and terminates: k internal nodes make 2k + 1 nodes, so the last one's
+    children, 2k - 1 and 2k, lie inside the tree, and each node's children
+    come after it."""
     tree = Tree(**{name: json_array(doc, name, dtype) for name, dtype in _TREE_ARRAYS.items()})
     n = tree.node_count
-    if n == 0 or any(len(getattr(tree, name)) != n for name in _TREE_ARRAYS):
-        raise ValidationError("tree arrays must be non-empty and of equal length")
+    if any(len(getattr(tree, name)) != n for name in _TREE_ARRAYS):
+        raise ValidationError("tree arrays must be of equal length")
     internal = tree.feature != LEAF
     if not np.all((tree.feature[internal] >= 0) & (tree.feature[internal] < feature_count)):
         raise ValidationError(f"split feature out of range for {feature_count} features")
-    left = tree.left[internal]
-    if not np.all((left > np.flatnonzero(internal)) & (left < n - 1)):
-        raise ValidationError("child index must come after its node and within the tree")
-    if not np.all(tree.left[~internal] == LEAF):
-        raise ValidationError(f"leaf child index must be {LEAF}")
+    k = int(np.count_nonzero(internal))
+    if n != 2 * k + 1:
+        raise ValidationError(f"node count {n} is not 2 * {k} internal nodes + 1")
+    if not np.all(tree.left[internal] > np.flatnonzero(internal)):
+        raise ValidationError("child index must come after its node")
     return tree
 
 
@@ -490,10 +493,7 @@ def load_forest(path: str | Path) -> ForestModel:
         feature_count = json_value(doc, "feature_count", int)
         if feature_count < 1:
             raise ValidationError(f"feature_count must be >= 1, got {feature_count}")
-        try:
-            params = ForestParams(**json_value(doc, "params", dict))
-        except TypeError as exc:
-            raise ValidationError(f"key 'params': {exc}") from None
+        params = json_fields(doc, "params", ForestParams)
         trees = []
         for b, tree_doc in enumerate(json_value(doc, "trees", list)):
             if not isinstance(tree_doc, dict):

@@ -6,7 +6,8 @@ Both arrive as CSV. This module parses them into typed records, rejects rows
 that violate the documented invariants (with file/line context), and fills
 calendar gaps in the market series by carrying the previous day forward. It
 also owns the format of every file the package writes (output_file) and the
-checked reading of the JSON files it reads back (read_json_object).
+checked, typed reading of the JSON files it reads back (read_json_object,
+json_value, json_array, json_fields).
 """
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ import logging
 import math
 import os
 import re
+import types
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -235,6 +238,52 @@ def json_value(doc: dict, key: str, kind: type | tuple[type, ...]):
     return value
 
 
+def typed_value(value, tp, what: str):
+    """A JSON value as the field type tp: date, str, int, a finite float,
+    `X | None`, or a tuple of strings. Anything else is a ValidationError that
+    starts with `what`, the value's name (e.g. "config key 'seed'")."""
+    if get_origin(tp) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp = next(arg for arg in get_args(tp) if arg is not type(None))
+    if tp is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what}: invalid ISO date {value!r}") from None
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        size = None if args[-1] is Ellipsis else len(args)
+        if isinstance(value, list) and all(type(v) is str for v in value) and size in (None, len(value)):
+            return tuple(value)
+        want = "a list of strings" if size is None else f"a list of {size} strings"
+        raise ValidationError(f"{what}: expected {want}, got {value!r}")
+    if tp is float and type(value) is int:
+        value = float(value)
+    if type(value) is not tp:
+        raise ValidationError(f"{what}: expected {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValidationError(f"{what}: expected a finite float, got {value!r}")
+    return value
+
+
+def json_fields(doc: dict, key: str, cls):
+    """Dataclass cls from doc[key], an object holding exactly cls's fields,
+    each typed by typed_value. An unknown, missing or mistyped field is a
+    ValidationError naming it as key.field."""
+    raw = json_value(doc, key, dict)
+    hints = get_type_hints(cls)
+    for name in raw:
+        if name not in hints:
+            raise ValidationError(f"unknown key {key + '.' + name!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            raise ValidationError(f"missing key {key + '.' + f.name!r}")
+        values[f.name] = typed_value(raw[f.name], hints[f.name], f"key {key + '.' + f.name!r}")
+    return cls(**values)
+
+
 def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
     """doc[key], a nested list of numbers, as an ndim-dimensional array of
     dtype int or float. A string, null, boolean or object element, a float
@@ -276,24 +325,19 @@ def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str
     )
 
 
-def fill_gaps(
-    series: MarketSeries,
-    start: date | None = None,
-    end: date | None = None,
-) -> MarketSeries:
+def fill_gaps(series: MarketSeries, start: date | None = None) -> MarketSeries:
     """Fill missing calendar days by carrying the previous record forward.
 
-    The filled range is [start, end] (defaulting to the series edges). A
+    The filled range runs from start (defaulting to the first record) to the
+    last record; a gap at a later start takes the last record before it. A
     requested start earlier than the first record is an error: there is
     nothing to carry into the gap. The number of synthesized days is logged.
     """
     if len(series) < 2:
         raise DataInsufficientError("need at least 2 records to fill gaps")
-    first, last = series.start, series.end
+    first, end = series.start, series.end
     if start is None:
         start = first
-    if end is None:
-        end = last
     if start < first:
         raise DataInsufficientError(
             f"gap at series start: first record is {first.isoformat()}, "
@@ -304,22 +348,17 @@ def fill_gaps(
 
     out: list[MarketRecord] = []
     carried = 0
-    prev: MarketRecord | None = None
-    day = start
+    day = first
     while day <= end:
         rec = series.lookup(day)
-        if rec is None:
-            if prev is None:
-                # start is guaranteed >= first record, so this cannot happen
-                raise ValidationError(f"no record to carry into {day.isoformat()}")
-            rec = MarketRecord(day, prev.price_usd, prev.network_hashrate_ths)
-            carried += 1
+        if rec is None:  # never on the first day, so out[-1] is the day before
+            rec = MarketRecord(day, out[-1].price_usd, out[-1].network_hashrate_ths)
+            carried += day >= start
         out.append(rec)
-        prev = rec
         day += timedelta(days=1)
     if carried:
         logger.info("fill_gaps: carried previous day forward into %d missing days", carried)
-    return MarketSeries(out)
+    return MarketSeries(out[(start - first).days :])
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
-from .ingest import json_array, json_value, output_file, read_json_object
+from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 
-LSTM_SCHEMA = "lstm-model/1"
+LSTM_SCHEMA = "lstm-model/2"
 
 PARAM_NAMES = (
     "W_f", "U_f", "b_f",
@@ -160,16 +160,6 @@ def _forward(windows: np.ndarray, w: LstmWeights) -> np.ndarray:
     return h @ w.V + w.c[0]
 
 
-def forward_window(window: np.ndarray, w: LstmWeights) -> float:
-    """Scalar prediction for one complete (T, d) window of scaled inputs."""
-    arr = np.asarray(window, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != w.input_dim:
-        raise ValidationError(
-            f"window must be (steps, {w.input_dim}) with steps >= 1, got {arr.shape}"
-        )
-    return float(_forward(arr[np.newaxis, :, :], w)[0])
-
-
 def bptt_gradients(
     windows: np.ndarray,
     targets: np.ndarray,
@@ -254,21 +244,20 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[
 class MinMaxScaler:
     """Column-wise min-max map to [0, 1], fitted on the training split only.
 
-    The target shares the scaling of `target_column` (the same-day price), so
-    scaled predictions invert back to the original units. Constant columns
-    map to 0.
+    The target takes the last column's scaling: FeatureMatrix.input_array
+    puts the same-day price last, and the target is a price too, so scaled
+    predictions invert back to the original units. Constant columns map to 0.
     """
 
     mins: np.ndarray
     maxs: np.ndarray
-    target_column: int = -1
 
     @classmethod
-    def fit(cls, values: np.ndarray, target_column: int = -1) -> "MinMaxScaler":
+    def fit(cls, values: np.ndarray) -> "MinMaxScaler":
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValidationError("scaler needs a non-empty (n, d) matrix")
-        return cls(values.min(axis=0), values.max(axis=0), target_column)
+        return cls(values.min(axis=0), values.max(axis=0))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -279,15 +268,15 @@ class MinMaxScaler:
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        lo = self.mins[self.target_column]
-        span = self.maxs[self.target_column] - lo
+        lo = self.mins[-1]
+        span = self.maxs[-1] - lo
         if span <= 0:
             return np.zeros_like(y)
         return (y - lo) / span
 
     def inverse_target(self, scaled: np.ndarray | float) -> np.ndarray | float:
-        lo = self.mins[self.target_column]
-        span = self.maxs[self.target_column] - lo
+        lo = self.mins[-1]
+        span = self.maxs[-1] - lo
         return scaled * span + lo
 
 
@@ -296,7 +285,6 @@ class LstmModel:
     weights: LstmWeights
     scaler: MinMaxScaler
     config: TrainConfig
-    input_dim: int
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -339,18 +327,14 @@ def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
             _apply_sgd(w, grads, config.learning_rate)
             sse += loss * len(batch_targets)
         trace.append(sse / n_windows)
-    return LstmModel(
-        weights=w,
-        scaler=scaler,
-        config=config,
-        input_dim=inputs.shape[1],
-        loss_trace=trace,
-    )
+    return LstmModel(weights=w, scaler=scaler, config=config, loss_trace=trace)
 
 
 def _predict_rows(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
     """Next-day prices for every T-row window of the (n, d) raw inputs, n >= T:
     one batched forward pass over an overlapping-window view (no copies)."""
+    if inputs.shape[1] != model.weights.input_dim:
+        raise ValidationError(f"expected {model.weights.input_dim} input columns, got {inputs.shape[1]}")
     windows = np.lib.stride_tricks.sliding_window_view(
         model.scaler.transform(inputs), model.config.window, axis=0
     ).transpose(0, 2, 1)
@@ -360,7 +344,7 @@ def _predict_rows(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
 def predict_window(model: LstmModel, window_rows: np.ndarray) -> float:
     """Next-day price (in original units) from one (T, d) window of raw inputs."""
     arr = np.asarray(window_rows, dtype=float)
-    expected = (model.config.window, model.input_dim)
+    expected = (model.config.window, model.weights.input_dim)
     if arr.shape != expected:
         raise ValidationError(f"incomplete window: expected {expected}, got {arr.shape}")
     return float(_predict_rows(model, arr)[0])
@@ -383,13 +367,8 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
     """Write the model as versioned JSON: config, scaler bounds, matrices row-major."""
     doc = {
         "schema": LSTM_SCHEMA,
-        "input_dim": model.input_dim,
         "config": asdict(model.config),
-        "scaler": {
-            "mins": model.scaler.mins.tolist(),
-            "maxs": model.scaler.maxs.tolist(),
-            "target_column": model.scaler.target_column,
-        },
+        "scaler": {"mins": model.scaler.mins.tolist(), "maxs": model.scaler.maxs.tolist()},
         "weights": {name: arr.tolist() for name, arr in model.weights.items()},
         "loss_trace": model.loss_trace,
     }
@@ -407,31 +386,24 @@ def load_lstm(path: str | Path) -> LstmModel:
         schema = doc.get("schema")
         if schema != LSTM_SCHEMA:
             raise ValidationError(f"unsupported model schema {schema!r}")
-        try:
-            config = TrainConfig(**json_value(doc, "config", dict))
-        except TypeError as exc:
-            raise ValidationError(f"key 'config': {exc}") from None
-        input_dim = json_value(doc, "input_dim", int)
+        config = json_fields(doc, "config", TrainConfig)
         weights_doc = json_value(doc, "weights", dict)
+        width = json_array(weights_doc, "W_f", float, ndim=2).shape[1]  # the input columns
         weights = {}
-        for name, shape in _weight_shapes(input_dim, config.hidden_size).items():
+        for name, shape in _weight_shapes(width, config.hidden_size).items():
             weights[name] = json_array(weights_doc, name, float, ndim=len(shape))
             if weights[name].shape != shape:
                 raise ValidationError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
         scaler_doc = json_value(doc, "scaler", dict)
         mins, maxs = (json_array(scaler_doc, key, float) for key in ("mins", "maxs"))
-        if mins.shape != (input_dim,) or maxs.shape != (input_dim,):
-            raise ValidationError(f"scaler bounds must have {input_dim} entries")
-        target_column = json_value(scaler_doc, "target_column", int)
-        if not -input_dim <= target_column < input_dim:
-            raise ValidationError(f"scaler target_column {target_column} out of range")
+        if mins.shape != (width,) or maxs.shape != (width,):
+            raise ValidationError(f"scaler bounds must have {width} entries")
         loss_trace = json_array(doc, "loss_trace", float).tolist()
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return LstmModel(
         weights=LstmWeights(**weights),
-        scaler=MinMaxScaler(mins=mins, maxs=maxs, target_column=target_column),
+        scaler=MinMaxScaler(mins=mins, maxs=maxs),
         config=config,
-        input_dim=input_dim,
         loss_trace=loss_trace,
     )

@@ -295,6 +295,14 @@ class TestReportFromLedger:
         assert "ledger.csv:2:" in caplog.text
 
 
+def narrower_inputs(doc):
+    """An LSTM model consistently one input column narrower than the features."""
+    for name in ("W_f", "W_i", "W_c", "W_o"):
+        doc["weights"][name] = [row[1:] for row in doc["weights"][name]]
+    for key in ("mins", "maxs"):
+        doc["scaler"][key] = doc["scaler"][key][1:]
+
+
 class TestHostileModelFiles:
     """A damaged model file makes simulate exit 2 naming the file, not 4."""
 
@@ -323,15 +331,40 @@ class TestHostileModelFiles:
         assert "forest_model.json: invalid JSON" in caplog.text
 
     def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path, caplog):
-        def far_child(doc):
-            doc["trees"][0]["left"][0] = 99999
+        """A leaf marked as a split: the last split's right child would fall
+        past the end of the tree."""
+
+        def leaf_made_a_split(doc):
+            feature = doc["trees"][0]["feature"]
+            feature[feature.index(-1)] = 0
 
         with caplog.at_level(logging.ERROR):
             rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "forest_model.json", "forest-1", self._edit_json(far_child)
+                pipeline_out, tmp_path, "forest_model.json", "forest-1", self._edit_json(leaf_made_a_split)
             )
         assert rc == 2
-        assert "forest_model.json: tree 0: child index" in caplog.text
+        assert "forest_model.json: tree 0: node count" in caplog.text
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: p.update(n_trees=True), "key 'params.n_trees': expected int, got True"),
+            (lambda p: p.update(max_depth=2.5), "key 'params.max_depth': expected int, got 2.5"),
+            (lambda p: p.pop("seed"), "missing key 'params.seed'"),
+            (lambda p: p.update(depth=3), "unknown key 'params.depth'"),
+        ],
+        ids=["boolean-n-trees", "float-max-depth", "missing-seed", "unknown-param"],
+    )
+    def test_forest_model_with_missing_or_mistyped_param_exits_2(
+        self, pipeline_out, tmp_path, caplog, change, message
+    ):
+        with caplog.at_level(logging.ERROR):
+            rc = self._simulate_on_edited_model(
+                pipeline_out, tmp_path, "forest_model.json", "forest-1",
+                self._edit_json(lambda doc: change(doc["params"])),
+            )
+        assert rc == 2
+        assert f"forest_model.json: {message}" in caplog.text
 
     def test_truncated_lstm_model_exits_2(self, pipeline_out, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):
@@ -345,7 +378,10 @@ class TestHostileModelFiles:
         "change, message",
         [
             (lambda doc: doc["weights"].pop("U_o"), "missing key 'U_o'"),
-            (lambda doc: doc.update(input_dim="7"), "key 'input_dim'"),
+            (narrower_inputs, "expected 6 input columns, got 7"),
+            (lambda doc: doc["config"].update(window=2.5), "key 'config.window': expected int, got 2.5"),
+            (lambda doc: doc["config"].pop("seed"), "missing key 'config.seed'"),
+            (lambda doc: doc["config"].update(epoch=3), "unknown key 'config.epoch'"),
             (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
             (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
             (lambda doc: doc["weights"]["W_f"][0].__setitem__(0, True), "key 'W_f'"),
@@ -354,7 +390,10 @@ class TestHostileModelFiles:
         ],
         ids=[
             "missing-weight",
-            "mistyped-input-dim",
+            "narrower-inputs",
+            "mistyped-config-window",
+            "missing-config-seed",
+            "unknown-config-key",
             "mistyped-scaler-bounds",
             "misshapen-weight",
             "boolean-weight",

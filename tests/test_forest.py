@@ -43,23 +43,15 @@ def chain_tree(depth):
     """A hand-built flat chain: at level k, x <= k + 0.5 goes to a leaf of
     value k, anything larger one level down; the last leaf holds `depth`.
     Each level is the pair (leaf, next split), so the nodes are in level order."""
-    feature, threshold, left, value = [], [], [], []
+    feature, threshold, value = [], [], []
     for level in range(depth):
-        node = len(feature)
         feature += [0, LEAF]
         threshold += [level + 0.5, 0.0]
-        left += [node + 1, LEAF]
         value += [0.0, float(level)]
     feature.append(LEAF)
     threshold.append(0.0)
-    left.append(LEAF)
     value.append(float(depth))
-    return Tree(
-        feature=np.array(feature),
-        threshold=np.array(threshold),
-        left=np.array(left),
-        value=np.array(value),
-    )
+    return Tree(feature=np.array(feature), threshold=np.array(threshold), value=np.array(value))
 
 
 class TestBestSplit:
@@ -332,15 +324,16 @@ class TestDraws:
         the subset draws cannot matter: only a change in the split arithmetic,
         the tie rules or the file format can change these bytes. The trees
         are node for node those of the preorder stack grower that the
-        level-wise grower replaced; the digest was recorded in the level-order
-        format (forest-model/3) after a walk of both files had matched every
-        node."""
+        level-wise grower replaced; the digest was recorded in the format
+        without stored child indices (forest-model/4) after a comparison with
+        the forest-model/3 file had matched every node, and the derived left
+        children the stored ones."""
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         assert matrix.feature_count == 6
         path = tmp_path / "m.json"
         save_forest(fit_forest(matrix, ForestParams(n_trees=5, m_try=6, seed=1)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "4e8b5d8dd1cb443ff3b668861be096b16913dd62f94eda70ca52e468fb967505"
+        assert digest == "ef66b804d78704b5ed720323f1575faab4d677f62ab0465a7c2c3372d21e1fb8"
 
     def test_split_features_in_range(self):
         matrix = random_matrix(seed=5)
@@ -431,7 +424,7 @@ class TestSerialization:
         path = tmp_path / "deep.json"
         save_forest(model, path)
         loaded = load_forest(path)
-        for name in ("feature", "threshold", "left", "value"):
+        for name in ("feature", "threshold", "value"):
             assert np.array_equal(getattr(loaded.trees[0], name), getattr(tree, name)), name
         # x = k + 0.2 descends k levels right, then one left, to leaf value k
         for x in (0.0, 7.2, float(depth - 1) + 0.2, float(depth) + 5.0):
@@ -454,6 +447,31 @@ def _write(tmp_path, doc):
     return path
 
 
+def _move_last_split(tree, to):
+    last = max(i for i, f in enumerate(tree["feature"]) if f != LEAF)
+    tree["feature"][last], tree["feature"][to] = LEAF, tree["feature"][last]
+
+
+def _leaf_made_a_split(tree):
+    tree["feature"][tree["feature"].index(LEAF)] = 0
+
+
+def _last_node_dropped(tree):
+    for name in ("feature", "threshold", "value"):
+        tree[name].pop()
+
+
+# Each case is named for where it puts the left child of the last split: far
+# past the end, on the last node (so the right child is past the end), on the
+# split's own node, or before it.
+_CHILD_OUT_OF_ORDER = {
+    "left-99999": (_leaf_made_a_split, "node count"),
+    "left-last": (_last_node_dropped, "node count"),
+    "left-0": (lambda tree: _move_last_split(tree, -2), "child index"),
+    "left--1": (lambda tree: _move_last_split(tree, -1), "child index"),
+}
+
+
 class TestHostileModelFiles:
     """Every malformed model file is a ValidationError naming the file and
     the fault, never a crash or a prediction that does not terminate."""
@@ -467,12 +485,12 @@ class TestHostileModelFiles:
 
     def test_missing_key(self, tmp_path):
         doc = _saved_model_doc(tmp_path)
-        del doc["trees"][1]["left"]
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'left'"):
+        del doc["trees"][1]["threshold"]
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'threshold'"):
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize(
-        "key, bad", [("left", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1]), ("feature", True)]
+        "key, bad", [("feature", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1]), ("feature", True)]
     )
     def test_mistyped_array_element(self, tmp_path, key, bad):
         doc = _saved_model_doc(tmp_path)
@@ -492,16 +510,17 @@ class TestHostileModelFiles:
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*equal length"):
             load_forest(_write(tmp_path, doc))
 
-    @pytest.mark.parametrize("index", [99999, "last", 0, -1], ids=lambda index: f"left-{index}")
-    def test_child_index_out_of_order(self, tmp_path, index):
-        """A child past the end would index out of bounds: left[i] is past it,
-        or left[i] is the last node and the right child left[i] + 1 is. One at
-        or before its node could make prediction loop forever."""
+    @pytest.mark.parametrize("case", list(_CHILD_OUT_OF_ORDER))
+    def test_child_index_out_of_order(self, tmp_path, case):
+        """Children are derived from `feature`: the j-th split's are nodes
+        2j + 1 and 2j + 2. A child past the end would index out of bounds; one
+        at or before its node could make prediction loop forever."""
+        corrupt, message = _CHILD_OUT_OF_ORDER[case]
         doc = _saved_model_doc(tmp_path)
         tree = doc["trees"][0]
         assert tree["feature"][0] != LEAF
-        tree["left"][0] = len(tree["left"]) - 1 if index == "last" else index
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: child index"):
+        corrupt(tree)
+        with pytest.raises(ValidationError, match=rf"forest_model\.json: tree 0: {message}"):
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize("feature", [6, -2])
@@ -509,14 +528,6 @@ class TestHostileModelFiles:
         doc = _saved_model_doc(tmp_path)
         doc["trees"][0]["feature"][0] = feature
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: split feature out of range"):
-            load_forest(_write(tmp_path, doc))
-
-    def test_leaf_with_a_child(self, tmp_path):
-        doc = _saved_model_doc(tmp_path)
-        tree = doc["trees"][0]
-        leaf = tree["feature"].index(LEAF)
-        tree["left"][leaf] = leaf + 1
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: leaf child index"):
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize("key", ["threshold", "value"])

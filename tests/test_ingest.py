@@ -126,11 +126,16 @@ class TestFillGaps:
         with pytest.raises(DataInsufficientError, match="start"):
             fill_gaps(series, start=date(2023, 1, 1))
 
-    def test_extends_to_requested_end(self):
-        series = make_series([1, 2], start=date(2023, 1, 1))
-        filled = fill_gaps(series, end=date(2023, 1, 5))
-        assert len(filled) == 5
-        assert filled.lookup(date(2023, 1, 5)).price_usd == 2.0
+    def test_gap_at_a_later_start_takes_the_record_before(self):
+        gappy = MarketSeries(
+            (
+                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+                MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+            )
+        )
+        filled = fill_gaps(gappy, start=date(2023, 1, 3))
+        assert filled.dates() == [date(2023, 1, 3), date(2023, 1, 4)]
+        assert filled.lookup(date(2023, 1, 3)).price_usd == 10.0
 
     def test_too_short_raises(self):
         series = make_series([1])

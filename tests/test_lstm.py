@@ -14,11 +14,11 @@ from surplusminer.lstm import (
     LstmWeights,
     MinMaxScaler,
     TrainConfig,
+    _forward,
     bptt_gradients,
     cell_forward,
     clip_gradients,
     fit_lstm,
-    forward_window,
     init_weights,
     load_lstm,
     predict_series,
@@ -40,14 +40,14 @@ def zero_weights(input_dim, hidden):
     return w
 
 
-def untrained_model(matrix, window, hidden):
-    """A model with initial weights, scaled on `matrix`: enough to predict with."""
-    inputs = matrix.input_array()
+def untrained_model(matrix, window, hidden, columns=None):
+    """A model with initial weights, scaled on `matrix` (or on its input
+    `columns`): enough to predict with."""
+    inputs = matrix.input_array()[:, columns] if columns else matrix.input_array()
     return LstmModel(
         weights=init_weights(inputs.shape[1], hidden, seed=8),
         scaler=MinMaxScaler.fit(inputs),
         config=TrainConfig(window=window, hidden_size=hidden),
-        input_dim=inputs.shape[1],
     )
 
 
@@ -123,7 +123,7 @@ class TestGradients:
         windows = rng.normal(size=(5, 4, 2))
         targets = rng.normal(size=5)
         _, loss = bptt_gradients(windows, targets, w)
-        preds = [forward_window(win, w) for win in windows]
+        preds = [float(_forward(win[None], w)[0]) for win in windows]
         want = sum((p - t) ** 2 for p, t in zip(preds, targets)) / 5.0
         assert loss == pytest.approx(want, rel=1e-12)
 
@@ -264,7 +264,7 @@ class TestPrediction:
         assert len(preds) == len(matrix) - config.window + 1
 
     def test_series_matches_per_window_reference(self):
-        """The batched pass against one forward_window call per day. Not
+        """The batched pass against one batch-of-one pass per day. Not
         bitwise: a matrix product over all windows may sum each dot product
         in a different order (blocked kernels) than a one-row product, so
         the last bit can differ; anything beyond rounding cannot pass."""
@@ -274,7 +274,7 @@ class TestPrediction:
         inputs = model.scaler.transform(matrix.input_array())
         want = {
             matrix.rows[i + T - 1].day + timedelta(days=1): float(
-                model.scaler.inverse_target(forward_window(inputs[i : i + T], model.weights))
+                model.scaler.inverse_target(_forward(inputs[None, i : i + T], model.weights)[0])
             )
             for i in range(len(matrix) - T + 1)
         }
@@ -282,6 +282,14 @@ class TestPrediction:
         assert list(got) == list(want)
         for day, value in want.items():
             assert got[day] == pytest.approx(value, rel=1e-12, abs=0.0), day
+
+    def test_series_checks_the_input_width(self):
+        """A model one input column narrower than the matrix (six of its
+        seven): a ValidationError, not a numpy broadcast error."""
+        matrix = build_features(make_series(sine_prices(60)))
+        model = untrained_model(matrix, window=8, hidden=4, columns=slice(1, None))
+        with pytest.raises(ValidationError, match="expected 6 input columns, got 7"):
+            predict_series(model, matrix)
 
     def test_series_shorter_than_a_window(self):
         matrix = build_features(make_series(sine_prices(60)))

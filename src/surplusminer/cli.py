@@ -22,7 +22,6 @@ from .economics import (
     BLOCKS_PER_DAY,
     PriceSource,
     SimulationReport,
-    attach_deltas,
     case_totals,
     months_spanned,
     read_ledger_totals,
@@ -221,21 +220,21 @@ def _require_file(path: Path, what: str) -> None:
 
 
 def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
-    """Parse, clip to the analysis..test window, and gap-fill the market data.
+    """Parse the market data and gap-fill it over the analysis..test window.
 
-    Returns (filled series, number of gap days filled).
+    Only the end is clipped before filling, so a gap on analysis_start takes
+    the last record before it. Returns (filled series, number of gap days filled).
     """
     market_path = cfg.input_path(cfg.market_csv)
     _require_file(market_path, "market CSV")
-    series = parse_market_csv(market_path)
-    clipped = series.clip(cfg.analysis_start, cfg.test_end)
-    if len(clipped) < 2:
+    series = parse_market_csv(market_path).clip(end=cfg.test_end)
+    days = len(series.clip(start=cfg.analysis_start))
+    if days < 2:
         raise DataInsufficientError(
-            f"market data covers {len(clipped)} days of "
-            f"{cfg.analysis_start}..{cfg.test_end}"
+            f"market data covers {days} days of {cfg.analysis_start}..{cfg.test_end}"
         )
-    filled = fill_gaps(clipped, start=cfg.analysis_start)
-    return filled, len(filled) - len(clipped)
+    filled = fill_gaps(series, start=cfg.analysis_start)
+    return filled, len(filled) - days
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
@@ -367,20 +366,34 @@ def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
     return build_scenarios(capacities, cfg.miner)
 
 
+def _field_values(obj, names: list[str]) -> str:
+    return ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+
+
 def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str, PriceSource]:
-    """Build the price source for every model named in the requested cases."""
+    """Build the price source for every model named in the requested cases.
+
+    A model is used only if it was trained under the run config's settings for
+    it (cfg.forest or cfg.lstm, seed included)."""
     needed = {case.rsplit("-", 1)[0] for case in cfg.cases}
     sources: dict[str, PriceSource] = {}
     if "actual" in needed:
         sources["actual"] = PriceSource.from_market(market)
     if "forest" in needed or "lstm" in needed:
         _, forecast = _split_features(cfg, build_features(market))
-        for name, load in (("forest", load_forest), ("lstm", load_lstm)):
+        for name, load, settings in (("forest", load_forest, "params"), ("lstm", load_lstm, "config")):
             if name in needed:
                 model_path = out / f"{name}_model.json"
                 if not model_path.is_file():
                     raise ValidationError(f"{name} cases requested but {model_path} is missing; run train first")
                 model = load(model_path)
+                trained, wanted = getattr(model, settings), getattr(cfg, name)
+                differ = [f.name for f in fields(wanted) if getattr(trained, f.name) != getattr(wanted, f.name)]
+                if differ:
+                    raise ValidationError(
+                        f"{model_path}: trained with {_field_values(trained, differ)}, "
+                        f"but the run config has {_field_values(wanted, differ)}; run train again"
+                    )
                 try:
                     prices = _forecast(cfg, forecast, model)
                 except ValidationError as exc:  # a model that does not fit the features
@@ -390,7 +403,8 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
 
 
 def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
-    """Fixed-width summary table: revenue/cost/profit per case, exact and in millions."""
+    """Fixed-width summary table: revenue/cost/profit per case, exact and in
+    millions, and each forecast case's revenue against its scenario's actual case."""
     months = months_spanned(cfg.sim_start, cfg.sim_end)
     lines = [
         f"profit summary: {cfg.sim_start.isoformat()}..{cfg.sim_end.isoformat()} "
@@ -401,8 +415,11 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
         "case", "scenario", "source", "revenue_usd", "cost_usd", "profit_usd",
         "rev_m", "cost_m", "profit_m", "vs_actual",
     ]
+    actual = {r.scenario: r.revenue_usd for r in reports if r.price_source == "actual"}
     body = []
     for r in sorted(reports, key=lambda r: r.case_label):
+        base = actual.get(r.scenario)
+        no_base = r.price_source == "actual" or not base  # an actual row, no actual case, or zero revenue
         body.append(
             [
                 r.case_label,
@@ -414,7 +431,7 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
                 str(usd_millions(r.revenue_usd)),
                 str(usd_millions(r.cost_usd)),
                 str(usd_millions(r.profit_usd)),
-                "-" if r.delta_vs_actual_pct is None else f"{r.delta_vs_actual_pct:+.2f}%",
+                "-" if no_base else f"{float((r.revenue_usd - base) / base * 100):+.2f}%",
             ]
         )
     widths = [max(len(header[i]), *(len(row[i]) for row in body)) for i in range(len(header))]
@@ -431,16 +448,28 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _write_report(reports: list[SimulationReport], cfg: RunConfig, out: Path) -> None:
-    """Fill the deltas, write report.txt, and print it."""
-    attach_deltas(reports)
+def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, ScenarioPlan]) -> None:
+    """Render report.txt from out/ledger.csv alone, write it and print it: each
+    requested case's revenue summed from the ledger, its depreciation and profit."""
+    ledger_path = out / "ledger.csv"
+    revenue = read_ledger_totals(ledger_path)
+    if not revenue:
+        raise DataInsufficientError(f"{ledger_path}: no ledger rows")
+    missing = sorted(set(cfg.cases) - set(revenue))
+    if missing:
+        raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")
+    months = months_spanned(cfg.sim_start, cfg.sim_end)
+    reports = []
+    for case in sorted(set(cfg.cases)):
+        source, scenario = case.rsplit("-", 1)
+        reports.append(case_totals(source, revenue[case], plans[int(scenario) - 1], cfg.miner, months))
     path = out / "report.txt"
     _write_text(cfg, path, render_report(reports, cfg))
     print(path.read_text(encoding="utf-8"), end="")
 
 
 def cmd_simulate(cfg: RunConfig) -> None:
-    """Run every requested (price source x scenario) case and write the report."""
+    """Run every requested (price source x scenario) case into ledger.csv, then report from it."""
     out = _prepare_out(cfg)
     if not cfg.cases:
         raise ValidationError("no cases requested")
@@ -448,24 +477,16 @@ def cmd_simulate(cfg: RunConfig) -> None:
     plans = _build_plans(cfg)
     sources = _price_sources(cfg, out, market)
 
-    reports = []
+    entries = []
     for case in sorted(set(cfg.cases)):
-        source_label, scenario = case.rsplit("-", 1)
-        plan = plans[int(scenario) - 1]
-        reports.append(
-            run_case(
-                plan,
-                sources[source_label],
-                market,
-                cfg.miner,
-                cfg.sim_start,
-                cfg.sim_end,
-                cfg.blocks_per_day,
-            )
+        source, scenario = case.rsplit("-", 1)
+        entries += run_case(
+            plans[int(scenario) - 1], sources[source], market, cfg.miner,
+            cfg.sim_start, cfg.sim_end, cfg.blocks_per_day,
         )
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
-    write_ledger_csv(reports, out / "ledger.csv", header_comment=_header(cfg))
-    _write_report(reports, cfg, out)
+    write_ledger_csv(entries, out / "ledger.csv", header_comment=_header(cfg))
+    _write_report(cfg, out, plans)
 
 
 def cmd_report(cfg: RunConfig) -> None:
@@ -476,22 +497,7 @@ def cmd_report(cfg: RunConfig) -> None:
     ledger_path = out / "ledger.csv"
     if not ledger_path.is_file():
         raise ValidationError(f"no ledger found at {ledger_path}; run simulate first")
-
-    totals = read_ledger_totals(ledger_path)
-    if not totals:
-        raise DataInsufficientError(f"{ledger_path}: no ledger rows")
-    revenue = {f"{source}-{scenario}": value for (source, scenario), value in totals.items()}
-    missing = sorted(set(cfg.cases) - set(revenue))
-    if missing:
-        raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")
-
-    plans = _build_plans(cfg)
-    months = months_spanned(cfg.sim_start, cfg.sim_end)
-    reports = []
-    for case in sorted(set(cfg.cases)):
-        source, scenario = case.rsplit("-", 1)
-        reports.append(case_totals(source, revenue[case], plans[int(scenario) - 1], cfg.miner, months))
-    _write_report(reports, cfg, out)
+    _write_report(cfg, out, _build_plans(cfg))
 
 
 COMMANDS = {

@@ -2,16 +2,16 @@
 
 A case is one (price source, scenario plan) pair. Each simulated day mines
 reward x (fleet share of network hash rate) x 144 blocks, valued at the
-case's price for that day. Revenue accumulates as plain floats in date order;
-money becomes exact cents (Decimal) at the report boundary, and depreciation
-is exact rational arithmetic throughout, so profit = revenue - cost holds to
-the cent.
+case's price for that day. A case's revenue is the plain float sum, in date
+order, of its ledger rows read back from ledger.csv; money becomes exact cents
+(Decimal) at the report boundary, and depreciation is exact rational
+arithmetic throughout, so profit = revenue - cost holds to the cent.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -154,7 +154,7 @@ class DailyLedgerEntry:
 
 @dataclass
 class SimulationReport:
-    """Totals for one case (one report row), plus its per-day ledger."""
+    """Totals for one case: one report row."""
 
     case_label: str
     scenario: int
@@ -162,8 +162,6 @@ class SimulationReport:
     revenue_usd: Decimal
     cost_usd: Decimal
     profit_usd: Decimal
-    ledger: list[DailyLedgerEntry] = field(default_factory=list)
-    delta_vs_actual_pct: float | None = None
 
 
 def months_spanned(start: date, end: date) -> int:
@@ -179,7 +177,6 @@ def case_totals(
     plan: ScenarioPlan,
     miner: MinerSpec,
     months: int,
-    ledger: list[DailyLedgerEntry] | None = None,
 ) -> SimulationReport:
     """The report row of one case: its summed float revenue in exact cents,
     the plan's hardware depreciation over `months`, and their difference."""
@@ -194,7 +191,6 @@ def case_totals(
         revenue_usd=revenue_cents,
         cost_usd=cost_cents,
         profit_usd=revenue_cents - cost_cents,
-        ledger=ledger or [],
     )
 
 
@@ -206,30 +202,33 @@ def run_case(
     sim_start: date,
     sim_end: date,
     blocks_per_day: int = BLOCKS_PER_DAY,
-) -> SimulationReport:
-    """Simulate one case day by day over [sim_start, sim_end].
+) -> list[DailyLedgerEntry]:
+    """Simulate one case day by day over [sim_start, sim_end]; its ledger
+    rows in date order.
 
     Each day uses block_reward(day), the plan's operating units for the
     day's month, the day's actual network hash rate, and the case's price.
-    Missing hash rate or price for any day is an error.
+    Missing hash rate or price for any day is an error, and any error on a
+    day names the case and the day.
     """
     if sim_end < sim_start:
         raise ValidationError("sim_end before sim_start")
 
     entries: list[DailyLedgerEntry] = []
-    total_revenue = 0.0
-
     day = sim_start
     while day <= sim_end:
-        record = market.lookup(day)
-        if record is None:
-            raise ValidationError(f"market series has no hash rate for {day.isoformat()}")
-        month = f"{day.year:04d}-{day.month:02d}"
-        operating = plan.fleet_for(month).operating
-        fleet_ths = operating * miner.hashrate_ths
-        price = prices.price_for(day)
-        btc = btc_per_day(fleet_ths, record.network_hashrate_ths, block_reward(day), blocks_per_day)
-        revenue = daily_revenue(price, btc)
+        try:
+            record = market.lookup(day)
+            if record is None:
+                raise ValidationError("market series has no hash rate")
+            month = f"{day.year:04d}-{day.month:02d}"
+            operating = plan.fleet_for(month).operating
+            fleet_ths = operating * miner.hashrate_ths
+            price = prices.price_for(day)
+            btc = btc_per_day(fleet_ths, record.network_hashrate_ths, block_reward(day), blocks_per_day)
+            revenue = daily_revenue(price, btc)
+        except ValidationError as exc:
+            raise ValidationError(f"case {prices.label}-{plan.scenario}, {day.isoformat()}: {exc}") from None
         entries.append(
             DailyLedgerEntry(
                 day=day,
@@ -243,29 +242,12 @@ def run_case(
                 price_used_usd=price,
             )
         )
-        total_revenue += revenue
         day += timedelta(days=1)
-
-    months = months_spanned(sim_start, sim_end)
-    return case_totals(prices.label, total_revenue, plan, miner, months, entries)
+    return entries
 
 
-def attach_deltas(reports: list[SimulationReport]) -> None:
-    """Fill delta_vs_actual_pct on each report from its scenario's actual case."""
-    actual_by_scenario = {
-        r.scenario: r for r in reports if r.price_source == "actual"
-    }
-    for r in reports:
-        base = actual_by_scenario.get(r.scenario)
-        if base is None or r.price_source == "actual" or base.revenue_usd == 0:
-            continue
-        r.delta_vs_actual_pct = float(
-            (r.revenue_usd - base.revenue_usd) / base.revenue_usd * 100
-        )
-
-
-def write_ledger_csv(reports: list[SimulationReport], path, header_comment: str | None = None) -> None:
-    """All cases' daily rows, ordered by case label then date."""
+def write_ledger_csv(entries: list[DailyLedgerEntry], path, header_comment: str | None = None) -> None:
+    """Ledger rows, in the order given."""
     write_output_csv(
         path,
         LEDGER_COLUMNS,
@@ -281,25 +263,24 @@ def write_ledger_csv(reports: list[SimulationReport], path, header_comment: str 
                 repr(e.revenue_usd),
                 repr(e.price_used_usd),
             ]
-            for report in sorted(reports, key=lambda r: r.case_label)
-            for e in report.ledger
+            for e in entries
         ),
         header_comment,
     )
 
 
-def read_ledger_totals(path) -> dict[tuple[str, int], float]:
-    """Per (price source, scenario) in a ledger.csv: the revenue summed in file
-    order, as run_case sums it.
+def read_ledger_totals(path) -> dict[str, float]:
+    """Per case label in a ledger.csv (price source-scenario): the revenue
+    summed in file order, which is date order within a case.
 
     A wrong header, a short row or a bad value is a ValidationError naming the line.
     """
-    totals: dict[tuple[str, int], float] = {}
+    totals: dict[str, float] = {}
     for line_no, row in _data_rows(path, LEDGER_COLUMNS):
         where = f"{path}:{line_no}"
         _, scenario, source, _, _, _, _, revenue_text, _ = row
         if scenario not in ("1", "2"):
             raise ValidationError(f"{where}: invalid scenario {scenario!r}")
-        key = (source, int(scenario))
+        key = f"{source}-{scenario}"
         totals[key] = totals.get(key, 0.0) + _parse_float(revenue_text, where, "revenue_usd")
     return totals

@@ -41,6 +41,10 @@ DEFAULT_SURPLUS_MONTHS = ("2021-01", "2023-12")
 # Far above any Bitcoin price yet, and far below the magnitudes (~1e154) at
 # which the forest's sums of squared prices overflow a float.
 MAX_PRICE_USD = 1e12
+# Per region-month; all of Korea uses about 6e11 kWh of electricity a year.
+# Bounded like prices, so that a stray magnitude cannot reach the report.
+MAX_SURPLUS_KWH = 1e12
+MAX_HOUSEHOLDS = 10**9
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -373,10 +377,10 @@ class SurplusRecord:
     def __post_init__(self) -> None:
         if not _MONTH_RE.match(self.month):
             raise ValidationError(f"invalid month {self.month!r}, expected YYYY-MM")
-        if self.households < 0:
-            raise ValidationError(f"households must be >= 0, got {self.households}")
-        if not math.isfinite(self.surplus_kwh) or self.surplus_kwh < 0:
-            raise ValidationError(f"surplus_kwh must be finite and >= 0, got {self.surplus_kwh!r}")
+        if not 0 <= self.households <= MAX_HOUSEHOLDS:
+            raise ValidationError(f"households must be in [0, {MAX_HOUSEHOLDS:g}], got {self.households}")
+        if not 0 <= self.surplus_kwh <= MAX_SURPLUS_KWH:
+            raise ValidationError(f"surplus_kwh must be in [0, {MAX_SURPLUS_KWH:g}], got {self.surplus_kwh!r}")
 
 
 @dataclass(frozen=True)
@@ -394,8 +398,9 @@ def parse_surplus_csv(
     """Parse the monthly surplus CSV (region,month,households,surplus_kwh).
 
     Months must fall within the allowed [first, last] range. Duplicate
-    (region, month) pairs and negative values are hard errors. A month with
-    zero households but positive energy is accepted with a warning.
+    (region, month) pairs, negative values and values above MAX_HOUSEHOLDS or
+    MAX_SURPLUS_KWH are hard errors. A month with zero households but positive
+    energy is accepted with a warning.
     """
     path = Path(path)
     month_lo, month_hi = months

@@ -168,6 +168,47 @@ class TestIngest:
         assert rc == 2
         assert "market.csv:301: price_usd must be in [0, 1e+12], got 1.8e+212" in caplog.text
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("1200,1e300", "surplus_kwh must be in [0, 1e+12], got 1e+300"),
+            ("2000000000,3072706.1", "households must be in [0, 1e+09], got 2000000000"),
+        ],
+        ids=["huge-surplus", "huge-households"],
+    )
+    def test_huge_surplus_value_exits_2_naming_the_line(self, tmp_path, caplog, cells, message):
+        """A surplus above MAX_SURPLUS_KWH, or households above MAX_HOUSEHOLDS,
+        is refused at ingest instead of reaching the report's cost column."""
+        text = (DATA_DIR / "surplus.csv").read_text(encoding="utf-8")
+        (tmp_path / "surplus.csv").write_text(
+            text.replace("coastal,2021-01,1200,3072706.1", f"coastal,2021-01,{cells}"), encoding="utf-8"
+        )
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"surplus.csv:2: {message}" in caplog.text
+
+    def test_gap_on_analysis_start_takes_the_day_before(self, tmp_path, capsys, caplog):
+        """The record before analysis_start is kept until the gaps are filled,
+        so a missing first day carries it forward. A market that starts after
+        analysis_start has nothing to carry and still exits 3."""
+        lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg = write_config(tmp_path, analysis_start="2022-01-03")
+        out = tmp_path / "out"
+        kept = [ln for ln in lines if not ln.startswith("2022-01-03")]
+        (tmp_path / "market.csv").write_text("".join(kept), encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "gap days filled by carry-forward: 1" in capsys.readouterr().out
+        cleaned = (out / "market_clean.csv").read_text(encoding="utf-8").splitlines()
+        assert cleaned[2] == "2022-01-03,18134.04,188403558.6"  # 2022-01-02's record
+
+        kept = [ln for ln in lines if not ln.startswith("2022-01-0")]
+        (tmp_path / "market.csv").write_text("".join(kept), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "gap at series start: first record is 2022-01-10" in caplog.text
+
     def test_missing_market_file_exits_2(self, tmp_path, caplog):
         cfg = write_config(tmp_path, market_csv="absent.csv")
         with caplog.at_level(logging.ERROR):
@@ -410,6 +451,33 @@ class TestHostileModelFiles:
             )
         assert rc == 2
         assert f"lstm_model.json: {message}" in caplog.text
+
+
+class TestModelSettings:
+    """simulate uses a model only if it was trained under the run config's
+    forest or lstm settings, seed included."""
+
+    def test_lstm_model_with_another_window_exits_2(self, pipeline_out, tmp_path, caplog):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        doc = json.loads((out / "lstm_model.json").read_text(encoding="utf-8"))
+        doc["config"]["window"] = 10
+        (out / "lstm_model.json").write_text(json.dumps(doc), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", "lstm-1", "--out", str(out)])
+        assert rc == 2
+        assert "lstm_model.json: trained with window=10, but the run config has window=14" in caplog.text
+
+    @pytest.mark.parametrize("case, model", [("forest-2", "forest_model.json"), ("lstm-2", "lstm_model.json")])
+    def test_model_trained_under_another_seed_exits_2(self, pipeline_out, tmp_path, caplog, case, model):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        report = (out / "report.txt").read_bytes()
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--seed", "7", "--cases", case, "--out", str(out)])
+        assert rc == 2
+        assert f"{model}: trained with seed=42, but the run config has seed=7" in caplog.text
+        assert (out / "report.txt").read_bytes() == report
 
 
 class TestOverrides:

@@ -2,15 +2,17 @@
 import logging
 import math
 from datetime import date, timedelta
+from types import SimpleNamespace
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from surplusminer.cli import render_report
 from surplusminer.economics import (
     PriceSource,
-    attach_deltas,
     btc_per_day,
+    case_totals,
     daily_revenue,
     depreciation_cost,
     months_spanned,
@@ -153,15 +155,27 @@ def simple_setup(n_days=59, price=25000.0, hashrate=4.0e8, kwh=5.0e6):
     return series, plans, start, date(2023, 2, 28)
 
 
+def case_report(entries, plan, sim_start, sim_end):
+    """The report row of one case's ledger rows, their revenue summed with +=
+    in date order as read_ledger_totals sums it (not sum(), which on Python
+    3.12 compensates for rounding)."""
+    revenue = 0.0
+    for entry in entries:
+        revenue += entry.revenue_usd
+    return case_totals(entries[0].price_source, revenue, plan, DEFAULT_MINER, months_spanned(sim_start, sim_end))
+
+
 class TestRunCase:
     def test_ledger_shape_and_totals(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        assert len(entries) == 59
+        assert [e.day for e in entries] == [sim_start + timedelta(days=i) for i in range(59)]
+        report = case_report(entries, plans[0], sim_start, sim_end)
         assert report.case_label == "actual-1"
-        assert len(report.ledger) == 59
         acc = 0.0
-        for entry in report.ledger:
+        for entry in entries:
             acc += entry.revenue_usd
         assert usd_cents(acc) == report.revenue_usd
         assert report.profit_usd == report.revenue_usd - report.cost_usd
@@ -169,7 +183,8 @@ class TestRunCase:
     def test_revenue_matches_independent_loop(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        report = case_report(entries, plans[0], sim_start, sim_end)
 
         total = 0.0
         day = sim_start
@@ -184,15 +199,22 @@ class TestRunCase:
     def test_scenario2_never_exceeds_scenario1(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
-        r1 = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
-        r2 = run_case(plans[1], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        r1, r2 = (
+            case_report(run_case(plan, src, series, DEFAULT_MINER, sim_start, sim_end, 144), plan, sim_start, sim_end)
+            for plan in plans
+        )
         assert r2.revenue_usd <= r1.revenue_usd
 
     def test_revenue_monotone_in_price(self):
         series, plans, sim_start, sim_end = simple_setup()
         lower = make_series([20000.0] * 59, start=sim_start, hashrate=4.0e8)
-        r_hi = run_case(plans[0], PriceSource.from_market(series), series, DEFAULT_MINER, sim_start, sim_end, 144)
-        r_lo = run_case(plans[0], PriceSource.from_market(lower), series, DEFAULT_MINER, sim_start, sim_end, 144)
+        r_hi, r_lo = (
+            case_report(
+                run_case(plans[0], PriceSource.from_market(s), series, DEFAULT_MINER, sim_start, sim_end, 144),
+                plans[0], sim_start, sim_end,
+            )
+            for s in (series, lower)
+        )
         assert r_lo.revenue_usd <= r_hi.revenue_usd
 
     def test_missing_market_day_rejected(self):
@@ -208,12 +230,23 @@ class TestRunCase:
         with pytest.raises(ValidationError, match="'forest' has no price for 2023-01-06"):
             run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
 
+    def test_bad_daily_price_names_the_case_and_the_day(self):
+        """A negative forecast (an LSTM can make one) is refused, naming the
+        case and the day, not only the value."""
+        series, plans, sim_start, sim_end = simple_setup()
+        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
+        preds[date(2023, 2, 14)] = -3797.75
+        src = PriceSource("lstm", preds)
+        with pytest.raises(ValidationError, match=r"^case lstm-2, 2023-02-14: price must be >= 0, got -3797.75$"):
+            run_case(plans[1], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
         series = make_series([25000.0] * 31, start=start)
         plans = scenario_plans([("2023-01", 0.0)])
         src = PriceSource.from_market(series)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2023, 1, 31), 144)
+        entries = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2023, 1, 31), 144)
+        report = case_report(entries, plans[0], start, date(2023, 1, 31))
         assert report.revenue_usd == Decimal("0.00")
         assert report.cost_usd == Decimal("0.00")
         assert report.profit_usd == Decimal("0.00")
@@ -224,8 +257,8 @@ class TestRunCase:
         series = make_series([50000.0] * 10, start=start, hashrate=6.0e8)
         plans = scenario_plans([("2024-04", 5.0e6)])
         src = PriceSource.from_market(series)
-        report = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2024, 4, 24), 144)
-        by_day = {e.day: e.btc_mined for e in report.ledger}
+        entries = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2024, 4, 24), 144)
+        by_day = {e.day: e.btc_mined for e in entries}
         assert by_day[date(2024, 4, 19)] == pytest.approx(
             2.0 * by_day[date(2024, 4, 20)], rel=1e-12
         )
@@ -253,27 +286,38 @@ class TestFixtureOracle:
         sim_start = date.fromisoformat(cfg["sim_start"])
         sim_end = date.fromisoformat(cfg["sim_end"])
         for plan in plans:
-            report = run_case(plan, src, market, DEFAULT_MINER, sim_start, sim_end, cfg["blocks_per_day"])
+            entries = run_case(plan, src, market, DEFAULT_MINER, sim_start, sim_end, cfg["blocks_per_day"])
+            report = case_report(entries, plan, sim_start, sim_end)
             want = expected["cases"][report.case_label]
             assert report.revenue_usd == Decimal(want["revenue_usd"])
             assert report.cost_usd == Decimal(want["cost_usd"])
             assert report.profit_usd == Decimal(want["profit_usd"])
 
 
+def vs_actual_cells(reports, sim_start, sim_end):
+    """render_report's vs_actual cell (the last column) per case label."""
+    cfg = SimpleNamespace(sim_start=sim_start, sim_end=sim_end, miner=DEFAULT_MINER)
+    rows = render_report(reports, cfg)[3:]  # after the title, a blank line and the header
+    return {row.split()[0]: row.split()[-1] for row in rows}
+
+
 class TestDeltas:
+    def _reports(self, prices_by_source, kwh=5.0e6):
+        series, _, sim_start, sim_end = simple_setup()
+        plans = scenario_plans([("2023-01", kwh), ("2023-02", kwh * 0.6)])
+        reports = []
+        for label, price in prices_by_source.items():
+            src = PriceSource(label, {sim_start + timedelta(days=i): price for i in range(59)})
+            entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+            reports.append(case_report(entries, plans[0], sim_start, sim_end))
+        return vs_actual_cells(reports, sim_start, sim_end)
+
     def test_deltas_vs_actual(self):
-        series, plans, sim_start, sim_end = simple_setup()
-        actual = run_case(plans[0], PriceSource.from_market(series), series, DEFAULT_MINER, sim_start, sim_end, 144)
-        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
-        forest = run_case(plans[0], PriceSource("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
-        attach_deltas([actual, forest])
-        assert actual.delta_vs_actual_pct is None
         # predicted price is 4% above actual flat 25000
-        assert forest.delta_vs_actual_pct == pytest.approx(4.0, abs=0.01)
+        assert self._reports({"actual": 25000.0, "forest": 26000.0}) == {"actual-1": "-", "forest-1": "+4.00%"}
 
     def test_no_actual_case_leaves_none(self):
-        series, plans, sim_start, sim_end = simple_setup()
-        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
-        forest = run_case(plans[0], PriceSource("forest", preds), series, DEFAULT_MINER, sim_start, sim_end, 144)
-        attach_deltas([forest])
-        assert forest.delta_vs_actual_pct is None
+        assert self._reports({"forest": 26000.0}) == {"forest-1": "-"}
+
+    def test_zero_actual_revenue_leaves_a_dash(self):
+        assert self._reports({"actual": 25000.0, "lstm": 26000.0}, kwh=0.0) == {"actual-1": "-", "lstm-1": "-"}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import logging
 import sys
@@ -38,9 +39,6 @@ from .fleet import (
     month_capacity,
     write_fleet_csv,
 )
-# predict_forest and predict_window are not called here; they stay bound in
-# this namespace, where bench/layertrace.py wraps every layer function by name.
-from .forest import ForestModel, ForestParams, fit_forest, load_forest, predict_forest, predict_matrix, save_forest  # noqa: F401
 from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
@@ -55,10 +53,35 @@ from .ingest import (
     write_market_csv,
     write_output_csv,
 )
-from .lstm import LstmModel, TrainConfig, fit_lstm, load_lstm, predict_series, predict_window, save_lstm  # noqa: F401
-from .metrics import evaluate, write_eval_csv
+from .params import ForestParams, TrainConfig
 
 logger = logging.getLogger(__name__)
+
+# The names taken from the numpy layers, bound here on first use (_bind_layers).
+# predict_forest and predict_window are not called here; they stay because
+# bench/layertrace.py wraps every layer function bound in this namespace by name.
+NUMPY_LAYERS = {
+    "forest": ("ForestModel", "fit_forest", "load_forest", "predict_forest", "predict_matrix", "save_forest"),
+    "lstm": ("LstmModel", "fit_lstm", "load_lstm", "predict_series", "predict_window", "save_lstm"),
+    "metrics": ("evaluate", "write_eval_csv"),
+}
+
+
+def _bind_layers() -> None:
+    """Import the NUMPY_LAYERS modules and bind their names here. A name that
+    is already bound, such as a wrapper set from outside, is kept."""
+    for module, names in NUMPY_LAYERS.items():
+        layer = importlib.import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    """cli.<layer name> resolves before any command has bound it (PEP 562)."""
+    if any(name in names for names in NUMPY_LAYERS.values()):
+        _bind_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 VALID_CASES = ("actual-1", "actual-2", "forest-1", "forest-2", "lstm-1", "lstm-2")
 
@@ -318,6 +341,7 @@ def _forecast(cfg: RunConfig, forecast: FeatureMatrix, model: ForestModel | Lstm
 
 def cmd_train(cfg: RunConfig) -> None:
     """Fit both models on the training rows and evaluate them on every test day."""
+    _bind_layers()
     out = _prepare_out(cfg)
     filled, _ = _load_clean_market(cfg)
     matrix = build_features(filled)
@@ -380,6 +404,7 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
     if "actual" in needed:
         sources["actual"] = PriceSource.from_market(market)
     if "forest" in needed or "lstm" in needed:
+        _bind_layers()
         _, forecast = _split_features(cfg, build_features(market))
         for name, load, settings in (("forest", load_forest, "params"), ("lstm", load_lstm, "config")):
             if name in needed:
@@ -452,7 +477,7 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     """Render report.txt from out/ledger.csv alone, write it and print it: each
     requested case's revenue summed from the ledger, its depreciation and profit."""
     ledger_path = out / "ledger.csv"
-    revenue = read_ledger_totals(ledger_path)
+    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day)
     if not revenue:
         raise DataInsufficientError(f"{ledger_path}: no ledger rows")
     missing = sorted(set(cfg.cases) - set(revenue))

@@ -17,8 +17,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .errors import DataInsufficientError, ValidationError
-from .fleet import MinerSpec, ScenarioPlan, block_reward
-from .ingest import MarketSeries, _data_rows, _parse_float, write_output_csv
+from .fleet import HALVING_SCHEDULE, MinerSpec, ScenarioPlan, block_reward
+from .ingest import MAX_PRICE_USD, MarketSeries, _data_rows, _parse_float, write_output_csv
 
 logger = logging.getLogger(__name__)
 
@@ -269,12 +269,15 @@ def write_ledger_csv(entries: list[DailyLedgerEntry], path, header_comment: str 
     )
 
 
-def read_ledger_totals(path) -> dict[str, float]:
+def read_ledger_totals(path, blocks_per_day: int) -> dict[str, float]:
     """Per case label in a ledger.csv (price source-scenario): the revenue
     summed in file order, which is date order within a case.
 
-    A wrong header, a short row or a bad value is a ValidationError naming the line.
+    A wrong header, a short row, a bad value or a revenue outside [0, the most
+    one day can earn] is a ValidationError naming the line.
     """
+    # every block at the largest reward ever paid, sold at ingest's highest price
+    max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * blocks_per_day
     totals: dict[str, float] = {}
     for line_no, row in _data_rows(path, LEDGER_COLUMNS):
         where = f"{path}:{line_no}"
@@ -282,5 +285,8 @@ def read_ledger_totals(path) -> dict[str, float]:
         if scenario not in ("1", "2"):
             raise ValidationError(f"{where}: invalid scenario {scenario!r}")
         key = f"{source}-{scenario}"
-        totals[key] = totals.get(key, 0.0) + _parse_float(revenue_text, where, "revenue_usd")
+        revenue = _parse_float(revenue_text, where, "revenue_usd")
+        if not 0 <= revenue <= max_revenue:
+            raise ValidationError(f"{where}: revenue_usd must be in [0, {max_revenue:g}], got {revenue_text!r}")
+        totals[key] = totals.get(key, 0.0) + revenue
     return totals

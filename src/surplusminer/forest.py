@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
+from .params import ForestParams
 
 FOREST_SCHEMA = "forest-model/4"
 
@@ -72,31 +73,6 @@ class Tree:
 
 
 _TREE_ARRAYS = {"feature": int, "threshold": float, "value": float}
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    m_try: int | None = None  # None: max(1, floor(p / 3))
-    min_samples_leaf: int = 1
-    max_depth: int | None = None
-    seed: int = field(default=0, metadata={"config_key": False})  # the run's master seed
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValidationError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.m_try is not None and self.m_try < 1:
-            raise ValidationError(f"m_try must be >= 1, got {self.m_try}")
-        if self.min_samples_leaf < 1:
-            raise ValidationError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
-
-    def resolved_m_try(self, p: int) -> int:
-        m = self.m_try if self.m_try is not None else max(1, p // 3)
-        if m > p:
-            raise ValidationError(f"m_try={m} exceeds feature count {p}")
-        return m
 
 
 @dataclass

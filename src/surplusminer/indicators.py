@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataInsufficientError, ValidationError
 from .ingest import MarketSeries, write_output_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FEATURE_NAMES = ("sma14", "wma14", "momentum", "k_pct", "d_pct", "rsi")
 
@@ -163,13 +164,16 @@ class FeatureMatrix:
 
     def feature_array(self) -> np.ndarray:
         """(n, 6) indicator matrix for the tree model."""
+        import numpy as np  # here, so that features (no model) runs without numpy
         return np.array([r.features() for r in self.rows], dtype=float)
 
     def input_array(self) -> np.ndarray:
         """(n, 7) indicator matrix plus same-day price, for the sequence model."""
+        import numpy as np
         return np.array([r.features() + (r.price,) for r in self.rows], dtype=float)
 
     def target_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([r.target_price for r in self.rows], dtype=float)
 
     def slice_dates(self, start: date, end: date) -> "FeatureMatrix":

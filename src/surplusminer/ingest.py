@@ -24,11 +24,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
 
 from .errors import DataInsufficientError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -293,6 +294,7 @@ def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
     dtype int or float. A string, null, boolean or object element, a float
     where ints are due, a number that is not finite (json reads NaN and
     Infinity, and 1e999 as inf) or a ragged nesting is a ValidationError."""
+    import numpy as np  # here, so that the commands that read no model file start without numpy
     raw = json_value(doc, key, list)
     try:
         arr = np.array(raw)

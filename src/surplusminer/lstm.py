@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureMatrix
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
+from .params import TrainConfig
 
 LSTM_SCHEMA = "lstm-model/2"
 
@@ -28,31 +29,6 @@ PARAM_NAMES = (
     "W_o", "U_o", "b_o",
     "V", "c",
 )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    window: int = 14
-    hidden_size: int = 64
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    clip_norm: float = 1.0
-    seed: int = field(default=0, metadata={"config_key": False})  # the run's master seed
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")
-        if self.hidden_size < 1:
-            raise ValidationError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_norm <= 0:
-            raise ValidationError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 @dataclass

@@ -7,6 +7,8 @@ import logging
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -326,6 +328,22 @@ class TestReportFromLedger:
         n_lines = len((pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines())
         assert f"ledger.csv:{n_lines}:" in caplog.text
 
+    @pytest.mark.parametrize("revenue", ["1e300", "-5000000.0"])
+    def test_report_on_ledger_with_out_of_range_revenue_exits_2_naming_the_line(
+        self, pipeline_out, tmp_path, caplog, revenue
+    ):
+        """A day's revenue must lie in [0, $1e12 x 25 BTC x 144 blocks]: 1e300
+        once overflowed the cents conversion, and a negative day was summed."""
+        def edit(lines):
+            cells = lines[2].split(",")  # line 3, the first day of actual-1
+            cells[7] = revenue
+            return lines[:2] + [",".join(cells)] + lines[3:]
+
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(pipeline_out, tmp_path, edit)
+        assert rc == 2
+        assert f"ledger.csv:3: revenue_usd must be in [0, 3.6e+15], got {revenue!r}" in caplog.text
+
     def test_report_on_ledger_missing_a_column_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
         def drop_price_source(lines):
             return lines[:1] + [",".join(ln.split(",")[:2] + ln.split(",")[3:]) for ln in lines[1:]]
@@ -595,3 +613,76 @@ class TestTrainFits:
         assert "2022-01-11..2022-01-24, got 8" in caplog.text
         assert (out / "forest_model.json").read_bytes() == earlier
         assert not (out / "lstm_model.json").exists()
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+MAIN = "import sys; from surplusminer.cli import main; sys.exit(main(sys.argv[1:]))"
+# an interpreter in which any import of numpy fails
+MAIN_WITHOUT_NUMPY = 'import sys; sys.modules["numpy"] = None; ' + MAIN
+ACTUAL_CASES = "actual-1,actual-2"
+
+
+class TestStartWithoutNumpy:
+    """The commands that compute with no array run without importing numpy."""
+
+    def test_array_free_commands_match_a_normal_run(self, tmp_path):
+        commands = (("ingest",), ("features",), ("simulate", "--cases", ACTUAL_CASES), ("report", "--cases", ACTUAL_CASES))
+        runs = {}
+        for name, code in (("plain", MAIN), ("without_numpy", MAIN_WITHOUT_NUMPY)):
+            out = tmp_path / name
+            streams = []
+            for args in commands:
+                proc = run_fresh(code, *args, "--config", str(FIXTURE_CONFIG), "--out", str(out))
+                assert proc.returncode == 0, (name, args, proc.stderr)
+                streams.append((proc.stdout, proc.stderr))
+            runs[name] = (streams, {path.name: path.read_bytes() for path in out.iterdir()})
+        assert runs["without_numpy"] == runs["plain"]
+        assert set(runs["plain"][1]) == {
+            "config_used.json", "market_clean.csv", "surplus_monthly.csv", "ingest_summary.txt",
+            "features.csv", "fleet.csv", "ledger.csv", "report.txt",
+        }
+
+    def test_train_needs_numpy(self, tmp_path):
+        """The guard bites: train imports numpy, and the import fails."""
+        proc = run_fresh(MAIN_WITHOUT_NUMPY, "train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 4
+        assert "ModuleNotFoundError: import of numpy halted" in proc.stderr
+
+
+class TestLayerBindings:
+    """cli binds the numpy layers' names on first use, and a name set from
+    outside (bench/layertrace.py's timing wrappers, a monkeypatch) stays."""
+
+    def test_a_layer_name_resolves_before_any_command(self):
+        proc = run_fresh(
+            "import sys; from surplusminer import cli, lstm; "
+            "print('fit_lstm' in vars(cli), cli.fit_lstm is lstm.fit_lstm, 'numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
+
+    def test_train_calls_a_wrapper_set_before_it_and_binds_every_name(self, tmp_path):
+        code = """if True:
+            import json, sys
+            from surplusminer import cli, forest
+            calls = []
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return forest.fit_forest(*args, **kwargs)
+            cli.fit_forest = wrapper
+            rc = cli.main(sys.argv[1:])
+            unbound = [n for names in cli.NUMPY_LAYERS.values() for n in names if n not in vars(cli)]
+            print(json.dumps([rc, len(calls), cli.fit_forest is wrapper, unbound]))
+        """
+        proc = run_fresh(code, "train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 1, True, []]

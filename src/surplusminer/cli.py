@@ -61,8 +61,8 @@ logger = logging.getLogger(__name__)
 # predict_forest and predict_window are not called here; they stay because
 # bench/layertrace.py wraps every layer function bound in this namespace by name.
 NUMPY_LAYERS = {
-    "forest": ("ForestModel", "fit_forest", "load_forest", "predict_forest", "predict_matrix", "save_forest"),
-    "lstm": ("LstmModel", "fit_lstm", "load_lstm", "predict_series", "predict_window", "save_lstm"),
+    "forest": ("fit_forest", "load_forest", "predict_forest", "predict_matrix", "save_forest"),
+    "lstm": ("fit_lstm", "load_lstm", "predict_series", "predict_window", "save_lstm"),
     "metrics": ("evaluate", "write_eval_csv"),
 }
 
@@ -329,11 +329,11 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
     return train, forecast
 
 
-def _forecast(cfg: RunConfig, forecast: FeatureMatrix, model: ForestModel | LstmModel) -> dict[date, float]:
-    """A model's price for each test day, keyed by day. The LSTM reads each
-    window of the forecast rows; the forest reads the rows after the window
-    history, one per day."""
-    if isinstance(model, LstmModel):
+def _forecast(cfg: RunConfig, forecast: FeatureMatrix, name: str, model) -> dict[date, float]:
+    """The price of model `name` ("forest" or "lstm") for each test day, keyed
+    by day. The LSTM reads each window of the forecast rows; the forest reads
+    the rows after the window history, one per day."""
+    if name == "lstm":
         return predict_series(model, forecast)
     rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
     return dict(zip((row.target_day for row in rows.rows), predict_matrix(model, rows).tolist()))
@@ -357,13 +357,16 @@ def cmd_train(cfg: RunConfig) -> None:
     save_lstm(lstm_model, out / "lstm_model.json")
 
     actual = PriceSource.from_market(filled)
-    evals = []
-    for name, model in (("forest", forest_model), ("lstm", lstm_model)):
-        predicted = _forecast(cfg, forecast, model)
-        evals.append(evaluate(name, "test", [actual.price_for(d) for d in predicted], list(predicted.values())))
+    predicted = {
+        name: _forecast(cfg, forecast, name, model) for name, model in (("forest", forest_model), ("lstm", lstm_model))
+    }
+    evals = [
+        evaluate(name, "test", [actual.price_for(d) for d in prices], list(prices.values()))
+        for name, prices in predicted.items()
+    ]
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
 
-    days = list(predicted)  # the same for both models
+    days = list(predicted["lstm"])  # the same for both models
     lines = [
         "training summary",
         f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
@@ -420,7 +423,7 @@ def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str,
                         f"but the run config has {_field_values(wanted, differ)}; run train again"
                     )
                 try:
-                    prices = _forecast(cfg, forecast, model)
+                    prices = _forecast(cfg, forecast, name, model)
                 except ValidationError as exc:  # a model that does not fit the features
                     raise ValidationError(f"{model_path}: {exc}") from None
                 sources[name] = PriceSource(name, prices)

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, InvalidOperation
 from fractions import Fraction
 
 from .errors import DataInsufficientError, ValidationError
@@ -31,6 +31,9 @@ LEDGER_COLUMNS = (
 )
 
 _CENT = Decimal("0.01")
+# The money step that must not round: cents past the 28 significant digits
+# of decimal's default precision raise instead of being rounded away.
+_EXACT = Context(traps=[Inexact])
 
 
 def btc_per_day(
@@ -79,7 +82,8 @@ def depreciation_cost(
     """Straight-line hardware cost for the months operated, in exact cents.
 
     owned x price x months / lifespan, evaluated as an exact rational and
-    rounded half-up to cents only at the end.
+    rounded half-up to cents only at the end. Cents past 28 significant
+    digits raise decimal.Inexact rather than round.
     """
     if lifespan_months <= 0:
         raise ValidationError(f"lifespan_months must be > 0, got {lifespan_months}")
@@ -92,7 +96,7 @@ def depreciation_cost(
         / Fraction(lifespan_months)
     )
     cents = math.floor(value * 100 + Fraction(1, 2))
-    return Decimal(cents).scaleb(-2)
+    return Decimal(cents).scaleb(-2, _EXACT)
 
 
 def solo_mining_time(
@@ -108,7 +112,8 @@ def solo_mining_time(
 
 
 def usd_cents(amount: float) -> Decimal:
-    """Float dollars -> Decimal rounded half-up to cents."""
+    """Float dollars -> Decimal rounded half-up to cents; decimal.InvalidOperation
+    when the cents need more than 28 significant digits."""
     return Decimal(str(amount)).quantize(_CENT, rounding=ROUND_HALF_UP)
 
 
@@ -179,18 +184,27 @@ def case_totals(
     months: int,
 ) -> SimulationReport:
     """The report row of one case: its summed float revenue in exact cents,
-    the plan's hardware depreciation over `months`, and their difference."""
-    revenue_cents = usd_cents(revenue)
-    cost_cents = depreciation_cost(
-        plan.owned_units, miner.unit_price_usd, months, miner.lifespan_months
-    )
+    the plan's hardware depreciation over `months`, and their difference.
+    Money too large to hold exactly to the cent is a ValidationError naming
+    the case."""
+    label = f"{price_source}-{plan.scenario}"
+    try:
+        revenue_cents = usd_cents(revenue)
+        cost_cents = depreciation_cost(
+            plan.owned_units, miner.unit_price_usd, months, miner.lifespan_months
+        )
+    except (Inexact, InvalidOperation):
+        raise ValidationError(
+            f"case {label}: revenue {revenue!r} USD or the cost of {plan.owned_units} units at "
+            f"{miner.unit_price_usd!r} USD has more than {_EXACT.prec} significant digits in cents"
+        ) from None
     return SimulationReport(
-        case_label=f"{price_source}-{plan.scenario}",
+        case_label=label,
         scenario=plan.scenario,
         price_source=price_source,
         revenue_usd=revenue_cents,
         cost_usd=cost_cents,
-        profit_usd=revenue_cents - cost_cents,
+        profit_usd=revenue_cents - cost_cents,  # exact: both are >= 0 and fit in 28 digits of cents
     )
 
 

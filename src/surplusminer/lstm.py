@@ -5,11 +5,15 @@ time, global-norm gradient clipping, and plain SGD over chronological
 mini-batches. Inputs are min-max scaled to [0, 1] with statistics fitted on
 the training split only; the target (next-day price) shares the price
 column's scaling so predictions invert back to dollars.
+
+Training and prediction share one forward pass, `_forward`, over a strided
+(batch, steps, features) view of the scaled rows (`_windows`); it checks
+its windows once on entry, so `cell_forward` is bare gate arithmetic.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -21,15 +25,6 @@ from .ingest import json_array, json_fields, json_value, output_file, read_json_
 from .params import TrainConfig
 
 LSTM_SCHEMA = "lstm-model/2"
-
-PARAM_NAMES = (
-    "W_f", "U_f", "b_f",
-    "W_i", "U_i", "b_i",
-    "W_c", "U_c", "b_c",
-    "W_o", "U_o", "b_o",
-    "V", "c",
-)
-
 
 @dataclass
 class LstmWeights:
@@ -67,6 +62,9 @@ class LstmWeights:
             yield name, getattr(self, name)
 
 
+PARAM_NAMES = tuple(f.name for f in fields(LstmWeights))
+
+
 def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
     """Uniform init on [-1/sqrt(h), 1/sqrt(h)], drawn in a fixed parameter order."""
     if input_dim < 1 or hidden_size < 1:
@@ -98,21 +96,12 @@ def cell_forward(
     c_prev: np.ndarray,
     w: LstmWeights,
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step over a batch: rows of x_t are samples.
+    """One LSTM step over a batch: rows of x_t are samples. No checks here:
+    `_forward` checks the whole window stack before its first step.
 
     Returns (h_t, c_t, cache); the cache carries everything the backward
     pass needs.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.ndim != 2 or x_t.shape[1] != w.input_dim:
-        raise ValidationError(
-            f"x_t must be (batch, {w.input_dim}), got {x_t.shape}"
-        )
-    if h_prev.shape != (x_t.shape[0], w.hidden_size) or c_prev.shape != h_prev.shape:
-        raise ValidationError("state shapes do not match the batch and hidden size")
-    if not np.all(np.isfinite(x_t)):
-        raise ValidationError("non-finite input to cell_forward")
-
     f = _sigmoid(x_t @ w.W_f.T + h_prev @ w.U_f.T + w.b_f)
     i = _sigmoid(x_t @ w.W_i.T + h_prev @ w.U_i.T + w.b_i)
     c_hat = np.tanh(x_t @ w.W_c.T + h_prev @ w.U_c.T + w.b_c)
@@ -124,15 +113,26 @@ def cell_forward(
     return h_t, c_t, cache
 
 
-def _forward(windows: np.ndarray, w: LstmWeights) -> np.ndarray:
+def _forward(windows: np.ndarray, w: LstmWeights, caches: list | None = None) -> np.ndarray:
     """Scaled predictions for a (m, T, d) stack of windows (a strided view is
-    fine): T cell steps over all m windows at once, keeping only h and c, so
-    memory does not grow with T (bptt_gradients records its own caches)."""
+    fine): T cell steps over all m windows at once. The one forward pass, for
+    training and prediction alike; it checks the stack's shape and that every
+    value is finite before the first step.
+
+    With a `caches` list (bptt_gradients), each step's cache is appended to
+    it; without one only h and c are kept, so memory does not grow with T.
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[1] < 1 or windows.shape[2] != w.input_dim:
+        raise ValidationError(f"windows must be (batch, steps, {w.input_dim}), got {windows.shape}")
+    if not np.all(np.isfinite(windows)):
+        raise ValidationError("non-finite input window")
     m, T, _ = windows.shape
-    h = np.zeros((m, w.hidden_size))
-    c = np.zeros((m, w.hidden_size))
+    h = c = np.zeros((m, w.hidden_size))  # cell_forward returns new arrays
     for t in range(T):
-        h, c, _ = cell_forward(windows[:, t, :], h, c, w)
+        h, c, cache = cell_forward(windows[:, t, :], h, c, w)
+        if caches is not None:
+            caches.append(cache)
     return h @ w.V + w.c[0]
 
 
@@ -143,26 +143,14 @@ def bptt_gradients(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Analytic gradients of the batch mean squared error, plus the loss.
 
-    windows is (m, T, d), targets is (m,). Gradients come back keyed by
-    parameter name, unclipped.
+    windows is (m, T, d), checked by `_forward`, and targets is (m,).
+    Gradients come back keyed by parameter name, unclipped.
     """
-    windows = np.asarray(windows, dtype=float)
+    caches: list = []
+    preds = _forward(windows, w, caches)
     targets = np.asarray(targets, dtype=float)
-    if windows.ndim != 3:
-        raise ValidationError(f"windows must be (batch, steps, features), got {windows.shape}")
-    if targets.shape != (windows.shape[0],):
-        raise ValidationError(
-            f"targets shape {targets.shape} does not match batch {windows.shape[0]}"
-        )
-
-    m, T, _ = windows.shape
-    h = np.zeros((m, w.hidden_size))
-    c = np.zeros((m, w.hidden_size))
-    caches = []
-    for t in range(T):
-        h, c, cache = cell_forward(windows[:, t, :], h, c, w)
-        caches.append(cache)
-    preds = h @ w.V + w.c[0]
+    if targets.shape != preds.shape:
+        raise ValidationError(f"targets shape {targets.shape} does not match batch {preds.shape[0]}")
     err = preds - targets
     if not np.all(np.isfinite(err)):
         bad = int(np.argmax(~np.isfinite(err)))
@@ -170,8 +158,9 @@ def bptt_gradients(
     loss = float(np.mean(err**2))
 
     grads = {name: np.zeros_like(arr) for name, arr in w.items()}
-    dpred = (2.0 / m) * err  # (m,)
-    grads["V"] = dpred @ h
+    dpred = (2.0 / len(err)) * err  # (m,)
+    *_, o, tanh_c = caches[-1]
+    grads["V"] = dpred @ (o * tanh_c)  # the last step's h
     grads["c"] = np.array([float(np.sum(dpred))])
 
     dh = np.outer(dpred, w.V)  # (m, hidden)
@@ -183,20 +172,10 @@ def bptt_gradients(
         dpre_i = (dc * c_hat) * i * (1.0 - i)
         dpre_c = (dc * i) * (1.0 - c_hat**2)
         dpre_o = do * o * (1.0 - o)
-
-        grads["W_f"] += dpre_f.T @ x_t
-        grads["U_f"] += dpre_f.T @ h_prev
-        grads["b_f"] += dpre_f.sum(axis=0)
-        grads["W_i"] += dpre_i.T @ x_t
-        grads["U_i"] += dpre_i.T @ h_prev
-        grads["b_i"] += dpre_i.sum(axis=0)
-        grads["W_c"] += dpre_c.T @ x_t
-        grads["U_c"] += dpre_c.T @ h_prev
-        grads["b_c"] += dpre_c.sum(axis=0)
-        grads["W_o"] += dpre_o.T @ x_t
-        grads["U_o"] += dpre_o.T @ h_prev
-        grads["b_o"] += dpre_o.sum(axis=0)
-
+        for g, dpre in zip("fico", (dpre_f, dpre_i, dpre_c, dpre_o)):
+            grads[f"W_{g}"] += dpre.T @ x_t
+            grads[f"U_{g}"] += dpre.T @ h_prev
+            grads[f"b_{g}"] += dpre.sum(axis=0)
         dh = dpre_f @ w.U_f + dpre_i @ w.U_i + dpre_c @ w.U_c + dpre_o @ w.U_o
         dc = dc * f
     return grads, loss
@@ -269,6 +248,12 @@ def _apply_sgd(w: LstmWeights, grads: dict[str, np.ndarray], lr: float) -> None:
         arr -= lr * grads[name]
 
 
+def _windows(scaled: np.ndarray, T: int) -> np.ndarray:
+    """Every T-row window of the (n, d) scaled rows, n >= T, as an (n-T+1, T, d)
+    view of them (no copies): window i is rows [i, i+T)."""
+    return np.lib.stride_tricks.sliding_window_view(scaled, T, axis=0).transpose(0, 2, 1)
+
+
 def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
     """Train on sliding windows of the feature matrix (chronological batches).
 
@@ -284,12 +269,9 @@ def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
         raise DataInsufficientError(f"need at least {T} feature rows, got {n}")
 
     scaler = MinMaxScaler.fit(inputs)
-    scaled = scaler.transform(inputs)
-    scaled_targets = scaler.transform_target(targets)
-
     n_windows = n - T + 1
-    windows = np.stack([scaled[i : i + T] for i in range(n_windows)])
-    window_targets = scaled_targets[T - 1 :]
+    windows = _windows(scaler.transform(inputs), T)
+    window_targets = scaler.transform_target(targets)[T - 1 :]
 
     w = init_weights(inputs.shape[1], config.hidden_size, config.seed)
     trace: list[float] = []
@@ -307,13 +289,12 @@ def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
 
 
 def _predict_rows(model: LstmModel, inputs: np.ndarray) -> np.ndarray:
-    """Next-day prices for every T-row window of the (n, d) raw inputs, n >= T:
-    one batched forward pass over an overlapping-window view (no copies)."""
+    """Next-day prices for every T-row window of the (n, d) raw inputs, n >= T,
+    in one batched forward pass. The width is checked before scaling, which
+    would otherwise fail on it as a numpy broadcast error."""
     if inputs.shape[1] != model.weights.input_dim:
         raise ValidationError(f"expected {model.weights.input_dim} input columns, got {inputs.shape[1]}")
-    windows = np.lib.stride_tricks.sliding_window_view(
-        model.scaler.transform(inputs), model.config.window, axis=0
-    ).transpose(0, 2, 1)
+    windows = _windows(model.scaler.transform(inputs), model.config.window)
     return model.scaler.inverse_target(_forward(windows, model.weights))
 
 

@@ -530,6 +530,27 @@ class TestOverrides:
         assert "train" in caplog.text
 
 
+class TestExactMoney:
+    """Report money is exact to the cent or the run exits 2: a case total
+    past decimal's 28 significant digits is never rounded into report.txt."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"blocks_per_day": 10**22}, {"miner": {"unit_price_usd": 1e30}}],
+        ids=["huge-revenue", "huge-cost"],
+    )
+    def test_money_past_28_digits_exits_2_naming_the_case(self, tmp_path, caplog, overrides):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main([
+                "simulate", "--config", str(write_config(tmp_path, **overrides)),
+                "--cases", "actual-1,actual-2", "--out", str(out),
+            ])
+        assert rc == 2
+        assert "case actual-1: " in caplog.text and "28 significant digits" in caplog.text
+        assert not (out / "report.txt").exists()
+
+
 TRAIN_OUTPUTS = ("forest_model.json", "lstm_model.json", "eval.csv", "train_summary.txt")
 
 

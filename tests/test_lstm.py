@@ -73,12 +73,6 @@ class TestCellForward:
         _, c_t, _ = cell_forward(x, np.zeros((1, h)), c_prev, w)
         assert c_t == pytest.approx(c_prev, rel=1e-12)
 
-    def test_non_finite_input_rejected(self):
-        w = init_weights(2, 3, seed=1)
-        x = np.array([[1.0, math.inf]])
-        with pytest.raises(ValidationError):
-            cell_forward(x, np.zeros((1, 3)), np.zeros((1, 3)), w)
-
     def test_state_shapes(self):
         w = init_weights(4, 5, seed=2)
         h_t, c_t, cache = cell_forward(
@@ -126,6 +120,35 @@ class TestGradients:
         preds = [float(_forward(win[None], w)[0]) for win in windows]
         want = sum((p - t) ** 2 for p, t in zip(preds, targets)) / 5.0
         assert loss == pytest.approx(want, rel=1e-12)
+
+
+class TestInputChecks:
+    """The forward pass checks its windows once on entry, for training and
+    prediction alike; cell_forward itself checks nothing."""
+
+    def test_non_finite_window_rejected(self):
+        w = init_weights(2, 3, seed=1)
+        windows = np.ones((2, 4, 2))
+        windows[1, 2, 1] = math.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            bptt_gradients(windows, np.zeros(2), w)
+
+        matrix = build_features(make_series(sine_prices(60)))
+        model = untrained_model(matrix, window=8, hidden=4)
+        rows = matrix.input_array()[:8]
+        rows[3, -1] = math.nan  # the price column, which is not constant
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_window(model, rows)
+
+    def test_wrong_width_window_rejected(self):
+        w = init_weights(2, 3, seed=1)
+        with pytest.raises(ValidationError, match=r"windows must be \(batch, steps, 2\), got \(2, 4, 3\)"):
+            bptt_gradients(np.zeros((2, 4, 3)), np.zeros(2), w)
+
+    def test_targets_must_match_the_batch(self):
+        w = init_weights(2, 3, seed=1)
+        with pytest.raises(ValidationError, match="does not match batch 2"):
+            bptt_gradients(np.zeros((2, 4, 2)), np.zeros(3), w)
 
 
 class TestClipping:

@@ -14,7 +14,7 @@ import importlib
 import json
 import logging
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import get_type_hints
@@ -43,6 +43,7 @@ from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketSeries,
+    MonthlySurplusTotal,
     fill_gaps,
     monthly_totals,
     output_file,
@@ -221,6 +222,13 @@ def _header(cfg: RunConfig) -> str:
     return f"config={config_hash(cfg)} seed={cfg.seed}"
 
 
+def _ledger_header(cfg: RunConfig) -> str:
+    """ledger.csv's header: that of the config with all six cases. A case's
+    rows do not depend on which other cases ran, so a report on any of its
+    cases can check the ledger against the run config."""
+    return _header(replace(cfg, cases=VALID_CASES))
+
+
 def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,12 +278,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     totals = monthly_totals(surplus)
 
     write_market_csv(filled, out / "market_clean.csv", header_comment=_header(cfg))
-    write_output_csv(
-        out / "surplus_monthly.csv",
-        ["month", "total_kwh"],
-        ([t.month, repr(t.total_kwh)] for t in totals),
-        _header(cfg),
-    )
+    write_output_csv(out / "surplus_monthly.csv", MonthlySurplusTotal._fields, totals, _header(cfg))
 
     regions = sorted({r.region for r in surplus})
     lines = [
@@ -480,7 +483,15 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     """Render report.txt from out/ledger.csv alone, write it and print it: each
     requested case's revenue summed from the ledger, its depreciation and profit."""
     ledger_path = out / "ledger.csv"
-    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day)
+    with open(ledger_path, encoding="utf-8") as fh:
+        written_under = fh.readline().rstrip("\n")
+    expected = f"# {_ledger_header(cfg)}"
+    if written_under != expected:
+        raise ValidationError(
+            f"{ledger_path} is headed {written_under!r}, but this run's ledger is headed {expected!r}; "
+            "run simulate again"
+        )
+    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
     if not revenue:
         raise DataInsufficientError(f"{ledger_path}: no ledger rows")
     missing = sorted(set(cfg.cases) - set(revenue))
@@ -513,7 +524,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
             cfg.sim_start, cfg.sim_end, cfg.blocks_per_day,
         )
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
-    write_ledger_csv(entries, out / "ledger.csv", header_comment=_header(cfg))
+    write_ledger_csv(entries, out / "ledger.csv", header_comment=_ledger_header(cfg))
     _write_report(cfg, out, plans)
 
 

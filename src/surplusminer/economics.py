@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, InvalidOperation
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DataInsufficientError, ValidationError
 from .fleet import HALVING_SCHEDULE, MinerSpec, ScenarioPlan, block_reward
@@ -23,12 +24,6 @@ from .ingest import MAX_PRICE_USD, MarketSeries, _data_rows, _parse_float, write
 logger = logging.getLogger(__name__)
 
 BLOCKS_PER_DAY = 144
-
-LEDGER_COLUMNS = (
-    "date", "scenario", "price_source", "operating_units",
-    "fleet_hashrate_ths", "network_hashrate_ths",
-    "btc_mined", "revenue_usd", "price_used_usd",
-)
 
 _CENT = Decimal("0.01")
 # The money step that must not round: cents past the 28 significant digits
@@ -144,8 +139,9 @@ class PriceSource:
         return price
 
 
-@dataclass(frozen=True)
-class DailyLedgerEntry:
+class DailyLedgerEntry(NamedTuple):
+    """One case's day: a ledger.csv row, its fields in column order."""
+
     day: date
     scenario: int
     price_source: str
@@ -155,6 +151,9 @@ class DailyLedgerEntry:
     btc_mined: float
     revenue_usd: float
     price_used_usd: float
+
+
+LEDGER_COLUMNS = ("date", *DailyLedgerEntry._fields[1:])
 
 
 @dataclass
@@ -262,45 +261,39 @@ def run_case(
 
 def write_ledger_csv(entries: list[DailyLedgerEntry], path, header_comment: str | None = None) -> None:
     """Ledger rows, in the order given."""
-    write_output_csv(
-        path,
-        LEDGER_COLUMNS,
-        (
-            [
-                e.day.isoformat(),
-                e.scenario,
-                e.price_source,
-                e.operating_units,
-                repr(e.fleet_hashrate_ths),
-                repr(e.network_hashrate_ths),
-                repr(e.btc_mined),
-                repr(e.revenue_usd),
-                repr(e.price_used_usd),
-            ]
-            for e in entries
-        ),
-        header_comment,
-    )
+    write_output_csv(path, LEDGER_COLUMNS, entries, header_comment)
 
 
-def read_ledger_totals(path, blocks_per_day: int) -> dict[str, float]:
+def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date) -> dict[str, float]:
     """Per case label in a ledger.csv (price source-scenario): the revenue
-    summed in file order, which is date order within a case.
+    summed in file order.
 
     A wrong header, a short row, a bad value or a revenue outside [0, the most
-    one day can earn] is a ValidationError naming the line.
+    one day can earn] is a ValidationError naming the line; a case without
+    exactly one row per day from sim_start to sim_end, in date order, is one
+    naming the case.
     """
     # every block at the largest reward ever paid, sold at ingest's highest price
     max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * blocks_per_day
     totals: dict[str, float] = {}
+    days: dict[str, list[str]] = {}
     for line_no, row in _data_rows(path, LEDGER_COLUMNS):
         where = f"{path}:{line_no}"
-        _, scenario, source, _, _, _, _, revenue_text, _ = row
-        if scenario not in ("1", "2"):
-            raise ValidationError(f"{where}: invalid scenario {scenario!r}")
-        key = f"{source}-{scenario}"
-        revenue = _parse_float(revenue_text, where, "revenue_usd")
+        entry = DailyLedgerEntry._make(row)
+        if entry.scenario not in ("1", "2"):
+            raise ValidationError(f"{where}: invalid scenario {entry.scenario!r}")
+        key = f"{entry.price_source}-{entry.scenario}"
+        revenue = _parse_float(entry.revenue_usd, where, "revenue_usd")
         if not 0 <= revenue <= max_revenue:
-            raise ValidationError(f"{where}: revenue_usd must be in [0, {max_revenue:g}], got {revenue_text!r}")
+            raise ValidationError(
+                f"{where}: revenue_usd must be in [0, {max_revenue:g}], got {entry.revenue_usd!r}"
+            )
         totals[key] = totals.get(key, 0.0) + revenue
+        days.setdefault(key, []).append(entry.day)
+    expected = [(sim_start + timedelta(days=i)).isoformat() for i in range((sim_end - sim_start).days + 1)]
+    for key, case_days in days.items():
+        if case_days != expected:
+            raise ValidationError(
+                f"{path}: case {key} must have one row per day from {sim_start} to {sim_end}, in date order"
+            )
     return totals

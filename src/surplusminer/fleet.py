@@ -204,14 +204,7 @@ def write_fleet_csv(plans: list[ScenarioPlan], path, header_comment: str | None 
         path,
         ["month", "scenario", "supported", "operating", "energy_used_kwh", "energy_idle_kwh"],
         (
-            [
-                mf.month,
-                plan.scenario,
-                mf.supported,
-                mf.operating,
-                repr(mf.energy_used_kwh),
-                repr(mf.energy_idle_kwh),
-            ]
+            (mf.month, plan.scenario, mf.supported, mf.operating, mf.energy_used_kwh, mf.energy_idle_kwh)
             for plan in plans
             for mf in plan.monthly
         ),

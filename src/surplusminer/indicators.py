@@ -233,9 +233,6 @@ def write_features_csv(matrix: FeatureMatrix, path, header_comment: str | None =
     write_output_csv(
         path,
         ["date", *FEATURE_NAMES, "target"],
-        (
-            [r.day.isoformat(), *(repr(v) for v in r.features()), repr(r.target_price)]
-            for r in matrix.rows
-        ),
+        ((r.day, *r.features(), r.target_price) for r in matrix.rows),
         header_comment,
     )

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .errors import DataInsufficientError, ValidationError
 
@@ -313,8 +313,8 @@ def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
 
 def write_output_csv(path: str | Path, columns, rows, header_comment: str | None = None) -> None:
     """Write an output CSV: the column header, then `rows`, in csv's default
-    dialect with LF terminators. Floats should be passed as repr() strings so
-    they round-trip exactly."""
+    dialect with LF terminators. Floats are written as their repr, so they
+    round-trip exactly; dates in ISO form."""
     with output_file(path, header_comment) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -326,7 +326,7 @@ def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str
     write_output_csv(
         path,
         MARKET_COLUMNS,
-        ([r.day.isoformat(), repr(r.price_usd), repr(r.network_hashrate_ths)] for r in series.records),
+        ((r.day, r.price_usd, r.network_hashrate_ths) for r in series.records),
         header_comment,
     )
 
@@ -385,9 +385,9 @@ class SurplusRecord:
             raise ValidationError(f"surplus_kwh must be in [0, {MAX_SURPLUS_KWH:g}], got {self.surplus_kwh!r}")
 
 
-@dataclass(frozen=True)
-class MonthlySurplusTotal:
-    """Surplus energy summed across regions for one month."""
+class MonthlySurplusTotal(NamedTuple):
+    """Surplus energy summed across regions for one month: a
+    surplus_monthly.csv row, its fields in column order."""
 
     month: str
     total_kwh: float

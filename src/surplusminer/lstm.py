@@ -201,7 +201,9 @@ class MinMaxScaler:
 
     The target takes the last column's scaling: FeatureMatrix.input_array
     puts the same-day price last, and the target is a price too, so scaled
-    predictions invert back to the original units. Constant columns map to 0.
+    predictions invert back to the original units. A column constant in
+    training has span 1, so its training values map to 0 and a non-finite
+    value stays non-finite, for the forward pass to reject.
     """
 
     mins: np.ndarray
@@ -214,25 +216,19 @@ class MinMaxScaler:
             raise ValidationError("scaler needs a non-empty (n, d) matrix")
         return cls(values.min(axis=0), values.max(axis=0))
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
+    @property
+    def spans(self) -> np.ndarray:
         span = self.maxs - self.mins
-        safe = np.where(span > 0, span, 1.0)
-        scaled = (values - self.mins) / safe
-        return np.where(span > 0, scaled, 0.0)
+        return np.where(span > 0, span, 1.0)
+
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        return (np.asarray(values, dtype=float) - self.mins) / self.spans
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        lo = self.mins[-1]
-        span = self.maxs[-1] - lo
-        if span <= 0:
-            return np.zeros_like(y)
-        return (y - lo) / span
+        return (np.asarray(y, dtype=float) - self.mins[-1]) / self.spans[-1]
 
     def inverse_target(self, scaled: np.ndarray | float) -> np.ndarray | float:
-        lo = self.mins[-1]
-        span = self.maxs[-1] - lo
-        return scaled * span + lo
+        return scaled * self.spans[-1] + self.mins[-1]
 
 
 @dataclass

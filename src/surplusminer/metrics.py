@@ -1,8 +1,7 @@
 """Regression error metrics and the evaluation report row."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +51,8 @@ def r2(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """One model/split evaluation row."""
+class EvalReport(NamedTuple):
+    """One model/split evaluation row: an eval.csv row, its fields in column order."""
 
     model: str
     split: str
@@ -78,9 +76,4 @@ def evaluate(model: str, split: str, actual: Sequence[float], predicted: Sequenc
 
 def write_eval_csv(reports: Sequence[EvalReport], path, header_comment: str | None = None) -> None:
     """Write evaluation rows (model,split,n,mae,mse,r2)."""
-    write_output_csv(
-        path,
-        ["model", "split", "n", "mae", "mse", "r2"],
-        ([r.model, r.split, r.n, repr(r.mae), repr(r.mse), repr(r.r2)] for r in reports),
-        header_comment,
-    )
+    write_output_csv(path, EvalReport._fields, reports, header_comment)

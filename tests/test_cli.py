@@ -297,12 +297,12 @@ class TestConfigValidation:
 
 
 class TestReportFromLedger:
-    def _report_on_edited_ledger(self, pipeline_out, tmp_path, edit, *args) -> int:
+    def _report_on_edited_ledger(self, pipeline_out, tmp_path, edit, *args, config=FIXTURE_CONFIG) -> int:
         out = tmp_path / "out"
         out.mkdir()
         lines = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         (out / "ledger.csv").write_text("".join(edit(lines)), encoding="utf-8")
-        return main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out), *args])
+        return main(["report", "--config", str(config), "--out", str(out), *args])
 
     def test_report_prints_only_the_requested_cases(self, pipeline_out, tmp_path, capsys):
         rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines, "--cases", "lstm-2,actual-1")
@@ -310,6 +310,33 @@ class TestReportFromLedger:
         report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
         assert [line.split()[0] for line in report.splitlines()[4:]] == ["actual-1", "lstm-2"]
         assert capsys.readouterr().out == report
+
+    @pytest.mark.parametrize(
+        "overrides,args", [({}, ("--seed", "7")), ({"sim_end": "2023-12-30"}, ())], ids=["seed", "sim_end"]
+    )
+    def test_report_under_another_config_exits_2_naming_both_headers(
+        self, pipeline_out, tmp_path, caplog, overrides, args
+    ):
+        """The ledger is headed with the config it was simulated under, all six
+        cases included; a report under another config would relabel it."""
+        config = write_config(tmp_path, **overrides)
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines, *args, config=config)
+        assert rc == 2
+        written = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert f"is headed {written!r}, but this run's ledger is headed '# config=" in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit", [lambda lines: lines[:3] + lines[2:], lambda lines: lines[:2] + lines[3:]], ids=["repeated", "missing"]
+    )
+    def test_report_on_ledger_with_a_repeated_or_missing_day_exits_2_naming_the_case(
+        self, pipeline_out, tmp_path, caplog, edit
+    ):
+        """Line 3 is actual-1's first day: each of its days must appear once."""
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(pipeline_out, tmp_path, edit)
+        assert rc == 2
+        assert "case actual-1 must have one row per day from 2023-06-01 to 2023-12-31, in date order" in caplog.text
 
     def test_report_on_ledger_lacking_a_requested_case_exits_2_naming_it(self, pipeline_out, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):

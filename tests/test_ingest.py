@@ -1,12 +1,15 @@
-"""Parsing, validation, gap filling, and surplus aggregation."""
-from datetime import date
+"""Parsing, validation, gap filling, surplus aggregation, and the output format."""
+import csv
+from datetime import date, timedelta
 
 import pytest
 
+from surplusminer.economics import LEDGER_COLUMNS, DailyLedgerEntry, write_ledger_csv
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.ingest import (
     MarketRecord,
     MarketSeries,
+    MonthlySurplusTotal,
     SurplusRecord,
     days_in_month,
     fill_gaps,
@@ -15,7 +18,9 @@ from surplusminer.ingest import (
     parse_market_csv,
     parse_surplus_csv,
     write_market_csv,
+    write_output_csv,
 )
+from surplusminer.metrics import EvalReport, write_eval_csv
 
 from conftest import make_series
 
@@ -226,3 +231,52 @@ class TestOutputFile:
                 raise RuntimeError("mid-write")
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# floats whose shortest repr is long, subnormal, exponent-form or repeating
+AWKWARD = (0.1 + 0.2, 5e-324, 1e22, 1 / 3)
+DAY = date(2023, 6, 1)
+
+
+class TestOutputFormat:
+    """csv writes each record's fields as they are: a float as its repr, a
+    date in ISO form, so every written value reads back unchanged."""
+
+    @pytest.mark.parametrize(
+        "write,columns,rows",
+        [
+            (
+                lambda rows, path: write_ledger_csv(rows, path, "hdr"),
+                LEDGER_COLUMNS,
+                [DailyLedgerEntry(DAY + timedelta(days=i), 1, "actual", 7, x, x, x, x, x) for i, x in enumerate(AWKWARD)],
+            ),
+            (
+                lambda rows, path: write_eval_csv(rows, path, "hdr"),
+                EvalReport._fields,
+                [EvalReport("forest", "test", 214, x, x, x) for x in AWKWARD],
+            ),
+            (
+                lambda rows, path: write_output_csv(path, MonthlySurplusTotal._fields, rows, "hdr"),
+                MonthlySurplusTotal._fields,
+                [MonthlySurplusTotal(f"2023-0{i + 1}", x) for i, x in enumerate(AWKWARD)],
+            ),
+        ],
+        ids=["ledger", "eval", "surplus_monthly"],
+    )
+    def test_every_cell_reads_back_bit_for_bit(self, tmp_path, write, columns, rows):
+        path = tmp_path / "out.csv"
+        write(rows, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            comment, header, *cells = csv.reader(fh)
+        assert comment == ["# hdr"]
+        assert tuple(header) == columns
+        assert len(cells) == len(rows)
+        for row, written in zip(rows, cells):
+            assert len(written) == len(row)
+            for value, cell in zip(row, written):
+                if isinstance(value, float):
+                    assert float(cell).hex() == value.hex(), cell
+                elif isinstance(value, date):
+                    assert cell == value.isoformat()
+                else:
+                    assert cell == str(value)

@@ -1,6 +1,7 @@
 """LSTM cell math, gradients vs finite differences, scaling, determinism."""
 import math
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -313,6 +314,16 @@ class TestPrediction:
         model = untrained_model(matrix, window=8, hidden=4, columns=slice(1, None))
         with pytest.raises(ValidationError, match="expected 6 input columns, got 7"):
             predict_series(model, matrix)
+
+    def test_series_rejects_inf_in_a_column_constant_in_training(self):
+        """A column constant in training scales with span 1, so an inf in it
+        stays inf and reaches the forward pass's finiteness check."""
+        matrix = build_features(make_series(sine_prices(60)))
+        flat = FeatureMatrix([replace(row, rsi=50.0) for row in matrix.rows])
+        model = untrained_model(flat, window=8, hidden=4)
+        hostile = FeatureMatrix(flat.rows[:-1] + [replace(flat.rows[-1], rsi=math.inf)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_series(model, hostile)
 
     def test_series_shorter_than_a_window(self):
         matrix = build_features(make_series(sine_prices(60)))

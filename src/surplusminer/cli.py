@@ -125,6 +125,8 @@ class RunConfig:
             )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValidationError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.blocks_per_day < 1:
             raise ValidationError(f"blocks_per_day must be >= 1, got {self.blocks_per_day}")
         for case in self.cases:
@@ -492,8 +494,6 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
             "run simulate again"
         )
     revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
-    if not revenue:
-        raise DataInsufficientError(f"{ledger_path}: no ledger rows")
     missing = sorted(set(cfg.cases) - set(revenue))
     if missing:
         raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")

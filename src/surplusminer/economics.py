@@ -271,25 +271,25 @@ def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date
     A wrong header, a short row, a bad value or a revenue outside [0, the most
     one day can earn] is a ValidationError naming the line; a case without
     exactly one row per day from sim_start to sim_end, in date order, is one
-    naming the case.
+    naming the case; a ledger without a row is a DataInsufficientError.
     """
     # every block at the largest reward ever paid, sold at ingest's highest price
     max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * blocks_per_day
-    totals: dict[str, float] = {}
-    days: dict[str, list[str]] = {}
-    for line_no, row in _data_rows(path, LEDGER_COLUMNS):
-        where = f"{path}:{line_no}"
+
+    def parse_row(row: list[str]) -> tuple[str, str, float]:
         entry = DailyLedgerEntry._make(row)
         if entry.scenario not in ("1", "2"):
-            raise ValidationError(f"{where}: invalid scenario {entry.scenario!r}")
-        key = f"{entry.price_source}-{entry.scenario}"
-        revenue = _parse_float(entry.revenue_usd, where, "revenue_usd")
+            raise ValidationError(f"invalid scenario {entry.scenario!r}")
+        revenue = _parse_float(entry.revenue_usd, "revenue_usd")
         if not 0 <= revenue <= max_revenue:
-            raise ValidationError(
-                f"{where}: revenue_usd must be in [0, {max_revenue:g}], got {entry.revenue_usd!r}"
-            )
+            raise ValidationError(f"revenue_usd must be in [0, {max_revenue:g}], got {entry.revenue_usd!r}")
+        return f"{entry.price_source}-{entry.scenario}", entry.day, revenue
+
+    totals: dict[str, float] = {}
+    days: dict[str, list[str]] = {}
+    for _, (key, day, revenue) in _data_rows(path, LEDGER_COLUMNS, parse_row):
         totals[key] = totals.get(key, 0.0) + revenue
-        days.setdefault(key, []).append(entry.day)
+        days.setdefault(key, []).append(day)
     expected = [(sim_start + timedelta(days=i)).isoformat() for i in range((sim_end - sim_start).days + 1)]
     for key, case_days in days.items():
         if case_days != expected:

@@ -48,6 +48,7 @@ MAX_SURPLUS_KWH = 1e12
 MAX_HOUSEHOLDS = 10**9
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -119,51 +120,68 @@ class MarketSeries:
         return MarketSeries(kept)
 
 
-def _data_rows(path: str | Path, columns: tuple[str, ...]):
-    """Yield (line_number, row) for each data row of a CSV file whose header
-    row is `columns`, skipping blank and '#' lines.
+def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
+    """Yield (line_number, parse(row)) for each data row of a CSV file whose
+    header row is `columns`, skipping blank and '#' lines.
 
     The '#' skip lets files written by this package (which carry a provenance
     header line, see output_file) round-trip through the same parser. A file
-    without a header is a DataInsufficientError; a different header, or a row
-    of another width, is a ValidationError naming the line.
+    without a data row is a DataInsufficientError. A different header, a row
+    of another width, or a ValidationError from parse is a ValidationError
+    starting `<path>:<line>: `: an input row's location is written here
+    alone, and only when the row fails.
     """
+    header = None
+    any_rows = False
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            where = f"{path}:{reader.line_num}"
-            if header is None:
-                header = row
-                if tuple(h.strip() for h in header) != columns:
-                    raise ValidationError(
-                        f"{where}: expected header {','.join(columns)}, got {','.join(header)!r}"
-                    )
-            elif len(row) != len(columns):
-                raise ValidationError(f"{where}: expected {len(columns)} columns, got {len(row)}")
-            else:
-                yield reader.line_num, row
-    if header is None:
+        try:
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                if header is None:
+                    header = row
+                    if tuple(h.strip() for h in header) != columns:
+                        raise ValidationError(f"expected header {','.join(columns)}, got {','.join(header)!r}")
+                elif len(row) != len(columns):
+                    raise ValidationError(f"expected {len(columns)} columns, got {len(row)}")
+                else:
+                    any_rows = True
+                    yield reader.line_num, parse(row)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    if not any_rows:
         raise DataInsufficientError(f"{path}: no records")
 
 
-def _parse_date(text: str, where: str) -> date:
+def _iso_date(text: str) -> date:
+    """A YYYY-MM-DD date. date.fromisoformat alone would also take 20220104
+    or the week date 2023-W52-7, but only from Python 3.11 on."""
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(text)
+    return date.fromisoformat(text)
+
+
+def _parse_date(text: str) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return _iso_date(text.strip())
     except ValueError:
-        raise ValidationError(f"{where}: invalid ISO date {text!r}") from None
+        raise ValidationError(f"invalid ISO date {text!r}") from None
 
 
-def _parse_float(text: str, where: str, column: str) -> float:
+def _parse_float(text: str, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValidationError(f"{where}: invalid number {text!r} in {column}") from None
+        raise ValidationError(f"invalid number {text!r} in {column}") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{where}: non-finite value {text!r} in {column}")
+        raise ValidationError(f"non-finite value {text!r} in {column}")
     return value
+
+
+def _market_record(row: list[str]) -> MarketRecord:
+    day, price, rate = row
+    return MarketRecord(_parse_date(day), _parse_float(price, "price_usd"), _parse_float(rate, "network_hashrate_ths"))
 
 
 def parse_market_csv(path: str | Path) -> MarketSeries:
@@ -176,24 +194,11 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
     path = Path(path)
     records: list[MarketRecord] = []
     seen: dict[date, int] = {}
-    for line_no, row in _data_rows(path, MARKET_COLUMNS):
-        where = f"{path}:{line_no}"
-        day = _parse_date(row[0], where)
-        if day in seen:
-            raise ValidationError(
-                f"{where}: duplicate date {day.isoformat()} "
-                f"(first seen at line {seen[day]})"
-            )
-        seen[day] = line_no
-        price = _parse_float(row[1], where, "price_usd")
-        hashrate = _parse_float(row[2], where, "network_hashrate_ths")
-        try:
-            records.append(MarketRecord(day, price, hashrate))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-
-    if not records:
-        raise DataInsufficientError(f"{path}: no records")
+    for line_no, rec in _data_rows(path, MARKET_COLUMNS, _market_record):
+        first = seen.setdefault(rec.day, line_no)
+        if first != line_no:
+            raise ValidationError(f"{path}:{line_no}: duplicate date {rec.day} (first seen at line {first})")
+        records.append(rec)
     records.sort(key=lambda r: r.day)
     return MarketSeries(records)
 
@@ -253,7 +258,7 @@ def typed_value(value, tp, what: str):
         tp = next(arg for arg in get_args(tp) if arg is not type(None))
     if tp is date:
         try:
-            return date.fromisoformat(value)
+            return _iso_date(value)
         except (TypeError, ValueError):
             raise ValidationError(f"{what}: invalid ISO date {value!r}") from None
     if get_origin(tp) is tuple:
@@ -406,45 +411,34 @@ def parse_surplus_csv(
     """
     path = Path(path)
     month_lo, month_hi = months
-    records: list[SurplusRecord] = []
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, row in _data_rows(path, SURPLUS_COLUMNS):
-        where = f"{path}:{line_no}"
+
+    def parse_row(row: list[str]) -> SurplusRecord:
         region = row[0].strip()
         if not region:
-            raise ValidationError(f"{where}: empty region")
-        month = row[1].strip()
-        if not _MONTH_RE.match(month):
-            raise ValidationError(f"{where}: unparseable month {row[1]!r}, expected YYYY-MM")
-        if not (month_lo <= month <= month_hi):
-            raise ValidationError(
-                f"{where}: month {month} outside allowed range {month_lo}..{month_hi}"
-            )
-        key = (region, month)
-        if key in seen:
-            raise ValidationError(
-                f"{where}: duplicate record for {region}/{month} "
-                f"(first seen at line {seen[key]})"
-            )
-        seen[key] = line_no
+            raise ValidationError("empty region")
         try:
             households = int(row[2])
         except ValueError:
-            raise ValidationError(f"{where}: invalid integer {row[2]!r} in households") from None
-        kwh = _parse_float(row[3], where, "surplus_kwh")
-        try:
-            rec = SurplusRecord(region, month, households, kwh)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+            raise ValidationError(f"invalid integer {row[2]!r} in households") from None
+        rec = SurplusRecord(region, row[1].strip(), households, _parse_float(row[3], "surplus_kwh"))
+        if not month_lo <= rec.month <= month_hi:
+            raise ValidationError(f"month {rec.month} outside allowed range {month_lo}..{month_hi}")
+        return rec
+
+    records: list[SurplusRecord] = []
+    seen: dict[tuple[str, str], int] = {}
+    for line_no, rec in _data_rows(path, SURPLUS_COLUMNS, parse_row):
+        first = seen.setdefault((rec.region, rec.month), line_no)
+        if first != line_no:
+            raise ValidationError(
+                f"{path}:{line_no}: duplicate record for {rec.region}/{rec.month} (first seen at line {first})"
+            )
         if rec.households == 0 and rec.surplus_kwh > 0:
             logger.warning(
-                "%s: %s/%s reports %.1f kWh from zero households",
-                where, region, month, kwh,
+                "%s:%d: %s/%s reports %.1f kWh from zero households",
+                path, line_no, rec.region, rec.month, rec.surplus_kwh,
             )
         records.append(rec)
-
-    if not records:
-        raise DataInsufficientError(f"{path}: no records")
     records.sort(key=lambda r: (r.month, r.region))
     return records
 

@@ -211,6 +211,16 @@ class TestIngest:
             assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 3
         assert "gap at series start: first record is 2022-01-10" in caplog.text
 
+    def test_date_not_in_yyyy_mm_dd_form_exits_2_naming_the_line(self, tmp_path, caplog):
+        """Python 3.11's date.fromisoformat reads 20220104; 3.10's does not."""
+        text = (DATA_DIR / "market.csv").read_text(encoding="utf-8")
+        (tmp_path / "market.csv").write_text(text.replace("\n2022-01-04,", "\n20220104,"), encoding="utf-8")
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "market.csv:5: invalid ISO date '20220104'" in caplog.text
+
     def test_missing_market_file_exits_2(self, tmp_path, caplog):
         cfg = write_config(tmp_path, market_csv="absent.csv")
         with caplog.at_level(logging.ERROR):
@@ -282,6 +292,25 @@ class TestConfigValidation:
             rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"config key {key!r}" in caplog.text
+
+    def test_week_date_exits_2_naming_the_key(self, tmp_path, caplog):
+        """Python 3.11's date.fromisoformat reads 2023-W52-7 as 2023-12-31."""
+        cfg = write_config(tmp_path, sim_end="2023-W52-7")
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config key 'sim_end': invalid ISO date '2023-W52-7'" in caplog.text
+
+    @pytest.mark.parametrize(
+        "command,overrides,args", [("train", {}, ("--seed", "-1")), ("ingest", {"seed": -1}, ())], ids=["flag", "key"]
+    )
+    def test_negative_seed_exits_2_without_a_traceback(self, tmp_path, caplog, command, overrides, args):
+        cfg = write_config(tmp_path, **overrides)
+        with caplog.at_level(logging.ERROR):
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args])
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records] == [f"validation error: {cfg}: seed must be >= 0, got -1"]
+        assert not any(r.exc_info for r in caplog.records)
 
     def test_partial_miner_section_merges_over_defaults(self, tmp_path):
         cfg = write_config(tmp_path, miner={"name": "x"})
@@ -370,6 +399,12 @@ class TestReportFromLedger:
             rc = self._report_on_edited_ledger(pipeline_out, tmp_path, edit)
         assert rc == 2
         assert f"ledger.csv:3: revenue_usd must be in [0, 3.6e+15], got {revenue!r}" in caplog.text
+
+    def test_report_on_ledger_without_a_row_exits_3(self, pipeline_out, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines[:2])
+        assert rc == 3
+        assert f"{tmp_path / 'out' / 'ledger.csv'}: no records" in caplog.text
 
     def test_report_on_ledger_missing_a_column_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
         def drop_price_source(lines):

@@ -1,10 +1,11 @@
 """Parsing, validation, gap filling, surplus aggregation, and the output format."""
 import csv
+import logging
 from datetime import date, timedelta
 
 import pytest
 
-from surplusminer.economics import LEDGER_COLUMNS, DailyLedgerEntry, write_ledger_csv
+from surplusminer.economics import LEDGER_COLUMNS, DailyLedgerEntry, read_ledger_totals, write_ledger_csv
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.ingest import (
     MarketRecord,
@@ -200,6 +201,105 @@ class TestSurplus:
             SurplusRecord("x", "2021-1", 1, 1.0)
         ok = SurplusRecord("x", "2021-01", 1, 1.0)
         assert ok.month == "2021-01"
+
+    def test_zero_households_with_energy_warns_naming_the_line(self, tmp_path, caplog):
+        p = write(tmp_path, "s.csv", SURPLUS_HEADER + "north,2021-01,10,5.0\nsouth,2021-01,0,7.5\n")
+        with caplog.at_level(logging.WARNING):
+            records = parse_surplus_csv(p)
+        assert len(records) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"{p}:3: south/2021-01 reports 7.5 kWh from zero households"
+        ]
+
+
+LEDGER_HEADER = ",".join(LEDGER_COLUMNS) + "\n"
+LEDGER_ROW = "2023-06-01,1,actual,7,3311.0,400000000.0,0.11,3000.0,27000.0\n"
+
+# Each input reader, and its file's header row.
+READERS = {
+    "market": (parse_market_csv, MARKET_HEADER),
+    "surplus": (parse_surplus_csv, SURPLUS_HEADER),
+    "ledger": (lambda p: read_ledger_totals(p, 144, date(2023, 6, 1), date(2023, 6, 1)), LEDGER_HEADER),
+}
+
+
+class TestRowLocation:
+    """Every input CSV is read by one row loop: an error in a row reads
+    `<file>:<line>: <message>`, the line counted in the file as written."""
+
+    @pytest.mark.parametrize(
+        "reader,text,line,message",
+        [
+            pytest.param(
+                "market", "day,price,hash\n",
+                2, "expected header date,price_usd,network_hashrate_ths, got 'day,price,hash'",
+                id="market-header",
+            ),
+            pytest.param(
+                "market", MARKET_HEADER + "2023-01-01,1.0,1.0\n2023-01-02,1.0\n",
+                4, "expected 3 columns, got 2",
+                id="market-short-row",
+            ),
+            pytest.param(
+                "market", MARKET_HEADER + "2023-01-01,1.0,1.0\n2023-01-02,abc,1.0\n",
+                4, "invalid number 'abc' in price_usd",
+                id="market-bad-cell",
+            ),
+            pytest.param(
+                "surplus", "region,month,kwh\n",
+                2, "expected header region,month,households,surplus_kwh, got 'region,month,kwh'",
+                id="surplus-header",
+            ),
+            pytest.param(
+                "surplus", SURPLUS_HEADER + "north,2021-01,10,5.0\nnorth,2021-02,10\n",
+                4, "expected 4 columns, got 3",
+                id="surplus-short-row",
+            ),
+            pytest.param(
+                "surplus", SURPLUS_HEADER + "north,2021-01,10,5.0\nnorth,2021-02,ten,5.0\n",
+                4, "invalid integer 'ten' in households",
+                id="surplus-bad-cell",
+            ),
+            pytest.param(
+                "ledger", "date,revenue\n",
+                2, f"expected header {','.join(LEDGER_COLUMNS)}, got 'date,revenue'",
+                id="ledger-header",
+            ),
+            pytest.param(
+                "ledger", LEDGER_HEADER + LEDGER_ROW + "2023-06-02,1,actual\n",
+                4, "expected 9 columns, got 3",
+                id="ledger-short-row",
+            ),
+            pytest.param(
+                "ledger", LEDGER_HEADER + LEDGER_ROW + "2023-06-01,2,actual,7,3311.0,400000000.0,0.11,abc,27000.0\n",
+                4, "invalid number 'abc' in revenue_usd",
+                id="ledger-bad-cell",
+            ),
+        ],
+    )
+    def test_a_failing_row_names_file_and_line(self, tmp_path, reader, text, line, message):
+        parse, _ = READERS[reader]
+        p = write(tmp_path, f"{reader}.csv", "# provenance\n" + text)
+        with pytest.raises(ValidationError) as exc:
+            parse(p)
+        assert str(exc.value) == f"{p}:{line}: {message}"
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("body", ["", "# provenance\n", "# provenance\nHEADER\n\n"], ids=["empty", "comment", "header"])
+    def test_a_file_without_a_data_row_has_no_records(self, tmp_path, reader, body):
+        parse, header = READERS[reader]
+        p = write(tmp_path, f"{reader}.csv", body.replace("HEADER\n", header))
+        with pytest.raises(DataInsufficientError) as exc:
+            parse(p)
+        assert str(exc.value) == f"{p}: no records"
+
+    @pytest.mark.parametrize("cell", ["20220104", "2022-W01-2"])
+    def test_a_date_is_yyyy_mm_dd_on_every_python(self, tmp_path, cell):
+        """date.fromisoformat reads both from Python 3.11 on."""
+        p = write(tmp_path, "m.csv", MARKET_HEADER + f"{cell},1.0,1.0\n")
+        with pytest.raises(ValidationError) as exc:
+            parse_market_csv(p)
+        assert str(exc.value) == f"{p}:2: invalid ISO date {cell!r}"
 
 
 class TestCalendar:

@@ -19,6 +19,7 @@ it.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -33,7 +34,10 @@ from .indicators import FeatureMatrix
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 from .params import ForestParams
 
-FOREST_SCHEMA = "forest-model/4"
+FOREST_SCHEMA = "forest-model/5"
+
+# The model file stores split features as int8, so it holds at most this many.
+_MAX_FEATURES = 127
 
 # Candidate totals within this relative band of the best are treated as tied
 # and broken by (feature index, threshold). The band is scaled by the node's
@@ -70,9 +74,6 @@ class Tree:
         """Each node's left child, 2j + 1 at the j-th internal node; LEAF at a leaf."""
         internal = self.feature != LEAF
         return np.where(internal, 2 * np.cumsum(internal) - 1, LEAF)
-
-
-_TREE_ARRAYS = {"feature": int, "threshold": float, "value": float}
 
 
 @dataclass
@@ -301,7 +302,8 @@ def grow_tree(
     return Tree(feature=feature, threshold=threshold, value=value)
 
 
-Sampler = Callable[[int, np.random.Generator], np.ndarray]
+# a string, so that importing this module does not load numpy.random
+Sampler = Callable[[int, "np.random.Generator"], "np.ndarray"]
 
 # (X, y, params, sampler) of the fit a pool worker serves; set once in each
 # forked worker by _start_worker, never in the parent.
@@ -425,42 +427,85 @@ def predict_matrix(model: ForestModel, features: FeatureMatrix) -> np.ndarray:
 
 
 def save_forest(model: ForestModel, path: str | Path) -> None:
-    """Write the model as versioned, self-describing JSON (deterministic bytes)."""
+    """Write the model as versioned JSON (deterministic bytes): a readable
+    header (schema, params, feature_count, each tree's node count), then every
+    node of every tree, in tree order, as two base64 strings. `feature` holds
+    int8s, LEAF at a leaf; `split_or_value` little-endian float64s, the
+    threshold at a split and the value at a leaf. A node uses one of the two
+    numbers and the other is 0.0, so one number per node loses nothing."""
+    if model.feature_count > _MAX_FEATURES:
+        raise ValidationError(
+            f"cannot save a forest over {model.feature_count} features: the model file holds at most {_MAX_FEATURES}"
+        )
+    feature = np.concatenate([t.feature for t in model.trees])
+    number = np.where(
+        feature != LEAF,
+        np.concatenate([t.threshold for t in model.trees]),
+        np.concatenate([t.value for t in model.trees]),
+    )
     doc = {
         "schema": FOREST_SCHEMA,
-        "feature_count": model.feature_count,
         "params": asdict(model.params),
-        "trees": [{name: getattr(t, name).tolist() for name in _TREE_ARRAYS} for t in model.trees],
+        "feature_count": model.feature_count,
+        "node_counts": [t.node_count for t in model.trees],
+        "feature": base64.b64encode(feature.astype(np.int8).tobytes()).decode("ascii"),
+        "split_or_value": base64.b64encode(number.astype("<f8").tobytes()).decode("ascii"),
     }
     with output_file(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 
-def _checked_tree(doc: dict, feature_count: int) -> Tree:
-    """A Tree from its JSON arrays, checked so that prediction stays in bounds
-    and terminates: k internal nodes make 2k + 1 nodes, so the last one's
-    children, 2k - 1 and 2k, lie inside the tree, and each node's children
-    come after it."""
-    tree = Tree(**{name: json_array(doc, name, dtype) for name, dtype in _TREE_ARRAYS.items()})
-    n = tree.node_count
-    if any(len(getattr(tree, name)) != n for name in _TREE_ARRAYS):
-        raise ValidationError("tree arrays must be of equal length")
-    internal = tree.feature != LEAF
-    if not np.all((tree.feature[internal] >= 0) & (tree.feature[internal] < feature_count)):
-        raise ValidationError(f"split feature out of range for {feature_count} features")
-    k = int(np.count_nonzero(internal))
-    if n != 2 * k + 1:
-        raise ValidationError(f"node count {n} is not 2 * {k} internal nodes + 1")
-    if not np.all(tree.left[internal] > np.flatnonzero(internal)):
-        raise ValidationError("child index must come after its node")
-    return tree
+def _node_blob(doc: dict, key: str, dtype: str, count: int) -> np.ndarray:
+    """doc[key], the base64 of `count` numbers of dtype, as an array."""
+    text = json_value(doc, key, str)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ValidationError(f"key {key!r}: invalid base64") from None
+    size = count * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValidationError(f"key {key!r}: {len(raw)} bytes for {count} nodes, expected {size}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _unpacked_trees(doc: dict, node_counts: list[int], feature_count: int) -> list[Tree]:
+    """The trees of a model file, checked so that prediction stays in bounds
+    and terminates. Over all nodes at once: every number is finite and every
+    split feature is one of the features. Per tree: k splits make 2k + 1
+    nodes, so the last one's children, 2k - 1 and 2k, lie inside the tree,
+    and each node's children come after it. An error names the tree."""
+    total = sum(node_counts)
+    feature = _node_blob(doc, "feature", "i1", total).astype(np.int64)
+    number = _node_blob(doc, "split_or_value", "<f8", total)
+    ends = np.cumsum(node_counts)
+
+    def refuse(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            b = int(np.searchsorted(ends, bad.argmax(), side="right"))
+            raise ValidationError(f"tree {b}: {message}")
+
+    split = feature != LEAF
+    refuse(~np.isfinite(number), "numbers must be finite")
+    refuse(split & ((feature < 0) | (feature >= feature_count)), f"split feature out of range for {feature_count} features")
+    columns = (feature, np.where(split, number, 0.0), np.where(split, 0.0, number))
+    trees = []
+    for b, arrays in enumerate(zip(*(np.split(column, ends[:-1]) for column in columns))):
+        tree = Tree(*arrays)
+        internal = tree.feature != LEAF
+        n, k = tree.node_count, int(np.count_nonzero(internal))
+        if n != 2 * k + 1:
+            raise ValidationError(f"tree {b}: node count {n} is not 2 * {k} internal nodes + 1")
+        if not np.all(tree.left[internal] > np.flatnonzero(internal)):
+            raise ValidationError(f"tree {b}: child index must come after its node")
+        trees.append(tree)
+    return trees
 
 
 def load_forest(path: str | Path) -> ForestModel:
     """Read a model written by save_forest. A file that is not one (bad JSON,
-    a missing or mistyped key, a tree that does not hold together) is a
-    ValidationError naming the file."""
+    a missing or mistyped key, node bytes that do not decode, a tree that does
+    not hold together) is a ValidationError naming the file."""
     doc = read_json_object(path)
     try:
         schema = doc.get("schema")
@@ -470,16 +515,13 @@ def load_forest(path: str | Path) -> ForestModel:
         if feature_count < 1:
             raise ValidationError(f"feature_count must be >= 1, got {feature_count}")
         params = json_fields(doc, "params", ForestParams)
-        trees = []
-        for b, tree_doc in enumerate(json_value(doc, "trees", list)):
-            if not isinstance(tree_doc, dict):
-                raise ValidationError(f"tree {b}: expected an object")
-            try:
-                trees.append(_checked_tree(tree_doc, feature_count))
-            except ValidationError as exc:
-                raise ValidationError(f"tree {b}: {exc}") from None
-        if not trees:
+        if not json_value(doc, "node_counts", list):
             raise ValidationError("no trees")
+        node_counts = json_array(doc, "node_counts", int).tolist()
+        for b, n in enumerate(node_counts):
+            if n < 1:
+                raise ValidationError(f"tree {b}: node count {n} must be >= 1")
+        trees = _unpacked_trees(doc, node_counts, feature_count)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return ForestModel(trees=trees, params=params, feature_count=feature_count)

@@ -127,9 +127,10 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
     The '#' skip lets files written by this package (which carry a provenance
     header line, see output_file) round-trip through the same parser. A file
     without a data row is a DataInsufficientError. A different header, a row
-    of another width, or a ValidationError from parse is a ValidationError
-    starting `<path>:<line>: `: an input row's location is written here
-    alone, and only when the row fails.
+    of another width, a ValidationError from parse, a row csv cannot read
+    (csv.Error) or bytes that are not UTF-8 is a ValidationError starting
+    `<path>:<line>: `: an input row's location is written here alone, and
+    only when the row fails.
     """
     header = None
     any_rows = False
@@ -148,10 +149,25 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
                 else:
                     any_rows = True
                     yield reader.line_num, parse(row)
-        except ValidationError as exc:
+        except (ValidationError, csv.Error) as exc:
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(_not_utf8(path)) from None
     if not any_rows:
         raise DataInsufficientError(f"{path}: no records")
+
+
+def _not_utf8(path: str | Path) -> str:
+    """`<path>:<line>: ...` for the first byte of the file that is not UTF-8.
+    The text layer decodes ahead in blocks, so csv's line count at the
+    failure need not be the line holding the byte."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8 text"
 
 
 def _iso_date(text: str) -> date:

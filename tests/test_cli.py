@@ -22,7 +22,7 @@ from surplusminer import cli, forest
 from surplusminer.cli import main
 from surplusminer.ingest import MarketSeries
 
-from conftest import DATA_DIR, FIXTURE_CONFIG
+from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes
 
 FIXTURE_HASH = "11e51f6d5144"
 
@@ -220,6 +220,26 @@ class TestIngest:
             rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "market.csv:5: invalid ISO date '20220104'" in caplog.text
+
+    def test_market_file_not_utf8_exits_2_naming_the_line(self, tmp_path, caplog):
+        raw = (DATA_DIR / "market.csv").read_bytes()
+        (tmp_path / "market.csv").write_bytes(raw + b"\xff\xfe")
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        line = raw.count(b"\n") + 1
+        assert f"market.csv:{line}: byte 0xff is not UTF-8 (invalid start byte)" in caplog.text
+
+    def test_cell_past_the_csv_field_limit_exits_2_naming_the_line(self, tmp_path, caplog):
+        lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines()
+        lines[4] = '2022-01-04,"' + "9" * 200_000 + '",190000000.0'
+        (tmp_path / "market.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "market.csv:5: field larger than field limit" in caplog.text
 
     def test_missing_market_file_exits_2(self, tmp_path, caplog):
         cfg = write_config(tmp_path, market_csv="absent.csv")
@@ -456,8 +476,10 @@ class TestHostileModelFiles:
         past the end of the tree."""
 
         def leaf_made_a_split(doc):
-            feature = doc["trees"][0]["feature"]
+            trees = decode_nodes(doc)
+            feature = trees[0]["feature"]
             feature[feature.index(-1)] = 0
+            encode_nodes(doc, trees)
 
         with caplog.at_level(logging.ERROR):
             rc = self._simulate_on_edited_model(
@@ -733,6 +755,16 @@ class TestStartWithoutNumpy:
             "config_used.json", "market_clean.csv", "surplus_monthly.csv", "ingest_summary.txt",
             "features.csv", "fleet.csv", "ledger.csv", "report.txt",
         }
+
+    def test_model_modules_leave_numpy_random_unloaded(self):
+        """simulate loads and predicts with both models and draws nothing, so
+        importing them must not pull in numpy.random (~4.5 ms)."""
+        proc = run_fresh(
+            "import sys, surplusminer.forest, surplusminer.lstm; "
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
 
     def test_train_needs_numpy(self, tmp_path):
         """The guard bites: train imports numpy, and the import fails."""

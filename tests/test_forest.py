@@ -1,4 +1,5 @@
 """Regression forest: split search vs brute force, bootstrap, determinism."""
+import base64
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from surplusminer.forest import (
 from surplusminer.indicators import build_features
 from surplusminer.ingest import parse_market_csv
 
-from conftest import DATA_DIR, make_series
+from conftest import DATA_DIR, decode_nodes, encode_nodes, make_series
 from oracles import naive_best_split, naive_grow, naive_predict, same_tree
 
 
@@ -324,16 +325,16 @@ class TestDraws:
         the subset draws cannot matter: only a change in the split arithmetic,
         the tie rules or the file format can change these bytes. The trees
         are node for node those of the preorder stack grower that the
-        level-wise grower replaced; the digest was recorded in the format
-        without stored child indices (forest-model/4) after a comparison with
-        the forest-model/3 file had matched every node, and the derived left
-        children the stored ones."""
+        level-wise grower replaced. The digest is of the forest-model/5
+        file, recorded after the trees loaded from it matched those loaded
+        from the forest-model/4 file array for array, bit for bit; that file
+        had in turn matched the forest-model/3 file node for node."""
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         assert matrix.feature_count == 6
         path = tmp_path / "m.json"
         save_forest(fit_forest(matrix, ForestParams(n_trees=5, m_try=6, seed=1)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "ef66b804d78704b5ed720323f1575faab4d677f62ab0465a7c2c3372d21e1fb8"
+        assert digest == "bdef3c768b4bf99da15c72b48505dd6f150b4c38badf83d48b61133f5ec5447d"
 
     def test_split_features_in_range(self):
         matrix = random_matrix(seed=5)
@@ -397,6 +398,13 @@ class TestWorkers:
         assert predict_matrix(model, matrix) == pytest.approx(matrix.target_array(), rel=1e-12)
 
 
+def assert_same_arrays(got: Tree, want: Tree):
+    """Bit for bit the same arrays, dtype included (-0.0 differs from 0.0)."""
+    for name in ("feature", "threshold", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
 class TestSerialization:
     def test_round_trip_predictions_bitwise(self, tmp_path):
         matrix = random_matrix(seed=13)
@@ -407,6 +415,9 @@ class TestSerialization:
         assert np.array_equal(predict_matrix(loaded, matrix), predict_matrix(model, matrix))
         assert loaded.feature_count == model.feature_count
         assert loaded.params == model.params
+        assert len(loaded.trees) == len(model.trees)
+        for got, want in zip(loaded.trees, model.trees):
+            assert_same_arrays(got, want)
 
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -419,13 +430,16 @@ class TestSerialization:
         recursion limit; the chain is built by hand to force it."""
         depth = sys.getrecursionlimit() + 500
         tree = chain_tree(depth)
+        # a split and a leaf whose number is -0.0, which the file must keep
+        tree.threshold[0] = tree.value[1] = -0.0
         params = ForestParams(n_trees=1, m_try=1, seed=0)
         model = ForestModel(trees=[tree], params=params, feature_count=1)
         path = tmp_path / "deep.json"
         save_forest(model, path)
         loaded = load_forest(path)
-        for name in ("feature", "threshold", "value"):
-            assert np.array_equal(getattr(loaded.trees[0], name), getattr(tree, name)), name
+        assert_same_arrays(loaded.trees[0], tree)
+        assert math.copysign(1.0, loaded.trees[0].threshold[0]) == -1.0
+        assert math.copysign(1.0, loaded.trees[0].value[1]) == -1.0
         # x = k + 0.2 descends k levels right, then one left, to leaf value k
         for x in (0.0, 7.2, float(depth - 1) + 0.2, float(depth) + 5.0):
             assert predict_tree(loaded.trees[0], [x]) == predict_tree(tree, [x])
@@ -447,6 +461,15 @@ def _write(tmp_path, doc):
     return path
 
 
+def _edited_nodes(tmp_path, edit):
+    """A saved model file whose decoded trees went through edit(trees)."""
+    doc = _saved_model_doc(tmp_path)
+    trees = decode_nodes(doc)
+    edit(trees)
+    encode_nodes(doc, trees)
+    return _write(tmp_path, doc)
+
+
 def _move_last_split(tree, to):
     last = max(i for i, f in enumerate(tree["feature"]) if f != LEAF)
     tree["feature"][last], tree["feature"][to] = LEAF, tree["feature"][last]
@@ -457,7 +480,7 @@ def _leaf_made_a_split(tree):
 
 
 def _last_node_dropped(tree):
-    for name in ("feature", "threshold", "value"):
+    for name in ("feature", "split_or_value"):
         tree[name].pop()
 
 
@@ -470,6 +493,9 @@ _CHILD_OUT_OF_ORDER = {
     "left-0": (lambda tree: _move_last_split(tree, -2), "child index"),
     "left--1": (lambda tree: _move_last_split(tree, -1), "child index"),
 }
+
+# the key of the blob that stores each column of a Tree
+_BLOB = {"feature": "feature", "threshold": "split_or_value", "value": "split_or_value"}
 
 
 class TestHostileModelFiles:
@@ -485,17 +511,19 @@ class TestHostileModelFiles:
 
     def test_missing_key(self, tmp_path):
         doc = _saved_model_doc(tmp_path)
-        del doc["trees"][1]["threshold"]
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: missing key 'threshold'"):
+        del doc["split_or_value"]
+        with pytest.raises(ValidationError, match=r"forest_model\.json: missing key 'split_or_value'"):
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize(
         "key, bad", [("feature", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1]), ("feature", True)]
     )
     def test_mistyped_array_element(self, tmp_path, key, bad):
+        """The blob that stores `key` holds something other than a base64
+        string ("0.5" is a string, but not base64)."""
         doc = _saved_model_doc(tmp_path)
-        doc["trees"][0][key][0] = bad
-        with pytest.raises(ValidationError, match=rf"forest_model\.json: tree 0: key '{key}'"):
+        doc[_BLOB[key]] = bad
+        with pytest.raises(ValidationError, match=rf"forest_model\.json: key '{_BLOB[key]}'"):
             load_forest(_write(tmp_path, doc))
 
     def test_mistyped_feature_count(self, tmp_path):
@@ -505,10 +533,11 @@ class TestHostileModelFiles:
             load_forest(_write(tmp_path, doc))
 
     def test_unequal_array_lengths(self, tmp_path):
-        doc = _saved_model_doc(tmp_path)
-        doc["trees"][0]["value"].pop()
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*equal length"):
-            load_forest(_write(tmp_path, doc))
+        """One number fewer than `feature` has nodes: the float blob is 8
+        bytes short of 8 * sum(node_counts)."""
+        path = _edited_nodes(tmp_path, lambda trees: trees[0]["split_or_value"].pop())
+        with pytest.raises(ValidationError, match=r"forest_model\.json: key 'split_or_value': .*bytes for"):
+            load_forest(path)
 
     @pytest.mark.parametrize("case", list(_CHILD_OUT_OF_ORDER))
     def test_child_index_out_of_order(self, tmp_path, case):
@@ -516,26 +545,82 @@ class TestHostileModelFiles:
         2j + 1 and 2j + 2. A child past the end would index out of bounds; one
         at or before its node could make prediction loop forever."""
         corrupt, message = _CHILD_OUT_OF_ORDER[case]
-        doc = _saved_model_doc(tmp_path)
-        tree = doc["trees"][0]
-        assert tree["feature"][0] != LEAF
-        corrupt(tree)
+
+        def edit(trees):
+            assert trees[0]["feature"][0] != LEAF
+            corrupt(trees[0])
+
         with pytest.raises(ValidationError, match=rf"forest_model\.json: tree 0: {message}"):
-            load_forest(_write(tmp_path, doc))
+            load_forest(_edited_nodes(tmp_path, edit))
 
     @pytest.mark.parametrize("feature", [6, -2])
     def test_split_feature_out_of_range(self, tmp_path, feature):
-        doc = _saved_model_doc(tmp_path)
-        doc["trees"][0]["feature"][0] = feature
+        """On the last node of tree 0, the node just before tree 1's first."""
+        path = _edited_nodes(tmp_path, lambda trees: trees[0]["feature"].__setitem__(-1, feature))
         with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: split feature out of range"):
-            load_forest(_write(tmp_path, doc))
+            load_forest(path)
 
     @pytest.mark.parametrize("key", ["threshold", "value"])
     def test_non_finite_number(self, tmp_path, key):
+        """NaN as a split's threshold (tree 1's first node) or a leaf's value
+        (its last node, the last in the file)."""
+        at = 0 if key == "threshold" else -1
+        path = _edited_nodes(tmp_path, lambda trees: trees[1]["split_or_value"].__setitem__(at, float("nan")))
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 1: .*finite"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("key", ["feature", "split_or_value"])
+    @pytest.mark.parametrize(
+        "insert", ["*", "\n", "=", "À"], ids=["bad-char", "newline", "inner-pad", "non-ascii"]
+    )
+    def test_invalid_base64(self, tmp_path, key, insert):
+        """One character put into a valid string: a lax decoder would skip
+        the first two and still read every node."""
         doc = _saved_model_doc(tmp_path)
-        doc["trees"][0][key][0] = float("nan")
-        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: .*finite"):
+        doc[key] = doc[key][:4] + insert + doc[key][4:]
+        with pytest.raises(ValidationError, match=rf"forest_model\.json: key '{key}': invalid base64"):
             load_forest(_write(tmp_path, doc))
+
+    def test_float_blob_not_a_multiple_of_8_bytes(self, tmp_path):
+        doc = _saved_model_doc(tmp_path)
+        raw = base64.b64decode(doc["split_or_value"])
+        doc["split_or_value"] = base64.b64encode(raw + b"\0\0\0").decode()
+        with pytest.raises(ValidationError, match=r"forest_model\.json: key 'split_or_value': .*bytes for"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("change", [1, -1], ids=["one-more", "one-fewer"])
+    def test_node_counts_not_summing_to_the_blob(self, tmp_path, change):
+        doc = _saved_model_doc(tmp_path)
+        doc["node_counts"][1] += change
+        with pytest.raises(ValidationError, match=r"forest_model\.json: key 'feature': .*bytes for"):
+            load_forest(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([], "no trees"),
+            ([0, 1], "tree 0: node count 0 must be >= 1"),
+            ([-5, 10], "tree 0: node count -5 must be >= 1"),
+            ([1.0, 2], "key 'node_counts'"),
+            ("1", "key 'node_counts'"),
+        ],
+        ids=["empty", "zero", "negative", "float", "string"],
+    )
+    def test_bad_node_counts(self, tmp_path, counts, message):
+        doc = _saved_model_doc(tmp_path)
+        doc["node_counts"] = counts
+        with pytest.raises(ValidationError, match=rf"forest_model\.json: {message}"):
+            load_forest(_write(tmp_path, doc))
+
+    def test_save_refuses_more_features_than_int8_holds(self, tmp_path):
+        """Split features are stored as int8: 127 features fit, 128 do not."""
+        params = ForestParams(n_trees=1, m_try=1, seed=0)
+        path = tmp_path / "m.json"
+        save_forest(ForestModel(trees=[chain_tree(1)], params=params, feature_count=127), path)
+        assert load_forest(path).feature_count == 127
+        with pytest.raises(ValidationError, match="128 features"):
+            save_forest(ForestModel(trees=[chain_tree(1)], params=params, feature_count=128), tmp_path / "big.json")
+        assert not (tmp_path / "big.json").exists()
 
 
 class TestParams:

@@ -1,10 +1,11 @@
 """Technical indicators over the daily price series, and the model feature matrix.
 
-All indicators use trailing windows that include the current day. Outputs are
-compact: element k of an indicator corresponds to the first input index at
-which the window is complete, plus k. Arithmetic is deliberately plain
+Day t's six features are one function of the prices ending on t:
+`feature_values` reads the last FEATURE_WINDOW (16) of them, days t-15..t.
+Each indicator below is a function of one window and takes the window's
+length from the slice it is given. Arithmetic is deliberately plain
 left-to-right Python (sum()/n and friends) so every value can be reproduced
-exactly from the defining formula at any index.
+exactly from the defining formula.
 """
 from __future__ import annotations
 
@@ -20,117 +21,101 @@ if TYPE_CHECKING:
 
 FEATURE_NAMES = ("sma14", "wma14", "momentum", "k_pct", "d_pct", "rsi")
 
-# Indicator defaults: 14-day base window, 3-day smoothing of K%, 1-day momentum.
+# 14-day base window; %D smooths the %K of the last 3 days, so day t's
+# features read the prices of days t-15..t.
 BASE_WINDOW = 14
 D_WINDOW = 3
-MOMENTUM_LAG = 1
+FEATURE_WINDOW = BASE_WINDOW + D_WINDOW - 1
 
 
-def _check_window(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"window must be >= 1, got {n}")
+def mean(window: Sequence[float]) -> float:
+    """Simple moving average of the window (and %D, of the last three %K)."""
+    return sum(window) / len(window)
 
 
-def sma(prices: Sequence[float], n: int = BASE_WINDOW) -> list[float]:
-    """Simple moving average: mean of the n prices ending at each index.
+def weighted_mean(window: Sequence[float]) -> float:
+    """Mean with linear weights 1..n, the newest price weighted n."""
+    acc = 0.0
+    for i, p in enumerate(window, start=1):
+        acc += i * p
+    n = len(window)
+    return acc / (n * (n + 1) // 2)
 
-    Output element k covers input indices [k, k+n); a series shorter than n
-    yields an empty list.
+
+def stoch_k(window: Sequence[float]) -> float:
+    """Stochastic %K: position of the last price within the window's range.
+
+    100 * (P - L) / (H - L), with a flat window (H == L) defined as 50
+    (neutral).
     """
-    _check_window(n)
-    ps = [float(p) for p in prices]
-    return [sum(ps[t - n + 1 : t + 1]) / n for t in range(n - 1, len(ps))]
+    hi, lo = max(window), min(window)
+    if hi == lo:
+        return 50.0
+    # ratio first: (P - L) / (H - L) <= 1 exactly, so the bound
+    # 0 <= K <= 100 survives rounding
+    return 100.0 * ((window[-1] - lo) / (hi - lo))
 
 
-def wma(prices: Sequence[float], n: int = BASE_WINDOW) -> list[float]:
-    """Weighted moving average with linear weights 1..n (newest weighted n)."""
-    _check_window(n)
-    ps = [float(p) for p in prices]
-    weight_sum = n * (n + 1) // 2
-    out = []
-    for t in range(n - 1, len(ps)):
-        acc = 0.0
-        for i in range(1, n + 1):
-            acc += i * ps[t - n + i]
-        out.append(acc / weight_sum)
-    return out
+def rsi(window: Sequence[float]) -> float:
+    """Relative strength index over the n one-day changes of n+1 prices.
 
-
-def momentum(prices: Sequence[float], n: int = MOMENTUM_LAG) -> list[float]:
-    """Price change over n days: P_t - P_{t-n}."""
-    _check_window(n)
-    ps = [float(p) for p in prices]
-    return [ps[t] - ps[t - n] for t in range(n, len(ps))]
-
-
-def stoch_k(prices: Sequence[float], n: int = BASE_WINDOW) -> list[float]:
-    """Stochastic %K: position of today's price within the trailing n-day range.
-
-    100 * (P - L_n) / (H_n - L_n), with a flat window (H_n == L_n) defined
-    as 50 (neutral).
+    Average gain and average loss are simple means over the n changes. Both
+    zero (flat window) is defined as 50; zero average loss with positive
+    gains is 100.
     """
-    _check_window(n)
-    ps = [float(p) for p in prices]
-    out = []
-    for t in range(n - 1, len(ps)):
-        window = ps[t - n + 1 : t + 1]
-        hi, lo = max(window), min(window)
-        if hi == lo:
-            out.append(50.0)
-        else:
-            # ratio first: (P - L) / (H - L) <= 1 exactly, so the bound
-            # 0 <= K <= 100 survives rounding
-            out.append(100.0 * ((ps[t] - lo) / (hi - lo)))
-    return out
+    gain = loss = 0.0
+    for prev, cur in zip(window, window[1:]):
+        d = cur - prev
+        if d > 0:
+            gain += d
+        elif d < 0:
+            loss -= d
+    n = len(window) - 1
+    avg_gain = gain / n
+    avg_loss = loss / n
+    if avg_loss == 0.0 and avg_gain == 0.0:
+        return 50.0
+    if avg_loss == 0.0:
+        return 100.0
+    rs = avg_gain / avg_loss
+    return 100.0 - 100.0 / (1.0 + rs)
 
 
-def stoch_d(k_series: Sequence[float], m: int = D_WINDOW) -> list[float]:
-    """Stochastic %D: m-day simple moving average of %K."""
-    return sma(k_series, m)
+def feature_values(prices: Sequence[float]) -> tuple[float, ...]:
+    """Day t's features, in FEATURE_NAMES order, from the prices ending on t.
 
-
-def rsi(prices: Sequence[float], n: int = BASE_WINDOW) -> list[float]:
-    """Relative strength index over the trailing n one-day changes.
-
-    Average gain and average loss are simple means over the n changes ending
-    at the current day. Both zero (flat window) is defined as 50; zero
-    average loss with positive gains is 100.
+    Only the last FEATURE_WINDOW prices are read: the mean, weighted mean and
+    %K over the 14 ending on t, RSI over the 14 changes ending on t, and %D
+    as the mean of the %K of days t-2, t-1 and t.
     """
-    _check_window(n)
-    ps = [float(p) for p in prices]
-    deltas = [ps[j] - ps[j - 1] for j in range(1, len(ps))]
-    out = []
-    for t in range(n, len(ps)):
-        window = deltas[t - n : t]
-        gains = [d for d in window if d > 0]
-        losses = [-d for d in window if d < 0]
-        avg_gain = sum(gains) / n
-        avg_loss = sum(losses) / n
-        if avg_loss == 0.0 and avg_gain == 0.0:
-            out.append(50.0)
-        elif avg_loss == 0.0:
-            out.append(100.0)
-        else:
-            rs = avg_gain / avg_loss
-            out.append(100.0 - 100.0 / (1.0 + rs))
-    return out
+    if len(prices) < FEATURE_WINDOW:
+        raise DataInsufficientError(
+            f"need {FEATURE_WINDOW} prices for one day's features, got {len(prices)}"
+        )
+    p = prices[-FEATURE_WINDOW:]
+    window = p[-BASE_WINDOW:]
+    k_pct = [stoch_k(p[i : i + BASE_WINDOW]) for i in range(D_WINDOW)]
+    return (
+        mean(window),
+        weighted_mean(window),
+        p[-1] - p[-2],
+        k_pct[-1],
+        mean(k_pct),
+        rsi(p[-BASE_WINDOW - 1 :]),
+    )
 
 
 @dataclass(frozen=True)
 class FeatureRow:
     """One day's model inputs plus the next day's price as the target.
 
-    `price` is the same-day close; it is not part of the tree-model feature
-    set but the sequence model consumes it as a seventh input.
+    `features` holds the values named by FEATURE_NAMES. `price` is the
+    same-day close; it is not part of the tree-model feature set but the
+    sequence model consumes it as a seventh input.
     """
 
     day: date
-    sma14: float
-    wma14: float
-    momentum: float
-    k_pct: float
-    d_pct: float
-    rsi: float
+    features: tuple[float, ...]
     price: float
     target_price: float
 
@@ -139,9 +124,6 @@ class FeatureRow:
         """The day whose price is this row's target, and so the day this row
         forecasts: the forecast for day d comes from the row dated d-1."""
         return self.day + timedelta(days=1)
-
-    def features(self) -> tuple[float, ...]:
-        return (self.sma14, self.wma14, self.momentum, self.k_pct, self.d_pct, self.rsi)
 
 
 @dataclass
@@ -165,12 +147,12 @@ class FeatureMatrix:
     def feature_array(self) -> np.ndarray:
         """(n, 6) indicator matrix for the tree model."""
         import numpy as np  # here, so that features (no model) runs without numpy
-        return np.array([r.features() for r in self.rows], dtype=float)
+        return np.array([r.features for r in self.rows], dtype=float)
 
     def input_array(self) -> np.ndarray:
         """(n, 7) indicator matrix plus same-day price, for the sequence model."""
         import numpy as np
-        return np.array([r.features() + (r.price,) for r in self.rows], dtype=float)
+        return np.array([r.features + (r.price,) for r in self.rows], dtype=float)
 
     def target_array(self) -> np.ndarray:
         import numpy as np
@@ -181,58 +163,35 @@ class FeatureMatrix:
         return FeatureMatrix([r for r in self.rows if start <= r.day <= end])
 
 
-def build_features(
-    series: MarketSeries,
-    n: int = BASE_WINDOW,
-    d_window: int = D_WINDOW,
-) -> FeatureMatrix:
+def build_features(series: MarketSeries) -> FeatureMatrix:
     """Assemble the feature matrix from a cleaned (gap-free) market series.
 
-    All indicators are aligned to start at the first day with a full n-day
-    history (0-based index n, where the n one-day changes for RSI are first
-    available); %D then needs d_window days of that aligned %K history. The
-    first feature row therefore sits at 0-based index n + d_window - 1, and
-    the final day is dropped because it has no next-day target.
+    One row per day from the 17th (0-based index FEATURE_WINDOW, a day later
+    than the first full window) to the next-to-last; the final day is dropped
+    because it has no next-day target.
     """
     prices = series.prices()
     dates = series.dates()
-    first_row = n + d_window - 1
-    if len(prices) < first_row + 2:
+    if len(prices) < FEATURE_WINDOW + 2:
         raise DataInsufficientError(
-            f"need at least {first_row + 2} days for one feature row, got {len(prices)}"
+            f"need at least {FEATURE_WINDOW + 2} days for one feature row, got {len(prices)}"
         )
-
-    sma_vals = sma(prices, n)          # element k -> index n-1+k
-    wma_vals = wma(prices, n)          # element k -> index n-1+k
-    mom_vals = momentum(prices, MOMENTUM_LAG)  # element k -> index 1+k
-    k_vals = stoch_k(prices, n)        # element k -> index n-1+k
-    rsi_vals = rsi(prices, n)          # element k -> index n+k
-    # %D over the %K series aligned to the n-day warm-up (first %K at index n).
-    d_vals = stoch_d(k_vals[1:], d_window)  # element k -> index n+d_window-1+k
-
-    rows = []
-    for t in range(first_row, len(prices) - 1):
-        rows.append(
-            FeatureRow(
-                day=dates[t],
-                sma14=sma_vals[t - (n - 1)],
-                wma14=wma_vals[t - (n - 1)],
-                momentum=mom_vals[t - 1],
-                k_pct=k_vals[t - (n - 1)],
-                d_pct=d_vals[t - first_row],
-                rsi=rsi_vals[t - n],
-                price=prices[t],
-                target_price=prices[t + 1],
-            )
+    return FeatureMatrix([
+        FeatureRow(
+            day=dates[t],
+            features=feature_values(prices[t - FEATURE_WINDOW + 1 : t + 1]),
+            price=prices[t],
+            target_price=prices[t + 1],
         )
-    return FeatureMatrix(rows)
+        for t in range(FEATURE_WINDOW, len(prices) - 1)
+    ])
 
 
 def write_features_csv(matrix: FeatureMatrix, path, header_comment: str | None = None) -> None:
-    """Export the feature matrix (date,sma14,wma14,momentum,k_pct,d_pct,rsi,target)."""
+    """Export the feature matrix: date, the FEATURE_NAMES columns, target."""
     write_output_csv(
         path,
         ["date", *FEATURE_NAMES, "target"],
-        ((r.day, *r.features(), r.target_price) for r in matrix.rows),
+        ((r.day, *r.features, r.target_price) for r in matrix.rows),
         header_comment,
     )

@@ -25,7 +25,15 @@ from surplusminer.economics import (
 from surplusminer.errors import ValidationError
 from surplusminer.fleet import HALVING_SCHEDULE, block_reward
 from surplusminer.forest import ForestParams, bootstrap_sample, grow_tree, predict_tree
-from surplusminer.indicators import build_features, momentum, rsi, sma, stoch_d, stoch_k, wma
+from surplusminer.indicators import (
+    FEATURE_WINDOW,
+    build_features,
+    feature_values,
+    mean,
+    rsi,
+    stoch_k,
+    weighted_mean,
+)
 from surplusminer.lstm import PARAM_NAMES, TrainConfig, bptt_gradients, fit_lstm, init_weights
 
 import oracles
@@ -175,15 +183,22 @@ def test_c08_indicators_match_per_index_recomputation():
     prices = [float(v) for v in 40_000.0 * np.exp(np.cumsum(steps))]
     n, m = 14, 3
     last = len(prices)
-    k_vals = stoch_k(prices, n)
-    d_vals = stoch_d(k_vals, m)
-    rsi_vals = rsi(prices, n)
+    days = range(n - 1, last)
+    k_vals = [stoch_k(prices[t - n + 1 : t + 1]) for t in days]
+    rsi_vals = [rsi(prices[t - n : t + 1]) for t in range(n, last)]
+    # momentum and %D are made only inside feature_values, from 0-based day 15 on
+    feature_days = range(FEATURE_WINDOW - 1, last)
+    features = [feature_values(prices[t - FEATURE_WINDOW + 1 : t + 1]) for t in feature_days]
+    d_vals = [f[4] for f in features]
     exact = (
-        sma(prices, n) == [oracles.oracle_sma(prices, t, n) for t in range(n - 1, last)]
-        and wma(prices, n) == [oracles.oracle_wma(prices, t, n) for t in range(n - 1, last)]
-        and momentum(prices, 1) == [oracles.oracle_momentum(prices, t, 1) for t in range(1, last)]
-        and k_vals == [oracles.oracle_k(prices, t, n) for t in range(n - 1, last)]
-        and d_vals == [oracles.oracle_d(prices, t, n, m) for t in range(n - 1 + m - 1, last)]
+        [mean(prices[t - n + 1 : t + 1]) for t in days]
+        == [oracles.oracle_sma(prices, t, n) for t in days]
+        and [weighted_mean(prices[t - n + 1 : t + 1]) for t in days]
+        == [oracles.oracle_wma(prices, t, n) for t in days]
+        and [f[2] for f in features]
+        == [oracles.oracle_momentum(prices, t, 1) for t in feature_days]
+        and k_vals == [oracles.oracle_k(prices, t, n) for t in days]
+        and d_vals == [oracles.oracle_d(prices, t, n, m) for t in feature_days]
         and rsi_vals == [oracles.oracle_rsi(prices, t, n) for t in range(n, last)]
     )
     bounded = all(

@@ -11,23 +11,20 @@ from surplusminer.indicators import (
     BASE_WINDOW,
     D_WINDOW,
     FEATURE_NAMES,
+    FEATURE_WINDOW,
     build_features,
-    momentum,
+    feature_values,
+    mean,
     rsi,
-    sma,
-    stoch_d,
     stoch_k,
-    wma,
+    weighted_mean,
 )
 
 from conftest import make_series
 from oracles import oracle_d, oracle_k, oracle_momentum, oracle_rsi, oracle_sma, oracle_wma
 
-prices_strategy = st.lists(
-    st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False),
-    min_size=20,
-    max_size=60,
-)
+price_floats = st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False)
+prices_strategy = st.lists(price_floats, min_size=20, max_size=60)
 
 
 def random_prices(n, seed=0):
@@ -35,23 +32,34 @@ def random_prices(n, seed=0):
     return list(np.exp(rng.normal(np.log(30000.0), 0.3, size=n)))
 
 
+def trailing(ps, n):
+    """(t, the n prices ending on day t) for every day with n prices."""
+    return [(t, ps[t - n + 1 : t + 1]) for t in range(n - 1, len(ps))]
+
+
+def hexes(values):
+    return tuple(float(v).hex() for v in values)
+
+
 class TestAgainstBruteForce:
-    """Every emitted element must equal the defining formula exactly (==)."""
+    """Every indicator must equal the defining formula exactly (==)."""
 
     def test_all_indicators_exact(self):
         ps = random_prices(300, seed=42)
         n = BASE_WINDOW
-        assert sma(ps, n) == [oracle_sma(ps, t, n) for t in range(n - 1, len(ps))]
-        assert wma(ps, n) == [oracle_wma(ps, t, n) for t in range(n - 1, len(ps))]
-        assert momentum(ps, 1) == [oracle_momentum(ps, t, 1) for t in range(1, len(ps))]
-        assert stoch_k(ps, n) == [oracle_k(ps, t, n) for t in range(n - 1, len(ps))]
-        assert rsi(ps, n) == [oracle_rsi(ps, t, n) for t in range(n, len(ps))]
+        for t, window in trailing(ps, n):
+            assert mean(window) == oracle_sma(ps, t, n)
+            assert weighted_mean(window) == oracle_wma(ps, t, n)
+            assert stoch_k(window) == oracle_k(ps, t, n)
+        for t, window in trailing(ps, n + 1):
+            assert rsi(window) == oracle_rsi(ps, t, n)
+        for t, window in trailing(ps, FEATURE_WINDOW):
+            assert feature_values(window)[2] == oracle_momentum(ps, t, 1)
 
     def test_d_exact(self):
         ps = random_prices(100, seed=7)
         n, m = BASE_WINDOW, D_WINDOW
-        k_vals = stoch_k(ps, n)
-        got = stoch_d(k_vals, m)
+        got = [feature_values(window)[4] for _, window in trailing(ps, FEATURE_WINDOW)]
         want = []
         for t in range(n - 1 + m - 1, len(ps)):
             acc = 0.0
@@ -63,58 +71,86 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("window", [2, 5, 14])
     def test_other_windows_exact(self, window):
         ps = random_prices(80, seed=window)
-        assert sma(ps, window) == [
+        assert [mean(w) for _, w in trailing(ps, window)] == [
             oracle_sma(ps, t, window) for t in range(window - 1, len(ps))
         ]
-        assert rsi(ps, window) == [
+        assert [rsi(w) for _, w in trailing(ps, window + 1)] == [
             oracle_rsi(ps, t, window) for t in range(window, len(ps))
         ]
 
 
 class TestKnownValues:
     def test_wma_tiny(self):
-        assert wma([1.0, 2.0, 3.0], 3) == [14.0 / 6.0]
+        assert weighted_mean([1.0, 2.0, 3.0]) == 14.0 / 6.0
 
     def test_sma_tiny(self):
-        assert sma([2.0, 4.0, 6.0, 8.0], 2) == [3.0, 5.0, 7.0]
+        assert [mean(w) for _, w in trailing([2.0, 4.0, 6.0, 8.0], 2)] == [3.0, 5.0, 7.0]
 
     def test_momentum_tiny(self):
-        assert momentum([5.0, 7.0, 4.0], 1) == [2.0, -3.0]
+        ps = [5.0] * (FEATURE_WINDOW - 1) + [7.0, 4.0]
+        assert feature_values(ps[:-1])[2] == 2.0
+        assert feature_values(ps)[2] == -3.0
 
     def test_constant_series_neutral(self):
         ps = [100.0] * 30
-        assert all(v == 50.0 for v in stoch_k(ps, 14))
-        assert all(v == 50.0 for v in rsi(ps, 14))
-        assert all(v == 100.0 for v in sma(ps, 14))
+        assert all(stoch_k(w) == 50.0 for _, w in trailing(ps, 14))
+        assert all(rsi(w) == 50.0 for _, w in trailing(ps, 15))
+        assert all(mean(w) == 100.0 for _, w in trailing(ps, 14))
 
     def test_rsi_monotone_series(self):
         rising = [float(i) for i in range(1, 30)]
-        assert all(v == 100.0 for v in rsi(rising, 14))
+        assert all(rsi(w) == 100.0 for _, w in trailing(rising, 15))
         falling = [float(i) for i in range(30, 1, -1)]
-        assert all(v == 0.0 for v in rsi(falling, 14))
+        assert all(rsi(w) == 0.0 for _, w in trailing(falling, 15))
 
     def test_k_at_extremes(self):
         ps = [1.0, 2.0, 3.0, 4.0]
-        assert stoch_k(ps, 3)[-1] == 100.0
-        assert stoch_k(list(reversed(ps)), 3)[-1] == 0.0
+        assert stoch_k(ps[-3:]) == 100.0
+        assert stoch_k(list(reversed(ps))[-3:]) == 0.0
 
 
 class TestBounds:
     @given(prices_strategy)
     @settings(max_examples=60, deadline=None)
     def test_oscillators_in_0_100(self, ps):
-        for v in stoch_k(ps, 14) + rsi(ps, 14) + stoch_d(stoch_k(ps, 14), 3):
+        values = (
+            [stoch_k(w) for _, w in trailing(ps, 14)]
+            + [rsi(w) for _, w in trailing(ps, 15)]
+            + [feature_values(w)[4] for _, w in trailing(ps, FEATURE_WINDOW)]
+        )
+        for v in values:
             assert 0.0 <= v <= 100.0
 
     @given(prices_strategy)
     @settings(max_examples=60, deadline=None)
     def test_sma_within_window_range(self, ps):
         """Mean stays in the window's range, up to summation rounding."""
-        vals = sma(ps, 14)
-        for k, v in enumerate(vals):
-            window = ps[k : k + 14]
+        for _, window in trailing(ps, 14):
+            v = mean(window)
             slack = 1e-13 * max(abs(min(window)), abs(max(window)))
             assert min(window) - slack <= v <= max(window) + slack
+
+
+class TestCausality:
+    START = date(2022, 1, 1)
+
+    @given(st.lists(price_floats, min_size=FEATURE_WINDOW + 2, max_size=40), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_row_reads_only_prices_up_to_its_day(self, ps, data):
+        """Grown one day at a time, a path's features match build_features on
+        the whole path bit for bit, and no later price moves them."""
+        rows = build_features(make_series(ps, start=self.START)).rows
+        for t in range(FEATURE_WINDOW, len(ps) - 1):
+            path = ps[: t + 1]
+            row = rows[t - FEATURE_WINDOW]
+            assert row.day == self.START + timedelta(days=t)
+            assert hexes(feature_values(path)) == hexes(row.features)
+            later = data.draw(st.lists(price_floats, min_size=len(ps) - t - 1,
+                                       max_size=len(ps) - t - 1))
+            changed = build_features(make_series(path + later, start=self.START)).rows[t - FEATURE_WINDOW]
+            assert hexes(changed.features + (changed.price,)) == hexes(
+                row.features + (row.price,)
+            )
 
 
 class TestFeatureAssembly:
@@ -134,6 +170,8 @@ class TestFeatureAssembly:
         short = make_series(random_prices(n_min - 1, seed=4))
         with pytest.raises(DataInsufficientError):
             build_features(short)
+        with pytest.raises(DataInsufficientError):
+            feature_values(random_prices(FEATURE_WINDOW - 1, seed=4))
 
     def test_row_values_match_indicators(self):
         ps = random_prices(40, seed=5)
@@ -142,12 +180,14 @@ class TestFeatureAssembly:
         t0 = BASE_WINDOW + D_WINDOW - 1
         for offset, row in enumerate(matrix.rows):
             t = t0 + offset
-            assert row.sma14 == oracle_sma(ps, t, BASE_WINDOW)
-            assert row.wma14 == oracle_wma(ps, t, BASE_WINDOW)
-            assert row.momentum == oracle_momentum(ps, t, 1)
-            assert row.k_pct == oracle_k(ps, t, BASE_WINDOW)
-            assert row.d_pct == oracle_d(ps, t, BASE_WINDOW, D_WINDOW)
-            assert row.rsi == oracle_rsi(ps, t, BASE_WINDOW)
+            assert row.features == (  # in FEATURE_NAMES order
+                oracle_sma(ps, t, BASE_WINDOW),
+                oracle_wma(ps, t, BASE_WINDOW),
+                oracle_momentum(ps, t, 1),
+                oracle_k(ps, t, BASE_WINDOW),
+                oracle_d(ps, t, BASE_WINDOW, D_WINDOW),
+                oracle_rsi(ps, t, BASE_WINDOW),
+            )
             assert row.price == ps[t]
             assert row.target_price == ps[t + 1]
 

@@ -319,9 +319,12 @@ class TestPrediction:
         """A column constant in training scales with span 1, so an inf in it
         stays inf and reaches the forward pass's finiteness check."""
         matrix = build_features(make_series(sine_prices(60)))
-        flat = FeatureMatrix([replace(row, rsi=50.0) for row in matrix.rows])
+        def last_feature(row, value):  # the RSI column
+            return replace(row, features=row.features[:-1] + (value,))
+
+        flat = FeatureMatrix([last_feature(row, 50.0) for row in matrix.rows])
         model = untrained_model(flat, window=8, hidden=4)
-        hostile = FeatureMatrix(flat.rows[:-1] + [replace(flat.rows[-1], rsi=math.inf)])
+        hostile = FeatureMatrix(flat.rows[:-1] + [last_feature(flat.rows[-1], math.inf)])
         with pytest.raises(ValidationError, match="non-finite"):
             predict_series(model, hostile)
 

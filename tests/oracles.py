@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
 Each function evaluates the defining formula directly at one index (or grows
-one tree exhaustively), with no code shared with the package. Indicator
+one tree exhaustively, or steps an LSTM one gate at a time), with no code
+shared with the package. Indicator
 oracles use the same left-to-right arithmetic order as a plain reading of the
 formula, so equality against the package is exact, not approximate.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
 
@@ -188,3 +190,113 @@ def same_tree(tree, naive: NaiveNode) -> bool:
         stack.append((tree.left[i] + 1, node.right))
         stack.append((tree.left[i], node.left))
     return sorted(reached) == list(range(tree.node_count))
+
+
+# LSTM reference: one matrix product per gate and parameter, the parameters a
+# dict of named arrays (W_f, U_f, b_f, ..., W_o, U_o, b_o, V, c). Every
+# product, sum and elementwise step runs in the order the package's docstrings
+# give, so its gradients, weights and loss trace are compared bit for bit.
+
+LSTM_NAMES = tuple(f"{p}_{g}" for g in "fico" for p in "WUb") + ("V", "c")
+
+
+def oracle_lstm_init(input_dim: int, hidden: int, seed: int) -> dict:
+    """Uniform on [-1/sqrt(h), 1/sqrt(h)], drawn parameter by parameter in
+    LSTM_NAMES order from the stream (seed, 0xC311)."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC311)))
+    k = 1.0 / np.sqrt(hidden)
+    shapes = {"W": (hidden, input_dim), "U": (hidden, hidden), "b": (hidden,)}
+    params = {}
+    for name in LSTM_NAMES:
+        shape = (hidden,) if name == "V" else (1,) if name == "c" else shapes[name[0]]
+        params[name] = rng.uniform(-k, k, size=shape)
+    return params
+
+
+def _oracle_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def oracle_lstm_cell(x_t, h_prev, c_prev, p: dict):
+    f = _oracle_sigmoid(x_t @ p["W_f"].T + h_prev @ p["U_f"].T + p["b_f"])
+    i = _oracle_sigmoid(x_t @ p["W_i"].T + h_prev @ p["U_i"].T + p["b_i"])
+    c_hat = np.tanh(x_t @ p["W_c"].T + h_prev @ p["U_c"].T + p["b_c"])
+    c_t = f * c_prev + i * c_hat
+    o = _oracle_sigmoid(x_t @ p["W_o"].T + h_prev @ p["U_o"].T + p["b_o"])
+    tanh_c = np.tanh(c_t)
+    h_t = o * tanh_c
+    return h_t, c_t, (x_t, h_prev, c_prev, f, i, c_hat, o, tanh_c)
+
+
+def oracle_lstm_gradients(windows, targets, p: dict) -> tuple[dict, float]:
+    """Gradients of the batch mean squared error of a (m, T, d) window stack,
+    by backpropagation through time, and the loss."""
+    m, T, _ = windows.shape
+    h = c = np.zeros((m, len(p["V"])))
+    caches = []
+    for t in range(T):
+        h, c, cache = oracle_lstm_cell(windows[:, t, :], h, c, p)
+        caches.append(cache)
+    err = (h @ p["V"] + p["c"][0]) - targets
+    loss = float(np.mean(err**2))
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    dpred = (2.0 / len(err)) * err
+    grads["V"] = dpred @ h
+    grads["c"] = np.array([float(np.sum(dpred))])
+    dh = np.outer(dpred, p["V"])
+    dc = np.zeros_like(dh)
+    for x_t, h_prev, c_prev, f, i, c_hat, o, tanh_c in reversed(caches):
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        dpre = {
+            "f": (dc * c_prev) * f * (1.0 - f),
+            "i": (dc * c_hat) * i * (1.0 - i),
+            "c": (dc * i) * (1.0 - c_hat**2),
+            "o": do * o * (1.0 - o),
+        }
+        for g in "fico":
+            grads[f"W_{g}"] += dpre[g].T @ x_t
+            grads[f"U_{g}"] += dpre[g].T @ h_prev
+            grads[f"b_{g}"] += dpre[g].sum(axis=0)
+        dh = dpre["f"] @ p["U_f"] + dpre["i"] @ p["U_i"] + dpre["c"] @ p["U_c"] + dpre["o"] @ p["U_o"]
+        dc = dc * f
+    return grads, loss
+
+
+def oracle_clip(grads: dict, max_norm: float) -> dict:
+    """Scale every gradient by max_norm/norm when the global norm, summed
+    parameter by parameter in LSTM_NAMES order, exceeds max_norm."""
+    total = 0.0
+    for name in LSTM_NAMES:
+        total += float(np.sum(grads[name] * grads[name]))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm:
+        return grads
+    return {name: g * (max_norm / norm) for name, g in grads.items()}
+
+
+def oracle_fit_lstm(inputs, targets, window: int, hidden: int, seed: int, epochs: int,
+                    batch_size: int, learning_rate: float, clip_norm: float) -> tuple[dict, list[float]]:
+    """Plain SGD on chronological batches of every `window`-row window of the
+    min-max scaled (n, d) inputs, window i's target being targets[i+window-1]
+    on the last column's scale. Returns the weights and each epoch's mean
+    squared training loss."""
+    mins, maxs = inputs.min(axis=0), inputs.max(axis=0)
+    spans = np.where(maxs - mins > 0, maxs - mins, 1.0)
+    scaled = (inputs - mins) / spans
+    windows = np.lib.stride_tricks.sliding_window_view(scaled, window, axis=0).transpose(0, 2, 1)
+    window_targets = ((targets - mins[-1]) / spans[-1])[window - 1 :]
+    p = oracle_lstm_init(inputs.shape[1], hidden, seed)
+    trace = []
+    for _ in range(epochs):
+        sse = 0.0
+        for start in range(0, len(windows), batch_size):
+            batch_targets = window_targets[start : start + batch_size]
+            grads, loss = oracle_lstm_gradients(windows[start : start + batch_size], batch_targets, p)
+            grads = oracle_clip(grads, clip_norm)
+            for name in LSTM_NAMES:
+                p[name] -= learning_rate * grads[name]
+            sse += loss * len(batch_targets)
+        trace.append(sse / len(windows))
+    return p, trace

@@ -9,6 +9,7 @@ import pytest
 
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
+from surplusminer.ingest import fill_gaps, parse_market_csv
 from surplusminer.lstm import (
     PARAM_NAMES,
     LstmModel,
@@ -27,7 +28,8 @@ from surplusminer.lstm import (
     save_lstm,
 )
 
-from conftest import make_series
+from conftest import DATA_DIR, make_series
+from oracles import LSTM_NAMES, oracle_fit_lstm, oracle_lstm_gradients
 
 
 def sine_prices(n=200, base=30000.0, amp=2000.0):
@@ -266,6 +268,40 @@ class TestTraining:
         inputs = matrix.input_array()
         assert model.scaler.mins == pytest.approx(inputs.min(axis=0))
         assert model.scaler.maxs == pytest.approx(inputs.max(axis=0))
+
+
+class TestPerGateOracle:
+    """The package's LSTM against the per-gate reference in oracles.py, bit
+    for bit: the same products in the same order must give the same floats,
+    however the package lays out or batches its weights."""
+
+    @pytest.mark.parametrize("d, h, T, m", [(7, 16, 14, 32), (3, 5, 4, 6), (2, 3, 1, 1)])
+    def test_gradients_and_loss(self, d, h, T, m):
+        rng = np.random.default_rng(18 + d)
+        w = init_weights(d, h, seed=d)
+        windows = rng.normal(0.0, 1.0, size=(m, T, d))
+        targets = rng.normal(0.0, 1.0, size=m)
+        grads, loss = bptt_gradients(windows, targets, w)
+        want, want_loss = oracle_lstm_gradients(windows, targets, {n: a.copy() for n, a in w.items()})
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert PARAM_NAMES == LSTM_NAMES
+        for name in PARAM_NAMES:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("hidden, clip_norm", [(16, 1.0), (8, 0.05)])
+    def test_two_epoch_fit_on_the_fixture(self, hidden, clip_norm):
+        """Weights and loss trace of a 2-epoch fit on the fixture's features;
+        the small clip_norm makes every step go through the scaling."""
+        matrix = build_features(fill_gaps(parse_market_csv(DATA_DIR / "market.csv")))
+        config = TrainConfig(epochs=2, window=14, hidden_size=hidden, clip_norm=clip_norm, seed=42)
+        model = fit_lstm(matrix, config)
+        want, trace = oracle_fit_lstm(
+            matrix.input_array(), matrix.target_array(), config.window, config.hidden_size, config.seed,
+            config.epochs, config.batch_size, config.learning_rate, config.clip_norm,
+        )
+        for name, arr in model.weights.items():
+            assert arr.tobytes() == want[name].tobytes(), name
+        assert np.array(model.loss_trace).tobytes() == np.array(trace).tobytes()
 
 
 class TestPrediction:

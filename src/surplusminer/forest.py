@@ -343,14 +343,20 @@ def fit_forest(
     """Fit B trees on bootstrap resamples of the feature matrix.
 
     The trees are grown in a pool of forked worker processes, one per
-    available CPU (at most B), and collected in tree order; with one worker
-    they are grown in this process. Tree b depends only on stream (seed, b),
-    so the model is the same for any worker count.
+    available CPU (at most B), and collected in tree order. Tree b depends
+    only on stream (seed, b), so the model is the same for any worker count.
 
     `meanwhile`, when given, runs in this process while the workers grow
-    trees, or after the trees with one worker. It starts only once every
-    worker is forked, so no fork happens while it runs. If it raises, the
-    pool is terminated and the exception propagates.
+    trees, and the pool leaves it a CPU: it has cpus - 1 workers (at most B),
+    even if that is one. `cmd_train` passes the LSTM fit, which runs on one
+    CPU and, at paper scale, outlasts the forest even on a single worker
+    (~3.9-4.6 s against ~3.1 s for 100 trees on a 2-vCPU VM), so a worker
+    sharing its CPU would only slow down `train`. `meanwhile` starts only once every worker
+    is forked, so no fork happens while it runs. If it raises, the pool is
+    terminated and the exception propagates.
+
+    With one CPU, or one worker and no `meanwhile`, the trees are grown in
+    this process, and then `meanwhile` runs.
 
     `sampler` is a test hook replacing the bootstrap draw (e.g. identity
     indices); it receives (n, rng) and must return row indices.
@@ -361,8 +367,9 @@ def fit_forest(
         raise DataInsufficientError("cannot fit a forest on an empty feature matrix")
     params.resolved_m_try(X.shape[1])  # reject a bad m_try before any worker starts
     job = (X, y, params, sampler if sampler is not None else bootstrap_sample)
-    workers = min(_available_cpus(), params.n_trees)
-    if workers == 1 or not hasattr(os, "fork"):
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
+    workers = min(cpus - 1 if meanwhile is not None else cpus, params.n_trees)
+    if workers == 0 or (workers == 1 and meanwhile is None):
         trees = [_grow_bagged_tree(job, b) for b in range(params.n_trees)]
         if meanwhile is not None:
             meanwhile()

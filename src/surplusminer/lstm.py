@@ -9,6 +9,18 @@ column's scaling so predictions invert back to dollars.
 Training and prediction share one forward pass, `_forward`, over a strided
 (batch, steps, features) view of the scaled rows (`_windows`); it checks
 its windows once on entry, so `cell_forward` is bare gate arithmetic.
+
+The weights are gate-major (`LstmWeights`): each of W, U and b stacks the
+four gates on a leading axis, the standard LSTM layout (Appleyard, Kocisky
+and Blunsom, "Optimizing Performance of Recurrent Neural Networks on GPUs",
+2016), so a time step makes a handful of numpy calls instead of one per gate
+and parameter. The stacking is a batch axis, not one wide product: numpy
+still issues one BLAS call per gate, of the same shape, so each product is
+the same floats as the per-gate formula and stays below OpenBLAS's threading
+threshold. Every sum runs in the per-gate order, which keeps the models
+byte-identical to the per-gate reference in the tests. The per-gate
+parameters remain as named views (W_f ... b_o) because the init draws, the
+clip's sum of squares and the model file are defined per parameter.
 """
 from __future__ import annotations
 
@@ -28,41 +40,66 @@ LSTM_SCHEMA = "lstm-model/2"
 
 @dataclass
 class LstmWeights:
-    """Gate weights (forget/input/cell/output) plus the linear head.
+    """Gate weights (forget/input/output/cell candidate) plus the linear head.
 
-    W_* are (hidden, input), U_* are (hidden, hidden), b_* are (hidden,);
+    Gate-major: the four gates are stacked on a leading axis in the order
+    f, i, o, c. W is (4, hidden, input), U is (4, hidden, hidden) and b is
+    (4, hidden), so one batched product per step covers every gate, one
+    in-place sigmoid covers the first three blocks and one tanh the last.
     V is (hidden,) and c is a (1,) array so all parameters update uniformly.
+
+    Each gate's blocks are also views by name, W_f ... b_o. The stacks are a
+    layout, not a change of model: items() and PARAM_NAMES, and so the init
+    draws, the clip's sum of squares, the model file and the gradient
+    checks, stay per parameter. The same class holds the gradients that
+    bptt_gradients returns, indexable by parameter name.
     """
 
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
-    W_i: np.ndarray
-    U_i: np.ndarray
-    b_i: np.ndarray
-    W_c: np.ndarray
-    U_c: np.ndarray
-    b_c: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    b_o: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
     V: np.ndarray
     c: np.ndarray
 
+    W_f = property(lambda self: self.W[0])
+    U_f = property(lambda self: self.U[0])
+    b_f = property(lambda self: self.b[0])
+    W_i = property(lambda self: self.W[1])
+    U_i = property(lambda self: self.U[1])
+    b_i = property(lambda self: self.b[1])
+    W_o = property(lambda self: self.W[2])
+    U_o = property(lambda self: self.U[2])
+    b_o = property(lambda self: self.b[2])
+    W_c = property(lambda self: self.W[3])
+    U_c = property(lambda self: self.U[3])
+    b_c = property(lambda self: self.b[3])
+
+    @classmethod
+    def zeros(cls, input_dim: int, hidden_size: int) -> "LstmWeights":
+        h, d = hidden_size, input_dim
+        return cls(W=np.zeros((4, h, d)), U=np.zeros((4, h, h)), b=np.zeros((4, h)), V=np.zeros(h), c=np.zeros(1))
+
     @property
     def hidden_size(self) -> int:
-        return self.W_f.shape[0]
+        return self.W.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_f.shape[1]
+        return self.W.shape[2]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in PARAM_NAMES:
+            raise KeyError(name)
+        return getattr(self, name)
 
     def items(self):
         for name in PARAM_NAMES:
             yield name, getattr(self, name)
 
 
-PARAM_NAMES = tuple(f.name for f in fields(LstmWeights))
+# per parameter, gate by gate in the order f, i, c, o: the init draws, the
+# clip's sum of squares and the model file's keys follow it
+PARAM_NAMES = tuple(f"{p}_{g}" for g in "fico" for p in "WUb") + ("V", "c")
 
 
 def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
@@ -71,9 +108,10 @@ def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
         raise ValidationError("input_dim and hidden_size must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC311)))
     k = 1.0 / np.sqrt(hidden_size)
-    shapes = _weight_shapes(input_dim, hidden_size)
-    values = {name: rng.uniform(-k, k, size=shapes[name]) for name in PARAM_NAMES}
-    return LstmWeights(**values)
+    w = LstmWeights.zeros(input_dim, hidden_size)
+    for _, arr in w.items():
+        arr[...] = rng.uniform(-k, k, size=arr.shape)
+    return w
 
 
 def _weight_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
@@ -86,8 +124,12 @@ def _weight_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...
     }
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_in_place(z: np.ndarray) -> None:
+    """z = 1 / (1 + exp(-z)), the same four operations as the plain formula."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
 
 
 def cell_forward(
@@ -99,18 +141,24 @@ def cell_forward(
     """One LSTM step over a batch: rows of x_t are samples. No checks here:
     `_forward` checks the whole window stack before its first step.
 
+    Each gate's pre-activation is (x_t W_g^T + h_prev U_g^T) + b_g, summed in
+    that order. The stacked products are batched over the gate axis, so
+    numpy makes one BLAS call per gate, each the size of a single gate's
+    product: small enough that OpenBLAS keeps it on one thread.
+
     Returns (h_t, c_t, cache); the cache carries everything the backward
-    pass needs.
+    pass needs, the activated gates as one (4, m, h) stack.
     """
-    f = _sigmoid(x_t @ w.W_f.T + h_prev @ w.U_f.T + w.b_f)
-    i = _sigmoid(x_t @ w.W_i.T + h_prev @ w.U_i.T + w.b_i)
-    c_hat = np.tanh(x_t @ w.W_c.T + h_prev @ w.U_c.T + w.b_c)
+    g = x_t @ w.W.transpose(0, 2, 1)
+    g += h_prev @ w.U.transpose(0, 2, 1)
+    g += w.b[:, None]
+    _sigmoid_in_place(g[:3])
+    np.tanh(g[3], out=g[3])
+    f, i, o, c_hat = g
     c_t = f * c_prev + i * c_hat
-    o = _sigmoid(x_t @ w.W_o.T + h_prev @ w.U_o.T + w.b_o)
     tanh_c = np.tanh(c_t)
     h_t = o * tanh_c
-    cache = (x_t, h_prev, c_prev, f, i, c_hat, o, tanh_c)
-    return h_t, c_t, cache
+    return h_t, c_t, (x_t, h_prev, c_prev, g, tanh_c)
 
 
 def _forward(windows: np.ndarray, w: LstmWeights, caches: list | None = None) -> np.ndarray:
@@ -140,11 +188,14 @@ def bptt_gradients(
     windows: np.ndarray,
     targets: np.ndarray,
     w: LstmWeights,
-) -> tuple[dict[str, np.ndarray], float]:
+) -> tuple[LstmWeights, float]:
     """Analytic gradients of the batch mean squared error, plus the loss.
 
     windows is (m, T, d), checked by `_forward`, and targets is (m,).
-    Gradients come back keyed by parameter name, unclipped.
+    Gradients come back unclipped, as an LstmWeights of the weights' shapes,
+    indexable by parameter name. Each step fills one (4, m, h) stack of
+    pre-activation gradients, each gate's from the same expression as the
+    per-gate formula, and its products are batched over the gate axis.
     """
     caches: list = []
     preds = _forward(windows, w, caches)
@@ -157,41 +208,58 @@ def bptt_gradients(
         raise ValidationError(f"non-finite loss at window {bad}")
     loss = float(np.mean(err**2))
 
-    grads = {name: np.zeros_like(arr) for name, arr in w.items()}
     dpred = (2.0 / len(err)) * err  # (m,)
-    *_, o, tanh_c = caches[-1]
-    grads["V"] = dpred @ (o * tanh_c)  # the last step's h
-    grads["c"] = np.array([float(np.sum(dpred))])
+    *_, last_gates, last_tanh_c = caches[-1]
+    grads = LstmWeights(
+        W=np.zeros_like(w.W),
+        U=np.zeros_like(w.U),
+        b=np.zeros_like(w.b),
+        V=dpred @ (last_gates[2] * last_tanh_c),  # the last step's h
+        c=np.array([float(np.sum(dpred))]),
+    )
 
     dh = np.outer(dpred, w.V)  # (m, hidden)
     dc = np.zeros_like(dh)
-    for x_t, h_prev, c_prev, f, i, c_hat, o, tanh_c in reversed(caches):
-        do = dh * tanh_c
+    D = np.empty_like(last_gates)  # the pre-activation gradients, gates f, i, o, c
+    Dt = D.transpose(0, 2, 1)
+    for x_t, h_prev, c_prev, g, tanh_c in reversed(caches):
+        f, i, o, c_hat = g
         dc = dc + dh * o * (1.0 - tanh_c**2)
-        dpre_f = (dc * c_prev) * f * (1.0 - f)
-        dpre_i = (dc * c_hat) * i * (1.0 - i)
-        dpre_c = (dc * i) * (1.0 - c_hat**2)
-        dpre_o = do * o * (1.0 - o)
-        for g, dpre in zip("fico", (dpre_f, dpre_i, dpre_c, dpre_o)):
-            grads[f"W_{g}"] += dpre.T @ x_t
-            grads[f"U_{g}"] += dpre.T @ h_prev
-            grads[f"b_{g}"] += dpre.sum(axis=0)
-        dh = dpre_f @ w.U_f + dpre_i @ w.U_i + dpre_c @ w.U_c + dpre_o @ w.U_o
+        # a sigmoid gate's is (upstream * s) * (1 - s), where the upstream
+        # factors of f, i and o are dc * c_prev, dc * c_hat and dh * tanh_c
+        np.multiply(dc, c_prev, out=D[0])
+        np.multiply(dc, c_hat, out=D[1])
+        np.multiply(dh, tanh_c, out=D[2])
+        D[:3] *= g[:3]
+        D[:3] *= 1.0 - g[:3]
+        np.multiply(dc * i, 1.0 - c_hat**2, out=D[3])
+        grads.W += Dt @ x_t
+        grads.U += Dt @ h_prev
+        grads.b += D.sum(axis=1)
+        P = D @ w.U
+        dh = P[0] + P[1] + P[3] + P[2]  # f + i + c + o: float addition is not associative
         dc = dc * f
     return grads, loss
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients by max_norm/norm when the global norm exceeds it."""
+def clip_gradients(
+    grads: LstmWeights | dict[str, np.ndarray], max_norm: float
+) -> tuple[LstmWeights | dict[str, np.ndarray], float]:
+    """Scale all gradients in place by max_norm/norm when the global norm
+    exceeds it; returns (grads, norm). grads maps names to arrays (an
+    LstmWeights of gradients, or a dict). The squares are summed one
+    parameter at a time, in its items() order: a sum over a whole gate
+    stack would round differently."""
     if max_norm <= 0:
         raise ValidationError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
-    for g in grads.values():
+    for _, g in grads.items():
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
-        grads = {name: g * scale for name, g in grads.items()}
+        for _, g in grads.items():
+            g *= scale
     return grads, norm
 
 
@@ -239,9 +307,11 @@ class LstmModel:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _apply_sgd(w: LstmWeights, grads: dict[str, np.ndarray], lr: float) -> None:
-    for name, arr in w.items():
-        arr -= lr * grads[name]
+def _apply_sgd(w: LstmWeights, grads: LstmWeights, lr: float) -> None:
+    """One SGD step in place, a whole stack (W, U, b, V, c) at a time."""
+    for stack in fields(LstmWeights):
+        arr = getattr(w, stack.name)
+        arr -= lr * getattr(grads, stack.name)
 
 
 def _windows(scaled: np.ndarray, T: int) -> np.ndarray:
@@ -347,6 +417,9 @@ def load_lstm(path: str | Path) -> LstmModel:
             weights[name] = json_array(weights_doc, name, float, ndim=len(shape))
             if weights[name].shape != shape:
                 raise ValidationError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
+        w = LstmWeights.zeros(width, config.hidden_size)  # only once every shape is checked
+        for name, view in w.items():
+            view[...] = weights[name]
         scaler_doc = json_value(doc, "scaler", dict)
         mins, maxs = (json_array(scaler_doc, key, float) for key in ("mins", "maxs"))
         if mins.shape != (width,) or maxs.shape != (width,):
@@ -355,7 +428,7 @@ def load_lstm(path: str | Path) -> LstmModel:
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return LstmModel(
-        weights=LstmWeights(**weights),
+        weights=w,
         scaler=MinMaxScaler(mins=mins, maxs=maxs),
         config=config,
         loss_trace=loss_trace,

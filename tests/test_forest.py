@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -361,23 +362,77 @@ class TestDraws:
         assert np.all(np.abs(freq - 1.0 / p) <= 0.05), freq
 
 
+def logging_identity(log, workers=1):
+    """A sampler hook that logs the pid of the process drawing each tree and
+    draws the identity. It then waits (10 s at most) until `workers`
+    distinct pids have logged, so that each of that many workers takes a
+    tree before any worker takes a second."""
+
+    def identity(n, rng):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        deadline = time.monotonic() + 10.0
+        while len(set(log.read_text().split())) < workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return np.arange(n)
+
+    return identity
+
+
 class TestWorkers:
-    """fit_forest grows trees in one forked worker per available CPU; the
-    model must not depend on how many there are."""
+    """fit_forest grows trees in one forked worker per available CPU, one
+    fewer beside `meanwhile`; the model must not depend on how many there
+    are."""
 
     def test_worker_count_does_not_change_the_model(self, tmp_path, monkeypatch):
         matrix = random_matrix(seed=6)
         params = ForestParams(n_trees=5, seed=2)
         saved, predicted = {}, {}
-        for cpus in (1, 2):
+        for cpus, meanwhile in ((1, None), (2, None), (2, lambda: None)):
+            run = f"{cpus}-{meanwhile is not None}"
             monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-            model = fit_forest(matrix, params)
-            path = tmp_path / f"{cpus}.json"
+            model = fit_forest(matrix, params, meanwhile=meanwhile)
+            path = tmp_path / f"{run}.json"
             save_forest(model, path)
-            saved[cpus] = path.read_bytes()
-            predicted[cpus] = predict_matrix(model, matrix).tobytes()
-        assert saved[1] == saved[2]
-        assert predicted[1] == predicted[2]
+            saved[run] = path.read_bytes()
+            predicted[run] = predict_matrix(model, matrix).tobytes()
+        assert saved["1-False"] == saved["2-False"] == saved["2-True"]
+        assert predicted["1-False"] == predicted["2-False"] == predicted["2-True"]
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
+    def test_meanwhile_keeps_a_cpu(self, tmp_path, monkeypatch, cpus, workers):
+        """Beside `meanwhile` the trees go to cpus - 1 workers, one on two
+        CPUs, and `meanwhile` runs in this process."""
+        log = tmp_path / "pids"
+        ran_in = []
+        monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+        fit_forest(
+            random_matrix(n_days=50, seed=8),
+            ForestParams(n_trees=4, m_try=2, seed=1),
+            sampler=logging_identity(log, workers),
+            meanwhile=lambda: ran_in.append(os.getpid()),
+        )
+        pids = log.read_text().split()
+        assert len(pids) == 4
+        assert len(set(pids)) == workers
+        assert str(os.getpid()) not in pids
+        assert ran_in == [os.getpid()]
+
+    def test_one_cpu_grows_the_trees_here_before_meanwhile(self, monkeypatch):
+        events = []
+
+        def identity(n, rng):
+            events.append(("tree", os.getpid()))
+            return np.arange(n)
+
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 1)
+        fit_forest(
+            random_matrix(n_days=50, seed=8),
+            ForestParams(n_trees=3, m_try=2, seed=1),
+            sampler=identity,
+            meanwhile=lambda: events.append(("meanwhile", os.getpid())),
+        )
+        assert events == [("tree", os.getpid())] * 3 + [("meanwhile", os.getpid())]
 
     def test_sampler_reaches_the_workers(self, tmp_path, monkeypatch):
         """The test hook runs in the worker processes: it logs their pids,

@@ -181,6 +181,7 @@ def _forward(windows: np.ndarray, w: LstmWeights, caches: list | None = None) ->
         h, c, cache = cell_forward(windows[:, t, :], h, c, w)
         if caches is not None:
             caches.append(cache)
+        del cache  # or it holds this step's gates while the next step makes its own
     return h @ w.V + w.c[0]
 
 

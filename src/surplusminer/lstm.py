@@ -16,8 +16,8 @@ and Blunsom, "Optimizing Performance of Recurrent Neural Networks on GPUs",
 2016), so a time step makes a handful of numpy calls instead of one per gate
 and parameter. The stacking is a batch axis, not one wide product: numpy
 still issues one BLAS call per gate, of the same shape, so each product is
-the same floats as the per-gate formula and stays below OpenBLAS's threading
-threshold. Every sum runs in the per-gate order, which keeps the models
+the same floats as the per-gate formula and, for a training batch, stays
+below OpenBLAS's threading threshold. Every sum runs in the per-gate order, which keeps the models
 byte-identical to the per-gate reference in the tests. The per-gate
 parameters remain as named views (W_f ... b_o) because the init draws, the
 clip's sum of squares and the model file are defined per parameter.
@@ -144,7 +144,7 @@ def cell_forward(
     Each gate's pre-activation is (x_t W_g^T + h_prev U_g^T) + b_g, summed in
     that order. The stacked products are batched over the gate axis, so
     numpy makes one BLAS call per gate, each the size of a single gate's
-    product: small enough that OpenBLAS keeps it on one thread.
+    product; at a training batch's size OpenBLAS keeps it on one thread.
 
     Returns (h_t, c_t, cache); the cache carries everything the backward
     pass needs, the activated gates as one (4, m, h) stack.

@@ -351,9 +351,9 @@ def fit_forest(
     even if that is one. `cmd_train` passes the LSTM fit, which runs on one
     CPU and, at paper scale, outlasts the forest even on a single worker
     (~3.9-4.6 s against ~3.1 s for 100 trees on a 2-vCPU VM), so a worker
-    sharing its CPU would only slow down `train`. `meanwhile` starts only once every worker
-    is forked, so no fork happens while it runs. If it raises, the pool is
-    terminated and the exception propagates.
+    sharing its CPU would only slow down `train`. `meanwhile` starts only
+    once every worker is forked, so no fork happens while it runs. If it
+    raises, the pool is terminated and the exception propagates.
 
     With one CPU, or one worker and no `meanwhile`, the trees are grown in
     this process, and then `meanwhile` runs.

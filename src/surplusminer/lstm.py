@@ -17,10 +17,11 @@ and Blunsom, "Optimizing Performance of Recurrent Neural Networks on GPUs",
 and parameter. The stacking is a batch axis, not one wide product: numpy
 still issues one BLAS call per gate, of the same shape, so each product is
 the same floats as the per-gate formula and, for a training batch, stays
-below OpenBLAS's threading threshold. Every sum runs in the per-gate order, which keeps the models
-byte-identical to the per-gate reference in the tests. The per-gate
-parameters remain as named views (W_f ... b_o) because the init draws, the
-clip's sum of squares and the model file are defined per parameter.
+below OpenBLAS's threading threshold. Every sum runs in the per-gate order,
+which keeps the models byte-identical to the per-gate reference in the
+tests. The per-gate parameters remain as named views (W_f ... b_o) because
+the init draws, the clip's sum of squares and the model file are defined
+per parameter.
 """
 from __future__ import annotations
 

@@ -362,7 +362,7 @@ class TestDraws:
         assert np.all(np.abs(freq - 1.0 / p) <= 0.05), freq
 
 
-def logging_identity(log, workers=1):
+def logging_identity(log, workers):
     """A sampler hook that logs the pid of the process drawing each tree and
     draws the identity. It then waits (10 s at most) until `workers`
     distinct pids have logged, so that each of that many workers takes a
@@ -438,15 +438,9 @@ class TestWorkers:
         """The test hook runs in the worker processes: it logs their pids,
         and its identity draw makes the forest memorize the rows."""
         log = tmp_path / "pids"
-
-        def identity(n, rng):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return np.arange(n)
-
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
         matrix = random_matrix(n_days=50, seed=8)
-        model = fit_forest(matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=identity)
+        model = fit_forest(matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=logging_identity(log, 1))
         pids = log.read_text().split()
         assert len(pids) == 3
         assert str(os.getpid()) not in pids

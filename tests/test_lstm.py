@@ -9,7 +9,7 @@ import pytest
 
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
-from surplusminer.ingest import fill_gaps, parse_market_csv
+from surplusminer.ingest import parse_market_csv
 from surplusminer.lstm import (
     PARAM_NAMES,
     LstmModel,
@@ -292,7 +292,7 @@ class TestPerGateOracle:
     def test_two_epoch_fit_on_the_fixture(self, hidden, clip_norm):
         """Weights and loss trace of a 2-epoch fit on the fixture's features;
         the small clip_norm makes every step go through the scaling."""
-        matrix = build_features(fill_gaps(parse_market_csv(DATA_DIR / "market.csv")))
+        matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         config = TrainConfig(epochs=2, window=14, hidden_size=hidden, clip_norm=clip_norm, seed=42)
         model = fit_lstm(matrix, config)
         want, trace = oracle_fit_lstm(

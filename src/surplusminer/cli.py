@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from .economics import (
     BLOCKS_PER_DAY,
@@ -44,6 +44,9 @@ from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketSeries,
     MonthlySurplusTotal,
+    _data_rows,
+    _parse_date,
+    _parse_float,
     fill_gaps,
     monthly_totals,
     output_file,
@@ -59,8 +62,9 @@ from .params import ForestParams, TrainConfig
 logger = logging.getLogger(__name__)
 
 # The names taken from the numpy layers, bound here on first use (_bind_layers).
-# predict_forest and predict_window are not called here; they stay because
-# bench/layertrace.py wraps every layer function bound in this namespace by name.
+# load_forest, load_lstm, predict_forest and predict_window are not called here;
+# they stay because bench/layertrace.py wraps every layer function bound in this
+# namespace by name, and reports a metric for each of them.
 NUMPY_LAYERS = {
     "forest": ("fit_forest", "load_forest", "predict_forest", "predict_matrix", "save_forest"),
     "lstm": ("fit_lstm", "load_lstm", "predict_series", "predict_window", "save_lstm"),
@@ -85,6 +89,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 VALID_CASES = ("actual-1", "actual-2", "forest-1", "forest-2", "lstm-1", "lstm-2")
+# The config keys that decide which feature rows the models train on and forecast from.
+SPLIT_KEYS = ("analysis_start", "train_start", "train_end", "test_start", "test_end")
 
 
 @dataclass
@@ -344,8 +350,46 @@ def _forecast(cfg: RunConfig, forecast: FeatureMatrix, name: str, model) -> dict
     return dict(zip((row.target_day for row in rows.rows), predict_matrix(model, rows).tolist()))
 
 
+class Forecast(NamedTuple):
+    """Both models' prices for one test day: a forecasts.csv row, its fields in column order."""
+
+    day: date
+    forest_usd: float
+    lstm_usd: float
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _hashed_files(cfg: RunConfig, out: Path, models) -> dict[str, Path]:
+    """The files whose sha256 heads forecasts.csv, by header field: the market
+    file and the file of each of `models` ("forest", "lstm")."""
+    return {
+        "market_sha256": cfg.input_path(cfg.market_csv),
+        **{f"{name}_model_sha256": out / f"{name}_model.json" for name in models},
+    }
+
+
+def _forecasts_header(cfg: RunConfig, out: Path, models) -> dict[str, str]:
+    """forecasts.csv's header fields for `models`: by name, everything their
+    prices depend on. That is the sha256 of the market file and of each model
+    file, the split dates and each model's settings (seed included, as reprs)."""
+    header = {key: _sha256(path) for key, path in _hashed_files(cfg, out, models).items()}
+    header.update((key, getattr(cfg, key).isoformat()) for key in SPLIT_KEYS)
+    for name in models:
+        settings = getattr(cfg, name)
+        header.update((f"{name}.{f.name}", repr(getattr(settings, f.name))) for f in fields(settings))
+    return header
+
+
 def cmd_train(cfg: RunConfig) -> None:
-    """Fit both models on the training rows and evaluate them on every test day."""
+    """Fit both models on the training rows, write both models' price for every
+    test day to forecasts.csv and evaluate them against the market's."""
     _bind_layers()
     out = _prepare_out(cfg)
     filled, _ = _load_clean_market(cfg)
@@ -370,8 +414,15 @@ def cmd_train(cfg: RunConfig) -> None:
         for name, prices in predicted.items()
     ]
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
-
     days = list(predicted["lstm"])  # the same for both models
+    header = _forecasts_header(cfg, out, ("forest", "lstm"))
+    write_output_csv(
+        out / "forecasts.csv",
+        Forecast._fields,
+        (Forecast(day, predicted["forest"][day], predicted["lstm"][day]) for day in days),
+        " ".join(f"{key}={value}" for key, value in header.items()),
+    )
+
     lines = [
         "training summary",
         f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
@@ -398,40 +449,68 @@ def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
     return build_scenarios(capacities, cfg.miner)
 
 
-def _field_values(obj, names: list[str]) -> str:
-    return ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+def _settings(header: dict[str, str], keys: list[str]) -> str:
+    """`setting=value, ...` of the model-setting fields `keys` (e.g. forest.seed) in a header."""
+    return ", ".join(f"{key.partition('.')[2]}={header.get(key)}" for key in keys)
+
+
+def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, dict[date, float]]:
+    """The prices of `models` for each test day, keyed by day, from the
+    forecasts.csv that train wrote in `out`.
+
+    Each header field of this run (_forecasts_header) must equal the one train
+    wrote: a mismatch is a ValidationError naming the model file whose settings
+    differ, the file whose sha256 differs, or the field. A row that does not
+    parse is one naming its line, and a file without exactly one row per test
+    day, in date order, one naming the file. Any finite price is taken."""
+    path = out / "forecasts.csv"
+    for needed in (path, *(out / f"{name}_model.json" for name in models)):
+        if not needed.is_file():
+            raise ValidationError(f"{', '.join(models)} cases requested but {needed} is missing; run train first")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        made_with = dict(item.partition("=")[::2] for item in fh.readline().removeprefix("# ").split())
+    wanted = _forecasts_header(cfg, out, models)
+    files = _hashed_files(cfg, out, models)
+    for key, value in wanted.items():
+        was = made_with.get(key)
+        if was == value:
+            continue
+        if key in files:
+            raise ValidationError(
+                f"{files[key]} has sha256 {value}, but {path} was made from one with sha256 {was}; run train again"
+            )
+        name, dot, _ = key.partition(".")
+        if dot:  # a model setting: name every one of that model's that differs
+            differ = [k for k in wanted if k.startswith(f"{name}.") and made_with.get(k) != wanted[k]]
+            raise ValidationError(
+                f"{out / f'{name}_model.json'}: trained with {_settings(made_with, differ)}, "
+                f"but the run config has {_settings(wanted, differ)}; run train again"
+            )
+        raise ValidationError(f"{path} was made with {key}={was}, but the run config has {key}={value}; run train again")
+
+    def parse_row(row: list[str]) -> Forecast:
+        return Forecast(_parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], Forecast._fields[1:])))
+
+    rows = [forecast for _, forecast in _data_rows(path, Forecast._fields, parse_row)]
+    test_days = [cfg.test_start + timedelta(days=i) for i in range((cfg.test_end - cfg.test_start).days + 1)]
+    if [row.day for row in rows] != test_days:
+        raise ValidationError(
+            f"{path} must have one row per day from {cfg.test_start} to {cfg.test_end}, in date order; run train again"
+        )
+    return {name: {row.day: getattr(row, f"{name}_usd") for row in rows} for name in models}
 
 
 def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str, PriceSource]:
-    """Build the price source for every model named in the requested cases.
-
-    A model is used only if it was trained under the run config's settings for
-    it (cfg.forest or cfg.lstm, seed included)."""
+    """Build the price source for every source named in the requested cases:
+    the market's prices, and the forecasts that train wrote for each model."""
     needed = {case.rsplit("-", 1)[0] for case in cfg.cases}
     sources: dict[str, PriceSource] = {}
     if "actual" in needed:
         sources["actual"] = PriceSource.from_market(market)
-    if "forest" in needed or "lstm" in needed:
-        _bind_layers()
-        _, forecast = _split_features(cfg, build_features(market))
-        for name, load, settings in (("forest", load_forest, "params"), ("lstm", load_lstm, "config")):
-            if name in needed:
-                model_path = out / f"{name}_model.json"
-                if not model_path.is_file():
-                    raise ValidationError(f"{name} cases requested but {model_path} is missing; run train first")
-                model = load(model_path)
-                trained, wanted = getattr(model, settings), getattr(cfg, name)
-                differ = [f.name for f in fields(wanted) if getattr(trained, f.name) != getattr(wanted, f.name)]
-                if differ:
-                    raise ValidationError(
-                        f"{model_path}: trained with {_field_values(trained, differ)}, "
-                        f"but the run config has {_field_values(wanted, differ)}; run train again"
-                    )
-                try:
-                    prices = _forecast(cfg, forecast, name, model)
-                except ValidationError as exc:  # a model that does not fit the features
-                    raise ValidationError(f"{model_path}: {exc}") from None
-                sources[name] = PriceSource(name, prices)
+    models = [name for name in ("forest", "lstm") if name in needed]
+    if models:
+        for name, prices in _read_forecasts(cfg, out, models).items():
+            sources[name] = PriceSource(name, prices)
     return sources
 
 

@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surplusminer import cli, forest
+from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
+from surplusminer.errors import ValidationError
+from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.ingest import MarketSeries
 
 from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes
@@ -49,13 +51,37 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+LOADERS = {"forest": forest.load_forest, "lstm": lstm.load_lstm}
+
+
+def model_prices(name: str, model, market: MarketSeries) -> dict:
+    """Model `name`'s price for each fixture test day from the features of
+    `market`: predict_matrix on the rows dated test_start-1..test_end-1, or
+    predict_series on those rows and the window history before them."""
+    cfg = cli.load_config(FIXTURE_CONFIG)
+    _, rows = cli._split_features(cfg, build_features(market))
+    if name == "lstm":
+        return lstm.predict_series(model, rows)
+    last = FeatureMatrix(rows.rows[cfg.lstm.window - 1 :])
+    return dict(zip((row.target_day for row in last.rows), forest.predict_matrix(model, last).tolist()))
+
+
+def reloaded_forecasts(out: Path, market: MarketSeries) -> dict[str, dict]:
+    """Both models' prices per test day, from the model files in `out` reloaded."""
+    return {name: model_prices(name, load(out / f"{name}_model.json"), market) for name, load in LOADERS.items()}
+
+
+def fixture_market() -> MarketSeries:
+    return cli._load_clean_market(cli.load_config(FIXTURE_CONFIG))[0]
+
+
 class TestFullPipeline:
     def test_writes_expected_files(self, pipeline_out):
         names = {p.name for p in pipeline_out.iterdir()}
         assert names == {
             "config_used.json", "market_clean.csv", "surplus_monthly.csv",
             "ingest_summary.txt", "features.csv", "forest_model.json",
-            "lstm_model.json", "eval.csv", "train_summary.txt",
+            "lstm_model.json", "eval.csv", "forecasts.csv", "train_summary.txt",
             "fleet.csv", "ledger.csv", "report.txt",
         }
 
@@ -72,9 +98,11 @@ class TestFullPipeline:
         assert got == want
 
     def test_text_outputs_carry_config_header(self, pipeline_out):
+        """Every text output but forecasts.csv, whose header is tested below."""
         for path in sorted(pipeline_out.glob("*.csv")) + sorted(pipeline_out.glob("*.txt")):
-            first = path.read_text(encoding="utf-8").splitlines()[0]
-            assert first == f"# config={FIXTURE_HASH} seed=42", path.name
+            if path.name != "forecasts.csv":
+                first = path.read_text(encoding="utf-8").splitlines()[0]
+                assert first == f"# config={FIXTURE_HASH} seed=42", path.name
 
     def test_config_echo_leads_with_hash_and_seed(self, pipeline_out):
         raw = (pipeline_out / "config_used.json").read_text(encoding="utf-8")
@@ -108,23 +136,23 @@ class TestFullPipeline:
 
 
 class TestCausalForecasts:
-    """No forest or LSTM price used on day d depends on a market price dated
-    d or later. The models are the pipeline run's; only the inputs change."""
+    """No forest or LSTM price for day d depends on a market price dated d or
+    later. The models are the pipeline run's, reloaded; only the inputs change."""
 
     @given(st.data())
     @settings(max_examples=8, deadline=None)
     def test_perturbing_prices_from_d_on_leaves_the_price_on_d(self, pipeline_out, data):
         cfg = cli.load_config(FIXTURE_CONFIG)
-        market, _ = cli._load_clean_market(cfg)
+        market = fixture_market()
         d = cfg.sim_start + timedelta(days=data.draw(st.integers(0, (cfg.sim_end - cfg.sim_start).days)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         perturbed = MarketSeries(
             [replace(r, price_usd=r.price_usd * rng.uniform(0.5, 2.0)) if r.day >= d else r for r in market.records]
         )
-        before = cli._price_sources(cfg, pipeline_out, market)
-        after = cli._price_sources(cfg, pipeline_out, perturbed)
+        before = reloaded_forecasts(pipeline_out, market)
+        after = reloaded_forecasts(pipeline_out, perturbed)
         for name in ("forest", "lstm"):
-            assert after[name].price_for(d) == before[name].price_for(d), name
+            assert after[name][d] == before[name][d], name
 
 
 class TestIngest:
@@ -445,14 +473,33 @@ def narrower_inputs(doc):
 
 
 class TestHostileModelFiles:
-    """A damaged model file makes simulate exit 2 naming the file, not 4."""
+    """A damaged model file is refused naming the file: reading it raises a
+    ValidationError, never another error, and simulate, whose forecasts.csv
+    was made from other bytes, exits 2 naming the file, not 4."""
 
-    def _simulate_on_edited_model(self, pipeline_out, tmp_path, name, case, edit) -> int:
+    def _read_edited_model(self, pipeline_out, tmp_path, caplog, name, case, edit) -> tuple[int, str]:
+        """Edit model file `name` in a copy of the pipeline run. Returns the
+        exit code of simulating `case` on the copy, which must name the file,
+        and the error of reading the file: loading it, then pricing the test
+        days from it (an error there prefixed with the file, as the loaders
+        prefix theirs)."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_out, out)
         path = out / name
         path.write_bytes(edit(path.read_bytes()))
-        return main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", case, "--out", str(out)])
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", case, "--out", str(out)])
+        assert f"{path} has sha256 " in caplog.text
+        model_name = name.split("_")[0]
+        try:
+            model = LOADERS[model_name](path)
+        except ValidationError as exc:
+            return rc, str(exc)
+        try:
+            model_prices(model_name, model, fixture_market())
+        except ValidationError as exc:
+            return rc, f"{path}: {exc}"
+        pytest.fail(f"{name} read without an error")
 
     @staticmethod
     def _edit_json(change):
@@ -464,12 +511,11 @@ class TestHostileModelFiles:
         return edit
 
     def test_truncated_forest_model_exits_2(self, pipeline_out, tmp_path, caplog):
-        with caplog.at_level(logging.ERROR):
-            rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "forest_model.json", "forest-1", lambda raw: raw[:5000]
-            )
+        rc, error = self._read_edited_model(
+            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1", lambda raw: raw[:5000]
+        )
         assert rc == 2
-        assert "forest_model.json: invalid JSON" in caplog.text
+        assert "forest_model.json: invalid JSON" in error
 
     def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path, caplog):
         """A leaf marked as a split: the last split's right child would fall
@@ -481,12 +527,11 @@ class TestHostileModelFiles:
             feature[feature.index(-1)] = 0
             encode_nodes(doc, trees)
 
-        with caplog.at_level(logging.ERROR):
-            rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "forest_model.json", "forest-1", self._edit_json(leaf_made_a_split)
-            )
+        rc, error = self._read_edited_model(
+            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1", self._edit_json(leaf_made_a_split)
+        )
         assert rc == 2
-        assert "forest_model.json: tree 0: node count" in caplog.text
+        assert "forest_model.json: tree 0: node count" in error
 
     @pytest.mark.parametrize(
         "change, message",
@@ -501,21 +546,19 @@ class TestHostileModelFiles:
     def test_forest_model_with_missing_or_mistyped_param_exits_2(
         self, pipeline_out, tmp_path, caplog, change, message
     ):
-        with caplog.at_level(logging.ERROR):
-            rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "forest_model.json", "forest-1",
-                self._edit_json(lambda doc: change(doc["params"])),
-            )
+        rc, error = self._read_edited_model(
+            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1",
+            self._edit_json(lambda doc: change(doc["params"])),
+        )
         assert rc == 2
-        assert f"forest_model.json: {message}" in caplog.text
+        assert f"forest_model.json: {message}" in error
 
     def test_truncated_lstm_model_exits_2(self, pipeline_out, tmp_path, caplog):
-        with caplog.at_level(logging.ERROR):
-            rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "lstm_model.json", "lstm-1", lambda raw: raw[:5000]
-            )
+        rc, error = self._read_edited_model(
+            pipeline_out, tmp_path, caplog, "lstm_model.json", "lstm-1", lambda raw: raw[:5000]
+        )
         assert rc == 2
-        assert "lstm_model.json: invalid JSON" in caplog.text
+        assert "lstm_model.json: invalid JSON" in error
 
     @pytest.mark.parametrize(
         "change, message",
@@ -547,24 +590,23 @@ class TestHostileModelFiles:
     def test_lstm_model_with_missing_or_mistyped_key_exits_2(
         self, pipeline_out, tmp_path, caplog, change, message
     ):
-        with caplog.at_level(logging.ERROR):
-            rc = self._simulate_on_edited_model(
-                pipeline_out, tmp_path, "lstm_model.json", "lstm-1", self._edit_json(change)
-            )
+        rc, error = self._read_edited_model(
+            pipeline_out, tmp_path, caplog, "lstm_model.json", "lstm-1", self._edit_json(change)
+        )
         assert rc == 2
-        assert f"lstm_model.json: {message}" in caplog.text
+        assert f"lstm_model.json: {message}" in error
 
 
 class TestModelSettings:
-    """simulate uses a model only if it was trained under the run config's
-    forest or lstm settings, seed included."""
+    """simulate uses a model's forecasts only if forecasts.csv records that the
+    model was trained under the run config's forest or lstm settings, seed
+    included."""
 
-    def test_lstm_model_with_another_window_exits_2(self, pipeline_out, tmp_path, caplog):
+    def test_lstm_model_with_another_window_exits_2(self, tmp_path, caplog):
         out = tmp_path / "out"
-        shutil.copytree(pipeline_out, out)
-        doc = json.loads((out / "lstm_model.json").read_text(encoding="utf-8"))
-        doc["config"]["window"] = 10
-        (out / "lstm_model.json").write_text(json.dumps(doc), encoding="utf-8")
+        lstm_section = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))["lstm"]
+        config = write_config(tmp_path, lstm={**lstm_section, "window": 10})
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         with caplog.at_level(logging.ERROR):
             rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", "lstm-1", "--out", str(out)])
         assert rc == 2
@@ -580,6 +622,145 @@ class TestModelSettings:
         assert rc == 2
         assert f"{model}: trained with seed=42, but the run config has seed=7" in caplog.text
         assert (out / "report.txt").read_bytes() == report
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestForecastsFile:
+    """train writes both models' price for every test day to forecasts.csv,
+    headed with everything the prices depend on, and simulate prices from it
+    only if this run has the same market file, split, settings and models."""
+
+    def test_prices_are_those_of_the_reloaded_models_bit_for_bit(self, pipeline_out):
+        lines = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "day,forest_usd,lstm_usd"
+        got = {"forest": {}, "lstm": {}}
+        for line in lines[2:]:
+            day, forest_usd, lstm_usd = line.split(",")
+            got["forest"][date.fromisoformat(day)] = float(forest_usd).hex()
+            got["lstm"][date.fromisoformat(day)] = float(lstm_usd).hex()
+        want = reloaded_forecasts(pipeline_out, fixture_market())
+        assert got == {name: {day: price.hex() for day, price in prices.items()} for name, prices in want.items()}
+        assert len(got["lstm"]) == 214
+
+    def test_header_names_what_the_prices_depend_on(self, pipeline_out):
+        first = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert first == "# " + " ".join([
+            f"market_sha256={sha256(DATA_DIR / 'market.csv')}",
+            f"forest_model_sha256={sha256(pipeline_out / 'forest_model.json')}",
+            f"lstm_model_sha256={sha256(pipeline_out / 'lstm_model.json')}",
+            "analysis_start=2022-01-01", "train_start=2022-01-01", "train_end=2023-05-31",
+            "test_start=2023-06-01", "test_end=2023-12-31",
+            "forest.n_trees=20", "forest.m_try=None", "forest.min_samples_leaf=1", "forest.max_depth=None",
+            "forest.seed=42",
+            "lstm.epochs=5", "lstm.window=14", "lstm.hidden_size=16", "lstm.learning_rate=0.001",
+            "lstm.batch_size=32", "lstm.clip_norm=1.0", "lstm.seed=42",
+        ])
+
+    @staticmethod
+    def _simulate_on_copy(pipeline_out, tmp_path, caplog, *args, edit=None, **overrides) -> int:
+        """Simulate on a copy of the pipeline run, under a fixture config with
+        `overrides` whose data files (the same bytes) lie beside it; edit(out)
+        runs on the copy first."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        config = write_config(tmp_path, **overrides)
+        if edit:
+            edit(out)
+        with caplog.at_level(logging.ERROR):
+            return main(["simulate", "--config", str(config), "--out", str(out), *args])
+
+    @staticmethod
+    def _edit_rows(change):
+        def edit(out):
+            path = out / "forecasts.csv"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(change(lines)), encoding="utf-8")
+
+        return edit
+
+    def test_market_file_edited_after_train_exits_2(self, pipeline_out, tmp_path, caplog):
+        def edit(out):
+            market = tmp_path / "market.csv"
+            market.write_text(market.read_text(encoding="utf-8").replace("\n2022-03-10,", "\n2022-03-10,1"), encoding="utf-8")
+
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=edit)
+        assert rc == 2
+        assert f"{tmp_path / 'market.csv'} has sha256 {sha256(tmp_path / 'market.csv')}, but " in caplog.text
+        assert f"was made from one with sha256 {sha256(DATA_DIR / 'market.csv')}; run train again" in caplog.text
+
+    def test_another_train_end_exits_2(self, pipeline_out, tmp_path, caplog):
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, train_end="2023-05-30")
+        assert rc == 2
+        assert (
+            "forecasts.csv was made with train_end=2023-05-31, but the run config has train_end=2023-05-30; "
+            "run train again"
+        ) in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda path: path.write_bytes(path.read_bytes() + b" "), "lstm_model.json has sha256 "),
+            (lambda path: path.unlink(), "lstm_model.json is missing; run train first"),
+        ],
+        ids=["edited", "deleted"],
+    )
+    def test_model_file_edited_or_deleted_exits_2(self, pipeline_out, tmp_path, caplog, edit, message):
+        rc = self._simulate_on_copy(
+            pipeline_out, tmp_path, caplog, "--cases", "lstm-1", edit=lambda out: edit(out / "lstm_model.json")
+        )
+        assert rc == 2
+        assert message in caplog.text
+
+    def test_missing_forecasts_file_exits_2(self, pipeline_out, tmp_path, caplog):
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=lambda out: (out / "forecasts.csv").unlink())
+        assert rc == 2
+        assert "forecasts.csv is missing; run train first" in caplog.text
+
+    def test_garbled_row_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
+        def garble(lines):
+            lines[4] = "2023-06-03,abc," + lines[4].split(",")[2]
+            return lines
+
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(garble))
+        assert rc == 2
+        assert "forecasts.csv:5: invalid number 'abc' in forest_usd" in caplog.text
+
+    def test_missing_test_day_exits_2(self, pipeline_out, tmp_path, caplog):
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(lambda lines: lines[:10] + lines[11:]))
+        assert rc == 2
+        assert "forecasts.csv must have one row per day from 2023-06-01 to 2023-12-31, in date order" in caplog.text
+
+    def test_negative_forecast_reaches_run_case(self, pipeline_out, tmp_path, caplog):
+        """Any finite price is read; run_case refuses a negative one, naming the case and the day."""
+        def negative(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",-1.5\n"
+            return lines
+
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, "--cases", "lstm-1", edit=self._edit_rows(negative))
+        assert rc == 2
+        assert "case lstm-1, 2023-06-01: price must be >= 0, got -1.5" in caplog.text
+
+    @pytest.mark.parametrize(
+        "overrides, args, kept",
+        [
+            ({"sim_end": "2023-09-30"}, (), lambda cells: cells[0] <= "2023-09-30"),
+            ({}, ("--cases", "forest-1,lstm-2"), lambda cells: cells[2] + cells[1] in ("forest1", "lstm2")),
+        ],
+        ids=["sim_end", "cases"],
+    )
+    def test_sim_end_or_cases_inside_the_test_window_need_no_retrain(
+        self, pipeline_out, tmp_path, caplog, overrides, args, kept
+    ):
+        """The rows simulated are the full run's rows of the days and cases kept."""
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, *args, **overrides)
+        assert rc == 0
+        rows = (tmp_path / "out" / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
+        full = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert rows == [row for row in full if kept(row.split(","))]
+        assert len(rows) in (6 * 122, 2 * 214)
 
 
 class TestOverrides:
@@ -756,9 +937,28 @@ class TestStartWithoutNumpy:
             "features.csv", "fleet.csv", "ledger.csv", "report.txt",
         }
 
+    def test_simulate_and_report_after_train_match_a_normal_run(self, pipeline_out, tmp_path):
+        """After a plain train, simulate and report with all six cases read
+        forecasts.csv and import no numpy."""
+        runs = {}
+        for name, code in (("plain", MAIN), ("without_numpy", MAIN_WITHOUT_NUMPY)):
+            out = tmp_path / name
+            shutil.copytree(pipeline_out, out)
+            for written in ("fleet.csv", "ledger.csv", "report.txt"):
+                (out / written).unlink()
+            streams = []
+            for command in ("simulate", "report"):
+                proc = run_fresh(code, command, "--config", str(FIXTURE_CONFIG), "--out", str(out))
+                assert proc.returncode == 0, (name, command, proc.stderr)
+                streams.append((proc.stdout, proc.stderr))
+            runs[name] = (streams, {path.name: path.read_bytes() for path in out.iterdir()})
+        assert runs["without_numpy"] == runs["plain"]
+        assert runs["plain"][1]["report.txt"] == (DATA_DIR / "golden_report.txt").read_bytes()
+
     def test_model_modules_leave_numpy_random_unloaded(self):
-        """simulate loads and predicts with both models and draws nothing, so
-        importing them must not pull in numpy.random (~4.5 ms)."""
+        """A reader of a model file (load_forest or load_lstm, then predict)
+        draws nothing, so importing the model modules must not pull in
+        numpy.random (~4.5 ms); only a fit draws."""
         proc = run_fresh(
             "import sys, surplusminer.forest, surplusminer.lstm; "
             "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"

@@ -44,6 +44,8 @@ from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketSeries,
     MonthlySurplusTotal,
+    SurplusRecord,
+    _MONTH_RE,
     _data_rows,
     _parse_date,
     _parse_float,
@@ -135,6 +137,11 @@ class RunConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.blocks_per_day < 1:
             raise ValidationError(f"blocks_per_day must be >= 1, got {self.blocks_per_day}")
+        first, last = self.surplus_months
+        if not (_MONTH_RE.fullmatch(first) and _MONTH_RE.fullmatch(last) and first <= last):
+            raise ValidationError(
+                f"surplus_months must be two YYYY-MM months, the first not after the last, got {[first, last]}"
+            )
         for case in self.cases:
             if case not in VALID_CASES:
                 raise ValidationError(
@@ -253,6 +260,13 @@ def _write_text(cfg: RunConfig, path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _first_line(path: Path) -> str:
+    """A file's first line, without its newline. Bytes that are not UTF-8 read
+    as U+FFFD, so that a header can be compared and shown in a message."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return fh.readline().rstrip("\n")
+
+
 def _require_file(path: Path, what: str) -> None:
     if not path.is_file():
         raise ValidationError(f"{what} not found: {path}")
@@ -276,13 +290,18 @@ def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
     return filled, len(filled) - days
 
 
+def _load_surplus(cfg: RunConfig) -> list[SurplusRecord]:
+    """The surplus records, their months within surplus_months."""
+    surplus_path = cfg.input_path(cfg.surplus_csv)
+    _require_file(surplus_path, "surplus CSV")
+    return parse_surplus_csv(surplus_path, cfg.surplus_months)
+
+
 def cmd_ingest(cfg: RunConfig) -> None:
     """Validate inputs and write the cleaned series plus a summary."""
     out = _prepare_out(cfg)
     filled, gaps = _load_clean_market(cfg)
-    surplus_path = cfg.input_path(cfg.surplus_csv)
-    _require_file(surplus_path, "surplus CSV")
-    surplus = parse_surplus_csv(surplus_path, months=cfg.surplus_months)
+    surplus = _load_surplus(cfg)
     totals = monthly_totals(surplus)
 
     write_market_csv(filled, out / "market_clean.csv", header_comment=_header(cfg))
@@ -329,25 +348,17 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
     train = matrix.slice_dates(cfg.train_start, cfg.train_end - day)
     if len(train) == 0:
         raise DataInsufficientError("no feature rows in the training window")
-    first = cfg.test_start - T * day
-    forecast = matrix.slice_dates(first, cfg.test_end - day)
-    history = sum(row.day < cfg.test_start for row in forecast.rows)
+    # counted in days before test_start, not from the window's first date: a
+    # window of a million days would start before the first date there is
+    history = sum(0 < (cfg.test_start - row.day).days <= T for row in matrix.rows)
     if history < T:
+        first = cfg.test_start.toordinal() - T
+        needed = f"{date.fromordinal(first)}.." if first >= 1 else f"the {T} days up to "
         raise DataInsufficientError(
             f"too little history before test_start {cfg.test_start}: the {T}-day window "
-            f"needs the feature rows dated {first}..{cfg.test_start - day}, got {history}"
+            f"needs the feature rows dated {needed}{cfg.test_start - day}, got {history}"
         )
-    return train, forecast
-
-
-def _forecast(cfg: RunConfig, forecast: FeatureMatrix, name: str, model) -> dict[date, float]:
-    """The price of model `name` ("forest" or "lstm") for each test day, keyed
-    by day. The LSTM reads each window of the forecast rows; the forest reads
-    the rows after the window history, one per day."""
-    if name == "lstm":
-        return predict_series(model, forecast)
-    rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
-    return dict(zip((row.target_day for row in rows.rows), predict_matrix(model, rows).tolist()))
+    return train, matrix.slice_dates(cfg.test_start - T * day, cfg.test_end - day)
 
 
 class Forecast(NamedTuple):
@@ -406,8 +417,12 @@ def cmd_train(cfg: RunConfig) -> None:
     save_lstm(lstm_model, out / "lstm_model.json")
 
     actual = PriceSource.from_market(filled)
+    # each model's price per test day: the LSTM reads each window of the
+    # forecast rows, the forest the rows after the window history
+    rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
     predicted = {
-        name: _forecast(cfg, forecast, name, model) for name, model in (("forest", forest_model), ("lstm", lstm_model))
+        "forest": dict(zip((row.target_day for row in rows.rows), predict_matrix(forest_model, rows).tolist())),
+        "lstm": predict_series(lstm_model, forecast),
     }
     evals = [
         evaluate(name, "test", [actual.price_for(d) for d in prices], list(prices.values()))
@@ -440,12 +455,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
-    surplus_path = cfg.input_path(cfg.surplus_csv)
-    _require_file(surplus_path, "surplus CSV")
-    surplus = parse_surplus_csv(surplus_path, months=cfg.surplus_months)
-    capacities = [
-        month_capacity(t, cfg.miner, cfg.loss_rate) for t in monthly_totals(surplus)
-    ]
+    capacities = [month_capacity(t, cfg.miner, cfg.loss_rate) for t in monthly_totals(_load_surplus(cfg))]
     return build_scenarios(capacities, cfg.miner)
 
 
@@ -467,8 +477,7 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, d
     for needed in (path, *(out / f"{name}_model.json" for name in models)):
         if not needed.is_file():
             raise ValidationError(f"{', '.join(models)} cases requested but {needed} is missing; run train first")
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        made_with = dict(item.partition("=")[::2] for item in fh.readline().removeprefix("# ").split())
+    made_with = dict(item.partition("=")[::2] for item in _first_line(path).removeprefix("# ").split())
     wanted = _forecasts_header(cfg, out, models)
     files = _hashed_files(cfg, out, models)
     for key, value in wanted.items():
@@ -500,10 +509,16 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, d
     return {name: {row.day: getattr(row, f"{name}_usd") for row in rows} for name in models}
 
 
+def _split_case(case: str) -> tuple[str, int]:
+    """A case label's price source and scenario number: "forest-2" is ("forest", 2)."""
+    source, scenario = case.rsplit("-", 1)
+    return source, int(scenario)
+
+
 def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str, PriceSource]:
     """Build the price source for every source named in the requested cases:
     the market's prices, and the forecasts that train wrote for each model."""
-    needed = {case.rsplit("-", 1)[0] for case in cfg.cases}
+    needed = {_split_case(case)[0] for case in cfg.cases}
     sources: dict[str, PriceSource] = {}
     if "actual" in needed:
         sources["actual"] = PriceSource.from_market(market)
@@ -564,8 +579,7 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     """Render report.txt from out/ledger.csv alone, write it and print it: each
     requested case's revenue summed from the ledger, its depreciation and profit."""
     ledger_path = out / "ledger.csv"
-    with open(ledger_path, encoding="utf-8") as fh:
-        written_under = fh.readline().rstrip("\n")
+    written_under = _first_line(ledger_path)
     expected = f"# {_ledger_header(cfg)}"
     if written_under != expected:
         raise ValidationError(
@@ -579,8 +593,8 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     months = months_spanned(cfg.sim_start, cfg.sim_end)
     reports = []
     for case in sorted(set(cfg.cases)):
-        source, scenario = case.rsplit("-", 1)
-        reports.append(case_totals(source, revenue[case], plans[int(scenario) - 1], cfg.miner, months))
+        source, scenario = _split_case(case)
+        reports.append(case_totals(source, revenue[case], plans[scenario - 1], cfg.miner, months))
     path = out / "report.txt"
     _write_text(cfg, path, render_report(reports, cfg))
     print(path.read_text(encoding="utf-8"), end="")
@@ -597,9 +611,9 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
     entries = []
     for case in sorted(set(cfg.cases)):
-        source, scenario = case.rsplit("-", 1)
+        source, scenario = _split_case(case)
         entries += run_case(
-            plans[int(scenario) - 1], sources[source], market, cfg.miner,
+            plans[scenario - 1], sources[source], market, cfg.miner,
             cfg.sim_start, cfg.sim_end, cfg.blocks_per_day,
         )
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))

@@ -35,7 +35,7 @@ def btc_per_day(
     fleet_hashrate_ths: float,
     network_hashrate_ths: float,
     reward_btc: float,
-    blocks_per_day: int = BLOCKS_PER_DAY,
+    blocks_per_day: int,
 ) -> float:
     """Expected BTC mined per day: reward x (fleet/network) x blocks.
 
@@ -72,7 +72,7 @@ def depreciation_cost(
     owned_units: int,
     unit_price_usd: float,
     months_operated: int,
-    lifespan_months: int = 90,
+    lifespan_months: int,
 ) -> Decimal:
     """Straight-line hardware cost for the months operated, in exact cents.
 
@@ -102,7 +102,7 @@ def solo_mining_time(
     """Expected days for one miner to earn 1 BTC: 1 / btc_per_day."""
     if miner_hashrate_ths <= 0 or reward_btc <= 0:
         raise ValidationError("miner hash rate and reward must be > 0")
-    rate = btc_per_day(miner_hashrate_ths, network_hashrate_ths, reward_btc)
+    rate = btc_per_day(miner_hashrate_ths, network_hashrate_ths, reward_btc, BLOCKS_PER_DAY)
     return 1.0 / rate
 
 
@@ -214,7 +214,7 @@ def run_case(
     miner: MinerSpec,
     sim_start: date,
     sim_end: date,
-    blocks_per_day: int = BLOCKS_PER_DAY,
+    blocks_per_day: int,
 ) -> list[DailyLedgerEntry]:
     """Simulate one case day by day over [sim_start, sim_end]; its ledger
     rows in date order.

@@ -50,10 +50,7 @@ class MinerSpec:
         return self.power_w / 1000.0
 
 
-DEFAULT_MINER = MinerSpec()
-
-
-def usable_energy(surplus_kwh: float, loss_rate: float = DEFAULT_LOSS_RATE) -> float:
+def usable_energy(surplus_kwh: float, loss_rate: float) -> float:
     """Energy left after the fixed loss fraction: kwh * (1 - loss_rate)."""
     if not 0.0 <= loss_rate < 1.0:
         raise ValidationError(f"loss_rate must be in [0, 1), got {loss_rate!r}")
@@ -85,11 +82,7 @@ class MonthlyCapacity:
     supported: int
 
 
-def month_capacity(
-    total: MonthlySurplusTotal,
-    miner: MinerSpec,
-    loss_rate: float = DEFAULT_LOSS_RATE,
-) -> MonthlyCapacity:
+def month_capacity(total: MonthlySurplusTotal, miner: MinerSpec, loss_rate: float) -> MonthlyCapacity:
     usable = usable_energy(total.total_kwh, loss_rate)
     return MonthlyCapacity(
         month=total.month,

@@ -352,19 +352,17 @@ def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str
     )
 
 
-def fill_gaps(series: MarketSeries, start: date | None = None) -> MarketSeries:
+def fill_gaps(series: MarketSeries, start: date) -> MarketSeries:
     """Fill missing calendar days by carrying the previous record forward.
 
-    The filled range runs from start (defaulting to the first record) to the
-    last record; a gap at a later start takes the last record before it. A
+    The filled range runs from start to the last record; a gap at a start
+    after the first record takes the last record before it. A
     requested start earlier than the first record is an error: there is
     nothing to carry into the gap. The number of synthesized days is logged.
     """
     if len(series) < 2:
         raise DataInsufficientError("need at least 2 records to fill gaps")
     first, end = series.start, series.end
-    if start is None:
-        start = first
     if start < first:
         raise DataInsufficientError(
             f"gap at series start: first record is {first.isoformat()}, "
@@ -414,10 +412,7 @@ class MonthlySurplusTotal(NamedTuple):
     total_kwh: float
 
 
-def parse_surplus_csv(
-    path: str | Path,
-    months: tuple[str, str] = DEFAULT_SURPLUS_MONTHS,
-) -> list[SurplusRecord]:
+def parse_surplus_csv(path: str | Path, months: tuple[str, str]) -> list[SurplusRecord]:
     """Parse the monthly surplus CSV (region,month,households,surplus_kwh).
 
     Months must fall within the allowed [first, last] range. Duplicate

@@ -19,9 +19,7 @@ still issues one BLAS call per gate, of the same shape, so each product is
 the same floats as the per-gate formula and, for a training batch, stays
 below OpenBLAS's threading threshold. Every sum runs in the per-gate order,
 which keeps the models byte-identical to the per-gate reference in the
-tests. The per-gate parameters remain as named views (W_f ... b_o) because
-the init draws, the clip's sum of squares and the model file are defined
-per parameter.
+tests.
 """
 from __future__ import annotations
 
@@ -49,11 +47,9 @@ class LstmWeights:
     in-place sigmoid covers the first three blocks and one tanh the last.
     V is (hidden,) and c is a (1,) array so all parameters update uniformly.
 
-    Each gate's blocks are also views by name, W_f ... b_o. The stacks are a
-    layout, not a change of model: items() and PARAM_NAMES, and so the init
-    draws, the clip's sum of squares, the model file and the gradient
-    checks, stay per parameter. The same class holds the gradients that
-    bptt_gradients returns, indexable by parameter name.
+    The stacks are a layout, not a change of model: items(), and so the init
+    draws, the clip's sum of squares and the model file, stay per parameter.
+    The same class holds the gradients that bptt_gradients returns.
     """
 
     W: np.ndarray
@@ -61,19 +57,6 @@ class LstmWeights:
     b: np.ndarray
     V: np.ndarray
     c: np.ndarray
-
-    W_f = property(lambda self: self.W[0])
-    U_f = property(lambda self: self.U[0])
-    b_f = property(lambda self: self.b[0])
-    W_i = property(lambda self: self.W[1])
-    U_i = property(lambda self: self.U[1])
-    b_i = property(lambda self: self.b[1])
-    W_o = property(lambda self: self.W[2])
-    U_o = property(lambda self: self.U[2])
-    b_o = property(lambda self: self.b[2])
-    W_c = property(lambda self: self.W[3])
-    U_c = property(lambda self: self.U[3])
-    b_c = property(lambda self: self.b[3])
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_size: int) -> "LstmWeights":
@@ -88,19 +71,18 @@ class LstmWeights:
     def input_dim(self) -> int:
         return self.W.shape[2]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in PARAM_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def items(self):
-        for name in PARAM_NAMES:
-            yield name, getattr(self, name)
+        """(name, view) per parameter: W_g, U_g and b_g of each gate g in the
+        order f, i, c, o, then V and c. The init draws, the clip's sum of
+        squares and the model file's keys follow this order."""
+        for g in "fico":
+            for stack in "WUb":
+                yield f"{stack}_{g}", getattr(self, stack)["fioc".index(g)]
+        yield "V", self.V
+        yield "c", self.c
 
 
-# per parameter, gate by gate in the order f, i, c, o: the init draws, the
-# clip's sum of squares and the model file's keys follow it
-PARAM_NAMES = tuple(f"{p}_{g}" for g in "fico" for p in "WUb") + ("V", "c")
+PARAM_NAMES = tuple(name for name, _ in LstmWeights.zeros(1, 1).items())
 
 
 def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
@@ -194,10 +176,10 @@ def bptt_gradients(
     """Analytic gradients of the batch mean squared error, plus the loss.
 
     windows is (m, T, d), checked by `_forward`, and targets is (m,).
-    Gradients come back unclipped, as an LstmWeights of the weights' shapes,
-    indexable by parameter name. Each step fills one (4, m, h) stack of
-    pre-activation gradients, each gate's from the same expression as the
-    per-gate formula, and its products are batched over the gate axis.
+    Gradients come back unclipped, as an LstmWeights of the weights' shapes.
+    Each step fills one (4, m, h) stack of pre-activation gradients, each
+    gate's from the same expression as the per-gate formula, and its
+    products are batched over the gate axis.
     """
     caches: list = []
     preds = _forward(windows, w, caches)

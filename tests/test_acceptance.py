@@ -147,7 +147,7 @@ def test_c06_lstm_gradients_match_finite_differences():
     windows = rng.normal(0.0, 1.0, size=(m, T, d))
     targets = rng.normal(0.0, 1.0, size=m)
     grads, _ = bptt_gradients(windows, targets, w)
-    params = dict(w.items())
+    params, grads = dict(w.items()), dict(grads.items())
     worst = 0.0
     entries = 0
     for name in PARAM_NAMES:

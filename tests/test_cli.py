@@ -368,6 +368,15 @@ class TestConfigValidation:
         assert miner["name"] == "x"
         assert miner["hashrate_ths"] == 473.0 and miner["lifespan_months"] == 90
 
+    @pytest.mark.parametrize("months", [["foo", "bar"], ["2023-12", "2021-01"]], ids=["not-months", "reversed"])
+    def test_bad_surplus_months_exit_2_naming_the_key(self, tmp_path, caplog, months):
+        cfg = write_config(tmp_path, surplus_months=months)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"surplus_months must be two YYYY-MM months, the first not after the last, got {months}" in caplog.text
+        assert "surplus.csv" not in caplog.text
+
     def test_report_without_ledger_exits_2(self, tmp_path):
         rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -402,6 +411,16 @@ class TestReportFromLedger:
         assert rc == 2
         written = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[0]
         assert f"is headed {written!r}, but this run's ledger is headed '# config=" in caplog.text
+
+    def test_report_on_ledger_whose_header_is_not_utf8_exits_2_naming_both_headers(self, pipeline_out, tmp_path, caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ledger.csv").write_bytes(b"\xff\xfe" + (pipeline_out / "ledger.csv").read_bytes())
+        with caplog.at_level(logging.ERROR):
+            rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+        assert rc == 2
+        written = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert f"is headed {chr(0xFFFD) * 2 + written!r}, but this run's ledger is headed {written!r}" in caplog.text
 
     @pytest.mark.parametrize(
         "edit", [lambda lines: lines[:3] + lines[2:], lambda lines: lines[:2] + lines[3:]], ids=["repeated", "missing"]
@@ -899,6 +918,18 @@ class TestTrainFits:
         assert "2022-01-11..2022-01-24, got 8" in caplog.text
         assert (out / "forest_model.json").read_bytes() == earlier
         assert not (out / "lstm_model.json").exists()
+
+    def test_window_reaching_before_the_first_date_exits_3(self, tmp_path, caplog):
+        """test_start minus a million days is before 0001-01-01, which a date cannot hold."""
+        cfg = write_config(tmp_path, lstm={**json.loads(FIXTURE_CONFIG.read_text())["lstm"], "window": 1_000_000})
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert (
+            "too little history before test_start 2023-06-01: the 1000000-day window needs the feature rows "
+            "dated the 1000000 days up to 2023-05-31, got 500"
+        ) in caplog.text
+        assert not any(r.exc_info for r in caplog.records)
 
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -22,41 +22,43 @@ from surplusminer.economics import (
     usd_millions,
 )
 from surplusminer.errors import DataInsufficientError, ValidationError
-from surplusminer.fleet import DEFAULT_MINER, build_scenarios, month_capacity
+from surplusminer.fleet import DEFAULT_LOSS_RATE, MinerSpec, build_scenarios, month_capacity
 from surplusminer.ingest import MonthlySurplusTotal
 
 from conftest import make_series
 
+MINER = MinerSpec()
 
-def scenario_plans(kwh_by_month, miner=DEFAULT_MINER):
+
+def scenario_plans(kwh_by_month, miner=MINER):
     totals = [MonthlySurplusTotal(m, k) for m, k in kwh_by_month]
-    caps = [month_capacity(t, miner) for t in totals]
+    caps = [month_capacity(t, miner, DEFAULT_LOSS_RATE) for t in totals]
     return build_scenarios(caps, miner)
 
 
 class TestBtcPerDay:
     def test_full_share(self):
-        assert btc_per_day(1000.0, 1000.0, 6.25) == 900.0
+        assert btc_per_day(1000.0, 1000.0, 6.25, 144) == 900.0
 
     def test_hundredth_share(self):
-        assert btc_per_day(10.0, 1000.0, 6.25) == pytest.approx(9.0, rel=1e-12)
+        assert btc_per_day(10.0, 1000.0, 6.25, 144) == pytest.approx(9.0, rel=1e-12)
 
     def test_fleet_scale_example(self):
         fleet = 45_439 * 473.0  # 21,492,647 TH/s
-        got = btc_per_day(fleet, 430_000_000.0, 6.25)
+        got = btc_per_day(fleet, 430_000_000.0, 6.25, 144)
         assert got == pytest.approx(44.98, abs=0.005)
 
     def test_share_capped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
-            got = btc_per_day(2000.0, 1000.0, 6.25)
+            got = btc_per_day(2000.0, 1000.0, 6.25, 144)
         assert got == 900.0
         assert any("cap" in r.message for r in caplog.records)
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
-            btc_per_day(1.0, 0.0, 6.25)
+            btc_per_day(1.0, 0.0, 6.25, 144)
         with pytest.raises(ValidationError):
-            btc_per_day(-1.0, 10.0, 6.25)
+            btc_per_day(-1.0, 10.0, 6.25, 144)
 
 
 class TestDailyRevenue:
@@ -162,14 +164,14 @@ def case_report(entries, plan, sim_start, sim_end):
     revenue = 0.0
     for entry in entries:
         revenue += entry.revenue_usd
-    return case_totals(entries[0].price_source, revenue, plan, DEFAULT_MINER, months_spanned(sim_start, sim_end))
+    return case_totals(entries[0].price_source, revenue, plan, MINER, months_spanned(sim_start, sim_end))
 
 
 class TestRunCase:
     def test_ledger_shape_and_totals(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
         assert len(entries) == 59
         assert [e.day for e in entries] == [sim_start + timedelta(days=i) for i in range(59)]
         report = case_report(entries, plans[0], sim_start, sim_end)
@@ -183,7 +185,7 @@ class TestRunCase:
     def test_revenue_matches_independent_loop(self):
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+        entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
         report = case_report(entries, plans[0], sim_start, sim_end)
 
         total = 0.0
@@ -200,7 +202,7 @@ class TestRunCase:
         series, plans, sim_start, sim_end = simple_setup()
         src = PriceSource.from_market(series)
         r1, r2 = (
-            case_report(run_case(plan, src, series, DEFAULT_MINER, sim_start, sim_end, 144), plan, sim_start, sim_end)
+            case_report(run_case(plan, src, series, MINER, sim_start, sim_end, 144), plan, sim_start, sim_end)
             for plan in plans
         )
         assert r2.revenue_usd <= r1.revenue_usd
@@ -210,7 +212,7 @@ class TestRunCase:
         lower = make_series([20000.0] * 59, start=sim_start, hashrate=4.0e8)
         r_hi, r_lo = (
             case_report(
-                run_case(plans[0], PriceSource.from_market(s), series, DEFAULT_MINER, sim_start, sim_end, 144),
+                run_case(plans[0], PriceSource.from_market(s), series, MINER, sim_start, sim_end, 144),
                 plans[0], sim_start, sim_end,
             )
             for s in (series, lower)
@@ -221,14 +223,14 @@ class TestRunCase:
         series, plans, sim_start, _ = simple_setup(n_days=10)
         src = PriceSource.from_market(series)
         with pytest.raises(ValidationError):
-            run_case(plans[0], src, series, DEFAULT_MINER, sim_start, date(2023, 2, 28), 144)
+            run_case(plans[0], src, series, MINER, sim_start, date(2023, 2, 28), 144)
 
     def test_prediction_source_missing_a_day_rejected(self):
         series, plans, sim_start, sim_end = simple_setup()
         preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59) if i != 5}
         src = PriceSource("forest", preds)
         with pytest.raises(ValidationError, match="'forest' has no price for 2023-01-06"):
-            run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+            run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
 
     def test_bad_daily_price_names_the_case_and_the_day(self):
         """A negative forecast (an LSTM can make one) is refused, naming the
@@ -238,14 +240,14 @@ class TestRunCase:
         preds[date(2023, 2, 14)] = -3797.75
         src = PriceSource("lstm", preds)
         with pytest.raises(ValidationError, match=r"^case lstm-2, 2023-02-14: price must be >= 0, got -3797.75$"):
-            run_case(plans[1], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+            run_case(plans[1], src, series, MINER, sim_start, sim_end, 144)
 
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
         series = make_series([25000.0] * 31, start=start)
         plans = scenario_plans([("2023-01", 0.0)])
         src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2023, 1, 31), 144)
+        entries = run_case(plans[0], src, series, MINER, start, date(2023, 1, 31), 144)
         report = case_report(entries, plans[0], start, date(2023, 1, 31))
         assert report.revenue_usd == Decimal("0.00")
         assert report.cost_usd == Decimal("0.00")
@@ -257,7 +259,7 @@ class TestRunCase:
         series = make_series([50000.0] * 10, start=start, hashrate=6.0e8)
         plans = scenario_plans([("2024-04", 5.0e6)])
         src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, DEFAULT_MINER, start, date(2024, 4, 24), 144)
+        entries = run_case(plans[0], src, series, MINER, start, date(2024, 4, 24), 144)
         by_day = {e.day: e.btc_mined for e in entries}
         assert by_day[date(2024, 4, 19)] == pytest.approx(
             2.0 * by_day[date(2024, 4, 20)], rel=1e-12
@@ -277,8 +279,8 @@ class TestFixtureOracle:
         cfg = json.loads((data_dir / "fixture_config.json").read_text())
         market = parse_market_csv(data_dir / cfg["market_csv"])
         surplus = parse_surplus_csv(data_dir / cfg["surplus_csv"], months=tuple(cfg["surplus_months"]))
-        caps = [month_capacity(t, DEFAULT_MINER, cfg["loss_rate"]) for t in monthly_totals(surplus)]
-        plans = build_scenarios(caps, DEFAULT_MINER)
+        caps = [month_capacity(t, MINER, cfg["loss_rate"]) for t in monthly_totals(surplus)]
+        plans = build_scenarios(caps, MINER)
         assert plans[0].owned_units == expected["owned_units"]["1"]
         assert plans[1].owned_units == expected["owned_units"]["2"]
 
@@ -286,7 +288,7 @@ class TestFixtureOracle:
         sim_start = date.fromisoformat(cfg["sim_start"])
         sim_end = date.fromisoformat(cfg["sim_end"])
         for plan in plans:
-            entries = run_case(plan, src, market, DEFAULT_MINER, sim_start, sim_end, cfg["blocks_per_day"])
+            entries = run_case(plan, src, market, MINER, sim_start, sim_end, cfg["blocks_per_day"])
             report = case_report(entries, plan, sim_start, sim_end)
             want = expected["cases"][report.case_label]
             assert report.revenue_usd == Decimal(want["revenue_usd"])
@@ -296,7 +298,7 @@ class TestFixtureOracle:
 
 def vs_actual_cells(reports, sim_start, sim_end):
     """render_report's vs_actual cell (the last column) per case label."""
-    cfg = SimpleNamespace(sim_start=sim_start, sim_end=sim_end, miner=DEFAULT_MINER)
+    cfg = SimpleNamespace(sim_start=sim_start, sim_end=sim_end, miner=MINER)
     rows = render_report(reports, cfg)[3:]  # after the title, a blank line and the header
     return {row.split()[0]: row.split()[-1] for row in rows}
 
@@ -308,7 +310,7 @@ class TestDeltas:
         reports = []
         for label, price in prices_by_source.items():
             src = PriceSource(label, {sim_start + timedelta(days=i): price for i in range(59)})
-            entries = run_case(plans[0], src, series, DEFAULT_MINER, sim_start, sim_end, 144)
+            entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
             reports.append(case_report(entries, plans[0], sim_start, sim_end))
         return vs_actual_cells(reports, sim_start, sim_end)
 

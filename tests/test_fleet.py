@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from surplusminer.errors import ValidationError
 from surplusminer.fleet import (
     DEFAULT_LOSS_RATE,
-    DEFAULT_MINER,
     HALVING_SCHEDULE,
     MinerSpec,
     block_reward,
@@ -22,6 +21,8 @@ from surplusminer.fleet import (
 )
 from surplusminer.ingest import MonthlySurplusTotal
 
+MINER = MinerSpec()
+
 
 def caps_from_supported(counts, kwh_per_unit=4086.72):
     """MonthlyCapacity list that yields exactly the given supported counts."""
@@ -29,7 +30,7 @@ def caps_from_supported(counts, kwh_per_unit=4086.72):
     out = []
     for month, count in zip(months, counts):
         hours = hours_in_month(month)
-        usable = (count + 0.5) * DEFAULT_MINER.power_kw * hours
+        usable = (count + 0.5) * MINER.power_kw * hours
         out.append(month_capacity_raw(month, usable))
     return out
 
@@ -40,20 +41,20 @@ def month_capacity_raw(month, usable):
     return MonthlyCapacity(
         month=month,
         usable_kwh=usable,
-        supported=supported_units(usable, DEFAULT_MINER, hours_in_month(month)),
+        supported=supported_units(usable, MINER, hours_in_month(month)),
     )
 
 
 class TestEnergy:
     def test_loss_rate_example(self):
-        assert usable_energy(1_000_000.0) == pytest.approx(964_100.0, rel=1e-12)
+        assert usable_energy(1_000_000.0, DEFAULT_LOSS_RATE) == pytest.approx(964_100.0, rel=1e-12)
 
     def test_supported_units_example(self):
-        assert supported_units(964_100.0, DEFAULT_MINER, 720.0) == 235
+        assert supported_units(964_100.0, MINER, 720.0) == 235
         assert math.floor(964_100.0 / 4086.72) == 235
 
     def test_zero_energy(self):
-        assert supported_units(0.0, DEFAULT_MINER, 720.0) == 0
+        assert supported_units(0.0, MINER, 720.0) == 0
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
     def test_bad_loss_rate(self, rate):
@@ -69,10 +70,10 @@ class TestEnergy:
 class TestMinerSpec:
     def test_default_consistency(self):
         # 5676 W / 473 TH/s = 12.0 J/TH
-        assert DEFAULT_MINER.power_w / DEFAULT_MINER.hashrate_ths == pytest.approx(
-            DEFAULT_MINER.efficiency_j_per_th
+        assert MINER.power_w / MINER.hashrate_ths == pytest.approx(
+            MINER.efficiency_j_per_th
         )
-        assert DEFAULT_MINER.power_kw == pytest.approx(5.676)
+        assert MINER.power_kw == pytest.approx(5.676)
 
     def test_inconsistent_efficiency_rejected(self):
         with pytest.raises(ValidationError):
@@ -89,7 +90,7 @@ class TestMinerSpec:
 class TestScenarios:
     def test_extremes_vs_mean(self):
         caps = caps_from_supported([10, 20, 30])
-        s1, s2 = build_scenarios(caps, DEFAULT_MINER)
+        s1, s2 = build_scenarios(caps, MINER)
         assert s1.owned_units == 30
         assert [m.operating for m in s1.monthly] == [10, 20, 30]
         assert s2.owned_units == 20
@@ -97,21 +98,21 @@ class TestScenarios:
 
     def test_constant_supported_makes_scenarios_equal(self):
         caps = caps_from_supported([15, 15, 15])
-        s1, s2 = build_scenarios(caps, DEFAULT_MINER)
+        s1, s2 = build_scenarios(caps, MINER)
         assert s1.owned_units == s2.owned_units == 15
         assert [m.operating for m in s1.monthly] == [m.operating for m in s2.monthly]
 
     def test_mean_rounds_half_up(self):
         # mean 12.5 -> 13
         caps = caps_from_supported([10, 15])
-        _, s2 = build_scenarios(caps, DEFAULT_MINER)
+        _, s2 = build_scenarios(caps, MINER)
         assert s2.owned_units == 13
 
     def test_operating_never_exceeds_supported_or_owned(self):
         rng = np.random.default_rng(3)
         counts = [int(v) for v in rng.integers(0, 500, size=12)]
         caps = caps_from_supported(counts)
-        for plan in build_scenarios(caps, DEFAULT_MINER):
+        for plan in build_scenarios(caps, MINER):
             for m in plan.monthly:
                 assert m.operating <= m.supported
                 assert m.operating <= plan.owned_units
@@ -123,8 +124,8 @@ class TestScenarios:
             MonthlySurplusTotal(f"2023-{m:02d}", float(v))
             for m, v in enumerate(rng.uniform(1e5, 9e6, size=12), start=1)
         ]
-        caps = [month_capacity(t, DEFAULT_MINER) for t in totals]
-        for plan in build_scenarios(caps, DEFAULT_MINER):
+        caps = [month_capacity(t, MINER, DEFAULT_LOSS_RATE) for t in totals]
+        for plan in build_scenarios(caps, MINER):
             for cap, m in zip(caps, plan.monthly):
                 assert m.energy_used_kwh + m.energy_idle_kwh == pytest.approx(
                     cap.usable_kwh, abs=1.0
@@ -135,11 +136,11 @@ class TestScenarios:
     def test_duplicate_month_rejected(self):
         caps = caps_from_supported([5])
         with pytest.raises(ValidationError):
-            build_scenarios(caps + caps, DEFAULT_MINER)
+            build_scenarios(caps + caps, MINER)
 
     def test_fleet_for_missing_month(self):
         caps = caps_from_supported([5, 6])
-        s1, _ = build_scenarios(caps, DEFAULT_MINER)
+        s1, _ = build_scenarios(caps, MINER)
         with pytest.raises(ValidationError):
             s1.fleet_for("2024-01")
 

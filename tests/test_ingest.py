@@ -8,6 +8,7 @@ import pytest
 from surplusminer.economics import LEDGER_COLUMNS, DailyLedgerEntry, read_ledger_totals, write_ledger_csv
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.ingest import (
+    DEFAULT_SURPLUS_MONTHS,
     MarketRecord,
     MarketSeries,
     MonthlySurplusTotal,
@@ -121,7 +122,7 @@ class TestFillGaps:
                 MarketRecord(date(2023, 1, 4), 40.0, 400.0),
             )
         )
-        filled = fill_gaps(gappy)
+        filled = fill_gaps(gappy, gappy.start)
         assert len(filled) == 4
         assert filled.lookup(date(2023, 1, 2)).price_usd == 10.0
         assert filled.lookup(date(2023, 1, 3)).network_hashrate_ths == 100.0
@@ -146,7 +147,7 @@ class TestFillGaps:
     def test_too_short_raises(self):
         series = make_series([1])
         with pytest.raises(DataInsufficientError):
-            fill_gaps(series)
+            fill_gaps(series, series.start)
 
 
 SURPLUS_HEADER = "region,month,households,surplus_kwh\n"
@@ -185,7 +186,7 @@ class TestSurplus:
             SURPLUS_HEADER + "north,2021-01,10,5.0\nnorth,2021-01,10,6.0\n",
         )
         with pytest.raises(ValidationError, match="duplicate"):
-            parse_surplus_csv(p)
+            parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS)
 
     @pytest.mark.parametrize(
         "row",
@@ -194,7 +195,7 @@ class TestSurplus:
     def test_bad_rows_rejected(self, tmp_path, row):
         p = write(tmp_path, "s.csv", SURPLUS_HEADER + row + "\n")
         with pytest.raises(ValidationError):
-            parse_surplus_csv(p)
+            parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS)
 
     def test_record_validation(self):
         with pytest.raises(ValidationError):
@@ -205,7 +206,7 @@ class TestSurplus:
     def test_zero_households_with_energy_warns_naming_the_line(self, tmp_path, caplog):
         p = write(tmp_path, "s.csv", SURPLUS_HEADER + "north,2021-01,10,5.0\nsouth,2021-01,0,7.5\n")
         with caplog.at_level(logging.WARNING):
-            records = parse_surplus_csv(p)
+            records = parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS)
         assert len(records) == 2
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
             f"{p}:3: south/2021-01 reports 7.5 kWh from zero households"
@@ -218,7 +219,7 @@ LEDGER_ROW = "2023-06-01,1,actual,7,3311.0,400000000.0,0.11,3000.0,27000.0\n"
 # Each input reader, and its file's header row.
 READERS = {
     "market": (parse_market_csv, MARKET_HEADER),
-    "surplus": (parse_surplus_csv, SURPLUS_HEADER),
+    "surplus": (lambda p: parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS), SURPLUS_HEADER),
     "ledger": (lambda p: read_ledger_totals(p, 144, date(2023, 6, 1), date(2023, 6, 1)), LEDGER_HEADER),
 }
 

@@ -70,7 +70,7 @@ class TestCellForward:
     def test_forget_gate_bias_retains_memory(self):
         h, d = 2, 2
         w = zero_weights(d, h)
-        w.b_f[...] = 50.0  # forget gate saturates at 1
+        dict(w.items())["b_f"][...] = 50.0  # forget gate saturates at 1
         x = np.zeros((1, d))
         c_prev = np.array([[0.3, -0.7]])
         _, c_t, _ = cell_forward(x, np.zeros((1, h)), c_prev, w)
@@ -92,7 +92,7 @@ class TestGradients:
         windows = rng.normal(0.0, 1.0, size=(m, T, d))
         targets = rng.normal(0.0, 1.0, size=m)
         grads, _ = bptt_gradients(windows, targets, w)
-        params = dict(w.items())
+        params, grads = dict(w.items()), dict(grads.items())
         for name in PARAM_NAMES:
             arr = params[name]
             grad = np.atleast_1d(np.asarray(grads[name], dtype=float))
@@ -210,9 +210,10 @@ class TestInit:
         k = 1.0 / math.sqrt(h)
         for name, arr in w.items():
             assert np.all(np.abs(arr) <= k), name
-        assert w.W_f.shape == (h, d)
-        assert w.U_o.shape == (h, h)
-        assert w.b_i.shape == (h,)
+        params = dict(w.items())
+        assert params["W_f"].shape == (h, d)
+        assert params["U_o"].shape == (h, h)
+        assert params["b_i"].shape == (h,)
         assert w.V.shape == (h,)
         assert w.c.shape == (1,)
         assert w.hidden_size == h
@@ -224,7 +225,7 @@ class TestInit:
         other = init_weights(3, 4, seed=6)
         for (_, x), (_, y) in zip(a.items(), b.items()):
             assert np.array_equal(x, y)
-        assert not np.array_equal(a.W_f, other.W_f)
+        assert not np.array_equal(dict(a.items())["W_f"], dict(other.items())["W_f"])
 
 
 class TestTraining:
@@ -285,8 +286,8 @@ class TestPerGateOracle:
         want, want_loss = oracle_lstm_gradients(windows, targets, {n: a.copy() for n, a in w.items()})
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert PARAM_NAMES == LSTM_NAMES
-        for name in PARAM_NAMES:
-            assert grads[name].tobytes() == want[name].tobytes(), name
+        for name, grad in grads.items():
+            assert grad.tobytes() == want[name].tobytes(), name
 
     @pytest.mark.parametrize("hidden, clip_norm", [(16, 1.0), (8, 0.05)])
     def test_two_epoch_fit_on_the_fixture(self, hidden, clip_norm):

@@ -1,9 +1,10 @@
 """Command-line pipeline: ingest -> features -> train -> simulate -> report.
 
 Every command is a pure function of (input files, config): reruns produce
-byte-identical outputs, each output file starts with a header naming the
-config hash and seed, and the effective config is echoed into the output
-directory. Exit codes: 0 success, 2 validation error, 3 insufficient data,
+byte-identical outputs, each output file starts with a `# key=value ...`
+header line (the config hash and seed; for forecasts.csv and ledger.csv,
+which a later command reads and checks, what their rows depend on), and the
+effective config is echoed into the output directory. Exit codes: 0 success, 2 validation error, 3 insufficient data,
 4 internal error.
 """
 from __future__ import annotations
@@ -233,15 +234,18 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+def _config_fields(cfg: RunConfig) -> dict[str, str]:
+    return {"config": config_hash(cfg), "seed": str(cfg.seed)}
+
+
+def _key_values(fields: dict[str, str]) -> str:
+    """A header line's text: `fields` as space-separated key=value pairs."""
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
 def _header(cfg: RunConfig) -> str:
-    return f"config={config_hash(cfg)} seed={cfg.seed}"
-
-
-def _ledger_header(cfg: RunConfig) -> str:
-    """ledger.csv's header: that of the config with all six cases. A case's
-    rows do not depend on which other cases ran, so a report on any of its
-    cases can check the ledger against the run config."""
-    return _header(replace(cfg, cases=VALID_CASES))
+    """The header of every output but forecasts.csv: the config hash and the seed."""
+    return _key_values(_config_fields(cfg))
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -267,9 +271,56 @@ def _first_line(path: Path) -> str:
         return fh.readline().rstrip("\n")
 
 
-def _require_file(path: Path, what: str) -> None:
+def _input_file(cfg: RunConfig, key: str) -> Path:
+    """The input file that config key `key` (market_csv or surplus_csv) names."""
+    path = cfg.input_path(getattr(cfg, key))
     if not path.is_file():
-        raise ValidationError(f"{what} not found: {path}")
+        raise ValidationError(f"{key.replace('_csv', ' CSV')} not found: {path}")
+    return path
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+# The header fields that hold an input file's sha256, and the config key naming the file.
+INPUT_DIGESTS = {"market_sha256": "market_csv", "surplus_sha256": "surplus_csv"}
+
+
+def _digests(cfg: RunConfig, *keys: str) -> dict[str, str]:
+    """The header fields `keys` of INPUT_DIGESTS: each input file's sha256."""
+    return {key: _sha256(_input_file(cfg, INPUT_DIGESTS[key])) for key in keys}
+
+
+def _check_header(cfg: RunConfig, path: Path, command: str, wanted: dict[str, str]) -> None:
+    """Refuse an artifact that `command` wrote for a later command to read
+    unless its header line, `# key=value ...`, holds every field of `wanted`,
+    this run's values. A missing file, a first line of another form, an input
+    file whose sha256 differs (named) or other fields that differ (each named
+    with both values) is a ValidationError that says to run `command`."""
+    if not path.is_file():
+        raise ValidationError(f"{path} is missing; run {command} first")
+    line = _first_line(path)
+    pairs = [item.split("=", 1) for item in line[2:].split(" ")]
+    if not line.startswith("# ") or any(len(pair) != 2 or not pair[0] for pair in pairs):
+        raise ValidationError(f"{path} starts with {line!r}, not a '# key=value ...' header; run {command} again")
+    made_with = dict(pairs)
+    differ = [key for key in wanted if made_with.get(key) != wanted[key]]
+    for key in differ:
+        if key in INPUT_DIGESTS:
+            raise ValidationError(
+                f"{_input_file(cfg, INPUT_DIGESTS[key])} has sha256 {wanted[key]}, but {path} was made from "
+                f"one with sha256 {made_with.get(key)}; run {command} again"
+            )
+    if differ:
+        raise ValidationError(
+            f"{path} was made with {', '.join(f'{key}={made_with.get(key)}' for key in differ)}, but the run "
+            f"config has {', '.join(f'{key}={wanted[key]}' for key in differ)}; run {command} again"
+        )
 
 
 def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
@@ -278,9 +329,7 @@ def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
     Only the end is clipped before filling, so a gap on analysis_start takes
     the last record before it. Returns (filled series, number of gap days filled).
     """
-    market_path = cfg.input_path(cfg.market_csv)
-    _require_file(market_path, "market CSV")
-    series = parse_market_csv(market_path).clip(end=cfg.test_end)
+    series = parse_market_csv(_input_file(cfg, "market_csv")).clip(end=cfg.test_end)
     days = len(series.clip(start=cfg.analysis_start))
     if days < 2:
         raise DataInsufficientError(
@@ -292,9 +341,7 @@ def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
 
 def _load_surplus(cfg: RunConfig) -> list[SurplusRecord]:
     """The surplus records, their months within surplus_months."""
-    surplus_path = cfg.input_path(cfg.surplus_csv)
-    _require_file(surplus_path, "surplus CSV")
-    return parse_surplus_csv(surplus_path, cfg.surplus_months)
+    return parse_surplus_csv(_input_file(cfg, "surplus_csv"), cfg.surplus_months)
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
@@ -369,28 +416,12 @@ class Forecast(NamedTuple):
     lstm_usd: float
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _hashed_files(cfg: RunConfig, out: Path, models) -> dict[str, Path]:
-    """The files whose sha256 heads forecasts.csv, by header field: the market
-    file and the file of each of `models` ("forest", "lstm")."""
-    return {
-        "market_sha256": cfg.input_path(cfg.market_csv),
-        **{f"{name}_model_sha256": out / f"{name}_model.json" for name in models},
-    }
-
-
-def _forecasts_header(cfg: RunConfig, out: Path, models) -> dict[str, str]:
-    """forecasts.csv's header fields for `models`: by name, everything their
-    prices depend on. That is the sha256 of the market file and of each model
-    file, the split dates and each model's settings (seed included, as reprs)."""
-    header = {key: _sha256(path) for key, path in _hashed_files(cfg, out, models).items()}
+def _forecasts_header(cfg: RunConfig, models) -> dict[str, str]:
+    """forecasts.csv's header fields for `models` ("forest", "lstm"): by name,
+    everything their prices depend on. That is the market file's sha256, the
+    split dates and each model's settings (seed included, as reprs); train
+    writes the same model bytes from these on any CPU count."""
+    header = _digests(cfg, "market_sha256")
     header.update((key, getattr(cfg, key).isoformat()) for key in SPLIT_KEYS)
     for name in models:
         settings = getattr(cfg, name)
@@ -430,12 +461,11 @@ def cmd_train(cfg: RunConfig) -> None:
     ]
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
     days = list(predicted["lstm"])  # the same for both models
-    header = _forecasts_header(cfg, out, ("forest", "lstm"))
     write_output_csv(
         out / "forecasts.csv",
         Forecast._fields,
         (Forecast(day, predicted["forest"][day], predicted["lstm"][day]) for day in days),
-        " ".join(f"{key}={value}" for key, value in header.items()),
+        _key_values(_forecasts_header(cfg, ("forest", "lstm"))),
     )
 
     lines = [
@@ -459,43 +489,16 @@ def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
     return build_scenarios(capacities, cfg.miner)
 
 
-def _settings(header: dict[str, str], keys: list[str]) -> str:
-    """`setting=value, ...` of the model-setting fields `keys` (e.g. forest.seed) in a header."""
-    return ", ".join(f"{key.partition('.')[2]}={header.get(key)}" for key in keys)
-
-
 def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, dict[date, float]]:
     """The prices of `models` for each test day, keyed by day, from the
     forecasts.csv that train wrote in `out`.
 
-    Each header field of this run (_forecasts_header) must equal the one train
-    wrote: a mismatch is a ValidationError naming the model file whose settings
-    differ, the file whose sha256 differs, or the field. A row that does not
-    parse is one naming its line, and a file without exactly one row per test
-    day, in date order, one naming the file. Any finite price is taken."""
+    Its header must hold this run's fields for `models` (_forecasts_header,
+    _check_header). A row that does not parse is a ValidationError naming its
+    line, and a file without exactly one row per test day, in date order, one
+    naming the file. Any finite price is taken."""
     path = out / "forecasts.csv"
-    for needed in (path, *(out / f"{name}_model.json" for name in models)):
-        if not needed.is_file():
-            raise ValidationError(f"{', '.join(models)} cases requested but {needed} is missing; run train first")
-    made_with = dict(item.partition("=")[::2] for item in _first_line(path).removeprefix("# ").split())
-    wanted = _forecasts_header(cfg, out, models)
-    files = _hashed_files(cfg, out, models)
-    for key, value in wanted.items():
-        was = made_with.get(key)
-        if was == value:
-            continue
-        if key in files:
-            raise ValidationError(
-                f"{files[key]} has sha256 {value}, but {path} was made from one with sha256 {was}; run train again"
-            )
-        name, dot, _ = key.partition(".")
-        if dot:  # a model setting: name every one of that model's that differs
-            differ = [k for k in wanted if k.startswith(f"{name}.") and made_with.get(k) != wanted[k]]
-            raise ValidationError(
-                f"{out / f'{name}_model.json'}: trained with {_settings(made_with, differ)}, "
-                f"but the run config has {_settings(wanted, differ)}; run train again"
-            )
-        raise ValidationError(f"{path} was made with {key}={was}, but the run config has {key}={value}; run train again")
+    _check_header(cfg, path, "train", _forecasts_header(cfg, models))
 
     def parse_row(row: list[str]) -> Forecast:
         return Forecast(_parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], Forecast._fields[1:])))
@@ -575,17 +578,18 @@ def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
     return lines
 
 
+def _ledger_fields(cfg: RunConfig) -> dict[str, str]:
+    """ledger.csv's header fields: those of the config with all six cases (a
+    case's rows do not depend on which other cases ran, so a report on any of
+    them can check the ledger against the run config), and the sha256 of the
+    market file its rows come from and of the surplus file its fleet comes from."""
+    return {**_config_fields(replace(cfg, cases=VALID_CASES)), **_digests(cfg, "market_sha256", "surplus_sha256")}
+
+
 def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, ScenarioPlan]) -> None:
     """Render report.txt from out/ledger.csv alone, write it and print it: each
     requested case's revenue summed from the ledger, its depreciation and profit."""
     ledger_path = out / "ledger.csv"
-    written_under = _first_line(ledger_path)
-    expected = f"# {_ledger_header(cfg)}"
-    if written_under != expected:
-        raise ValidationError(
-            f"{ledger_path} is headed {written_under!r}, but this run's ledger is headed {expected!r}; "
-            "run simulate again"
-        )
     revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
     missing = sorted(set(cfg.cases) - set(revenue))
     if missing:
@@ -617,7 +621,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
             cfg.sim_start, cfg.sim_end, cfg.blocks_per_day,
         )
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
-    write_ledger_csv(entries, out / "ledger.csv", header_comment=_ledger_header(cfg))
+    write_ledger_csv(entries, out / "ledger.csv", header_comment=_key_values(_ledger_fields(cfg)))
     _write_report(cfg, out, plans)
 
 
@@ -626,10 +630,9 @@ def cmd_report(cfg: RunConfig) -> None:
     out = _prepare_out(cfg)
     if not cfg.cases:
         raise ValidationError("no cases requested")
-    ledger_path = out / "ledger.csv"
-    if not ledger_path.is_file():
-        raise ValidationError(f"no ledger found at {ledger_path}; run simulate first")
-    _write_report(cfg, out, _build_plans(cfg))
+    plans = _build_plans(cfg)
+    _check_header(cfg, out / "ledger.csv", "simulate", _ledger_fields(cfg))
+    _write_report(cfg, out, plans)
 
 
 COMMANDS = {

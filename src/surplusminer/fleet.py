@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .errors import DataInsufficientError, ValidationError
 from .ingest import MonthlySurplusTotal, days_in_month, write_output_csv
@@ -91,11 +92,12 @@ def month_capacity(total: MonthlySurplusTotal, miner: MinerSpec, loss_rate: floa
     )
 
 
-@dataclass(frozen=True)
-class MonthlyFleet:
-    """Operating outcome for one month under a purchase plan."""
+class MonthlyFleet(NamedTuple):
+    """Operating outcome for one month under a purchase plan: a fleet.csv row,
+    its fields in column order."""
 
     month: str
+    scenario: int
     supported: int
     operating: int
     energy_used_kwh: float
@@ -121,10 +123,11 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _monthly_fleet(cap: MonthlyCapacity, operating: int, miner: MinerSpec) -> MonthlyFleet:
+def _monthly_fleet(cap: MonthlyCapacity, scenario: int, operating: int, miner: MinerSpec) -> MonthlyFleet:
     used = operating * miner.power_kw * hours_in_month(cap.month)
     return MonthlyFleet(
         month=cap.month,
+        scenario=scenario,
         supported=cap.supported,
         operating=operating,
         energy_used_kwh=used,
@@ -156,12 +159,12 @@ def build_scenarios(
     plan1 = ScenarioPlan(
         scenario=1,
         owned_units=owned1,
-        monthly=tuple(_monthly_fleet(c, c.supported, miner) for c in ordered),
+        monthly=tuple(_monthly_fleet(c, 1, c.supported, miner) for c in ordered),
     )
     plan2 = ScenarioPlan(
         scenario=2,
         owned_units=owned2,
-        monthly=tuple(_monthly_fleet(c, min(owned2, c.supported), miner) for c in ordered),
+        monthly=tuple(_monthly_fleet(c, 2, min(owned2, c.supported), miner) for c in ordered),
     )
     return plan1, plan2
 
@@ -192,14 +195,5 @@ def block_reward(day: date) -> float:
 
 
 def write_fleet_csv(plans: list[ScenarioPlan], path, header_comment: str | None = None) -> None:
-    """Write per-month fleet rows (month,scenario,supported,operating,energy_used_kwh,energy_idle_kwh)."""
-    write_output_csv(
-        path,
-        ["month", "scenario", "supported", "operating", "energy_used_kwh", "energy_idle_kwh"],
-        (
-            (mf.month, plan.scenario, mf.supported, mf.operating, mf.energy_used_kwh, mf.energy_idle_kwh)
-            for plan in plans
-            for mf in plan.monthly
-        ),
-        header_comment,
-    )
+    """Write every plan's MonthlyFleet rows, plan by plan."""
+    write_output_csv(path, MonthlyFleet._fields, (mf for plan in plans for mf in plan.monthly), header_comment)

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 
 from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
-from surplusminer.errors import ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.ingest import MarketSeries
 
-from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes
+from conftest import DATA_DIR, FIXTURE_CONFIG
 
 FIXTURE_HASH = "11e51f6d5144"
 
@@ -49,6 +48,10 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 LOADERS = {"forest": forest.load_forest, "lstm": lstm.load_lstm}
@@ -98,11 +101,14 @@ class TestFullPipeline:
         assert got == want
 
     def test_text_outputs_carry_config_header(self, pipeline_out):
-        """Every text output but forecasts.csv, whose header is tested below."""
+        """Every text output but forecasts.csv, whose header is tested below.
+        ledger.csv's goes on with the sha256 of both input files."""
+        digests = f" market_sha256={sha256(DATA_DIR / 'market.csv')} surplus_sha256={sha256(DATA_DIR / 'surplus.csv')}"
         for path in sorted(pipeline_out.glob("*.csv")) + sorted(pipeline_out.glob("*.txt")):
             if path.name != "forecasts.csv":
                 first = path.read_text(encoding="utf-8").splitlines()[0]
-                assert first == f"# config={FIXTURE_HASH} seed=42", path.name
+                want = f"# config={FIXTURE_HASH} seed=42" + (digests if path.name == "ledger.csv" else "")
+                assert first == want, path.name
 
     def test_config_echo_leads_with_hash_and_seed(self, pipeline_out):
         raw = (pipeline_out / "config_used.json").read_text(encoding="utf-8")
@@ -377,9 +383,18 @@ class TestConfigValidation:
         assert f"surplus_months must be two YYYY-MM months, the first not after the last, got {months}" in caplog.text
         assert "surplus.csv" not in caplog.text
 
-    def test_report_without_ledger_exits_2(self, tmp_path):
-        rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
+    def test_report_without_ledger_exits_2(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR):
+            rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert f"{tmp_path / 'out' / 'ledger.csv'} is missing; run simulate first" in caplog.text
+
+
+def doubled_surplus(text: str) -> str:
+    """surplus.csv's text with every surplus_kwh, the last column, doubled."""
+    header, *rows = text.splitlines()
+    cells = [row.rsplit(",", 1) for row in rows]
+    return "\n".join([header, *(f"{head},{2 * float(kwh)!r}" for head, kwh in cells)]) + "\n"
 
 
 class TestReportFromLedger:
@@ -398,29 +413,76 @@ class TestReportFromLedger:
         assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize(
-        "overrides,args", [({}, ("--seed", "7")), ({"sim_end": "2023-12-30"}, ())], ids=["seed", "sim_end"]
+        "overrides, seed, seeds",
+        [({}, 7, (", seed=42", ", seed=7")), ({"sim_end": "2023-12-30"}, None, ("", ""))],
+        ids=["seed", "sim_end"],
     )
     def test_report_under_another_config_exits_2_naming_both_headers(
-        self, pipeline_out, tmp_path, caplog, overrides, args
+        self, pipeline_out, tmp_path, caplog, overrides, seed, seeds
     ):
         """The ledger is headed with the config it was simulated under, all six
-        cases included; a report under another config would relabel it."""
+        cases included; a report under another config would relabel it. The
+        error names each header field that differs, with both values."""
         config = write_config(tmp_path, **overrides)
+        args = ("--seed", str(seed)) if seed else ()
         with caplog.at_level(logging.ERROR):
             rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines, *args, config=config)
         assert rc == 2
-        written = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert f"is headed {written!r}, but this run's ledger is headed '# config=" in caplog.text
+        run_hash = cli.config_hash(cli.load_config(config, seed=seed))
+        was, now = seeds
+        assert (
+            f"{tmp_path / 'out' / 'ledger.csv'} was made with config={FIXTURE_HASH}{was}, but the run config has "
+            f"config={run_hash}{now}; run simulate again"
+        ) in caplog.text
 
-    def test_report_on_ledger_whose_header_is_not_utf8_exits_2_naming_both_headers(self, pipeline_out, tmp_path, caplog):
+    def _report_on_ledger_bytes(self, pipeline_out, tmp_path, caplog, edit) -> str:
+        """Report on the pipeline's ledger with its bytes edited; returns its
+        first line as the error message must quote it."""
         out = tmp_path / "out"
         out.mkdir()
-        (out / "ledger.csv").write_bytes(b"\xff\xfe" + (pipeline_out / "ledger.csv").read_bytes())
+        raw = edit((pipeline_out / "ledger.csv").read_bytes())
+        (out / "ledger.csv").write_bytes(raw)
         with caplog.at_level(logging.ERROR):
-            rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+            assert main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out)]) == 2
+        return raw.decode("utf-8", errors="replace").splitlines()[0]
+
+    def test_report_on_ledger_whose_header_is_not_utf8_exits_2_naming_both_headers(self, pipeline_out, tmp_path, caplog):
+        """Bytes that are not UTF-8 read as U+FFFD, so the message can quote the line."""
+        first = self._report_on_ledger_bytes(pipeline_out, tmp_path, caplog, lambda raw: b"\xff\xfe" + raw)
+        assert first.startswith(chr(0xFFFD) * 2 + "# config=")
+        assert f"ledger.csv starts with {first!r}, not a '# key=value ...' header; run simulate again" in caplog.text
+
+    def test_report_on_ledger_not_headed_key_values_exits_2(self, pipeline_out, tmp_path, caplog):
+        first = self._report_on_ledger_bytes(
+            pipeline_out, tmp_path, caplog, lambda raw: raw.replace(b"# config=", b"# made by hand, config=", 1)
+        )
+        assert f"ledger.csv starts with {first!r}, not a '# key=value ...' header; run simulate again" in caplog.text
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("market.csv", lambda text: text.replace("\n2022-03-10,", "\n2022-03-10,1")),
+            ("surplus.csv", doubled_surplus),
+        ],
+        ids=["market", "doubled-surplus"],
+    )
+    def test_input_changed_since_simulate_exits_2_naming_it(self, pipeline_out, tmp_path, caplog, name, edit):
+        """The ledger's rows come from the market file, and report prices the
+        fleet from the surplus file: with either changed since simulate, the
+        report would charge for a fleet the ledger did not mine."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        config = write_config(tmp_path)
+        changed = tmp_path / name
+        changed.write_text(edit(changed.read_text(encoding="utf-8")), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = main(["report", "--config", str(config), "--out", str(out)])
         assert rc == 2
-        written = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert f"is headed {chr(0xFFFD) * 2 + written!r}, but this run's ledger is headed {written!r}" in caplog.text
+        assert (
+            f"{changed} has sha256 {sha256(changed)}, but {out / 'ledger.csv'} was made from one with sha256 "
+            f"{sha256(DATA_DIR / name)}; run simulate again"
+        ) in caplog.text
+        assert (out / "report.txt").read_bytes() == (pipeline_out / "report.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "edit", [lambda lines: lines[:3] + lines[2:], lambda lines: lines[:2] + lines[3:]], ids=["repeated", "missing"]
@@ -483,174 +545,13 @@ class TestReportFromLedger:
         assert "ledger.csv:2:" in caplog.text
 
 
-def narrower_inputs(doc):
-    """An LSTM model consistently one input column narrower than the features."""
-    for name in ("W_f", "W_i", "W_c", "W_o"):
-        doc["weights"][name] = [row[1:] for row in doc["weights"][name]]
-    for key in ("mins", "maxs"):
-        doc["scaler"][key] = doc["scaler"][key][1:]
-
-
-class TestHostileModelFiles:
-    """A damaged model file is refused naming the file: reading it raises a
-    ValidationError, never another error, and simulate, whose forecasts.csv
-    was made from other bytes, exits 2 naming the file, not 4."""
-
-    def _read_edited_model(self, pipeline_out, tmp_path, caplog, name, case, edit) -> tuple[int, str]:
-        """Edit model file `name` in a copy of the pipeline run. Returns the
-        exit code of simulating `case` on the copy, which must name the file,
-        and the error of reading the file: loading it, then pricing the test
-        days from it (an error there prefixed with the file, as the loaders
-        prefix theirs)."""
-        out = tmp_path / "out"
-        shutil.copytree(pipeline_out, out)
-        path = out / name
-        path.write_bytes(edit(path.read_bytes()))
-        with caplog.at_level(logging.ERROR):
-            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", case, "--out", str(out)])
-        assert f"{path} has sha256 " in caplog.text
-        model_name = name.split("_")[0]
-        try:
-            model = LOADERS[model_name](path)
-        except ValidationError as exc:
-            return rc, str(exc)
-        try:
-            model_prices(model_name, model, fixture_market())
-        except ValidationError as exc:
-            return rc, f"{path}: {exc}"
-        pytest.fail(f"{name} read without an error")
-
-    @staticmethod
-    def _edit_json(change):
-        def edit(raw):
-            doc = json.loads(raw)
-            change(doc)
-            return json.dumps(doc).encode()
-
-        return edit
-
-    def test_truncated_forest_model_exits_2(self, pipeline_out, tmp_path, caplog):
-        rc, error = self._read_edited_model(
-            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1", lambda raw: raw[:5000]
-        )
-        assert rc == 2
-        assert "forest_model.json: invalid JSON" in error
-
-    def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path, caplog):
-        """A leaf marked as a split: the last split's right child would fall
-        past the end of the tree."""
-
-        def leaf_made_a_split(doc):
-            trees = decode_nodes(doc)
-            feature = trees[0]["feature"]
-            feature[feature.index(-1)] = 0
-            encode_nodes(doc, trees)
-
-        rc, error = self._read_edited_model(
-            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1", self._edit_json(leaf_made_a_split)
-        )
-        assert rc == 2
-        assert "forest_model.json: tree 0: node count" in error
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            (lambda p: p.update(n_trees=True), "key 'params.n_trees': expected int, got True"),
-            (lambda p: p.update(max_depth=2.5), "key 'params.max_depth': expected int, got 2.5"),
-            (lambda p: p.pop("seed"), "missing key 'params.seed'"),
-            (lambda p: p.update(depth=3), "unknown key 'params.depth'"),
-        ],
-        ids=["boolean-n-trees", "float-max-depth", "missing-seed", "unknown-param"],
-    )
-    def test_forest_model_with_missing_or_mistyped_param_exits_2(
-        self, pipeline_out, tmp_path, caplog, change, message
-    ):
-        rc, error = self._read_edited_model(
-            pipeline_out, tmp_path, caplog, "forest_model.json", "forest-1",
-            self._edit_json(lambda doc: change(doc["params"])),
-        )
-        assert rc == 2
-        assert f"forest_model.json: {message}" in error
-
-    def test_truncated_lstm_model_exits_2(self, pipeline_out, tmp_path, caplog):
-        rc, error = self._read_edited_model(
-            pipeline_out, tmp_path, caplog, "lstm_model.json", "lstm-1", lambda raw: raw[:5000]
-        )
-        assert rc == 2
-        assert "lstm_model.json: invalid JSON" in error
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            (lambda doc: doc["weights"].pop("U_o"), "missing key 'U_o'"),
-            (narrower_inputs, "expected 6 input columns, got 7"),
-            (lambda doc: doc["config"].update(window=2.5), "key 'config.window': expected int, got 2.5"),
-            (lambda doc: doc["config"].pop("seed"), "missing key 'config.seed'"),
-            (lambda doc: doc["config"].update(epoch=3), "unknown key 'config.epoch'"),
-            (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
-            (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
-            (lambda doc: doc["weights"]["W_f"][0].__setitem__(0, True), "key 'W_f'"),
-            (lambda doc: doc["weights"]["V"].__setitem__(0, float("nan")), "key 'V': numbers must be finite"),
-            (lambda doc: doc["scaler"]["maxs"].__setitem__(0, float("inf")), "key 'maxs': numbers must be finite"),
-        ],
-        ids=[
-            "missing-weight",
-            "narrower-inputs",
-            "mistyped-config-window",
-            "missing-config-seed",
-            "unknown-config-key",
-            "mistyped-scaler-bounds",
-            "misshapen-weight",
-            "boolean-weight",
-            "nan-weight",
-            "infinite-scaler-bound",
-        ],
-    )
-    def test_lstm_model_with_missing_or_mistyped_key_exits_2(
-        self, pipeline_out, tmp_path, caplog, change, message
-    ):
-        rc, error = self._read_edited_model(
-            pipeline_out, tmp_path, caplog, "lstm_model.json", "lstm-1", self._edit_json(change)
-        )
-        assert rc == 2
-        assert f"lstm_model.json: {message}" in error
-
-
-class TestModelSettings:
-    """simulate uses a model's forecasts only if forecasts.csv records that the
-    model was trained under the run config's forest or lstm settings, seed
-    included."""
-
-    def test_lstm_model_with_another_window_exits_2(self, tmp_path, caplog):
-        out = tmp_path / "out"
-        lstm_section = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))["lstm"]
-        config = write_config(tmp_path, lstm={**lstm_section, "window": 10})
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        with caplog.at_level(logging.ERROR):
-            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--cases", "lstm-1", "--out", str(out)])
-        assert rc == 2
-        assert "lstm_model.json: trained with window=10, but the run config has window=14" in caplog.text
-
-    @pytest.mark.parametrize("case, model", [("forest-2", "forest_model.json"), ("lstm-2", "lstm_model.json")])
-    def test_model_trained_under_another_seed_exits_2(self, pipeline_out, tmp_path, caplog, case, model):
-        out = tmp_path / "out"
-        shutil.copytree(pipeline_out, out)
-        report = (out / "report.txt").read_bytes()
-        with caplog.at_level(logging.ERROR):
-            rc = main(["simulate", "--config", str(FIXTURE_CONFIG), "--seed", "7", "--cases", case, "--out", str(out)])
-        assert rc == 2
-        assert f"{model}: trained with seed=42, but the run config has seed=7" in caplog.text
-        assert (out / "report.txt").read_bytes() == report
-
-
-def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+FIXTURE_LSTM = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))["lstm"]
 
 
 class TestForecastsFile:
     """train writes both models' price for every test day to forecasts.csv,
     headed with everything the prices depend on, and simulate prices from it
-    only if this run has the same market file, split, settings and models."""
+    only if this run has the same market file, split and model settings."""
 
     def test_prices_are_those_of_the_reloaded_models_bit_for_bit(self, pipeline_out):
         lines = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines()
@@ -668,8 +569,6 @@ class TestForecastsFile:
         first = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines()[0]
         assert first == "# " + " ".join([
             f"market_sha256={sha256(DATA_DIR / 'market.csv')}",
-            f"forest_model_sha256={sha256(pipeline_out / 'forest_model.json')}",
-            f"lstm_model_sha256={sha256(pipeline_out / 'lstm_model.json')}",
             "analysis_start=2022-01-01", "train_start=2022-01-01", "train_end=2023-05-31",
             "test_start=2023-06-01", "test_end=2023-12-31",
             "forest.n_trees=20", "forest.m_try=None", "forest.min_samples_leaf=1", "forest.max_depth=None",
@@ -710,28 +609,35 @@ class TestForecastsFile:
         assert f"{tmp_path / 'market.csv'} has sha256 {sha256(tmp_path / 'market.csv')}, but " in caplog.text
         assert f"was made from one with sha256 {sha256(DATA_DIR / 'market.csv')}; run train again" in caplog.text
 
-    def test_another_train_end_exits_2(self, pipeline_out, tmp_path, caplog):
-        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, train_end="2023-05-30")
+    @pytest.mark.parametrize(
+        "overrides, args, made_with, run_has",
+        [
+            ({"train_end": "2023-05-30"}, (), "train_end=2023-05-31", "train_end=2023-05-30"),
+            ({"lstm": {**FIXTURE_LSTM, "window": 10}}, ("--cases", "lstm-1"), "lstm.window=14", "lstm.window=10"),
+            ({}, ("--seed", "7", "--cases", "forest-2"), "forest.seed=42", "forest.seed=7"),
+            ({}, ("--seed", "7", "--cases", "lstm-2"), "lstm.seed=42", "lstm.seed=7"),
+            ({}, ("--seed", "7"), "forest.seed=42, lstm.seed=42", "forest.seed=7, lstm.seed=7"),
+            (
+                {"forest": {"n_trees": 10, "max_depth": 3}},
+                ("--cases", "actual-1,forest-1"),
+                "forest.n_trees=20, forest.max_depth=None",
+                "forest.n_trees=10, forest.max_depth=3",
+            ),
+        ],
+        ids=["train_end", "lstm-window", "seed-forest-2", "seed-lstm-2", "seed-all-cases", "forest-settings"],
+    )
+    def test_other_settings_exit_2_naming_each_field(
+        self, pipeline_out, tmp_path, caplog, overrides, args, made_with, run_has
+    ):
+        """Only the settings of the models the cases need are compared; every
+        one that differs is named with both values, and report.txt stays."""
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, *args, **overrides)
         assert rc == 2
         assert (
-            "forecasts.csv was made with train_end=2023-05-31, but the run config has train_end=2023-05-30; "
+            f"{tmp_path / 'out' / 'forecasts.csv'} was made with {made_with}, but the run config has {run_has}; "
             "run train again"
         ) in caplog.text
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda path: path.write_bytes(path.read_bytes() + b" "), "lstm_model.json has sha256 "),
-            (lambda path: path.unlink(), "lstm_model.json is missing; run train first"),
-        ],
-        ids=["edited", "deleted"],
-    )
-    def test_model_file_edited_or_deleted_exits_2(self, pipeline_out, tmp_path, caplog, edit, message):
-        rc = self._simulate_on_copy(
-            pipeline_out, tmp_path, caplog, "--cases", "lstm-1", edit=lambda out: edit(out / "lstm_model.json")
-        )
-        assert rc == 2
-        assert message in caplog.text
+        assert (tmp_path / "out" / "report.txt").read_bytes() == (pipeline_out / "report.txt").read_bytes()
 
     def test_missing_forecasts_file_exits_2(self, pipeline_out, tmp_path, caplog):
         rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=lambda out: (out / "forecasts.csv").unlink())
@@ -970,13 +876,13 @@ class TestStartWithoutNumpy:
 
     def test_simulate_and_report_after_train_match_a_normal_run(self, pipeline_out, tmp_path):
         """After a plain train, simulate and report with all six cases read
-        forecasts.csv and import no numpy."""
+        forecasts.csv, import no numpy and need no model file."""
         runs = {}
         for name, code in (("plain", MAIN), ("without_numpy", MAIN_WITHOUT_NUMPY)):
             out = tmp_path / name
             shutil.copytree(pipeline_out, out)
-            for written in ("fleet.csv", "ledger.csv", "report.txt"):
-                (out / written).unlink()
+            for removed in ("forest_model.json", "lstm_model.json", "fleet.csv", "ledger.csv", "report.txt"):
+                (out / removed).unlink()
             streams = []
             for command in ("simulate", "report"):
                 proc = run_fresh(code, command, "--config", str(FIXTURE_CONFIG), "--out", str(out))

@@ -565,6 +565,23 @@ class TestHostileModelFiles:
             load_forest(_write(tmp_path, doc))
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: p.update(n_trees=True), "key 'params.n_trees': expected int, got True"),
+            (lambda p: p.update(max_depth=2.5), "key 'params.max_depth': expected int, got 2.5"),
+            (lambda p: p.pop("seed"), "missing key 'params.seed'"),
+            (lambda p: p.update(depth=3), "unknown key 'params.depth'"),
+        ],
+        ids=["boolean-n-trees", "float-max-depth", "missing-seed", "unknown-param"],
+    )
+    def test_missing_or_mistyped_param(self, tmp_path, change, message):
+        doc = _saved_model_doc(tmp_path)
+        change(doc["params"])
+        with pytest.raises(ValidationError) as info:
+            load_forest(_write(tmp_path, doc))
+        assert f"forest_model.json: {message}" in str(info.value)
+
+    @pytest.mark.parametrize(
         "key, bad", [("feature", 1.0), ("threshold", "0.5"), ("value", None), ("feature", [1]), ("feature", True)]
     )
     def test_mistyped_array_element(self, tmp_path, key, bad):

@@ -1,4 +1,5 @@
 """LSTM cell math, gradients vs finite differences, scaling, determinism."""
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -406,6 +407,80 @@ class TestPrediction:
         path.write_text('{"schema": "not-a-model/0"}')
         with pytest.raises(ValidationError):
             load_lstm(path)
+
+
+def _saved_model(tmp_path):
+    """The file of a small model fitted on a sine series, and that series' features."""
+    matrix = build_features(make_series(sine_prices(60)))
+    path = tmp_path / "lstm_model.json"
+    save_lstm(fit_lstm(matrix, TrainConfig(epochs=1, window=8, hidden_size=4, seed=4)), path)
+    return path, matrix
+
+
+def narrower_inputs(doc):
+    """An LSTM model consistently one input column narrower than the features."""
+    for name in ("W_f", "W_i", "W_c", "W_o"):
+        doc["weights"][name] = [row[1:] for row in doc["weights"][name]]
+    for key in ("mins", "maxs"):
+        doc["scaler"][key] = doc["scaler"][key][1:]
+
+
+class TestHostileModelFiles:
+    """A damaged model file is a ValidationError naming the file, never
+    another error: from load_lstm, or from predict_series when the model reads
+    another width than the features have."""
+
+    @staticmethod
+    def _read_error(path, matrix) -> str:
+        """The error of reading the model file at `path`: loading it, then
+        predicting `matrix` from it (an error there prefixed with the file, as
+        load_lstm prefixes its own)."""
+        try:
+            model = load_lstm(path)
+        except ValidationError as exc:
+            return str(exc)
+        with pytest.raises(ValidationError) as info:
+            predict_series(model, matrix)
+        return f"{path}: {info.value}"
+
+    def test_truncated_file(self, tmp_path):
+        path, matrix = _saved_model(tmp_path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert "lstm_model.json: invalid JSON" in self._read_error(path, matrix)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc["weights"].pop("U_o"), "missing key 'U_o'"),
+            (narrower_inputs, "expected 6 input columns, got 7"),
+            (lambda doc: doc["config"].update(window=2.5), "key 'config.window': expected int, got 2.5"),
+            (lambda doc: doc["config"].pop("seed"), "missing key 'config.seed'"),
+            (lambda doc: doc["config"].update(epoch=3), "unknown key 'config.epoch'"),
+            (lambda doc: doc["scaler"].update(mins="0"), "key 'mins'"),
+            (lambda doc: doc["weights"]["V"].pop(), "weight 'V' has shape"),
+            (lambda doc: doc["weights"]["W_f"][0].__setitem__(0, True), "key 'W_f'"),
+            (lambda doc: doc["weights"]["V"].__setitem__(0, float("nan")), "key 'V': numbers must be finite"),
+            (lambda doc: doc["scaler"]["maxs"].__setitem__(0, float("inf")), "key 'maxs': numbers must be finite"),
+        ],
+        ids=[
+            "missing-weight",
+            "narrower-inputs",
+            "mistyped-config-window",
+            "missing-config-seed",
+            "unknown-config-key",
+            "mistyped-scaler-bounds",
+            "misshapen-weight",
+            "boolean-weight",
+            "nan-weight",
+            "infinite-scaler-bound",
+        ],
+    )
+    def test_missing_or_mistyped_key(self, tmp_path, change, message):
+        path, matrix = _saved_model(tmp_path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        assert f"lstm_model.json: {message}" in self._read_error(path, matrix)
 
 
 class TestConfig:

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
+from surplusminer.errors import ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.ingest import MarketSeries
 
-from conftest import DATA_DIR, FIXTURE_CONFIG
+from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes
 
 FIXTURE_HASH = "11e51f6d5144"
 
@@ -686,6 +687,39 @@ class TestForecastsFile:
         full = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert rows == [row for row in full if kept(row.split(","))]
         assert len(rows) in (6 * 122, 2 * 214)
+
+
+class TestHostileModelFiles:
+    """A damaged copy of the forest model file that train wrote is a
+    ValidationError naming the file, the error a command exits 2 on, not a
+    crash."""
+
+    @staticmethod
+    def _edited_forest_model(pipeline_out, tmp_path, edit) -> Path:
+        path = tmp_path / "forest_model.json"
+        path.write_bytes(edit((pipeline_out / "forest_model.json").read_bytes()))
+        return path
+
+    def test_truncated_forest_model_exits_2(self, pipeline_out, tmp_path):
+        path = self._edited_forest_model(pipeline_out, tmp_path, lambda raw: raw[:5000])
+        with pytest.raises(ValidationError, match=r"forest_model\.json: invalid JSON"):
+            forest.load_forest(path)
+
+    def test_forest_child_index_past_the_end_exits_2(self, pipeline_out, tmp_path):
+        """A leaf marked as a split: the last split's right child would fall
+        past the end of the tree."""
+
+        def leaf_made_a_split(raw):
+            doc = json.loads(raw)
+            trees = decode_nodes(doc)
+            feature = trees[0]["feature"]
+            feature[feature.index(-1)] = 0
+            encode_nodes(doc, trees)
+            return json.dumps(doc).encode()
+
+        path = self._edited_forest_model(pipeline_out, tmp_path, leaf_made_a_split)
+        with pytest.raises(ValidationError, match=r"forest_model\.json: tree 0: node count"):
+            forest.load_forest(path)
 
 
 class TestOverrides:

@@ -4,7 +4,8 @@ Every command is a pure function of (input files, config): reruns produce
 byte-identical outputs, each output file starts with a `# key=value ...`
 header line (the config hash and seed; for forecasts.csv and ledger.csv,
 which a later command reads and checks, what their rows depend on), and the
-effective config is echoed into the output directory. Exit codes: 0 success, 2 validation error, 3 insufficient data,
+effective config of the last command that succeeded is echoed into the output
+directory. Exit codes: 0 success, 2 validation error, 3 insufficient data,
 4 internal error.
 """
 from __future__ import annotations
@@ -143,6 +144,8 @@ class RunConfig:
             raise ValidationError(
                 f"surplus_months must be two YYYY-MM months, the first not after the last, got {[first, last]}"
             )
+        if not self.cases:
+            raise ValidationError("no cases requested")
         for case in self.cases:
             if case not in VALID_CASES:
                 raise ValidationError(
@@ -248,16 +251,6 @@ def _header(cfg: RunConfig) -> str:
     return _key_values(_config_fields(cfg))
 
 
-def _prepare_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, **effective_config(cfg)}
-    with output_file(out / "config_used.json") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return out
-
-
 def _write_text(cfg: RunConfig, path: Path, lines: list[str]) -> None:
     """A text output: the config header line, then `lines`."""
     with output_file(path, _header(cfg)) as fh:
@@ -344,9 +337,8 @@ def _load_surplus(cfg: RunConfig) -> list[SurplusRecord]:
     return parse_surplus_csv(_input_file(cfg, "surplus_csv"), cfg.surplus_months)
 
 
-def cmd_ingest(cfg: RunConfig) -> None:
+def cmd_ingest(cfg: RunConfig, out: Path) -> None:
     """Validate inputs and write the cleaned series plus a summary."""
-    out = _prepare_out(cfg)
     filled, gaps = _load_clean_market(cfg)
     surplus = _load_surplus(cfg)
     totals = monthly_totals(surplus)
@@ -368,9 +360,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print("\n".join(lines))
 
 
-def cmd_features(cfg: RunConfig) -> None:
+def cmd_features(cfg: RunConfig, out: Path) -> None:
     """Build and export the indicator feature matrix."""
-    out = _prepare_out(cfg)
     filled, _ = _load_clean_market(cfg)
     matrix = build_features(filled)
     write_features_csv(matrix, out / "features.csv", header_comment=_header(cfg))
@@ -395,6 +386,10 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
     train = matrix.slice_dates(cfg.train_start, cfg.train_end - day)
     if len(train) == 0:
         raise DataInsufficientError("no feature rows in the training window")
+    if matrix.rows[-1].day < cfg.test_end - day:
+        raise DataInsufficientError(
+            f"the market data ends on {matrix.rows[-1].target_day}, before test_end {cfg.test_end}"
+        )
     # counted in days before test_start, not from the window's first date: a
     # window of a million days would start before the first date there is
     history = sum(0 < (cfg.test_start - row.day).days <= T for row in matrix.rows)
@@ -429,11 +424,10 @@ def _forecasts_header(cfg: RunConfig, models) -> dict[str, str]:
     return header
 
 
-def cmd_train(cfg: RunConfig) -> None:
+def cmd_train(cfg: RunConfig, out: Path) -> None:
     """Fit both models on the training rows, write both models' price for every
     test day to forecasts.csv and evaluate them against the market's."""
     _bind_layers()
-    out = _prepare_out(cfg)
     filled, _ = _load_clean_market(cfg)
     matrix = build_features(filled)
     train, forecast = _split_features(cfg, matrix)
@@ -604,11 +598,8 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     print(path.read_text(encoding="utf-8"), end="")
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
+def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     """Run every requested (price source x scenario) case into ledger.csv, then report from it."""
-    out = _prepare_out(cfg)
-    if not cfg.cases:
-        raise ValidationError("no cases requested")
     market, _ = _load_clean_market(cfg)
     plans = _build_plans(cfg)
     sources = _price_sources(cfg, out, market)
@@ -625,22 +616,21 @@ def cmd_simulate(cfg: RunConfig) -> None:
     _write_report(cfg, out, plans)
 
 
-def cmd_report(cfg: RunConfig) -> None:
+def cmd_report(cfg: RunConfig, out: Path) -> None:
     """Rebuild the summary report of the requested cases from an existing ledger.csv."""
-    out = _prepare_out(cfg)
-    if not cfg.cases:
-        raise ValidationError("no cases requested")
     plans = _build_plans(cfg)
     _check_header(cfg, out / "ledger.csv", "simulate", _ledger_fields(cfg))
     _write_report(cfg, out, plans)
 
 
+# Each command and its help text. main makes the output directory before the
+# command runs and writes config_used.json there once it has succeeded.
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "features": cmd_features,
-    "train": cmd_train,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, "validate and clean the input data"),
+    "features": (cmd_features, "build the indicator feature matrix"),
+    "train": (cmd_train, "fit and evaluate both price models"),
+    "simulate": (cmd_simulate, "run the profit cases and write the report"),
+    "report": (cmd_report, "rebuild the report from an existing ledger"),
 }
 
 
@@ -650,14 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate Bitcoin mining funded by surplus electricity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "ingest": "validate and clean the input data",
-        "features": "build the indicator feature matrix",
-        "train": "fit and evaluate both price models",
-        "simulate": "run the profit cases and write the report",
-        "report": "rebuild the report from an existing ledger",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -674,7 +657,15 @@ def main(argv: list[str] | None = None) -> int:
     cases = args.cases.split(",") if args.cases else None
     try:
         cfg = load_config(args.config, seed=args.seed, cases=cases, out_dir=args.out)
-        COMMANDS[args.command](cfg)
+        out = Path(cfg.out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot make the output directory {out}: {exc.strerror}") from None
+        COMMANDS[args.command][0](cfg, out)
+        with output_file(out / "config_used.json") as fh:
+            json.dump({"config_hash": config_hash(cfg), "seed": cfg.seed, **effective_config(cfg)}, fh, indent=2)
+            fh.write("\n")
     except ValidationError as exc:
         logger.error("validation error: %s", exc)
         return 2

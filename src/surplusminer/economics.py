@@ -63,6 +63,8 @@ def daily_revenue(price_used_usd: float, btc: float) -> float:
     """Revenue for one day: price x BTC mined (exact float product)."""
     if price_used_usd < 0:
         raise ValidationError(f"price must be >= 0, got {price_used_usd!r}")
+    if price_used_usd > MAX_PRICE_USD:
+        raise ValidationError(f"price must be <= {MAX_PRICE_USD:g}, got {price_used_usd!r}")
     if btc < 0:
         raise ValidationError(f"btc must be >= 0, got {btc!r}")
     return price_used_usd * btc

@@ -141,6 +141,16 @@ class TestFullPipeline:
         assert rc == 0
         assert (pipeline_out / "report.txt").read_bytes() == want
 
+    def test_refused_report_leaves_every_file_byte_identical(self, pipeline_out, tmp_path, caplog):
+        """config_used.json included: it is written only once a command has succeeded."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out), "--seed", "7"])
+        assert rc == 2
+        assert "config=11e51f6d5144, seed=42, but the run config has config=fc6efefef6b1, seed=7" in caplog.text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in pipeline_out.iterdir()}
+
 
 class TestCausalForecasts:
     """No forest or LSTM price for day d depends on a market price dated d or
@@ -313,6 +323,27 @@ class TestConfigValidation:
         bad = tmp_path / "config.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["ingest", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+    def test_no_cases_exits_2_at_config_load(self, tmp_path, caplog):
+        """For every command, ingest included, before the output directory is made."""
+        cfg = write_config(tmp_path, cases=[])
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{cfg}: no cases requested" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_2_without_a_traceback(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        out.write_text("a file\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"validation error: cannot make the output directory {out}: File exists"
+        ]
+        assert not any(r.exc_info for r in caplog.records)
+        assert out.read_text(encoding="utf-8") == "a file\n"
 
     def test_train_overlapping_test_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, train_end="2023-07-01")
@@ -669,6 +700,21 @@ class TestForecastsFile:
         assert rc == 2
         assert "case lstm-1, 2023-06-01: price must be >= 0, got -1.5" in caplog.text
 
+    def test_forecast_above_the_price_bound_exits_2_before_writing(self, pipeline_out, tmp_path, caplog):
+        """run_case refuses a price above $1e12 as it does a negative one; no other file changes."""
+        def huge(lines):
+            day, _, lstm_usd = lines[3].split(",")
+            lines[3] = f"{day},1e300,{lstm_usd}"
+            return lines
+
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(huge))
+        assert rc == 2
+        assert "case forest-1, 2023-06-02: price must be <= 1e+12, got 1e+300" in caplog.text
+        out = tmp_path / "out"
+        for path in pipeline_out.iterdir():
+            if path.name != "forecasts.csv":
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
     @pytest.mark.parametrize(
         "overrides, args, kept",
         [
@@ -858,6 +904,17 @@ class TestTrainFits:
         assert "2022-01-11..2022-01-24, got 8" in caplog.text
         assert (out / "forest_model.json").read_bytes() == earlier
         assert not (out / "lstm_model.json").exists()
+
+    def test_market_ending_before_test_end_exits_3_before_any_fit(self, tmp_path, caplog):
+        """The fixture market ends 2023-12-31: a month of test days would have
+        no price to forecast from, and simulate could never read the forecasts."""
+        cfg = write_config(tmp_path, test_end="2024-01-31")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "the market data ends on 2023-12-31, before test_end 2024-01-31" in caplog.text
+        assert list(out.iterdir()) == []
 
     def test_window_reaching_before_the_first_date_exits_3(self, tmp_path, caplog):
         """test_start minus a million days is before 0001-01-01, which a date cannot hold."""

@@ -75,6 +75,11 @@ class TestDailyRevenue:
         with pytest.raises(ValidationError):
             daily_revenue(-1.0, 1.0)
 
+    def test_price_above_the_bound_rejected(self):
+        assert daily_revenue(1e12, 1.0) == 1e12
+        with pytest.raises(ValidationError, match=r"price must be <= 1e\+12, got 1e\+300"):
+            daily_revenue(1e300, 1.0)
+
 
 class TestDepreciation:
     def test_large_fleet_exact_cents(self):

@@ -51,6 +51,7 @@ from .ingest import (
     _data_rows,
     _parse_date,
     _parse_float,
+    days,
     fill_gaps,
     monthly_totals,
     output_file,
@@ -317,19 +318,8 @@ def _check_header(cfg: RunConfig, path: Path, command: str, wanted: dict[str, st
 
 
 def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
-    """Parse the market data and gap-fill it over the analysis..test window.
-
-    Only the end is clipped before filling, so a gap on analysis_start takes
-    the last record before it. Returns (filled series, number of gap days filled).
-    """
-    series = parse_market_csv(_input_file(cfg, "market_csv")).clip(end=cfg.test_end)
-    days = len(series.clip(start=cfg.analysis_start))
-    if days < 2:
-        raise DataInsufficientError(
-            f"market data covers {days} days of {cfg.analysis_start}..{cfg.test_end}"
-        )
-    filled = fill_gaps(series, start=cfg.analysis_start)
-    return filled, len(filled) - days
+    """The market data over analysis_start..test_end, gap-filled, and the number of gap days filled."""
+    return fill_gaps(parse_market_csv(_input_file(cfg, "market_csv")), cfg.analysis_start, cfg.test_end)
 
 
 def _load_surplus(cfg: RunConfig) -> list[SurplusRecord]:
@@ -379,8 +369,11 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
     falls on or before train_end. Forecast rows are dated test_start-1..
     test_end-1, led by the lstm.window-1 rows before them: the LSTM's window
     history, all known by the time of each forecast. Rows are consecutive
-    days, as build_features makes them from the gap-filled series.
+    days, as build_features makes them from the gap-filled series. A one-day
+    test window is a ValidationError: train's r2 needs two test days.
     """
+    if cfg.test_start == cfg.test_end:
+        raise ValidationError(f"test_start..test_end is the one day {cfg.test_start}; r2 needs at least 2 test days")
     day = timedelta(days=1)
     T = cfg.lstm.window
     train = matrix.slice_dates(cfg.train_start, cfg.train_end - day)
@@ -441,31 +434,28 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     save_forest(forest_model, out / "forest_model.json")
     save_lstm(lstm_model, out / "lstm_model.json")
 
-    actual = PriceSource.from_market(filled)
-    # each model's price per test day: the LSTM reads each window of the
-    # forecast rows, the forest the rows after the window history
+    # one row per test day, in order, holding its price as the target: the
+    # LSTM reads each window of the forecast rows, the forest these rows
     rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
+    test_days = [row.target_day for row in rows.rows]
     predicted = {
-        "forest": dict(zip((row.target_day for row in rows.rows), predict_matrix(forest_model, rows).tolist())),
-        "lstm": predict_series(lstm_model, forecast),
+        "forest": predict_matrix(forest_model, rows).tolist(),
+        "lstm": predict_series(lstm_model, forecast).tolist(),
     }
-    evals = [
-        evaluate(name, "test", [actual.price_for(d) for d in prices], list(prices.values()))
-        for name, prices in predicted.items()
-    ]
+    actual = rows.target_array()
+    evals = [evaluate(name, "test", actual, prices) for name, prices in predicted.items()]
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
-    days = list(predicted["lstm"])  # the same for both models
     write_output_csv(
         out / "forecasts.csv",
         Forecast._fields,
-        (Forecast(day, predicted["forest"][day], predicted["lstm"][day]) for day in days),
+        map(Forecast, test_days, predicted["forest"], predicted["lstm"]),
         _key_values(_forecasts_header(cfg, ("forest", "lstm"))),
     )
 
     lines = [
         "training summary",
         f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
-        f"test days: {len(days)} ({days[0].isoformat()}..{days[-1].isoformat()}), each forecast from the day before",
+        f"test days: {len(test_days)} ({test_days[0]}..{test_days[-1]}), each forecast from the day before",
         f"forest: {cfg.forest.n_trees} trees, m_try={cfg.forest.resolved_m_try(matrix.feature_count)}",
         f"lstm: {cfg.lstm.epochs} epochs, hidden={cfg.lstm.hidden_size}, window={cfg.lstm.window}",
         "lstm loss trace: " + ", ".join(f"{v:.6f}" for v in lstm_model.loss_trace),
@@ -498,8 +488,7 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, d
         return Forecast(_parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], Forecast._fields[1:])))
 
     rows = [forecast for _, forecast in _data_rows(path, Forecast._fields, parse_row)]
-    test_days = [cfg.test_start + timedelta(days=i) for i in range((cfg.test_end - cfg.test_start).days + 1)]
-    if [row.day for row in rows] != test_days:
+    if [row.day for row in rows] != days(cfg.test_start, cfg.test_end):
         raise ValidationError(
             f"{path} must have one row per day from {cfg.test_start} to {cfg.test_end}, in date order; run train again"
         )
@@ -654,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
-    cases = args.cases.split(",") if args.cases else None
+    cases = None if args.cases is None else args.cases.split(",")
     try:
         cfg = load_config(args.config, seed=args.seed, cases=cases, out_dir=args.out)
         out = Path(cfg.out_dir)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DataInsufficientError, ValidationError
 from .fleet import HALVING_SCHEDULE, MinerSpec, ScenarioPlan, block_reward
-from .ingest import MAX_PRICE_USD, MarketSeries, _data_rows, _parse_float, write_output_csv
+from .ingest import MAX_PRICE_USD, MarketSeries, _data_rows, _parse_float, days, write_output_csv
 
 logger = logging.getLogger(__name__)
 
@@ -230,8 +230,7 @@ def run_case(
         raise ValidationError("sim_end before sim_start")
 
     entries: list[DailyLedgerEntry] = []
-    day = sim_start
-    while day <= sim_end:
+    for day in days(sim_start, sim_end):
         try:
             record = market.lookup(day)
             if record is None:
@@ -257,7 +256,6 @@ def run_case(
                 price_used_usd=price,
             )
         )
-        day += timedelta(days=1)
     return entries
 
 
@@ -288,13 +286,13 @@ def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date
         return f"{entry.price_source}-{entry.scenario}", entry.day, revenue
 
     totals: dict[str, float] = {}
-    days: dict[str, list[str]] = {}
+    case_days: dict[str, list[str]] = {}
     for _, (key, day, revenue) in _data_rows(path, LEDGER_COLUMNS, parse_row):
         totals[key] = totals.get(key, 0.0) + revenue
-        days.setdefault(key, []).append(day)
-    expected = [(sim_start + timedelta(days=i)).isoformat() for i in range((sim_end - sim_start).days + 1)]
-    for key, case_days in days.items():
-        if case_days != expected:
+        case_days.setdefault(key, []).append(day)
+    expected = [day.isoformat() for day in days(sim_start, sim_end)]
+    for key, listed in case_days.items():
+        if listed != expected:
             raise ValidationError(
                 f"{path}: case {key} must have one row per day from {sim_start} to {sim_end}, in date order"
             )

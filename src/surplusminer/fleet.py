@@ -71,7 +71,10 @@ def supported_units(usable_kwh: float, miner: MinerSpec, hours: float) -> int:
         raise ValidationError(f"usable_kwh must be >= 0, got {usable_kwh!r}")
     if hours <= 0:
         raise ValidationError(f"hours must be > 0, got {hours!r}")
-    return int(math.floor(usable_kwh / (miner.power_kw * hours)))
+    units = usable_kwh / (miner.power_kw * hours)
+    if not math.isfinite(units):
+        raise ValidationError(f"miner.power_w {miner.power_w!r} is too small: {usable_kwh!r} kWh runs {units} units")
+    return int(math.floor(units))
 
 
 @dataclass(frozen=True)

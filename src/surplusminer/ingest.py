@@ -2,12 +2,12 @@
 
 Two inputs drive every run: a daily Bitcoin market file (closing price and
 network hash rate) and a monthly surplus-electricity file from the utility.
-Both arrive as CSV. This module parses them into typed records, rejects rows
-that violate the documented invariants (with file/line context), and fills
-calendar gaps in the market series by carrying the previous day forward. It
-also owns the format of every file the package writes (output_file) and the
-checked, typed reading of the JSON files it reads back (read_json_object,
-json_value, json_array, json_fields).
+Both arrive as CSV. This module parses them into typed records and rejects rows
+that violate the documented invariants (with file/line context). fill_gaps
+owns the market window: it cuts the series to it, fills and counts its missing
+days. days walks the calendar. The module also owns the format of every file
+the package writes (output_file) and the checked, typed reading of the JSON
+files it reads back (read_json_object, json_value, json_array, json_fields).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import re
 import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -109,15 +109,6 @@ class MarketSeries:
 
     def dates(self) -> list[date]:
         return [r.day for r in self.records]
-
-    def clip(self, start: date | None = None, end: date | None = None) -> "MarketSeries":
-        """Records within [start, end], inclusive; bounds default to the series edges."""
-        kept = [
-            r
-            for r in self.records
-            if (start is None or r.day >= start) and (end is None or r.day <= end)
-        ]
-        return MarketSeries(kept)
 
 
 def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
@@ -352,38 +343,38 @@ def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str
     )
 
 
-def fill_gaps(series: MarketSeries, start: date) -> MarketSeries:
-    """Fill missing calendar days by carrying the previous record forward.
+def days(start: date, end: date) -> list[date]:
+    """Every day from start to end, both included, in order; none if end is before start."""
+    return [date.fromordinal(n) for n in range(start.toordinal(), end.toordinal() + 1)]
 
-    The filled range runs from start to the last record; a gap at a start
-    after the first record takes the last record before it. A
-    requested start earlier than the first record is an error: there is
-    nothing to carry into the gap. The number of synthesized days is logged.
-    """
-    if len(series) < 2:
-        raise DataInsufficientError("need at least 2 records to fill gaps")
-    first, end = series.start, series.end
+
+def fill_gaps(series: MarketSeries, start: date, end: date) -> tuple[MarketSeries, int]:
+    """The market window start..end with no day missing, and the number of
+    days filled (logged). Records after end are dropped, and the window ends
+    on the last one before. A missing day takes the day before's record, so a
+    gap on start takes the last record before it. Fewer than 2 records in the
+    window, or none on or before start, is a DataInsufficientError."""
+    kept = [r for r in series.records if r.day <= end]
+    inside = sum(r.day >= start for r in kept)
+    if inside < 2:
+        raise DataInsufficientError(f"market data covers {inside} days of {start}..{end}")
+    first = kept[0].day
     if start < first:
         raise DataInsufficientError(
             f"gap at series start: first record is {first.isoformat()}, "
             f"requested range starts {start.isoformat()}"
         )
-    if end < start:
-        raise ValidationError("requested range is empty (end before start)")
-
     out: list[MarketRecord] = []
-    carried = 0
-    day = first
-    while day <= end:
+    for day in days(first, kept[-1].day):
         rec = series.lookup(day)
         if rec is None:  # never on the first day, so out[-1] is the day before
             rec = MarketRecord(day, out[-1].price_usd, out[-1].network_hashrate_ths)
-            carried += day >= start
         out.append(rec)
-        day += timedelta(days=1)
+    filled = MarketSeries(out[(start - first).days :])
+    carried = len(filled) - inside
     if carried:
         logger.info("fill_gaps: carried previous day forward into %d missing days", carried)
-    return MarketSeries(out[(start - first).days :])
+    return filled, carried
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -357,17 +356,17 @@ def predict_window(model: LstmModel, window_rows: np.ndarray) -> float:
     return float(_predict_rows(model, arr)[0])
 
 
-def predict_series(model: LstmModel, features: FeatureMatrix) -> dict[date, float]:
-    """Predictions keyed by the target day of each window's last row.
+def predict_series(model: LstmModel, features: FeatureMatrix) -> np.ndarray:
+    """The prediction from each T-row window of a feature matrix, in row order:
+    entry i, from rows [i, i+T), forecasts row i+T-1's target day.
 
-    The first T-1 rows seed windows only, so the earliest prediction is for
-    row T-1's target day; a matrix shorter than T has none at all.
+    The first T-1 rows seed windows only, so there are len(features)-T+1
+    entries; a matrix shorter than T is a DataInsufficientError, as in fit_lstm.
     """
     T = model.config.window
     if len(features) < T:
-        return {}
-    days = [row.target_day for row in features.rows[T - 1 :]]
-    return dict(zip(days, _predict_rows(model, features.input_array()).tolist()))
+        raise DataInsufficientError(f"need at least {T} feature rows, got {len(features)}")
+    return _predict_rows(model, features.input_array())
 
 
 def save_lstm(model: LstmModel, path: str | Path) -> None:

@@ -60,14 +60,14 @@ LOADERS = {"forest": forest.load_forest, "lstm": lstm.load_lstm}
 
 def model_prices(name: str, model, market: MarketSeries) -> dict:
     """Model `name`'s price for each fixture test day from the features of
-    `market`: predict_matrix on the rows dated test_start-1..test_end-1, or
-    predict_series on those rows and the window history before them."""
+    `market`, keyed by day: predict_matrix on the rows dated test_start-1..
+    test_end-1, or predict_series on those rows and the window history before
+    them. Both return one price per row dated test_start-1.., in row order."""
     cfg = cli.load_config(FIXTURE_CONFIG)
     _, rows = cli._split_features(cfg, build_features(market))
-    if name == "lstm":
-        return lstm.predict_series(model, rows)
     last = FeatureMatrix(rows.rows[cfg.lstm.window - 1 :])
-    return dict(zip((row.target_day for row in last.rows), forest.predict_matrix(model, last).tolist()))
+    prices = lstm.predict_series(model, rows) if name == "lstm" else forest.predict_matrix(model, last)
+    return dict(zip((row.target_day for row in last.rows), prices.tolist(), strict=True))
 
 
 def reloaded_forecasts(out: Path, market: MarketSeries) -> dict[str, dict]:
@@ -355,6 +355,28 @@ class TestConfigValidation:
             "--cases", "actual-3", "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    def test_empty_cases_flag_exits_2_leaving_the_report(self, pipeline_out, tmp_path, caplog):
+        """--cases "" names the one case '', as --cases "," names two; neither means all six."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out), "--cases", ""])
+        assert rc == 2
+        assert "unknown case ''" in caplog.text
+        assert (out / "report.txt").read_bytes() == (pipeline_out / "report.txt").read_bytes()
+
+    def test_one_day_test_window_train_exits_2_before_any_fit(self, tmp_path, caplog):
+        """r2 needs two test days; simulate needs none of train's outputs for an actual case."""
+        one_day = {key: "2023-06-01" for key in ("test_start", "test_end", "sim_start", "sim_end")}
+        cfg = write_config(tmp_path, **one_day)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "test_start..test_end is the one day 2023-06-01" in caplog.text
+        assert not (out / "forest_model.json").exists() and not (out / "lstm_model.json").exists()
+        assert main(["simulate", "--config", str(cfg), "--cases", "actual-1", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -818,6 +840,19 @@ class TestExactMoney:
             ])
         assert rc == 2
         assert "case actual-1: " in caplog.text and "28 significant digits" in caplog.text
+        assert not (out / "report.txt").exists()
+
+    def test_unit_count_past_the_float_range_exits_2_naming_power_w(self, tmp_path, caplog):
+        """A miner tiny enough that a month's surplus runs infinitely many of them."""
+        miner = {"power_w": 1e-306, "hashrate_ths": 1e-307, "efficiency_j_per_th": 10}
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main([
+                "simulate", "--config", str(write_config(tmp_path, miner=miner)),
+                "--cases", "actual-1", "--out", str(out),
+            ])
+        assert rc == 2
+        assert "validation error: miner.power_w 1e-306 is too small" in caplog.text
         assert not (out / "report.txt").exists()
 
 

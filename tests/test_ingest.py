@@ -13,6 +13,7 @@ from surplusminer.ingest import (
     MarketSeries,
     MonthlySurplusTotal,
     SurplusRecord,
+    days,
     days_in_month,
     fill_gaps,
     monthly_totals,
@@ -104,50 +105,96 @@ class TestMarketParsing:
 
 
 class TestMarketSeries:
-    def test_clip(self):
-        series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
-        clipped = series.clip(date(2023, 1, 2), date(2023, 1, 4))
-        assert clipped.prices() == [2.0, 3.0, 4.0]
-
     def test_lookup_missing_returns_none(self):
         series = make_series([1, 2])
         assert series.lookup(date(1999, 1, 1)) is None
 
 
+class TestDays:
+    def test_one_day(self):
+        assert days(date(2023, 6, 1), date(2023, 6, 1)) == [date(2023, 6, 1)]
+
+    def test_across_a_leap_day_in_order(self):
+        assert days(date(2024, 2, 28), date(2024, 3, 1)) == [date(2024, 2, 28), date(2024, 2, 29), date(2024, 3, 1)]
+
+    def test_end_before_start_is_empty(self):
+        assert days(date(2023, 6, 2), date(2023, 6, 1)) == []
+
+
 class TestFillGaps:
-    def test_carries_previous_day_forward(self):
+    def test_carries_previous_day_forward(self, caplog):
         gappy = MarketSeries(
             (
                 MarketRecord(date(2023, 1, 1), 10.0, 100.0),
                 MarketRecord(date(2023, 1, 4), 40.0, 400.0),
             )
         )
-        filled = fill_gaps(gappy, gappy.start)
+        with caplog.at_level(logging.INFO):
+            filled, carried = fill_gaps(gappy, gappy.start, gappy.end)
         assert len(filled) == 4
+        assert carried == 2
         assert filled.lookup(date(2023, 1, 2)).price_usd == 10.0
         assert filled.lookup(date(2023, 1, 3)).network_hashrate_ths == 100.0
         assert len(filled) == (filled.end - filled.start).days + 1
+        assert caplog.messages == ["fill_gaps: carried previous day forward into 2 missing days"]
+
+    def test_keeps_only_the_window(self):
+        series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
+        filled, carried = fill_gaps(series, date(2023, 1, 2), date(2023, 1, 4))
+        assert filled.prices() == [2.0, 3.0, 4.0]
+        assert carried == 0
+
+    def test_drops_a_record_after_end(self):
+        gappy = MarketSeries(
+            (
+                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+                MarketRecord(date(2023, 1, 2), 20.0, 200.0),
+                MarketRecord(date(2023, 1, 9), 90.0, 900.0),
+            )
+        )
+        filled, carried = fill_gaps(gappy, date(2023, 1, 1), date(2023, 1, 5))
+        assert filled.dates() == [date(2023, 1, 1), date(2023, 1, 2)]
+        assert carried == 0
+
+    def test_gap_before_start_is_not_counted(self):
+        gappy = MarketSeries(
+            (
+                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+                MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+                MarketRecord(date(2023, 1, 5), 50.0, 500.0),
+            )
+        )
+        filled, carried = fill_gaps(gappy, date(2023, 1, 4), date(2023, 1, 5))
+        assert filled.prices() == [40.0, 50.0]
+        assert carried == 0
 
     def test_requested_start_before_data_raises(self):
         series = make_series([1, 2, 3], start=date(2023, 1, 10))
-        with pytest.raises(DataInsufficientError, match="start"):
-            fill_gaps(series, start=date(2023, 1, 1))
+        with pytest.raises(DataInsufficientError, match="gap at series start"):
+            fill_gaps(series, date(2023, 1, 1), series.end)
 
     def test_gap_at_a_later_start_takes_the_record_before(self):
         gappy = MarketSeries(
             (
                 MarketRecord(date(2023, 1, 1), 10.0, 100.0),
                 MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+                MarketRecord(date(2023, 1, 5), 50.0, 500.0),
             )
         )
-        filled = fill_gaps(gappy, start=date(2023, 1, 3))
-        assert filled.dates() == [date(2023, 1, 3), date(2023, 1, 4)]
+        filled, carried = fill_gaps(gappy, date(2023, 1, 3), gappy.end)
+        assert filled.dates() == [date(2023, 1, 3), date(2023, 1, 4), date(2023, 1, 5)]
         assert filled.lookup(date(2023, 1, 3)).price_usd == 10.0
+        assert carried == 1
 
     def test_too_short_raises(self):
         series = make_series([1])
-        with pytest.raises(DataInsufficientError):
-            fill_gaps(series, series.start)
+        with pytest.raises(DataInsufficientError, match="covers 1 days"):
+            fill_gaps(series, series.start, series.end)
+
+    def test_one_record_inside_the_window_raises(self):
+        series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
+        with pytest.raises(DataInsufficientError, match=r"covers 1 days of 2023-01-05\.\.2023-01-10"):
+            fill_gaps(series, date(2023, 1, 5), date(2023, 1, 10))
 
 
 SURPLUS_HEADER = "region,month,households,surplus_kwh\n"

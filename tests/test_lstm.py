@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -320,10 +320,12 @@ class TestPrediction:
         config = TrainConfig(epochs=1, window=8, hidden_size=4, seed=2)
         model = fit_lstm(matrix, config)
         preds = predict_series(model, matrix)
-        first_covered = matrix.rows[config.window - 1].day
-        assert min(preds) == first_covered + timedelta(days=1)
-        assert max(preds) == matrix.rows[-1].day + timedelta(days=1)
         assert len(preds) == len(matrix) - config.window + 1
+        # entry i is the window of rows i..i+T-1, the forecast for the day after row i+T-1
+        inputs = matrix.input_array()
+        for i in (0, len(preds) - 1):
+            want = predict_window(model, inputs[i : i + config.window])
+            assert preds[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
 
     def test_series_matches_per_window_reference(self):
         """The batched pass against one batch-of-one pass per day. Not
@@ -334,16 +336,14 @@ class TestPrediction:
         matrix = build_features(make_series(sine_prices(300)))
         model = untrained_model(matrix, window=T, hidden=32)
         inputs = model.scaler.transform(matrix.input_array())
-        want = {
-            matrix.rows[i + T - 1].day + timedelta(days=1): float(
-                model.scaler.inverse_target(_forward(inputs[None, i : i + T], model.weights)[0])
-            )
+        want = [
+            float(model.scaler.inverse_target(_forward(inputs[None, i : i + T], model.weights)[0]))
             for i in range(len(matrix) - T + 1)
-        }
+        ]
         got = predict_series(model, matrix)
-        assert list(got) == list(want)
-        for day, value in want.items():
-            assert got[day] == pytest.approx(value, rel=1e-12, abs=0.0), day
+        assert got.shape == (len(want),)
+        for i, value in enumerate(want):
+            assert got[i] == pytest.approx(value, rel=1e-12, abs=0.0), i
 
     def test_series_checks_the_input_width(self):
         """A model one input column narrower than the matrix (six of its
@@ -370,11 +370,11 @@ class TestPrediction:
         matrix = build_features(make_series(sine_prices(60)))
         model = untrained_model(matrix, window=8, hidden=4)
         short = FeatureMatrix(matrix.rows[:7])
-        assert predict_series(model, short) == {}
+        with pytest.raises(DataInsufficientError, match="need at least 8 feature rows, got 7"):
+            predict_series(model, short)
         exact = FeatureMatrix(matrix.rows[:8])
         preds = predict_series(model, exact)
-        assert list(preds) == [exact.rows[-1].day + timedelta(days=1)]
-        assert preds[exact.rows[-1].day + timedelta(days=1)] == predict_window(model, exact.input_array())
+        assert preds.tolist() == [predict_window(model, exact.input_array())]
 
     def test_series_memory_does_not_grow_with_steps(self):
         """About 1,470 windows of 14 steps at hidden 64. Keeping every

@@ -23,7 +23,6 @@ from typing import NamedTuple, get_type_hints
 
 from .economics import (
     BLOCKS_PER_DAY,
-    PriceSource,
     SimulationReport,
     case_totals,
     months_spanned,
@@ -125,6 +124,9 @@ class RunConfig:
     base_dir: str = field(default=".", metadata={"config_key": False})  # the config file's directory
 
     def __post_init__(self) -> None:
+        for key in ("train_start", "analysis_start"):
+            if getattr(self, key) > self.train_end:
+                raise ValidationError(f"{key} {getattr(self, key)} must not be after train_end {self.train_end}")
         if self.train_end >= self.test_start:
             raise ValidationError(
                 f"train_end {self.train_end} must precede test_start {self.test_start}"
@@ -473,8 +475,8 @@ def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
     return build_scenarios(capacities, cfg.miner)
 
 
-def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, dict[date, float]]:
-    """The prices of `models` for each test day, keyed by day, from the
+def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, list[float]]:
+    """The prices of `models` for each test day, in date order, from the
     forecasts.csv that train wrote in `out`.
 
     Its header must hold this run's fields for `models` (_forecasts_header,
@@ -492,7 +494,7 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, d
         raise ValidationError(
             f"{path} must have one row per day from {cfg.test_start} to {cfg.test_end}, in date order; run train again"
         )
-    return {name: {row.day: getattr(row, f"{name}_usd") for row in rows} for name in models}
+    return {name: [getattr(row, f"{name}_usd") for row in rows] for name in models}
 
 
 def _split_case(case: str) -> tuple[str, int]:
@@ -501,18 +503,32 @@ def _split_case(case: str) -> tuple[str, int]:
     return source, int(scenario)
 
 
-def _price_sources(cfg: RunConfig, out: Path, market: MarketSeries) -> dict[str, PriceSource]:
-    """Build the price source for every source named in the requested cases:
-    the market's prices, and the forecasts that train wrote for each model."""
+def _case_columns(
+    cfg: RunConfig, out: Path, market: MarketSeries
+) -> tuple[list[date], list[float], dict[str, list[float]]]:
+    """The simulated days, sim_start..sim_end, with the network hash rate of
+    each and the price of each from every source named in the requested
+    cases: the market's, and the forecasts that train wrote for each model.
+
+    A gap-filled market that does not cover the simulated days is a
+    DataInsufficientError naming both windows."""
+    if cfg.sim_start < market.start or market.end < cfg.sim_end:
+        raise DataInsufficientError(
+            f"the market data covers {market.start}..{market.end}, "
+            f"not sim_start..sim_end {cfg.sim_start}..{cfg.sim_end}"
+        )
+    window = days(cfg.sim_start, cfg.sim_end)
+    first = (cfg.sim_start - market.start).days
+    records = market.records[first : first + len(window)]
     needed = {_split_case(case)[0] for case in cfg.cases}
-    sources: dict[str, PriceSource] = {}
-    if "actual" in needed:
-        sources["actual"] = PriceSource.from_market(market)
+    prices = {"actual": [r.price_usd for r in records]} if "actual" in needed else {}
     models = [name for name in ("forest", "lstm") if name in needed]
     if models:
-        for name, prices in _read_forecasts(cfg, out, models).items():
-            sources[name] = PriceSource(name, prices)
-    return sources
+        first = (cfg.sim_start - cfg.test_start).days
+        prices.update(
+            (name, column[first : first + len(window)]) for name, column in _read_forecasts(cfg, out, models).items()
+        )
+    return window, [r.network_hashrate_ths for r in records], prices
 
 
 def render_report(reports: list[SimulationReport], cfg: RunConfig) -> list[str]:
@@ -591,15 +607,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     """Run every requested (price source x scenario) case into ledger.csv, then report from it."""
     market, _ = _load_clean_market(cfg)
     plans = _build_plans(cfg)
-    sources = _price_sources(cfg, out, market)
+    window, network, prices = _case_columns(cfg, out, market)
 
     entries = []
     for case in sorted(set(cfg.cases)):
         source, scenario = _split_case(case)
-        entries += run_case(
-            plans[scenario - 1], sources[source], market, cfg.miner,
-            cfg.sim_start, cfg.sim_end, cfg.blocks_per_day,
-        )
+        entries += run_case(plans[scenario - 1], source, window, prices[source], network, cfg.miner, cfg.blocks_per_day)
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
     write_ledger_csv(entries, out / "ledger.csv", header_comment=_key_values(_ledger_fields(cfg)))
     _write_report(cfg, out, plans)

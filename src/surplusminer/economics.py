@@ -17,9 +17,9 @@ from decimal import ROUND_HALF_UP, Context, Decimal, Inexact, InvalidOperation
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DataInsufficientError, ValidationError
+from .errors import ValidationError
 from .fleet import HALVING_SCHEDULE, MinerSpec, ScenarioPlan, block_reward
-from .ingest import MAX_PRICE_USD, MarketSeries, _data_rows, _parse_float, days, write_output_csv
+from .ingest import MAX_PRICE_USD, _data_rows, _parse_float, days, write_output_csv
 
 logger = logging.getLogger(__name__)
 
@@ -119,28 +119,6 @@ def usd_millions(amount: Decimal) -> int:
     return int((amount / Decimal(1_000_000)).to_integral_value(rounding=ROUND_HALF_UP))
 
 
-@dataclass
-class PriceSource:
-    """Daily prices for one case, keyed by the day they apply to."""
-
-    label: str
-    prices: dict[date, float]
-
-    def __post_init__(self) -> None:
-        if not self.prices:
-            raise DataInsufficientError(f"price source {self.label!r} is empty")
-
-    @classmethod
-    def from_market(cls, market: MarketSeries) -> "PriceSource":
-        return cls("actual", {r.day: r.price_usd for r in market.records})
-
-    def price_for(self, day: date) -> float:
-        price = self.prices.get(day)
-        if price is None:
-            raise ValidationError(f"price source {self.label!r} has no price for {day.isoformat()}")
-        return price
-
-
 class DailyLedgerEntry(NamedTuple):
     """One case's day: a ledger.csv row, its fields in column order."""
 
@@ -211,46 +189,38 @@ def case_totals(
 
 def run_case(
     plan: ScenarioPlan,
-    prices: PriceSource,
-    market: MarketSeries,
+    source: str,
+    window: list[date],
+    prices: list[float],
+    network: list[float],
     miner: MinerSpec,
-    sim_start: date,
-    sim_end: date,
     blocks_per_day: int,
 ) -> list[DailyLedgerEntry]:
-    """Simulate one case day by day over [sim_start, sim_end]; its ledger
-    rows in date order.
+    """Simulate one case over the days of `window`; its ledger rows in date order.
 
-    Each day uses block_reward(day), the plan's operating units for the
-    day's month, the day's actual network hash rate, and the case's price.
-    Missing hash rate or price for any day is an error, and any error on a
-    day names the case and the day.
+    prices and network are day-aligned with window: the case's price and the
+    actual network hash rate of each day. Each day also uses block_reward(day)
+    and the plan's operating units for the day's month. A column of another
+    length is a ValueError, and any error on a day names the case and the day.
     """
-    if sim_end < sim_start:
-        raise ValidationError("sim_end before sim_start")
-
     entries: list[DailyLedgerEntry] = []
-    for day in days(sim_start, sim_end):
+    for day, price, network_ths in zip(window, prices, network, strict=True):
         try:
-            record = market.lookup(day)
-            if record is None:
-                raise ValidationError("market series has no hash rate")
             month = f"{day.year:04d}-{day.month:02d}"
             operating = plan.fleet_for(month).operating
             fleet_ths = operating * miner.hashrate_ths
-            price = prices.price_for(day)
-            btc = btc_per_day(fleet_ths, record.network_hashrate_ths, block_reward(day), blocks_per_day)
+            btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
             revenue = daily_revenue(price, btc)
         except ValidationError as exc:
-            raise ValidationError(f"case {prices.label}-{plan.scenario}, {day.isoformat()}: {exc}") from None
+            raise ValidationError(f"case {source}-{plan.scenario}, {day.isoformat()}: {exc}") from None
         entries.append(
             DailyLedgerEntry(
                 day=day,
                 scenario=plan.scenario,
-                price_source=prices.label,
+                price_source=source,
                 operating_units=operating,
                 fleet_hashrate_ths=fleet_ths,
-                network_hashrate_ths=record.network_hashrate_ths,
+                network_hashrate_ths=network_ths,
                 btc_mined=btc,
                 revenue_usd=revenue,
                 price_used_usd=price,

@@ -34,6 +34,8 @@ class MinerSpec:
     lifespan_months: int = 90
 
     def __post_init__(self) -> None:
+        if not self.name or not self.name.isprintable():
+            raise ValidationError(f"miner.name must be non-empty and printable, got {self.name!r}")
         for attr in ("hashrate_ths", "power_w", "efficiency_j_per_th", "unit_price_usd"):
             if getattr(self, attr) <= 0:
                 raise ValidationError(f"{attr} must be > 0, got {getattr(self, attr)!r}")

@@ -21,7 +21,7 @@ import os
 import re
 import types
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -76,7 +76,6 @@ class MarketSeries:
     """Daily market records in strictly increasing date order."""
 
     records: list[MarketRecord]
-    _by_date: dict[date, MarketRecord] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.records, self.records[1:]):
@@ -84,7 +83,6 @@ class MarketSeries:
                 raise ValidationError(
                     f"records out of order or duplicated at {cur.day.isoformat()}"
                 )
-        self._by_date = {r.day: r for r in self.records}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -100,9 +98,6 @@ class MarketSeries:
         if not self.records:
             raise DataInsufficientError("empty market series has no end date")
         return self.records[-1].day
-
-    def lookup(self, day: date) -> MarketRecord | None:
-        return self._by_date.get(day)
 
     def prices(self) -> list[float]:
         return [r.price_usd for r in self.records]
@@ -364,9 +359,10 @@ def fill_gaps(series: MarketSeries, start: date, end: date) -> tuple[MarketSerie
             f"gap at series start: first record is {first.isoformat()}, "
             f"requested range starts {start.isoformat()}"
         )
+    by_day = {r.day: r for r in kept}
     out: list[MarketRecord] = []
     for day in days(first, kept[-1].day):
-        rec = series.lookup(day)
+        rec = by_day.get(day)
         if rec is None:  # never on the first day, so out[-1] is the day before
             rec = MarketRecord(day, out[-1].price_usd, out[-1].network_hashrate_ths)
         out.append(rec)

@@ -349,6 +349,34 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, train_end="2023-07-01")
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"train_start": "2023-05-31", "train_end": "2023-01-01"},
+                "train_start 2023-05-31 must not be after train_end 2023-01-01",
+            ),
+            ({"analysis_start": "2023-07-01"}, "analysis_start 2023-07-01 must not be after train_end 2023-05-31"),
+        ],
+        ids=["train_start", "analysis_start"],
+    )
+    def test_date_after_train_end_exits_2_at_config_load(self, tmp_path, caplog, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{cfg}: {message}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["", "a\nb"], ids=["empty", "newline"])
+    def test_miner_name_not_one_printable_line_exits_2(self, tmp_path, caplog, name):
+        """The name is report.txt's title; a line break in it would split the title."""
+        cfg = write_config(tmp_path, miner={"name": name})
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"miner.name must be non-empty and printable, got {name!r}" in caplog.text
+
     def test_unknown_case_exits_2(self, tmp_path):
         rc = main([
             "simulate", "--config", str(FIXTURE_CONFIG),
@@ -741,9 +769,10 @@ class TestForecastsFile:
         "overrides, args, kept",
         [
             ({"sim_end": "2023-09-30"}, (), lambda cells: cells[0] <= "2023-09-30"),
+            ({"sim_start": "2023-08-01"}, (), lambda cells: cells[0] >= "2023-08-01"),
             ({}, ("--cases", "forest-1,lstm-2"), lambda cells: cells[2] + cells[1] in ("forest1", "lstm2")),
         ],
-        ids=["sim_end", "cases"],
+        ids=["sim_end", "sim_start", "cases"],
     )
     def test_sim_end_or_cases_inside_the_test_window_need_no_retrain(
         self, pipeline_out, tmp_path, caplog, overrides, args, kept
@@ -754,7 +783,26 @@ class TestForecastsFile:
         rows = (tmp_path / "out" / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
         full = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
         assert rows == [row for row in full if kept(row.split(","))]
-        assert len(rows) in (6 * 122, 2 * 214)
+        assert len(rows) in (6 * 122, 6 * 153, 2 * 214)
+
+
+class TestMarketWindow:
+    def test_market_ending_before_sim_end_exits_3_naming_both_windows(self, tmp_path, caplog):
+        """simulate checks once that the gap-filled market covers every
+        simulated day, before it prices any case, and writes no file."""
+        lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        removed = tuple(f"2023-12-{day}" for day in range(21, 32))
+        (tmp_path / "market.csv").write_text("".join(ln for ln in lines if not ln.startswith(removed)), encoding="utf-8")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(cfg), "--cases", "actual-1", "--out", str(out)])
+        assert rc == 3
+        assert (
+            "insufficient data: the market data covers 2022-01-01..2023-12-20, "
+            "not sim_start..sim_end 2023-06-01..2023-12-31"
+        ) in caplog.text
+        assert list(out.iterdir()) == []
 
 
 class TestHostileModelFiles:

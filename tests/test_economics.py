@@ -10,7 +10,6 @@ import pytest
 
 from surplusminer.cli import render_report
 from surplusminer.economics import (
-    PriceSource,
     btc_per_day,
     case_totals,
     daily_revenue,
@@ -21,9 +20,9 @@ from surplusminer.economics import (
     usd_cents,
     usd_millions,
 )
-from surplusminer.errors import DataInsufficientError, ValidationError
+from surplusminer.errors import ValidationError
 from surplusminer.fleet import DEFAULT_LOSS_RATE, MinerSpec, build_scenarios, month_capacity
-from surplusminer.ingest import MonthlySurplusTotal
+from surplusminer.ingest import MonthlySurplusTotal, days
 
 from conftest import make_series
 
@@ -136,24 +135,6 @@ class TestMoneyHelpers:
         assert months_spanned(date(2023, 3, 15), date(2023, 3, 20)) == 1
 
 
-class TestPriceSource:
-    def test_actual_never_falls_back(self):
-        series = make_series([10.0, 20.0, 30.0], start=date(2023, 1, 1))
-        src = PriceSource.from_market(series)
-        assert src.label == "actual"
-        assert src.price_for(date(2023, 1, 2)) == 20.0
-        with pytest.raises(ValidationError, match="2024-01-01"):
-            src.price_for(date(2024, 1, 1))
-
-    def test_exact_day_not_flagged(self):
-        src = PriceSource("forest", {date(2023, 1, 10): 100.0})
-        assert src.price_for(date(2023, 1, 10)) == 100.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataInsufficientError):
-            PriceSource("forest", {})
-
-
 def simple_setup(n_days=59, price=25000.0, hashrate=4.0e8, kwh=5.0e6):
     """Two months (Jan-Feb 2023) of flat prices and surplus."""
     start = date(2023, 1, 1)
@@ -172,11 +153,21 @@ def case_report(entries, plan, sim_start, sim_end):
     return case_totals(entries[0].price_source, revenue, plan, MINER, months_spanned(sim_start, sim_end))
 
 
+def run_on(plan, series, sim_start, sim_end, prices=None, source="actual", blocks_per_day=144):
+    """run_case over sim_start..sim_end with the columns cli slices from the
+    market `series`: its network hash rate and, unless `prices` are given,
+    its prices."""
+    records = [r for r in series.records if sim_start <= r.day <= sim_end]
+    if prices is None:
+        prices = [r.price_usd for r in records]
+    network = [r.network_hashrate_ths for r in records]
+    return run_case(plan, source, days(sim_start, sim_end), prices, network, MINER, blocks_per_day)
+
+
 class TestRunCase:
     def test_ledger_shape_and_totals(self):
         series, plans, sim_start, sim_end = simple_setup()
-        src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
+        entries = run_on(plans[0], series, sim_start, sim_end)
         assert len(entries) == 59
         assert [e.day for e in entries] == [sim_start + timedelta(days=i) for i in range(59)]
         report = case_report(entries, plans[0], sim_start, sim_end)
@@ -189,8 +180,7 @@ class TestRunCase:
 
     def test_revenue_matches_independent_loop(self):
         series, plans, sim_start, sim_end = simple_setup()
-        src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
+        entries = run_on(plans[0], series, sim_start, sim_end)
         report = case_report(entries, plans[0], sim_start, sim_end)
 
         total = 0.0
@@ -205,9 +195,8 @@ class TestRunCase:
 
     def test_scenario2_never_exceeds_scenario1(self):
         series, plans, sim_start, sim_end = simple_setup()
-        src = PriceSource.from_market(series)
         r1, r2 = (
-            case_report(run_case(plan, src, series, MINER, sim_start, sim_end, 144), plan, sim_start, sim_end)
+            case_report(run_on(plan, series, sim_start, sim_end), plan, sim_start, sim_end)
             for plan in plans
         )
         assert r2.revenue_usd <= r1.revenue_usd
@@ -217,42 +206,35 @@ class TestRunCase:
         lower = make_series([20000.0] * 59, start=sim_start, hashrate=4.0e8)
         r_hi, r_lo = (
             case_report(
-                run_case(plans[0], PriceSource.from_market(s), series, MINER, sim_start, sim_end, 144),
+                run_on(plans[0], series, sim_start, sim_end, prices=s.prices()),
                 plans[0], sim_start, sim_end,
             )
             for s in (series, lower)
         )
         assert r_lo.revenue_usd <= r_hi.revenue_usd
 
-    def test_missing_market_day_rejected(self):
-        series, plans, sim_start, _ = simple_setup(n_days=10)
-        src = PriceSource.from_market(series)
-        with pytest.raises(ValidationError):
-            run_case(plans[0], src, series, MINER, sim_start, date(2023, 2, 28), 144)
-
-    def test_prediction_source_missing_a_day_rejected(self):
+    @pytest.mark.parametrize("short", ["prices", "network"])
+    def test_column_shorter_than_the_window_rejected(self, short):
         series, plans, sim_start, sim_end = simple_setup()
-        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59) if i != 5}
-        src = PriceSource("forest", preds)
-        with pytest.raises(ValidationError, match="'forest' has no price for 2023-01-06"):
-            run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
+        columns = {"prices": series.prices(), "network": [r.network_hashrate_ths for r in series.records]}
+        columns[short] = columns[short][:-1]
+        with pytest.raises(ValueError, match="shorter"):
+            run_case(plans[0], "actual", days(sim_start, sim_end), columns["prices"], columns["network"], MINER, 144)
 
     def test_bad_daily_price_names_the_case_and_the_day(self):
         """A negative forecast (an LSTM can make one) is refused, naming the
         case and the day, not only the value."""
         series, plans, sim_start, sim_end = simple_setup()
-        preds = {sim_start + timedelta(days=i): 26000.0 for i in range(59)}
-        preds[date(2023, 2, 14)] = -3797.75
-        src = PriceSource("lstm", preds)
+        preds = [26000.0] * 59
+        preds[(date(2023, 2, 14) - sim_start).days] = -3797.75
         with pytest.raises(ValidationError, match=r"^case lstm-2, 2023-02-14: price must be >= 0, got -3797.75$"):
-            run_case(plans[1], src, series, MINER, sim_start, sim_end, 144)
+            run_on(plans[1], series, sim_start, sim_end, prices=preds, source="lstm")
 
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
         series = make_series([25000.0] * 31, start=start)
         plans = scenario_plans([("2023-01", 0.0)])
-        src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, MINER, start, date(2023, 1, 31), 144)
+        entries = run_on(plans[0], series, start, date(2023, 1, 31))
         report = case_report(entries, plans[0], start, date(2023, 1, 31))
         assert report.revenue_usd == Decimal("0.00")
         assert report.cost_usd == Decimal("0.00")
@@ -263,8 +245,7 @@ class TestRunCase:
         start = date(2024, 4, 15)
         series = make_series([50000.0] * 10, start=start, hashrate=6.0e8)
         plans = scenario_plans([("2024-04", 5.0e6)])
-        src = PriceSource.from_market(series)
-        entries = run_case(plans[0], src, series, MINER, start, date(2024, 4, 24), 144)
+        entries = run_on(plans[0], series, start, date(2024, 4, 24))
         by_day = {e.day: e.btc_mined for e in entries}
         assert by_day[date(2024, 4, 19)] == pytest.approx(
             2.0 * by_day[date(2024, 4, 20)], rel=1e-12
@@ -289,11 +270,10 @@ class TestFixtureOracle:
         assert plans[0].owned_units == expected["owned_units"]["1"]
         assert plans[1].owned_units == expected["owned_units"]["2"]
 
-        src = PriceSource.from_market(market)
         sim_start = date.fromisoformat(cfg["sim_start"])
         sim_end = date.fromisoformat(cfg["sim_end"])
         for plan in plans:
-            entries = run_case(plan, src, market, MINER, sim_start, sim_end, cfg["blocks_per_day"])
+            entries = run_on(plan, market, sim_start, sim_end, blocks_per_day=cfg["blocks_per_day"])
             report = case_report(entries, plan, sim_start, sim_end)
             want = expected["cases"][report.case_label]
             assert report.revenue_usd == Decimal(want["revenue_usd"])
@@ -314,8 +294,7 @@ class TestDeltas:
         plans = scenario_plans([("2023-01", kwh), ("2023-02", kwh * 0.6)])
         reports = []
         for label, price in prices_by_source.items():
-            src = PriceSource(label, {sim_start + timedelta(days=i): price for i in range(59)})
-            entries = run_case(plans[0], src, series, MINER, sim_start, sim_end, 144)
+            entries = run_on(plans[0], series, sim_start, sim_end, prices=[price] * 59, source=label)
             reports.append(case_report(entries, plans[0], sim_start, sim_end))
         return vs_actual_cells(reports, sim_start, sim_end)
 

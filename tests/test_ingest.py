@@ -49,7 +49,7 @@ class TestMarketParsing:
         series = parse_market_csv(p)
         assert len(series) == 2
         assert series.start == date(2023, 1, 1)
-        assert series.lookup(date(2023, 1, 2)).price_usd == 16688.47
+        assert series.records[1].price_usd == 16688.47
 
         out = tmp_path / "round.csv"
         write_market_csv(series, out)
@@ -104,12 +104,6 @@ class TestMarketParsing:
             parse_market_csv(p)
 
 
-class TestMarketSeries:
-    def test_lookup_missing_returns_none(self):
-        series = make_series([1, 2])
-        assert series.lookup(date(1999, 1, 1)) is None
-
-
 class TestDays:
     def test_one_day(self):
         assert days(date(2023, 6, 1), date(2023, 6, 1)) == [date(2023, 6, 1)]
@@ -133,8 +127,8 @@ class TestFillGaps:
             filled, carried = fill_gaps(gappy, gappy.start, gappy.end)
         assert len(filled) == 4
         assert carried == 2
-        assert filled.lookup(date(2023, 1, 2)).price_usd == 10.0
-        assert filled.lookup(date(2023, 1, 3)).network_hashrate_ths == 100.0
+        assert filled.records[1] == MarketRecord(date(2023, 1, 2), 10.0, 100.0)
+        assert filled.records[2] == MarketRecord(date(2023, 1, 3), 10.0, 100.0)
         assert len(filled) == (filled.end - filled.start).days + 1
         assert caplog.messages == ["fill_gaps: carried previous day forward into 2 missing days"]
 
@@ -183,7 +177,7 @@ class TestFillGaps:
         )
         filled, carried = fill_gaps(gappy, date(2023, 1, 3), gappy.end)
         assert filled.dates() == [date(2023, 1, 3), date(2023, 1, 4), date(2023, 1, 5)]
-        assert filled.lookup(date(2023, 1, 3)).price_usd == 10.0
+        assert filled.records[0].price_usd == 10.0
         assert carried == 1
 
     def test_too_short_raises(self):

@@ -170,7 +170,8 @@ def _read_section(cls, raw, prefix: str = "", **loader_set):
     """Build config dataclass `cls` from a JSON object over the field defaults.
 
     A nested dataclass field is a section, read the same way; its fields that
-    are not config keys take the run's value of the same name (the seed).
+    are not config keys take the run's value of the same name (the seed). An
+    error from a section's own checks is prefixed with the section's name.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"config key {prefix[:-1]!r}: expected an object, got {raw!r}")
@@ -192,7 +193,12 @@ def _read_section(cls, raw, prefix: str = "", **loader_set):
             values[f.name] = f.default
         else:
             raise ValidationError(f"missing required key {prefix + f.name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        if not prefix:
+            raise
+        raise ValidationError(f"config section {prefix[:-1]!r}: {exc}") from None
 
 
 def load_config(

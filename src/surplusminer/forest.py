@@ -7,11 +7,16 @@ per-tree substream derived by hashing (seed, tree index), so a fit is a pure
 function of (data, params), and the trees are grown in parallel worker
 processes without changing a bit of the result.
 
-A tree grows one depth level at a time, as in SLIQ (Mehta, Agrawal and
-Rissanen, EDBT 1996) and SPRINT (Shafer et al., VLDB 1996): the stream first
-gives the bootstrap draw, then, level by level, the feature subsets of that
-level's splittable nodes in breadth-first order (left child before right),
-and all nodes of a similar size are searched in one padded numpy pass.
+The trees a process grows grow together, one depth level at a time, as in
+SLIQ (Mehta, Agrawal and Rissanen, EDBT 1996) and SPRINT (Shafer et al.,
+VLDB 1996), which batch the levels of one tree: each tree's stream first
+gives its bootstrap draw, then, level by level, the feature subsets of that
+level's splittable nodes in breadth-first order (left child before right).
+The open nodes of every tree at a level are searched by size, those of a
+similar size in padded numpy passes of a bounded number of lane-rows, so a
+level costs a few numpy calls however many trees share it. Each node's
+arithmetic is that of the node searched alone, so every tree is the one it
+would be if grown alone.
 
 Each tree is one `Tree` record of parallel arrays over its nodes in the order
 they grow, level after level: growing, saving, loading and predicting all use
@@ -47,6 +52,11 @@ _MAX_FEATURES = 127
 _TIE_REL = 1e-12
 
 LEAF = -1  # feature and left child of a leaf node
+
+# A bucket's search runs in slices of at most this many lane-rows (nodes x
+# features x padded width), which bounds the memory of one padded pass; lanes
+# are independent, so the slicing changes no bit.
+_MAX_LANE_ROWS = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,48 +220,60 @@ def _split_search(
     return np.where(split, subsets[at], LEAF), np.where(split, threshold[at], 0.0), best_sse
 
 
-def _size_buckets(sizes: np.ndarray) -> list[np.ndarray]:
+def _node_batches(sizes: np.ndarray, m: int) -> list[np.ndarray]:
     """Indices of the nodes grouped by size, bucket j holding sizes in
-    (4**(j-1), 4**j], so that padding at most quadruples a bucket's work."""
+    (4**(j-1), 4**j], so that padding at most quadruples a bucket's work; a
+    bucket is cut into slices of at most _MAX_LANE_ROWS lane-rows, m lanes
+    of its widest node's size per node (at least one node per slice)."""
     bucket = np.searchsorted(4 ** np.arange(32, dtype=np.int64), sizes)
-    return [np.flatnonzero(bucket == b) for b in np.unique(bucket).tolist()]
+    batches = []
+    for b in np.unique(bucket).tolist():
+        nodes = np.flatnonzero(bucket == b)
+        step = max(1, _MAX_LANE_ROWS // (m * int(sizes[nodes].max())))
+        batches += [nodes[i : i + step] for i in range(0, len(nodes), step)]
+    return batches
 
 
-def grow_tree(
+def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
     params: ForestParams,
-    rng: np.random.Generator,
-) -> Tree:
-    """Grow one tree one depth level at a time, as SLIQ and SPRINT do.
+    samples: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> list[Tree]:
+    """Grow one tree per sample, all of them one depth level at a time together.
 
-    Leaves form when targets are constant, the node is smaller than
-    2 * min_samples_leaf, max_depth is reached, or no gaining split exists.
-    Each level takes its nodes in breadth-first order, left child before
-    right, and draws the feature subsets of the nodes that may split in one
-    call: node i of the k such nodes gets the m lowest-ranked of p uniform
-    variates in row i of rng.random((k, p)), in ascending feature order.
-    Nodes are then bucketed by size (powers of 4) and each bucket is searched
-    in one padded pass of `_split_search`. A node's rows keep their ascending
-    order, so its split is that of the node searched alone. The levels, laid
-    end to end, are the Tree. Depth is bounded by the row count, not by the
-    Python stack.
+    Tree t is grown on the rows samples[t] of X and y, in that order, with
+    draws from rngs[t]. Leaves form when targets are constant, the node is
+    smaller than 2 * min_samples_leaf, max_depth is reached, or no gaining
+    split exists. Each level takes the open nodes of every tree in (tree,
+    breadth-first) order, left child before right, and each tree draws the
+    feature subsets of its nodes that may split in one call: node i of its
+    k such nodes gets the m lowest-ranked of p uniform variates in row i of
+    rngs[t].random((k, p)), in ascending feature order. The nodes of all
+    trees are then bucketed by size (powers of 4) and each bucket is searched
+    in padded passes of `_split_search`, cut at _MAX_LANE_ROWS lane-rows
+    (`_node_batches`). A node's rows keep their order, so its split is that
+    of the node searched alone, and each tree is the one it would be if
+    grown alone. A tree's levels, laid end to end, are its Tree. Depth is
+    bounded by the row count, not by the Python stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(y) == 0:
+    sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
+    if not sizes.all():
         raise DataInsufficientError("cannot grow a tree from zero rows")
     p = X.shape[1]
     m = params.resolved_m_try(p)
     min_split = 2 * params.min_samples_leaf
     max_depth = params.max_depth
 
-    # the open nodes of the current level: their rows, concatenated in
-    # breadth-first node order, and each node's row count
-    rows = np.arange(len(y))
-    sizes = np.array([len(y)])
-    # per level: each node's feature (LEAF unless it splits), threshold, value
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # the open nodes of the current level: their rows of X, concatenated in
+    # (tree, breadth-first) node order, each node's row count and its tree
+    rows = np.concatenate(samples)
+    tree_of = np.arange(len(samples))
+    # per level: each node's tree, feature (LEAF unless it splits), threshold, value
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     depth = 0
     while sizes.size:
         k = len(sizes)
@@ -266,13 +288,15 @@ def grow_tree(
         threshold = np.zeros(k)
         candidates = np.flatnonzero(may_split)
         if candidates.size:
-            subsets = np.sort(rng.random((candidates.size, p)).argsort(axis=1)[:, :m], axis=1)
-            for bucket in _size_buckets(sizes[candidates]):
-                nodes = candidates[bucket]
+            counts = np.bincount(tree_of[candidates], minlength=len(samples))
+            draws = np.concatenate([rngs[t].random((c, p)) for t, c in enumerate(counts.tolist()) if c])
+            subsets = np.sort(draws.argsort(axis=1)[:, :m], axis=1)
+            for batch in _node_batches(sizes[candidates], m):
+                nodes = candidates[batch]
                 n = sizes[nodes]
                 offsets = np.minimum(np.arange(n.max()), (n - 1)[:, None])
                 feature[nodes], threshold[nodes], _ = _split_search(
-                    X, y, rows[starts[nodes][:, None] + offsets], n, subsets[bucket]
+                    X, y, rows[starts[nodes][:, None] + offsets], n, subsets[batch]
                 )
         split = feature != LEAF
 
@@ -286,10 +310,10 @@ def grow_tree(
             float(np.add.reduce(ys[a : a + n])) / n
             for a, n in zip(starts[many].tolist(), sizes[many].tolist())
         ]
-        levels.append((feature, threshold, value))
+        levels.append((tree_of, feature, threshold, value))
 
         # the next level: each split node's rows, left child's then right
-        # child's, each in ascending order (a stable sort by child)
+        # child's, each in their order (a stable sort by child)
         node_of_row = np.repeat(np.arange(k), sizes)
         kept = split[node_of_row]
         node_of_row, rows = node_of_row[kept], rows[kept]
@@ -297,9 +321,24 @@ def grow_tree(
         child = 2 * (np.add.accumulate(split) - 1)[node_of_row] + goes_right
         rows = rows[child.argsort(kind="stable")]
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        tree_of = np.repeat(tree_of[split], 2)
         depth += 1
-    feature, threshold, value = (np.concatenate(column) for column in zip(*levels))
-    return Tree(feature=feature, threshold=threshold, value=value)
+
+    # a stable sort by tree keeps each tree's nodes in level order
+    tree_of, *columns = (np.concatenate(column) for column in zip(*levels))
+    order = tree_of.argsort(kind="stable")
+    ends = np.add.accumulate(np.bincount(tree_of, minlength=len(samples)))[:-1]
+    return [Tree(*arrays) for arrays in zip(*(np.split(column[order], ends) for column in columns))]
+
+
+def grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    params: ForestParams,
+    rng: np.random.Generator,
+) -> Tree:
+    """One tree on every row of X and y, in order: grow_trees for one tree."""
+    return grow_trees(X, y, params, [np.arange(len(y))], [rng])[0]
 
 
 # a string, so that importing this module does not load numpy.random
@@ -310,12 +349,12 @@ Sampler = Callable[[int, "np.random.Generator"], "np.ndarray"]
 _worker_job: tuple | None = None
 
 
-def _grow_bagged_tree(job: tuple, b: int) -> Tree:
-    """Tree b of a fit: its bootstrap draw and its splits, from stream (seed, b)."""
+def _grow_bagged_trees(job: tuple, trees: Sequence[int]) -> list[Tree]:
+    """Trees `trees` of a fit, grown together: tree b's bootstrap draw and
+    its splits come from stream (seed, b)."""
     X, y, params, sampler = job
-    rng = tree_rng(params.seed, b)
-    idx = np.asarray(sampler(len(y), rng))
-    return grow_tree(X[idx], y[idx], params, rng)
+    rngs = [tree_rng(params.seed, b) for b in trees]
+    return grow_trees(X, y, params, [np.asarray(sampler(len(y), rng)) for rng in rngs], rngs)
 
 
 def _start_worker(job: tuple) -> None:
@@ -323,8 +362,8 @@ def _start_worker(job: tuple) -> None:
     _worker_job = job
 
 
-def _grow_in_worker(b: int) -> Tree:
-    return _grow_bagged_tree(_worker_job, b)
+def _grow_in_worker(trees: range) -> list[Tree]:
+    return _grow_bagged_trees(_worker_job, trees)
 
 
 def _available_cpus() -> int:
@@ -343,20 +382,22 @@ def fit_forest(
     """Fit B trees on bootstrap resamples of the feature matrix.
 
     The trees are grown in a pool of forked worker processes, one per
-    available CPU (at most B), and collected in tree order. Tree b depends
-    only on stream (seed, b), so the model is the same for any worker count.
+    available CPU (at most B). Worker w grows trees w, w + workers, ...
+    together (`grow_trees`), and the trees are put back in tree order. Tree
+    b depends only on stream (seed, b), so the model is the same for any
+    worker count.
 
     `meanwhile`, when given, runs in this process while the workers grow
     trees, and the pool leaves it a CPU: it has cpus - 1 workers (at most B),
     even if that is one. `cmd_train` passes the LSTM fit, which runs on one
     CPU and, at paper scale, outlasts the forest even on a single worker
-    (~3.9-4.6 s against ~3.1 s for 100 trees on a 2-vCPU VM), so a worker
+    (~4.6-5.7 s against ~1.9 s for 100 trees on a 2-vCPU VM), so a worker
     sharing its CPU would only slow down `train`. `meanwhile` starts only
     once every worker is forked, so no fork happens while it runs. If it
     raises, the pool is terminated and the exception propagates.
 
-    With one CPU, or one worker and no `meanwhile`, the trees are grown in
-    this process, and then `meanwhile` runs.
+    With one CPU, or one worker and no `meanwhile`, all the trees are grown
+    together in this process, and then `meanwhile` runs.
 
     `sampler` is a test hook replacing the bootstrap draw (e.g. identity
     indices); it receives (n, rng) and must return row indices.
@@ -370,7 +411,7 @@ def fit_forest(
     cpus = _available_cpus() if hasattr(os, "fork") else 1
     workers = min(cpus - 1 if meanwhile is not None else cpus, params.n_trees)
     if workers == 0 or (workers == 1 and meanwhile is None):
-        trees = [_grow_bagged_tree(job, b) for b in range(params.n_trees)]
+        trees = _grow_bagged_trees(job, range(params.n_trees))
         if meanwhile is not None:
             meanwhile()
     else:
@@ -380,11 +421,13 @@ def fit_forest(
         # be a closure) without pickling, and start in milliseconds instead of
         # re-importing numpy, which costs about as much as a small fit
         ctx = multiprocessing.get_context("fork")
+        shares = [range(w, params.n_trees, workers) for w in range(workers)]
         with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
-            pending = pool.map_async(_grow_in_worker, range(params.n_trees), chunksize=1)
+            pending = pool.map_async(_grow_in_worker, shares, chunksize=1)
             if meanwhile is not None:
                 meanwhile()
-            trees = pending.get()
+            grown = pending.get()
+        trees = [grown[b % workers][b // workers] for b in range(params.n_trees)]
     return ForestModel(trees=trees, params=params, feature_count=X.shape[1])
 
 

@@ -429,6 +429,27 @@ class TestConfigValidation:
         assert rc == 2
         assert f"config key {key!r}" in caplog.text
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("forest", {"n_trees": 0}, "n_trees must be >= 1, got 0"),
+            ("lstm", {"window": 0}, "window must be >= 1, got 0"),
+            ("miner", {"hashrate_ths": -1}, "hashrate_ths must be > 0, got -1.0"),
+            # a check across keys, naming none of them
+            ("miner", {"efficiency_j_per_th": 20}, "efficiency 20.0 J/TH inconsistent with power/hashrate = 12.00 J/TH"),
+        ],
+        ids=["forest", "lstm", "miner", "miner-efficiency"],
+    )
+    def test_bad_section_value_exits_2_naming_the_section(self, tmp_path, caplog, section, values, message):
+        cfg = write_config(tmp_path, **{section: values})
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"validation error: {cfg}: config section {section!r}: {message}"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_week_date_exits_2_naming_the_key(self, tmp_path, caplog):
         """Python 3.11's date.fromisoformat reads 2023-W52-7 as 2023-12-31."""
         cfg = write_config(tmp_path, sim_end="2023-W52-7")

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer import forest
@@ -21,6 +23,7 @@ from surplusminer.forest import (
     bootstrap_sample,
     fit_forest,
     grow_tree,
+    grow_trees,
     load_forest,
     predict_forest,
     predict_matrix,
@@ -362,6 +365,67 @@ class TestDraws:
         assert np.all(np.abs(freq - 1.0 / p) <= 0.05), freq
 
 
+class TestLockstep:
+    """grow_trees grows a list of trees level by level together; each must be
+    the tree grown alone on its rows, bit for bit."""
+
+    def test_node_batches_cut_a_bucket_at_the_lane_cap(self, monkeypatch):
+        monkeypatch.setattr(forest, "_MAX_LANE_ROWS", 12)
+        # sizes 2 to 4 share bucket (1, 4]: 2 lanes x 4 rows per node, one
+        # node per slice; 20 and 17 exceed the cap alone, one node per slice
+        batches = forest._node_batches(np.array([3, 20, 4, 3, 2, 17]), 2)
+        assert [b.tolist() for b in batches] == [[0], [2], [3], [4], [1], [5]]
+        monkeypatch.setattr(forest, "_MAX_LANE_ROWS", 16)
+        batches = forest._node_batches(np.array([3, 20, 4, 3, 2, 17]), 2)
+        assert [b.tolist() for b in batches] == [[0, 2], [3, 4], [1], [5]]
+
+    @pytest.mark.parametrize(
+        "max_depth, min_samples_leaf", [(None, 1), (0, 1), (3, 1), (None, 2), (3, 2)]
+    )
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 60),
+        p=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(["bootstrap", "constant", "one-row", "all"]), min_size=1, max_size=6),
+        lane_cap=st.sampled_from([1, 40, forest._MAX_LANE_ROWS]),
+    )
+    def test_each_tree_is_the_tree_grown_alone(self, max_depth, min_samples_leaf, seed, n, p, kinds, lane_cap):
+        """A mixed list: bootstrap draws, a sample whose targets are all equal,
+        a one-row sample and every row. A lane cap of 1 or 40 cuts the
+        buckets into slices; the trees grown alone use the default cap."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(0.0, 1.0, size=(n, p)), 1)
+        y = rng.normal(0.0, 5.0, size=n)
+        y[:4] = 2.5
+        params = ForestParams(
+            n_trees=len(kinds), m_try=int(rng.integers(1, p + 1)),
+            min_samples_leaf=min_samples_leaf, max_depth=max_depth, seed=seed,
+        )
+        samples = []
+        for b, kind in enumerate(kinds):
+            if kind == "bootstrap":
+                samples.append(bootstrap_sample(n, tree_rng(seed, b)))
+            elif kind == "constant":
+                samples.append(rng.integers(0, 4, size=int(rng.integers(1, 12))))
+            elif kind == "one-row":
+                samples.append(rng.integers(0, n, size=1))
+            else:
+                samples.append(np.arange(n))
+        streams = lambda: [tree_rng(seed, b + 1000) for b in range(len(kinds))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest, "_MAX_LANE_ROWS", lane_cap)
+            together = grow_trees(X, y, params, samples, streams())
+        assert len(together) == len(kinds)
+        for tree, sample, alone_rng in zip(together, samples, streams()):
+            assert_same_arrays(tree, grow_tree(X[sample], y[sample], params, alone_rng))
+
+    def test_zero_row_sample_rejected(self):
+        X, y = np.ones((3, 1)), np.arange(3.0)
+        with pytest.raises(DataInsufficientError):
+            grow_trees(X, y, ForestParams(), [np.arange(3), np.arange(0)], [tree_rng(0, 0), tree_rng(0, 1)])
+
+
 def logging_identity(log, workers):
     """A sampler hook that logs the pid of the process drawing each tree and
     draws the identity. It then waits (10 s at most) until `workers`
@@ -385,19 +449,24 @@ class TestWorkers:
     are."""
 
     def test_worker_count_does_not_change_the_model(self, tmp_path, monkeypatch):
+        """Seven trees, so that no worker count above one divides them evenly:
+        each worker grows every workers-th tree, and the model is reassembled
+        in tree order."""
         matrix = random_matrix(seed=6)
-        params = ForestParams(n_trees=5, seed=2)
+        params = ForestParams(n_trees=7, seed=2)
         saved, predicted = {}, {}
-        for cpus, meanwhile in ((1, None), (2, None), (2, lambda: None)):
-            run = f"{cpus}-{meanwhile is not None}"
-            monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-            model = fit_forest(matrix, params, meanwhile=meanwhile)
-            path = tmp_path / f"{run}.json"
-            save_forest(model, path)
-            saved[run] = path.read_bytes()
-            predicted[run] = predict_matrix(model, matrix).tobytes()
-        assert saved["1-False"] == saved["2-False"] == saved["2-True"]
-        assert predicted["1-False"] == predicted["2-False"] == predicted["2-True"]
+        for cpus in (1, 2, 3, 5):
+            for meanwhile in (None, lambda: None):
+                run = f"{cpus}-{meanwhile is not None}"
+                monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+                model = fit_forest(matrix, params, meanwhile=meanwhile)
+                path = tmp_path / f"{run}.json"
+                save_forest(model, path)
+                saved[run] = path.read_bytes()
+                predicted[run] = predict_matrix(model, matrix).tobytes()
+        assert len(saved) == 8
+        assert set(saved.values()) == {saved["1-False"]}
+        assert set(predicted.values()) == {predicted["1-False"]}
 
     @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
     def test_meanwhile_keeps_a_cpu(self, tmp_path, monkeypatch, cpus, workers):

@@ -96,18 +96,6 @@ def depreciation_cost(
     return Decimal(cents).scaleb(-2, _EXACT)
 
 
-def solo_mining_time(
-    miner_hashrate_ths: float,
-    network_hashrate_ths: float,
-    reward_btc: float,
-) -> float:
-    """Expected days for one miner to earn 1 BTC: 1 / btc_per_day."""
-    if miner_hashrate_ths <= 0 or reward_btc <= 0:
-        raise ValidationError("miner hash rate and reward must be > 0")
-    rate = btc_per_day(miner_hashrate_ths, network_hashrate_ths, reward_btc, BLOCKS_PER_DAY)
-    return 1.0 / rate
-
-
 def usd_cents(amount: float) -> Decimal:
     """Float dollars -> Decimal rounded half-up to cents; decimal.InvalidOperation
     when the cents need more than 28 significant digits."""

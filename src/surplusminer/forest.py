@@ -30,7 +30,7 @@ import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,44 +105,17 @@ def bootstrap_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_subset: Sequence[int],
-) -> Optional[tuple[int, float, float]]:
-    """Exhaustive SSE-optimal split over the given features.
-
-    Candidate thresholds are midpoints between consecutive distinct values of
-    each feature (snapped down to the lower value when rounding would reach
-    the upper one); rows with value <= threshold go left. Returns
-    (feature, threshold, children_sse) minimizing SSE_left + SSE_right, ties
-    broken by lowest feature index then lowest threshold. Returns None when
-    no feature in the subset has two distinct values, or when the best
-    candidate fails to reduce the parent SSE (no-gain splits are rejected).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ValidationError(f"X shape {X.shape} does not match {n} targets")
-    features = np.array(sorted(int(v) for v in feature_subset), dtype=np.int64)
-    for f in features:
-        if not 0 <= f < X.shape[1]:
-            raise ValidationError(f"feature index {f} out of range for p={X.shape[1]}")
-    if n < 2 or not features.size:
-        return None
-    feature, threshold, sse = _split_search(
-        X, y, np.arange(n)[None, :], np.array([n]), features[None, :]
-    )
-    if feature[0] == LEAF:
-        return None
-    return int(feature[0]), float(threshold[0]), float(sse[0])
-
-
 def _split_search(
     X: np.ndarray, y: np.ndarray, rows: np.ndarray, sizes: np.ndarray, subsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """best_split for k nodes at once, in one padded pass.
+    """The exhaustive SSE-optimal split of k nodes at once, in one padded pass.
+
+    Candidate thresholds are midpoints between consecutive distinct values of
+    each feature (snapped down to the lower value when rounding would reach
+    the upper one); rows with value <= threshold go left. A node's split
+    minimizes SSE_left + SSE_right, ties broken by lowest feature index then
+    lowest threshold; a node none of whose features has two distinct values,
+    or whose best candidate does not reduce the parent SSE, does not split.
 
     Node i holds the sizes[i] >= 2 rows rows[i, :sizes[i]] (the rest of the
     row is padding) and searches the sorted features subsets[i]. Every

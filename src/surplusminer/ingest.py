@@ -106,20 +106,24 @@ class MarketSeries:
         return [r.day for r in self.records]
 
 
-def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
+def _data_rows(path: str | Path, columns: tuple[str, ...], parse, key=None):
     """Yield (line_number, parse(row)) for each data row of a CSV file whose
-    header row is `columns`, skipping blank and '#' lines.
+    header row is `columns`, skipping blank and '#' lines. With `key`, each
+    record's label key(record) must be new, a (noun, value) pair such as
+    ("date", date(2023, 1, 2)); a repeat is the error `duplicate date
+    2023-01-02 (first seen at line <n>)`, the pair formatted only then.
 
     The '#' skip lets files written by this package (which carry a provenance
     header line, see output_file) round-trip through the same parser. A file
     without a data row is a DataInsufficientError. A different header, a row
-    of another width, a ValidationError from parse, a row csv cannot read
-    (csv.Error) or bytes that are not UTF-8 is a ValidationError starting
-    `<path>:<line>: `: an input row's location is written here alone, and
-    only when the row fails.
+    of another width, a ValidationError from parse, a duplicate, a row csv
+    cannot read (csv.Error) or bytes that are not UTF-8 is a ValidationError
+    starting `<path>:<line>: `: an input row's location is written here
+    alone, and only when the row fails.
     """
     header = None
     any_rows = False
+    seen: dict[tuple, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,7 +138,13 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse):
                     raise ValidationError(f"expected {len(columns)} columns, got {len(row)}")
                 else:
                     any_rows = True
-                    yield reader.line_num, parse(row)
+                    record = parse(row)
+                    if key is not None:
+                        label = key(record)
+                        first = seen.setdefault(label, reader.line_num)
+                        if first != reader.line_num:
+                            raise ValidationError(f"duplicate {label[0]} {label[1]} (first seen at line {first})")
+                    yield reader.line_num, record
         except (ValidationError, csv.Error) as exc:
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
@@ -194,14 +204,8 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
     line. A file with no data rows is a data-insufficiency error.
     """
     path = Path(path)
-    records: list[MarketRecord] = []
-    seen: dict[date, int] = {}
-    for line_no, rec in _data_rows(path, MARKET_COLUMNS, _market_record):
-        first = seen.setdefault(rec.day, line_no)
-        if first != line_no:
-            raise ValidationError(f"{path}:{line_no}: duplicate date {rec.day} (first seen at line {first})")
-        records.append(rec)
-    records.sort(key=lambda r: r.day)
+    rows = _data_rows(path, MARKET_COLUMNS, _market_record, key=lambda rec: ("date", rec.day))
+    records = sorted((rec for _, rec in rows), key=lambda r: r.day)
     return MarketSeries(records)
 
 
@@ -424,13 +428,8 @@ def parse_surplus_csv(path: str | Path, months: tuple[str, str]) -> list[Surplus
         return rec
 
     records: list[SurplusRecord] = []
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, rec in _data_rows(path, SURPLUS_COLUMNS, parse_row):
-        first = seen.setdefault((rec.region, rec.month), line_no)
-        if first != line_no:
-            raise ValidationError(
-                f"{path}:{line_no}: duplicate record for {rec.region}/{rec.month} (first seen at line {first})"
-            )
+    rows = _data_rows(path, SURPLUS_COLUMNS, parse_row, key=lambda rec: ("record for", f"{rec.region}/{rec.month}"))
+    for line_no, rec in rows:
         if rec.households == 0 and rec.surplus_kwh > 0:
             logger.warning(
                 "%s:%d: %s/%s reports %.1f kWh from zero households",

@@ -96,16 +96,6 @@ def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
     return w
 
 
-def _weight_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
-    return {
-        **{f"W_{g}": (hidden_size, input_dim) for g in "fico"},
-        **{f"U_{g}": (hidden_size, hidden_size) for g in "fico"},
-        **{f"b_{g}": (hidden_size,) for g in "fico"},
-        "V": (hidden_size,),
-        "c": (1,),
-    }
-
-
 def _sigmoid_in_place(z: np.ndarray) -> None:
     """z = 1 / (1 + exp(-z)), the same four operations as the plain formula."""
     np.negative(z, out=z)
@@ -225,14 +215,11 @@ def bptt_gradients(
     return grads, loss
 
 
-def clip_gradients(
-    grads: LstmWeights | dict[str, np.ndarray], max_norm: float
-) -> tuple[LstmWeights | dict[str, np.ndarray], float]:
+def clip_gradients(grads: LstmWeights, max_norm: float) -> tuple[LstmWeights, float]:
     """Scale all gradients in place by max_norm/norm when the global norm
-    exceeds it; returns (grads, norm). grads maps names to arrays (an
-    LstmWeights of gradients, or a dict). The squares are summed one
-    parameter at a time, in its items() order: a sum over a whole gate
-    stack would round differently."""
+    exceeds it; returns (grads, norm). The squares are summed one parameter
+    at a time, in items() order: a sum over a whole gate stack would round
+    differently."""
     if max_norm <= 0:
         raise ValidationError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
@@ -395,14 +382,12 @@ def load_lstm(path: str | Path) -> LstmModel:
         config = json_fields(doc, "config", TrainConfig)
         weights_doc = json_value(doc, "weights", dict)
         width = json_array(weights_doc, "W_f", float, ndim=2).shape[1]  # the input columns
-        weights = {}
-        for name, shape in _weight_shapes(width, config.hidden_size).items():
-            weights[name] = json_array(weights_doc, name, float, ndim=len(shape))
-            if weights[name].shape != shape:
-                raise ValidationError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
-        w = LstmWeights.zeros(width, config.hidden_size)  # only once every shape is checked
+        w = LstmWeights.zeros(width, config.hidden_size)
         for name, view in w.items():
-            view[...] = weights[name]
+            array = json_array(weights_doc, name, float, ndim=view.ndim)
+            if array.shape != view.shape:
+                raise ValidationError(f"weight {name!r} has shape {array.shape}, expected {view.shape}")
+            view[...] = array
         scaler_doc = json_value(doc, "scaler", dict)
         mins, maxs = (json_array(scaler_doc, key, float) for key in ("mins", "maxs"))
         if mins.shape != (width,) or maxs.shape != (width,):

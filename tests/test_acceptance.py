@@ -16,10 +16,10 @@ import pytest
 
 from surplusminer.cli import main
 from surplusminer.economics import (
+    BLOCKS_PER_DAY,
     btc_per_day,
     daily_revenue,
     depreciation_cost,
-    solo_mining_time,
     usd_millions,
 )
 from surplusminer.errors import ValidationError
@@ -209,7 +209,7 @@ def test_c08_indicators_match_per_index_recomputation():
 
 
 def test_c09_solo_mining_time_sanity():
-    days = solo_mining_time(500.0, 612_100_000.0, 3.125)
+    days = 1.0 / btc_per_day(500.0, 612_100_000.0, 3.125, BLOCKS_PER_DAY)
     years = days / 365.25
     verdict("C09", 7.0 <= years <= 8.0, f"1 BTC at 500 TH/s takes {days:.1f} days = {years:.2f} years")
 

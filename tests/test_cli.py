@@ -375,7 +375,7 @@ class TestConfigValidation:
         with caplog.at_level(logging.ERROR):
             rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"miner.name must be non-empty and printable, got {name!r}" in caplog.text
+        assert f"config section 'miner': name must be non-empty and printable, got {name!r}" in caplog.text
 
     def test_unknown_case_exits_2(self, tmp_path):
         rc = main([

@@ -10,13 +10,13 @@ import pytest
 
 from surplusminer.cli import render_report
 from surplusminer.economics import (
+    BLOCKS_PER_DAY,
     btc_per_day,
     case_totals,
     daily_revenue,
     depreciation_cost,
     months_spanned,
     run_case,
-    solo_mining_time,
     usd_cents,
     usd_millions,
 )
@@ -104,17 +104,23 @@ class TestDepreciation:
 
 
 class TestSoloMiningTime:
+    """Expected days for one miner to earn 1 BTC: 1 / btc_per_day."""
+
+    @staticmethod
+    def solo_days(miner_ths, network_ths, reward):
+        return 1.0 / btc_per_day(miner_ths, network_ths, reward, BLOCKS_PER_DAY)
+
     def test_realistic_network_scale(self):
-        days = solo_mining_time(500.0, 612_100_000.0, 3.125)
+        days = self.solo_days(500.0, 612_100_000.0, 3.125)
         assert days == pytest.approx(2720.4444, rel=1e-6)
         assert 7.0 <= days / 365.25 <= 8.0
 
     def test_full_share(self):
-        assert solo_mining_time(100.0, 100.0, 6.25) == pytest.approx(1.0 / 900.0)
+        assert self.solo_days(100.0, 100.0, 6.25) == pytest.approx(1.0 / 900.0)
 
     def test_inverse_in_hashrate(self):
-        t1 = solo_mining_time(100.0, 1e9, 6.25)
-        t2 = solo_mining_time(200.0, 1e9, 6.25)
+        t1 = self.solo_days(100.0, 1e9, 6.25)
+        t2 = self.solo_days(200.0, 1e9, 6.25)
         assert t1 == pytest.approx(2.0 * t2, rel=1e-12)
 
 

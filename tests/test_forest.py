@@ -19,7 +19,6 @@ from surplusminer.forest import (
     ForestModel,
     ForestParams,
     Tree,
-    best_split,
     bootstrap_sample,
     fit_forest,
     grow_tree,
@@ -57,6 +56,14 @@ def chain_tree(depth):
     threshold.append(0.0)
     value.append(float(depth))
     return Tree(feature=np.array(feature), threshold=np.array(threshold), value=np.array(value))
+
+
+def best_split(X, y, features):
+    """One node's split by forest._split_search: (feature, threshold, children_sse), or None."""
+    if len(y) < 2:
+        return None
+    f, thr, sse = forest._split_search(X, y, np.arange(len(y))[None, :], np.array([len(y)]), np.array([sorted(features)]))
+    return None if f[0] == LEAF else (int(f[0]), float(thr[0]), float(sse[0]))
 
 
 class TestBestSplit:

@@ -157,19 +157,22 @@ class TestInputChecks:
 
 class TestClipping:
     def test_large_gradients_scaled_to_norm(self):
-        grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
+        grads = LstmWeights.zeros(2, 1)
+        grads.W[0, 0] = [3.0, 4.0]
         clipped, raw_norm = clip_gradients(grads, 1.0)
         assert raw_norm == pytest.approx(5.0, rel=1e-12)
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
+        norm = math.sqrt(sum(float(np.sum(g * g)) for _, g in clipped.items()))
         assert norm == pytest.approx(1.0, rel=1e-12)
         # direction preserved
-        assert clipped["a"][0] / clipped["a"][1] == pytest.approx(0.75, rel=1e-12)
+        assert clipped.W[0, 0, 0] / clipped.W[0, 0, 1] == pytest.approx(0.75, rel=1e-12)
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = LstmWeights.zeros(2, 1)
+        grads.W[0, 0] = [0.3, 0.4]
+        before = {name: g.copy() for name, g in grads.items()}
         clipped, raw_norm = clip_gradients(grads, 1.0)
         assert raw_norm == pytest.approx(0.5, rel=1e-12)
-        assert np.array_equal(clipped["a"], grads["a"])
+        assert all(np.array_equal(g, before[name]) for name, g in clipped.items())
 
 
 class TestScaler:

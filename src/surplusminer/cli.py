@@ -433,7 +433,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     matrix = build_features(filled)
     train, forecast = _split_features(cfg, matrix)
 
-    # the LSTM trains in this process while the forest's workers grow trees
+    # the LSTM trains in this process while the forest's worker grows the trees
     lstm_fit: list = []
     forest_model = fit_forest(
         train, cfg.forest, meanwhile=lambda: lstm_fit.append(fit_lstm(train, cfg.lstm))
@@ -680,6 +680,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataInsufficientError as exc:
         logger.error("insufficient data: %s", exc)
         return 3
+    except MemoryError as exc:
+        logger.error("out of memory: %s", exc)
+        return 4
     except Exception:
         logger.exception("internal error")
         return 4

@@ -4,12 +4,12 @@ Bootstrap bagging over B trees, a fresh random feature subset at every node,
 exhaustive SSE-optimal splits at midpoints between consecutive distinct
 feature values, and mean-of-trees prediction. Every random draw comes from a
 per-tree substream derived by hashing (seed, tree index), so a fit is a pure
-function of (data, params), and the trees are grown in parallel worker
-processes without changing a bit of the result.
+function of (data, params) wherever the trees grow: `train` grows them in
+a forked worker while the LSTM fits.
 
-The trees a process grows grow together, one depth level at a time, as in
-SLIQ (Mehta, Agrawal and Rissanen, EDBT 1996) and SPRINT (Shafer et al.,
-VLDB 1996), which batch the levels of one tree: each tree's stream first
+A fit's trees grow together, one depth level at a time, as in SLIQ (Mehta,
+Agrawal and Rissanen, EDBT 1996) and SPRINT (Shafer et al., VLDB 1996),
+which batch the levels of one tree: each tree's stream first
 gives its bootstrap draw, then, level by level, the feature subsets of that
 level's splittable nodes in breadth-first order (left child before right).
 The open nodes of every tree at a level are searched by size, those of a
@@ -317,16 +317,16 @@ def grow_tree(
 # a string, so that importing this module does not load numpy.random
 Sampler = Callable[[int, "np.random.Generator"], "np.ndarray"]
 
-# (X, y, params, sampler) of the fit a pool worker serves; set once in each
-# forked worker by _start_worker, never in the parent.
+# (X, y, params, sampler) of the fit the forked worker serves; set once in
+# the worker by _start_worker, never in the parent.
 _worker_job: tuple | None = None
 
 
-def _grow_bagged_trees(job: tuple, trees: Sequence[int]) -> list[Tree]:
-    """Trees `trees` of a fit, grown together: tree b's bootstrap draw and
-    its splits come from stream (seed, b)."""
+def _grow_bagged_trees(job: tuple) -> list[Tree]:
+    """Every tree of a fit, grown together: tree b's bootstrap draw and its
+    splits come from stream (seed, b)."""
     X, y, params, sampler = job
-    rngs = [tree_rng(params.seed, b) for b in trees]
+    rngs = [tree_rng(params.seed, b) for b in range(params.n_trees)]
     return grow_trees(X, y, params, [np.asarray(sampler(len(y), rng)) for rng in rngs], rngs)
 
 
@@ -335,8 +335,8 @@ def _start_worker(job: tuple) -> None:
     _worker_job = job
 
 
-def _grow_in_worker(trees: range) -> list[Tree]:
-    return _grow_bagged_trees(_worker_job, trees)
+def _grow_in_worker() -> list[Tree]:
+    return _grow_bagged_trees(_worker_job)
 
 
 def _available_cpus() -> int:
@@ -352,25 +352,20 @@ def fit_forest(
     sampler: Sampler | None = None,
     meanwhile: Callable[[], object] | None = None,
 ) -> ForestModel:
-    """Fit B trees on bootstrap resamples of the feature matrix.
+    """Fit B trees on bootstrap resamples of the feature matrix, all grown
+    together (`grow_trees`). Tree b depends only on stream (seed, b), so the
+    model is the same in any process.
 
-    The trees are grown in a pool of forked worker processes, one per
-    available CPU (at most B). Worker w grows trees w, w + workers, ...
-    together (`grow_trees`), and the trees are put back in tree order. Tree
-    b depends only on stream (seed, b), so the model is the same for any
-    worker count.
+    Given `meanwhile` and two CPUs or more, one forked worker grows the trees
+    while `meanwhile` runs in this process, once the worker is forked.
+    `cmd_train` passes the LSTM fit, which runs on one CPU and outlasts the
+    forest (README, forest), so a second worker would only take its CPU. If
+    the worker dies (say, killed for memory), the fit raises
+    BrokenProcessPool. If `meanwhile` raises, its exception propagates once
+    the worker has finished its trees.
 
-    `meanwhile`, when given, runs in this process while the workers grow
-    trees, and the pool leaves it a CPU: it has cpus - 1 workers (at most B),
-    even if that is one. `cmd_train` passes the LSTM fit, which runs on one
-    CPU and, at paper scale, outlasts the forest even on a single worker
-    (~4.6-5.7 s against ~1.9 s for 100 trees on a 2-vCPU VM), so a worker
-    sharing its CPU would only slow down `train`. `meanwhile` starts only
-    once every worker is forked, so no fork happens while it runs. If it
-    raises, the pool is terminated and the exception propagates.
-
-    With one CPU, or one worker and no `meanwhile`, all the trees are grown
-    together in this process, and then `meanwhile` runs.
+    Otherwise (no `meanwhile`, one CPU, which a worker could only share, or
+    no os.fork) the trees grow in this process, and then `meanwhile` runs.
 
     `sampler` is a test hook replacing the bootstrap draw (e.g. identity
     indices); it receives (n, rng) and must return row indices.
@@ -379,28 +374,25 @@ def fit_forest(
     y = features.target_array()
     if len(y) == 0:
         raise DataInsufficientError("cannot fit a forest on an empty feature matrix")
-    params.resolved_m_try(X.shape[1])  # reject a bad m_try before any worker starts
+    params.resolved_m_try(X.shape[1])  # reject a bad m_try before the worker starts
     job = (X, y, params, sampler if sampler is not None else bootstrap_sample)
-    cpus = _available_cpus() if hasattr(os, "fork") else 1
-    workers = min(cpus - 1 if meanwhile is not None else cpus, params.n_trees)
-    if workers == 0 or (workers == 1 and meanwhile is None):
-        trees = _grow_bagged_trees(job, range(params.n_trees))
+    if meanwhile is None or _available_cpus() < 2 or not hasattr(os, "fork"):
+        trees = _grow_bagged_trees(job)
         if meanwhile is not None:
             meanwhile()
     else:
-        import multiprocessing  # here, so commands that never fit skip its ~7 ms import
+        # here, so commands that never fit skip the import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: the workers inherit X, y and the sampler (which may
-        # be a closure) without pickling, and start in milliseconds instead of
+        # fork, not spawn: the worker inherits X, y and the sampler (which may
+        # be a closure) without pickling, and starts in milliseconds instead of
         # re-importing numpy, which costs about as much as a small fit
-        ctx = multiprocessing.get_context("fork")
-        shares = [range(w, params.n_trees, workers) for w in range(workers)]
-        with ctx.Pool(workers, initializer=_start_worker, initargs=(job,)) as pool:
-            pending = pool.map_async(_grow_in_worker, shares, chunksize=1)
-            if meanwhile is not None:
-                meanwhile()
-            grown = pending.get()
-        trees = [grown[b % workers][b // workers] for b in range(params.n_trees)]
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=fork, initializer=_start_worker, initargs=(job,)) as worker:
+            grown = worker.submit(_grow_in_worker)
+            meanwhile()
+            trees = grown.result()
     return ForestModel(trees=trees, params=params, feature_count=X.shape[1])
 
 

@@ -1,4 +1,7 @@
 import base64
+import contextlib
+import os
+import signal
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -43,6 +46,37 @@ def encode_nodes(doc, trees):
     number = [v for tree in trees for v in tree["split_or_value"]]
     doc["feature"] = base64.b64encode(np.array(feature, dtype=np.int8).tobytes()).decode()
     doc["split_or_value"] = base64.b64encode(np.array(number, dtype="<f8").tobytes()).decode()
+
+
+def killing_sampler():
+    """A bootstrap sampler that sends SIGKILL (the OOM killer's signal) to any
+    process but the one that made it: a forked forest worker dies mid-fit,
+    and the test runner never does."""
+    here = os.getpid()
+
+    def draw(n, rng):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.arange(n)
+
+    return draw
+
+
+@contextlib.contextmanager
+def fails_after(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so that a
+    hang fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from surplusminer.errors import ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.ingest import MarketSeries
 
-from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes
+from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes, fails_after, killing_sampler
 
 FIXTURE_HASH = "11e51f6d5144"
 
@@ -955,8 +955,8 @@ def train_by_cpus(tmp_path_factory):
 
 
 class TestTrainFits:
-    """train fits the LSTM in this process while the forest's workers grow
-    trees (serially after the trees with one CPU)."""
+    """train fits the LSTM in this process while the forest's worker grows
+    the trees (serially after the trees with one CPU)."""
 
     def test_outputs_do_not_depend_on_cpu_count(self, train_by_cpus):
         serial, overlapped = train_by_cpus[1], train_by_cpus[2]
@@ -988,6 +988,33 @@ class TestTrainFits:
         assert multiprocessing.active_children() == []
         # the forest is saved only once both fits have succeeded
         assert not (out / "forest_model.json").exists()
+
+    def test_killed_forest_worker_exits_4(self, tmp_path, caplog, monkeypatch):
+        """The forest's worker killed mid-fit (as the OOM killer would) ends
+        train at once rather than leaving it waiting for the lost trees."""
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(forest, "bootstrap_sample", killing_sampler())
+        with fails_after(60), caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert "BrokenProcessPool" in caplog.text
+        assert multiprocessing.active_children() == []
+
+    def test_out_of_memory_exits_4_in_one_line(self, tmp_path, caplog, monkeypatch):
+        """A fit too large for memory is refused without a traceback. The
+        MemoryError is raised, not provoked: with memory overcommit a huge
+        allocation can succeed and then thrash the machine."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array with shape (4, 1000000, 1000000)")
+
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "fit_lstm", out_of_memory)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert caplog.messages == ["out of memory: Unable to allocate 29.1 TiB for an array with shape (4, 1000000, 1000000)"]
+        assert not any(r.exc_info for r in caplog.records)
 
     def test_too_little_history_before_test_start_exits_3_before_any_fit(self, tmp_path, caplog):
         """Fewer feature rows before test_start than one LSTM window is refused

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import sys
-import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from surplusminer.forest import (
 from surplusminer.indicators import build_features
 from surplusminer.ingest import parse_market_csv
 
-from conftest import DATA_DIR, decode_nodes, encode_nodes, make_series
+from conftest import DATA_DIR, decode_nodes, encode_nodes, fails_after, killing_sampler, make_series
 from oracles import naive_best_split, naive_grow, naive_predict, same_tree
 
 
@@ -433,75 +433,69 @@ class TestLockstep:
             grow_trees(X, y, ForestParams(), [np.arange(3), np.arange(0)], [tree_rng(0, 0), tree_rng(0, 1)])
 
 
-def logging_identity(log, workers):
+def logging_identity(log):
     """A sampler hook that logs the pid of the process drawing each tree and
-    draws the identity. It then waits (10 s at most) until `workers`
-    distinct pids have logged, so that each of that many workers takes a
-    tree before any worker takes a second."""
+    draws the identity."""
 
     def identity(n, rng):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        deadline = time.monotonic() + 10.0
-        while len(set(log.read_text().split())) < workers and time.monotonic() < deadline:
-            time.sleep(0.01)
         return np.arange(n)
 
     return identity
 
 
 class TestWorkers:
-    """fit_forest grows trees in one forked worker per available CPU, one
-    fewer beside `meanwhile`; the model must not depend on how many there
-    are."""
+    """Beside `meanwhile`, fit_forest grows every tree in one forked worker
+    when this process may use two CPUs or more; otherwise it grows them here.
+    The model must not depend on which."""
 
     def test_worker_count_does_not_change_the_model(self, tmp_path, monkeypatch):
-        """Seven trees, so that no worker count above one divides them evenly:
-        each worker grows every workers-th tree, and the model is reassembled
-        in tree order."""
+        """The serial fit, with and without `meanwhile`, against the forked
+        fit for several CPU counts."""
         matrix = random_matrix(seed=6)
         params = ForestParams(n_trees=7, seed=2)
         saved, predicted = {}, {}
-        for cpus in (1, 2, 3, 5):
-            for meanwhile in (None, lambda: None):
-                run = f"{cpus}-{meanwhile is not None}"
-                monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-                model = fit_forest(matrix, params, meanwhile=meanwhile)
-                path = tmp_path / f"{run}.json"
-                save_forest(model, path)
-                saved[run] = path.read_bytes()
-                predicted[run] = predict_matrix(model, matrix).tobytes()
-        assert len(saved) == 8
+        runs = [(1, None)] + [(cpus, lambda: None) for cpus in (1, 2, 3, 5)]
+        for cpus, meanwhile in runs:
+            run = f"{cpus}-{meanwhile is not None}"
+            monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+            model = fit_forest(matrix, params, meanwhile=meanwhile)
+            path = tmp_path / f"{run}.json"
+            save_forest(model, path)
+            saved[run] = path.read_bytes()
+            predicted[run] = predict_matrix(model, matrix).tobytes()
+        assert len(saved) == 5
         assert set(saved.values()) == {saved["1-False"]}
         assert set(predicted.values()) == {predicted["1-False"]}
 
-    @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
-    def test_meanwhile_keeps_a_cpu(self, tmp_path, monkeypatch, cpus, workers):
-        """Beside `meanwhile` the trees go to cpus - 1 workers, one on two
-        CPUs, and `meanwhile` runs in this process."""
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_meanwhile_keeps_a_cpu(self, tmp_path, monkeypatch, cpus):
+        """Beside `meanwhile` one worker grows every tree, whatever the CPU
+        count, and `meanwhile` runs in this process."""
         log = tmp_path / "pids"
         ran_in = []
         monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
         fit_forest(
             random_matrix(n_days=50, seed=8),
             ForestParams(n_trees=4, m_try=2, seed=1),
-            sampler=logging_identity(log, workers),
+            sampler=logging_identity(log),
             meanwhile=lambda: ran_in.append(os.getpid()),
         )
         pids = log.read_text().split()
         assert len(pids) == 4
-        assert len(set(pids)) == workers
+        assert len(set(pids)) == 1
         assert str(os.getpid()) not in pids
         assert ran_in == [os.getpid()]
 
-    def test_one_cpu_grows_the_trees_here_before_meanwhile(self, monkeypatch):
+    @staticmethod
+    def assert_trees_grown_here_before_meanwhile():
         events = []
 
         def identity(n, rng):
             events.append(("tree", os.getpid()))
             return np.arange(n)
 
-        monkeypatch.setattr(forest, "_available_cpus", lambda: 1)
         fit_forest(
             random_matrix(n_days=50, seed=8),
             ForestParams(n_trees=3, m_try=2, seed=1),
@@ -510,17 +504,51 @@ class TestWorkers:
         )
         assert events == [("tree", os.getpid())] * 3 + [("meanwhile", os.getpid())]
 
+    def test_one_cpu_grows_the_trees_here_before_meanwhile(self, monkeypatch):
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 1)
+        self.assert_trees_grown_here_before_meanwhile()
+
+    def test_no_fork_grows_the_trees_here_before_meanwhile(self, monkeypatch):
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        self.assert_trees_grown_here_before_meanwhile()
+
+    def test_without_meanwhile_no_worker_starts(self, monkeypatch):
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 5)
+        pids = set()
+
+        def identity(n, rng):
+            pids.add(os.getpid())
+            return np.arange(n)
+
+        fit_forest(random_matrix(n_days=50, seed=8), ForestParams(n_trees=3, m_try=2, seed=1), sampler=identity)
+        assert pids == {os.getpid()}
+
     def test_sampler_reaches_the_workers(self, tmp_path, monkeypatch):
-        """The test hook runs in the worker processes: it logs their pids,
-        and its identity draw makes the forest memorize the rows."""
+        """The test hook runs in the worker process: it logs its pid, and its
+        identity draw makes the forest memorize the rows."""
         log = tmp_path / "pids"
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
         matrix = random_matrix(n_days=50, seed=8)
-        model = fit_forest(matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=logging_identity(log, 1))
+        model = fit_forest(
+            matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=logging_identity(log), meanwhile=lambda: None
+        )
         pids = log.read_text().split()
         assert len(pids) == 3
         assert str(os.getpid()) not in pids
         assert predict_matrix(model, matrix) == pytest.approx(matrix.target_array(), rel=1e-12)
+
+    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        """A worker killed mid-fit fails the fit at once; waiting for the lost
+        trees would fail the test when the alarm goes off."""
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        with fails_after(20), pytest.raises(BrokenProcessPool):
+            fit_forest(
+                random_matrix(n_days=50, seed=8),
+                ForestParams(n_trees=3, m_try=2, seed=1),
+                sampler=killing_sampler(),
+                meanwhile=lambda: None,
+            )
 
 
 def assert_same_arrays(got: Tree, want: Tree):

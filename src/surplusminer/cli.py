@@ -37,7 +37,6 @@ from .fleet import (
     MinerSpec,
     ScenarioPlan,
     build_scenarios,
-    month_capacity,
     write_fleet_csv,
 )
 from .indicators import FeatureMatrix, build_features, write_features_csv
@@ -477,8 +476,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 
 def _build_plans(cfg: RunConfig) -> tuple[ScenarioPlan, ScenarioPlan]:
-    capacities = [month_capacity(t, cfg.miner, cfg.loss_rate) for t in monthly_totals(_load_surplus(cfg))]
-    return build_scenarios(capacities, cfg.miner)
+    return build_scenarios(monthly_totals(_load_surplus(cfg)), cfg.miner, cfg.loss_rate)
 
 
 def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, list[float]]:

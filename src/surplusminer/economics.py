@@ -191,11 +191,14 @@ def run_case(
     and the plan's operating units for the day's month. A column of another
     length is a ValueError, and any error on a day names the case and the day.
     """
+    operating_by_month = {mf.month: mf.operating for mf in plan.monthly}
     entries: list[DailyLedgerEntry] = []
     for day, price, network_ths in zip(window, prices, network, strict=True):
         try:
             month = f"{day.year:04d}-{day.month:02d}"
-            operating = plan.fleet_for(month).operating
+            if month not in operating_by_month:
+                raise ValidationError(f"plan has no entry for month {month}")
+            operating = operating_by_month[month]
             fleet_ths = operating * miner.hashrate_ths
             btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
             revenue = daily_revenue(price, btc)

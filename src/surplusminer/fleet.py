@@ -1,23 +1,24 @@
 """Fleet sizing from monthly surplus energy, and the block subsidy schedule.
 
-Surplus energy is derated by a fixed transmission/conversion loss, divided by
-one miner's monthly consumption to get the supported unit count, and turned
-into two purchase plans: scenario 1 owns the peak month's count and runs all
-supported units each month; scenario 2 owns the (half-up rounded) mean count
-and runs what it owns, capped by the month's supported count.
+build_scenarios sizes both purchase plans in one pass over the monthly
+surplus totals. A month's usable energy is its surplus kWh less a fixed
+transmission/conversion loss, kwh * (1 - loss_rate); it runs
+floor(usable / (kW * hours)) miners around the clock, the month's supported
+count. Scenario 1 owns the peak month's count and runs all supported units
+each month; scenario 2 owns the (half-up rounded) mean count and runs what it
+owns, capped by the month's supported count. The inputs are checked where
+they enter: the loss rate by the run config, each region's kWh by its
+surplus record.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
 
-from .errors import DataInsufficientError, ValidationError
+from .errors import ValidationError
 from .ingest import MonthlySurplusTotal, days_in_month, write_output_csv
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_LOSS_RATE = 0.0359  # combined transmission/conversion loss fraction
 
@@ -53,50 +54,6 @@ class MinerSpec:
         return self.power_w / 1000.0
 
 
-def usable_energy(surplus_kwh: float, loss_rate: float) -> float:
-    """Energy left after the fixed loss fraction: kwh * (1 - loss_rate)."""
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValidationError(f"loss_rate must be in [0, 1), got {loss_rate!r}")
-    if surplus_kwh < 0:
-        raise ValidationError(f"surplus_kwh must be >= 0, got {surplus_kwh!r}")
-    return surplus_kwh * (1.0 - loss_rate)
-
-
-def hours_in_month(month: str) -> float:
-    """Calendar-exact hours in a YYYY-MM month."""
-    return 24.0 * days_in_month(month)
-
-
-def supported_units(usable_kwh: float, miner: MinerSpec, hours: float) -> int:
-    """Whole miners the energy can run around the clock: floor(kWh / (kW * h))."""
-    if usable_kwh < 0:
-        raise ValidationError(f"usable_kwh must be >= 0, got {usable_kwh!r}")
-    if hours <= 0:
-        raise ValidationError(f"hours must be > 0, got {hours!r}")
-    units = usable_kwh / (miner.power_kw * hours)
-    if not math.isfinite(units):
-        raise ValidationError(f"miner.power_w {miner.power_w!r} is too small: {usable_kwh!r} kWh runs {units} units")
-    return int(math.floor(units))
-
-
-@dataclass(frozen=True)
-class MonthlyCapacity:
-    """Per-month energy budget and the unit count it supports."""
-
-    month: str
-    usable_kwh: float
-    supported: int
-
-
-def month_capacity(total: MonthlySurplusTotal, miner: MinerSpec, loss_rate: float) -> MonthlyCapacity:
-    usable = usable_energy(total.total_kwh, loss_rate)
-    return MonthlyCapacity(
-        month=total.month,
-        usable_kwh=usable,
-        supported=supported_units(usable, miner, hours_in_month(total.month)),
-    )
-
-
 class MonthlyFleet(NamedTuple):
     """Operating outcome for one month under a purchase plan: a fleet.csv row,
     its fields in column order."""
@@ -117,61 +74,37 @@ class ScenarioPlan:
     owned_units: int
     monthly: tuple[MonthlyFleet, ...]
 
-    def fleet_for(self, month: str) -> MonthlyFleet:
-        for mf in self.monthly:
-            if mf.month == month:
-                return mf
-        raise ValidationError(f"plan has no entry for month {month}")
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def _monthly_fleet(cap: MonthlyCapacity, scenario: int, operating: int, miner: MinerSpec) -> MonthlyFleet:
-    used = operating * miner.power_kw * hours_in_month(cap.month)
-    return MonthlyFleet(
-        month=cap.month,
-        scenario=scenario,
-        supported=cap.supported,
-        operating=operating,
-        energy_used_kwh=used,
-        energy_idle_kwh=cap.usable_kwh - used,
-    )
-
 
 def build_scenarios(
-    capacities: list[MonthlyCapacity],
+    totals: list[MonthlySurplusTotal],
     miner: MinerSpec,
+    loss_rate: float,
 ) -> tuple[ScenarioPlan, ScenarioPlan]:
-    """Build the two purchase plans from per-month supported counts.
-
-    Scenario 1 buys the maximum supported count and runs each month's full
-    supported count (surplus is never exceeded). Scenario 2 buys the
-    half-up-rounded mean count and runs min(owned, supported) each month.
+    """The two purchase plans (module docstring) from the monthly surplus
+    totals, one per month in month order, as ingest.monthly_totals gives them.
+    A miner so small that a month runs no finite count is a ValidationError.
     """
-    if not capacities:
-        raise DataInsufficientError("no monthly capacities to plan from")
-    months = [c.month for c in capacities]
-    if len(set(months)) != len(months):
-        raise ValidationError("duplicate months in capacity list")
-    ordered = sorted(capacities, key=lambda c: c.month)
+    months = []  # (month, hours, usable kWh, supported units)
+    for month, kwh in totals:
+        hours = 24.0 * days_in_month(month)
+        usable = kwh * (1.0 - loss_rate)
+        units = usable / (miner.power_kw * hours)
+        if not math.isfinite(units):
+            raise ValidationError(f"miner.power_w {miner.power_w!r} is too small: {usable!r} kWh runs {units} units")
+        months.append((month, hours, usable, math.floor(units)))
+    counts = [supported for *_, supported in months]
+    owned2 = math.floor(sum(counts) / len(counts) + 0.5)
 
-    counts = [c.supported for c in ordered]
-    owned1 = max(counts)
-    owned2 = _round_half_up(sum(counts) / len(counts))
+    def plan(scenario: int, owned: int) -> ScenarioPlan:
+        # scenario 1 owns the peak count, so it runs each month's supported count
+        monthly = []
+        for month, hours, usable, supported in months:
+            operating = min(owned, supported)
+            used = operating * miner.power_kw * hours
+            monthly.append(MonthlyFleet(month, scenario, supported, operating, used, usable - used))
+        return ScenarioPlan(scenario, owned, tuple(monthly))
 
-    plan1 = ScenarioPlan(
-        scenario=1,
-        owned_units=owned1,
-        monthly=tuple(_monthly_fleet(c, 1, c.supported, miner) for c in ordered),
-    )
-    plan2 = ScenarioPlan(
-        scenario=2,
-        owned_units=owned2,
-        monthly=tuple(_monthly_fleet(c, 2, min(owned2, c.supported), miner) for c in ordered),
-    )
-    return plan1, plan2
+    return plan(1, max(counts)), plan(2, owned2)
 
 
 # Block subsidy schedule: from each date (inclusive) the listed reward applies.

@@ -360,9 +360,9 @@ def fit_forest(
     while `meanwhile` runs in this process, once the worker is forked.
     `cmd_train` passes the LSTM fit, which runs on one CPU and outlasts the
     forest (README, forest), so a second worker would only take its CPU. If
-    the worker dies (say, killed for memory), the fit raises
-    BrokenProcessPool. If `meanwhile` raises, its exception propagates once
-    the worker has finished its trees.
+    the worker dies (say, killed for memory), the fit raises MemoryError. If
+    `meanwhile` raises, its exception propagates once the worker has finished
+    its trees.
 
     Otherwise (no `meanwhile`, one CPU, which a worker could only share, or
     no os.fork) the trees grow in this process, and then `meanwhile` runs.
@@ -384,6 +384,7 @@ def fit_forest(
         # here, so commands that never fit skip the import
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork, not spawn: the worker inherits X, y and the sampler (which may
         # be a closure) without pickling, and starts in milliseconds instead of
@@ -392,7 +393,13 @@ def fit_forest(
         with ProcessPoolExecutor(1, mp_context=fork, initializer=_start_worker, initargs=(job,)) as worker:
             grown = worker.submit(_grow_in_worker)
             meanwhile()
-            trees = grown.result()
+            try:
+                trees = grown.result()
+            except BrokenProcessPool:
+                # the OOM killer's SIGKILL is the likely cause; main logs a MemoryError in one line
+                raise MemoryError(
+                    "the forest worker died before returning its trees, most likely killed for memory"
+                ) from None
     return ForestModel(trees=trees, params=params, feature_count=X.shape[1])
 
 

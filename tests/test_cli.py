@@ -236,6 +236,21 @@ class TestIngest:
         assert rc == 2
         assert f"surplus.csv:2: {message}" in caplog.text
 
+    def test_surplus_missing_a_simulated_month_exits_2_naming_the_case(self, tmp_path, caplog):
+        """Fleet plans cover the months the surplus file has; a simulated day in
+        any other month is refused before an output is written."""
+        text = (DATA_DIR / "surplus.csv").read_text(encoding="utf-8")
+        kept = [line for line in text.splitlines(keepends=True) if ",2023-12," not in line]
+        assert len(kept) < len(text.splitlines())
+        (tmp_path / "surplus.csv").write_text("".join(kept), encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(write_config(tmp_path)), "--cases", "actual-1,actual-2",
+                       "--out", str(out)])
+        assert rc == 2
+        assert caplog.messages == ["validation error: case actual-1, 2023-12-01: plan has no entry for month 2023-12"]
+        assert not any((out / name).exists() for name in ("fleet.csv", "ledger.csv", "report.txt"))
+
     def test_gap_on_analysis_start_takes_the_day_before(self, tmp_path, capsys, caplog):
         """The record before analysis_start is kept until the gaps are filled,
         so a missing first day carries it forward. A market that starts after
@@ -447,6 +462,17 @@ class TestConfigValidation:
         assert rc == 2
         assert [r.getMessage() for r in caplog.records] == [
             f"validation error: {cfg}: config section {section!r}: {message}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+    def test_loss_rate_out_of_range_exits_2(self, tmp_path, caplog, rate):
+        cfg = write_config(tmp_path, loss_rate=rate)
+        with caplog.at_level(logging.ERROR):
+            rc = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"validation error: {cfg}: loss_rate must be in [0, 1), got {rate}"
         ]
         assert not (tmp_path / "out").exists()
 
@@ -991,13 +1017,17 @@ class TestTrainFits:
 
     def test_killed_forest_worker_exits_4(self, tmp_path, caplog, monkeypatch):
         """The forest's worker killed mid-fit (as the OOM killer would) ends
-        train at once rather than leaving it waiting for the lost trees."""
+        train at once, in one line, rather than leaving it waiting for the
+        lost trees."""
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
         monkeypatch.setattr(forest, "bootstrap_sample", killing_sampler())
         with fails_after(60), caplog.at_level(logging.ERROR):
             rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
         assert rc == 4
-        assert "BrokenProcessPool" in caplog.text
+        assert caplog.messages == [
+            "out of memory: the forest worker died before returning its trees, most likely killed for memory"
+        ]
+        assert not any(r.exc_info for r in caplog.records)
         assert multiprocessing.active_children() == []
 
     def test_out_of_memory_exits_4_in_one_line(self, tmp_path, caplog, monkeypatch):

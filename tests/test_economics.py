@@ -21,7 +21,7 @@ from surplusminer.economics import (
     usd_millions,
 )
 from surplusminer.errors import ValidationError
-from surplusminer.fleet import DEFAULT_LOSS_RATE, MinerSpec, build_scenarios, month_capacity
+from surplusminer.fleet import DEFAULT_LOSS_RATE, MinerSpec, build_scenarios
 from surplusminer.ingest import MonthlySurplusTotal, days
 
 from conftest import make_series
@@ -30,9 +30,7 @@ MINER = MinerSpec()
 
 
 def scenario_plans(kwh_by_month, miner=MINER):
-    totals = [MonthlySurplusTotal(m, k) for m, k in kwh_by_month]
-    caps = [month_capacity(t, miner, DEFAULT_LOSS_RATE) for t in totals]
-    return build_scenarios(caps, miner)
+    return build_scenarios([MonthlySurplusTotal(m, k) for m, k in kwh_by_month], miner, DEFAULT_LOSS_RATE)
 
 
 class TestBtcPerDay:
@@ -271,8 +269,7 @@ class TestFixtureOracle:
         cfg = json.loads((data_dir / "fixture_config.json").read_text())
         market = parse_market_csv(data_dir / cfg["market_csv"])
         surplus = parse_surplus_csv(data_dir / cfg["surplus_csv"], months=tuple(cfg["surplus_months"]))
-        caps = [month_capacity(t, MINER, cfg["loss_rate"]) for t in monthly_totals(surplus)]
-        plans = build_scenarios(caps, MINER)
+        plans = build_scenarios(monthly_totals(surplus), MINER, cfg["loss_rate"])
         assert plans[0].owned_units == expected["owned_units"]["1"]
         assert plans[1].owned_units == expected["owned_units"]["2"]
 

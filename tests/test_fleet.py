@@ -1,4 +1,5 @@
 """Fleet sizing, scenario planning, and the block reward schedule."""
+import calendar
 import math
 from datetime import date, timedelta
 
@@ -14,57 +15,51 @@ from surplusminer.fleet import (
     MinerSpec,
     block_reward,
     build_scenarios,
-    hours_in_month,
-    month_capacity,
-    supported_units,
-    usable_energy,
 )
 from surplusminer.ingest import MonthlySurplusTotal
 
 MINER = MinerSpec()
 
 
-def caps_from_supported(counts, kwh_per_unit=4086.72):
-    """MonthlyCapacity list that yields exactly the given supported counts."""
+def hours(month):
+    year, mon = map(int, month.split("-"))
+    return 24.0 * calendar.monthrange(year, mon)[1]
+
+
+def totals_from_supported(counts):
+    """Monthly totals that, at loss_rate 0.0, support exactly the given counts."""
     months = [f"2023-{m:02d}" for m in range(1, len(counts) + 1)]
-    out = []
-    for month, count in zip(months, counts):
-        hours = hours_in_month(month)
-        usable = (count + 0.5) * MINER.power_kw * hours
-        out.append(month_capacity_raw(month, usable))
-    return out
+    return [MonthlySurplusTotal(m, (count + 0.5) * MINER.power_kw * hours(m)) for m, count in zip(months, counts)]
 
 
-def month_capacity_raw(month, usable):
-    from surplusminer.fleet import MonthlyCapacity
-
-    return MonthlyCapacity(
-        month=month,
-        usable_kwh=usable,
-        supported=supported_units(usable, MINER, hours_in_month(month)),
-    )
+def one_month(month, kwh, loss_rate=DEFAULT_LOSS_RATE):
+    """Scenario 1's fleet.csv row for a single month of surplus."""
+    s1, _ = build_scenarios([MonthlySurplusTotal(month, kwh)], MINER, loss_rate)
+    return s1.monthly[0]
 
 
 class TestEnergy:
     def test_loss_rate_example(self):
-        assert usable_energy(1_000_000.0, DEFAULT_LOSS_RATE) == pytest.approx(964_100.0, rel=1e-12)
+        row = one_month("2023-06", 1_000_000.0)
+        assert row.energy_used_kwh + row.energy_idle_kwh == pytest.approx(964_100.0, rel=1e-12)
 
     def test_supported_units_example(self):
-        assert supported_units(964_100.0, MINER, 720.0) == 235
+        """964,100 usable kWh in a 30-day month runs 235 units of 4,086.72 kWh."""
+        row = one_month("2023-06", 1_000_000.0)
+        assert row.supported == row.operating == 235
         assert math.floor(964_100.0 / 4086.72) == 235
+        assert row.energy_used_kwh == 235 * MINER.power_kw * 720.0
 
     def test_zero_energy(self):
-        assert supported_units(0.0, MINER, 720.0) == 0
-
-    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
-    def test_bad_loss_rate(self, rate):
-        with pytest.raises(ValidationError):
-            usable_energy(1000.0, rate)
+        row = one_month("2023-06", 0.0)
+        assert (row.supported, row.operating, row.energy_used_kwh, row.energy_idle_kwh) == (0, 0, 0.0, 0.0)
 
     def test_hours_in_month(self):
-        assert hours_in_month("2023-01") == 744.0
-        assert hours_in_month("2023-02") == 672.0
-        assert hours_in_month("2024-02") == 696.0
+        """A month's hours set what its energy runs, and what the units use."""
+        for month, month_hours in [("2023-01", 744.0), ("2023-02", 672.0), ("2024-02", 696.0)]:
+            row = one_month(month, (10 + 0.5) * MINER.power_kw * month_hours, loss_rate=0.0)
+            assert row.supported == 10
+            assert row.energy_used_kwh == 10 * MINER.power_kw * month_hours
 
 
 class TestMinerSpec:
@@ -89,30 +84,26 @@ class TestMinerSpec:
 
 class TestScenarios:
     def test_extremes_vs_mean(self):
-        caps = caps_from_supported([10, 20, 30])
-        s1, s2 = build_scenarios(caps, MINER)
+        s1, s2 = build_scenarios(totals_from_supported([10, 20, 30]), MINER, 0.0)
         assert s1.owned_units == 30
         assert [m.operating for m in s1.monthly] == [10, 20, 30]
         assert s2.owned_units == 20
         assert [m.operating for m in s2.monthly] == [10, 20, 20]
 
     def test_constant_supported_makes_scenarios_equal(self):
-        caps = caps_from_supported([15, 15, 15])
-        s1, s2 = build_scenarios(caps, MINER)
+        s1, s2 = build_scenarios(totals_from_supported([15, 15, 15]), MINER, 0.0)
         assert s1.owned_units == s2.owned_units == 15
         assert [m.operating for m in s1.monthly] == [m.operating for m in s2.monthly]
 
     def test_mean_rounds_half_up(self):
         # mean 12.5 -> 13
-        caps = caps_from_supported([10, 15])
-        _, s2 = build_scenarios(caps, MINER)
+        _, s2 = build_scenarios(totals_from_supported([10, 15]), MINER, 0.0)
         assert s2.owned_units == 13
 
     def test_operating_never_exceeds_supported_or_owned(self):
         rng = np.random.default_rng(3)
         counts = [int(v) for v in rng.integers(0, 500, size=12)]
-        caps = caps_from_supported(counts)
-        for plan in build_scenarios(caps, MINER):
+        for plan in build_scenarios(totals_from_supported(counts), MINER, 0.0):
             for m in plan.monthly:
                 assert m.operating <= m.supported
                 assert m.operating <= plan.owned_units
@@ -124,25 +115,31 @@ class TestScenarios:
             MonthlySurplusTotal(f"2023-{m:02d}", float(v))
             for m, v in enumerate(rng.uniform(1e5, 9e6, size=12), start=1)
         ]
-        caps = [month_capacity(t, MINER, DEFAULT_LOSS_RATE) for t in totals]
-        for plan in build_scenarios(caps, MINER):
-            for cap, m in zip(caps, plan.monthly):
+        for plan in build_scenarios(totals, MINER, DEFAULT_LOSS_RATE):
+            for total, m in zip(totals, plan.monthly):
                 assert m.energy_used_kwh + m.energy_idle_kwh == pytest.approx(
-                    cap.usable_kwh, abs=1.0
+                    total.total_kwh * (1.0 - DEFAULT_LOSS_RATE), abs=1.0
                 )
                 assert m.energy_used_kwh >= 0.0
                 assert m.energy_idle_kwh >= 0.0
 
-    def test_duplicate_month_rejected(self):
-        caps = caps_from_supported([5])
-        with pytest.raises(ValidationError):
-            build_scenarios(caps + caps, MINER)
 
-    def test_fleet_for_missing_month(self):
-        caps = caps_from_supported([5, 6])
-        s1, _ = build_scenarios(caps, MINER)
-        with pytest.raises(ValidationError):
-            s1.fleet_for("2024-01")
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=24),
+        st.floats(min_value=0.0, max_value=0.99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_month_follows_the_rule(self, kwh, loss_rate):
+        """floor(kwh * (1 - loss) / (kW * hours)) per month, then the two plans."""
+        months = [f"{2023 + i // 12}-{i % 12 + 1:02d}" for i in range(len(kwh))]
+        s1, s2 = build_scenarios([MonthlySurplusTotal(m, k) for m, k in zip(months, kwh)], MINER, loss_rate)
+        supported = [math.floor(k * (1.0 - loss_rate) / (MINER.power_kw * hours(m))) for m, k in zip(months, kwh)]
+        assert s1.owned_units == max(supported)
+        assert s2.owned_units == math.floor(sum(supported) / len(supported) + 0.5)
+        for plan in (s1, s2):
+            assert [m.month for m in plan.monthly] == months
+            assert [m.supported for m in plan.monthly] == supported
+            assert [m.operating for m in plan.monthly] == [min(plan.owned_units, c) for c in supported]
 
 
 class TestBlockReward:

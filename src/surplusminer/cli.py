@@ -25,6 +25,7 @@ from .economics import (
     BLOCKS_PER_DAY,
     SimulationReport,
     case_totals,
+    mine_scenario,
     months_spanned,
     read_ledger_totals,
     run_case,
@@ -589,14 +590,10 @@ def _ledger_fields(cfg: RunConfig) -> dict[str, str]:
     return {**_config_fields(replace(cfg, cases=VALID_CASES)), **_digests(cfg, "market_sha256", "surplus_sha256")}
 
 
-def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, ScenarioPlan]) -> None:
-    """Render report.txt from out/ledger.csv alone, write it and print it: each
-    requested case's revenue summed from the ledger, its depreciation and profit."""
-    ledger_path = out / "ledger.csv"
-    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
-    missing = sorted(set(cfg.cases) - set(revenue))
-    if missing:
-        raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")
+def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, ScenarioPlan], revenue: dict[str, float]) -> None:
+    """Render report.txt, write it and print it: each requested case's revenue,
+    summed in date order from its daily ledger revenues (`revenue`, by case
+    label), its depreciation and profit."""
     months = months_spanned(cfg.sim_start, cfg.sim_end)
     reports = []
     for case in sorted(set(cfg.cases)):
@@ -608,25 +605,37 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    """Run every requested (price source x scenario) case into ledger.csv, then report from it."""
+    """Run every requested (price source x scenario) case into ledger.csv, then report the revenue it summed."""
     market, _ = _load_clean_market(cfg)
     plans = _build_plans(cfg)
     window, network, prices = _case_columns(cfg, out, market)
 
-    entries = []
-    for case in sorted(set(cfg.cases)):
+    cases = sorted(set(cfg.cases))
+    mined = {
+        scenario: mine_scenario(plans[scenario - 1], window, network, cfg.miner, cfg.blocks_per_day)
+        for scenario in sorted({_split_case(case)[1] for case in cases})
+    }
+    revenue: dict[str, float] = {}
+    lines: list[str] = []
+    for case in cases:
         source, scenario = _split_case(case)
-        entries += run_case(plans[scenario - 1], source, window, prices[source], network, cfg.miner, cfg.blocks_per_day)
+        revenue[case], case_lines = run_case(source, mined[scenario], prices[source])
+        lines += case_lines
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
-    write_ledger_csv(entries, out / "ledger.csv", header_comment=_key_values(_ledger_fields(cfg)))
-    _write_report(cfg, out, plans)
+    write_ledger_csv(lines, out / "ledger.csv", header_comment=_key_values(_ledger_fields(cfg)))
+    _write_report(cfg, out, plans, revenue)
 
 
 def cmd_report(cfg: RunConfig, out: Path) -> None:
     """Rebuild the summary report of the requested cases from an existing ledger.csv."""
     plans = _build_plans(cfg)
-    _check_header(cfg, out / "ledger.csv", "simulate", _ledger_fields(cfg))
-    _write_report(cfg, out, plans)
+    ledger_path = out / "ledger.csv"
+    _check_header(cfg, ledger_path, "simulate", _ledger_fields(cfg))
+    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
+    missing = sorted(set(cfg.cases) - set(revenue))
+    if missing:
+        raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")
+    _write_report(cfg, out, plans, revenue)
 
 
 # Each command and its help text. main makes the output directory before the

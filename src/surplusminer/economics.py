@@ -1,9 +1,12 @@
 """Daily mining output, revenue, depreciation, and per-case profit reports.
 
 A case is one (price source, scenario plan) pair. Each simulated day mines
-reward x (fleet share of network hash rate) x 144 blocks, valued at the
-case's price for that day. A case's revenue is the plain float sum, in date
-order, of its ledger rows read back from ledger.csv; money becomes exact cents
+reward x (fleet share of network hash rate) x 144 blocks, the same for every
+price source of a scenario (mine_scenario), valued at the case's price for
+that day (run_case). A case's revenue is the plain float sum, in date order,
+of its daily revenues: run_case sums them as it formats the ledger lines, and
+read_ledger_totals sums the same floats read back from ledger.csv, where each
+is written as its repr, so both give the same bits. Money becomes exact cents
 (Decimal) at the report boundary, and depreciation is exact rational
 arithmetic throughout, so profit = revenue - cost holds to the cent.
 """
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .fleet import HALVING_SCHEDULE, MinerSpec, ScenarioPlan, block_reward
-from .ingest import MAX_PRICE_USD, _data_rows, _parse_float, days, write_output_csv
+from .ingest import MAX_PRICE_USD, _data_rows, _parse_float, days, output_file
 
 logger = logging.getLogger(__name__)
 
@@ -175,25 +178,34 @@ def case_totals(
     )
 
 
-def run_case(
+class ScenarioMining(NamedTuple):
+    """A scenario's mining over the simulated days, up to its first failing day.
+
+    Each of `days` is the day in ISO form, the BTC mined, and the ledger's
+    mining cells operating_units,fleet_hashrate_ths,network_hashrate_ths,
+    btc_mined as csv writes them (an int by str, a float by repr)."""
+
+    scenario: int
+    days: list[tuple[str, float, str]]
+    failure: str | None  # "<ISO day>: <error>" of the day after the last of `days`; None when every day mined
+
+
+def mine_scenario(
     plan: ScenarioPlan,
-    source: str,
     window: list[date],
-    prices: list[float],
     network: list[float],
     miner: MinerSpec,
     blocks_per_day: int,
-) -> list[DailyLedgerEntry]:
-    """Simulate one case over the days of `window`; its ledger rows in date order.
+) -> ScenarioMining:
+    """Mine the days of `window` under `plan`, stopping at the first day that fails.
 
-    prices and network are day-aligned with window: the case's price and the
-    actual network hash rate of each day. Each day also uses block_reward(day)
-    and the plan's operating units for the day's month. A column of another
-    length is a ValueError, and any error on a day names the case and the day.
+    network is day-aligned with window: the actual network hash rate of each
+    day. Each day also uses block_reward(day) and the plan's operating units
+    for the day's month. A column of another length is a ValueError.
     """
     operating_by_month = {mf.month: mf.operating for mf in plan.monthly}
-    entries: list[DailyLedgerEntry] = []
-    for day, price, network_ths in zip(window, prices, network, strict=True):
+    mined: list[tuple[str, float, str]] = []
+    for day, network_ths in zip(window, network, strict=True):
         try:
             month = f"{day.year:04d}-{day.month:02d}"
             if month not in operating_by_month:
@@ -201,28 +213,42 @@ def run_case(
             operating = operating_by_month[month]
             fleet_ths = operating * miner.hashrate_ths
             btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
+        except ValidationError as exc:
+            return ScenarioMining(plan.scenario, mined, f"{day.isoformat()}: {exc}")
+        mined.append((day.isoformat(), btc, f"{operating},{fleet_ths!r},{network_ths!r},{btc!r}"))
+    return ScenarioMining(plan.scenario, mined, None)
+
+
+def run_case(source: str, mining: ScenarioMining, prices: list[float]) -> tuple[float, list[str]]:
+    """Price one case: its scenario's mined days at the case's price of each day.
+
+    prices is day-aligned with the simulated days. Returns the case's revenue,
+    summed in date order, and its ledger.csv lines in date order. Any error on
+    a day names the case and the day: a bad price on a mined day, else the
+    mining's failure. A price column of another length than a fully mined
+    window is a ValueError.
+    """
+    label = f"{source}-{mining.scenario}"
+    total = 0.0
+    lines: list[str] = []
+    for (day, btc, cells), price in zip(mining.days, prices, strict=mining.failure is None):
+        try:
             revenue = daily_revenue(price, btc)
         except ValidationError as exc:
-            raise ValidationError(f"case {source}-{plan.scenario}, {day.isoformat()}: {exc}") from None
-        entries.append(
-            DailyLedgerEntry(
-                day=day,
-                scenario=plan.scenario,
-                price_source=source,
-                operating_units=operating,
-                fleet_hashrate_ths=fleet_ths,
-                network_hashrate_ths=network_ths,
-                btc_mined=btc,
-                revenue_usd=revenue,
-                price_used_usd=price,
-            )
-        )
-    return entries
+            raise ValidationError(f"case {label}, {day}: {exc}") from None
+        # += in date order, as read_ledger_totals adds: from Python 3.12, sum() compensates floats
+        total += revenue
+        lines.append(f"{day},{mining.scenario},{source},{cells},{revenue!r},{price!r}\n")
+    if mining.failure is not None:
+        raise ValidationError(f"case {label}, {mining.failure}")
+    return total, lines
 
 
-def write_ledger_csv(entries: list[DailyLedgerEntry], path, header_comment: str | None = None) -> None:
-    """Ledger rows, in the order given."""
-    write_output_csv(path, LEDGER_COLUMNS, entries, header_comment)
+def write_ledger_csv(lines: list[str], path, header_comment: str | None = None) -> None:
+    """The ledger: LEDGER_COLUMNS, then `lines` (run_case's), in the order given."""
+    with output_file(path, header_comment) as fh:
+        fh.write(",".join(LEDGER_COLUMNS) + "\n")
+        fh.writelines(lines)
 
 
 def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date) -> dict[str, float]:

@@ -832,6 +832,75 @@ class TestForecastsFile:
         assert rows == [row for row in full if kept(row.split(","))]
         assert len(rows) in (6 * 122, 6 * 153, 2 * 214)
 
+    @pytest.mark.parametrize(
+        "cases, message",
+        [
+            ("lstm-1", "case lstm-1, 2023-06-05: price must be >= 0, got -1.0"),
+            ("actual-1,lstm-1", "case actual-1, 2023-12-01: plan has no entry for month 2023-12"),
+        ],
+        ids=["lstm-1", "actual-1,lstm-1"],
+    )
+    def test_a_case_fails_on_its_first_bad_day(self, pipeline_out, tmp_path, caplog, cases, message):
+        """A surplus file without 2023-12 stops the mining on 2023-12-01, and
+        lstm-1's price on 2023-06-05 is negative. lstm-1 fails on the earlier
+        day; actual-1, sorted first and priced only from the market, fails on
+        2023-12-01. Either way no output is written."""
+        config = write_config(tmp_path)
+        surplus = tmp_path / "surplus.csv"
+        lines = surplus.read_text(encoding="utf-8").splitlines(keepends=True)
+        surplus.write_text("".join(line for line in lines if ",2023-12," not in line), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        forecasts = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (i,) = [i for i, line in enumerate(forecasts) if line.startswith("2023-06-05,")]
+        forecasts[i] = forecasts[i].rsplit(",", 1)[0] + ",-1.0\n"
+        (out / "forecasts.csv").write_text("".join(forecasts), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(config), "--out", str(out), "--cases", cases])
+        assert rc == 2
+        assert caplog.messages == [f"validation error: {message}"]
+        assert sorted(p.name for p in out.iterdir()) == ["forecasts.csv"]
+
+
+class TestSimulateReport:
+    """simulate reports the revenue it sums as it writes ledger.csv; report
+    sums the same revenue read back from the file."""
+
+    @pytest.mark.parametrize("cases", [None, "lstm-2,actual-1"], ids=["all-cases", "lstm-2,actual-1"])
+    def test_simulate_writes_and_prints_the_report_that_report_does(self, pipeline_out, tmp_path, capsys, cases):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        args = ["--config", str(FIXTURE_CONFIG), "--out", str(out), *(("--cases", cases) if cases else ())]
+        capsys.readouterr()
+        assert main(["simulate", *args]) == 0
+        simulated = (out / "report.txt").read_bytes(), capsys.readouterr().out
+        assert "lstm-2" in simulated[1]
+        assert main(["report", *args]) == 0
+        assert ((out / "report.txt").read_bytes(), capsys.readouterr().out) == simulated
+
+    def test_fleet_share_cap_warns_once_per_scenario_and_day(self, tmp_path, caplog):
+        """A day whose network hash rate is below the fleet's mines at a share
+        of 1, in every case of the scenario, and is logged once per scenario:
+        mining does not depend on the price source."""
+        config = write_config(tmp_path)
+        market = tmp_path / "market.csv"
+        text = market.read_text(encoding="utf-8")
+        day = "\n2023-07-04,17951.27,383493284.3\n"
+        assert day in text
+        market.write_text(text.replace(day, "\n2023-07-04,17951.27,100000.0\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"fleet hash rate {ths} TH/s exceeds the network's 100000 TH/s; capping share at 1"
+            for ths in (1225070, 939851)
+        ]
+        rows = (out / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
+        btc_mined = [row.split(",")[6] for row in rows if row.startswith("2023-07-04,")]
+        assert btc_mined == [repr(6.25 * 144)] * 6
+
 
 class TestMarketWindow:
     def test_market_ending_before_sim_end_exits_3_naming_both_windows(self, tmp_path, caplog):

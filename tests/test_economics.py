@@ -1,4 +1,5 @@
 """Mining economics: BTC/day, revenue, exact-cent money, case simulation."""
+import csv
 import logging
 import math
 from datetime import date, timedelta
@@ -11,10 +12,12 @@ import pytest
 from surplusminer.cli import render_report
 from surplusminer.economics import (
     BLOCKS_PER_DAY,
+    DailyLedgerEntry,
     btc_per_day,
     case_totals,
     daily_revenue,
     depreciation_cost,
+    mine_scenario,
     months_spanned,
     run_case,
     usd_cents,
@@ -147,45 +150,56 @@ def simple_setup(n_days=59, price=25000.0, hashrate=4.0e8, kwh=5.0e6):
     return series, plans, start, date(2023, 2, 28)
 
 
-def case_report(entries, plan, sim_start, sim_end):
-    """The report row of one case's ledger rows, their revenue summed with +=
-    in date order as read_ledger_totals sums it (not sum(), which on Python
-    3.12 compensates for rounding)."""
-    revenue = 0.0
-    for entry in entries:
-        revenue += entry.revenue_usd
-    return case_totals(entries[0].price_source, revenue, plan, MINER, months_spanned(sim_start, sim_end))
+def ledger_rows(lines):
+    """run_case's ledger lines as rows of typed values."""
+    rows = []
+    for day, scenario, source, operating, *floats in csv.reader(lines):
+        rows.append(DailyLedgerEntry(date.fromisoformat(day), int(scenario), source, int(operating), *map(float, floats)))
+    return rows
+
+
+def case_report(run, plan, sim_start, sim_end):
+    """The report row of one case from run_on's (revenue, rows)."""
+    revenue, rows = run
+    return case_totals(rows[0].price_source, revenue, plan, MINER, months_spanned(sim_start, sim_end))
 
 
 def run_on(plan, series, sim_start, sim_end, prices=None, source="actual", blocks_per_day=144):
-    """run_case over sim_start..sim_end with the columns cli slices from the
-    market `series`: its network hash rate and, unless `prices` are given,
-    its prices."""
+    """One case over sim_start..sim_end with the columns cli slices from the
+    market `series`: the plan mined under its network hash rate, then priced
+    by run_case at `prices`, by default its prices. The case's summed revenue
+    and its ledger rows."""
     records = [r for r in series.records if sim_start <= r.day <= sim_end]
     if prices is None:
         prices = [r.price_usd for r in records]
     network = [r.network_hashrate_ths for r in records]
-    return run_case(plan, source, days(sim_start, sim_end), prices, network, MINER, blocks_per_day)
+    mining = mine_scenario(plan, days(sim_start, sim_end), network, MINER, blocks_per_day)
+    revenue, lines = run_case(source, mining, prices)
+    return revenue, ledger_rows(lines)
 
 
 class TestRunCase:
     def test_ledger_shape_and_totals(self):
+        """The revenue is the rows' revenue read back and added with += in
+        date order, bit for bit, as read_ledger_totals adds it (not sum(),
+        which on Python 3.12 compensates for rounding)."""
         series, plans, sim_start, sim_end = simple_setup()
-        entries = run_on(plans[0], series, sim_start, sim_end)
+        run = run_on(plans[0], series, sim_start, sim_end)
+        revenue, entries = run
         assert len(entries) == 59
         assert [e.day for e in entries] == [sim_start + timedelta(days=i) for i in range(59)]
-        report = case_report(entries, plans[0], sim_start, sim_end)
+        report = case_report(run, plans[0], sim_start, sim_end)
         assert report.case_label == "actual-1"
         acc = 0.0
         for entry in entries:
             acc += entry.revenue_usd
+        assert acc.hex() == revenue.hex()
         assert usd_cents(acc) == report.revenue_usd
         assert report.profit_usd == report.revenue_usd - report.cost_usd
 
     def test_revenue_matches_independent_loop(self):
         series, plans, sim_start, sim_end = simple_setup()
-        entries = run_on(plans[0], series, sim_start, sim_end)
-        report = case_report(entries, plans[0], sim_start, sim_end)
+        report = case_report(run_on(plans[0], series, sim_start, sim_end), plans[0], sim_start, sim_end)
 
         total = 0.0
         day = sim_start
@@ -223,7 +237,8 @@ class TestRunCase:
         columns = {"prices": series.prices(), "network": [r.network_hashrate_ths for r in series.records]}
         columns[short] = columns[short][:-1]
         with pytest.raises(ValueError, match="shorter"):
-            run_case(plans[0], "actual", days(sim_start, sim_end), columns["prices"], columns["network"], MINER, 144)
+            mining = mine_scenario(plans[0], days(sim_start, sim_end), columns["network"], MINER, 144)
+            run_case("actual", mining, columns["prices"])
 
     def test_bad_daily_price_names_the_case_and_the_day(self):
         """A negative forecast (an LSTM can make one) is refused, naming the
@@ -234,12 +249,29 @@ class TestRunCase:
         with pytest.raises(ValidationError, match=r"^case lstm-2, 2023-02-14: price must be >= 0, got -3797.75$"):
             run_on(plans[1], series, sim_start, sim_end, prices=preds, source="lstm")
 
+    @pytest.mark.parametrize(
+        "bad_day, message",
+        [
+            (date(2023, 2, 14), "case lstm-1, 2023-02-14: price must be >= 0, got -1.0"),
+            (date(2023, 3, 2), "case lstm-1, 2023-03-01: plan has no entry for month 2023-03"),
+        ],
+        ids=["bad-price-first", "missing-month-first"],
+    )
+    def test_first_failing_day_decides_the_error(self, bad_day, message):
+        """Mining stops at a day in a month the plan lacks (2023-03-01); a bad
+        price on a day before it is still the error, as it is on a day alone."""
+        series, plans, sim_start, _ = simple_setup(n_days=90)
+        sim_end = date(2023, 3, 31)
+        preds = [26000.0] * 90
+        preds[(bad_day - sim_start).days] = -1.0
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_on(plans[0], series, sim_start, sim_end, prices=preds, source="lstm")
+
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
         series = make_series([25000.0] * 31, start=start)
         plans = scenario_plans([("2023-01", 0.0)])
-        entries = run_on(plans[0], series, start, date(2023, 1, 31))
-        report = case_report(entries, plans[0], start, date(2023, 1, 31))
+        report = case_report(run_on(plans[0], series, start, date(2023, 1, 31)), plans[0], start, date(2023, 1, 31))
         assert report.revenue_usd == Decimal("0.00")
         assert report.cost_usd == Decimal("0.00")
         assert report.profit_usd == Decimal("0.00")
@@ -249,7 +281,7 @@ class TestRunCase:
         start = date(2024, 4, 15)
         series = make_series([50000.0] * 10, start=start, hashrate=6.0e8)
         plans = scenario_plans([("2024-04", 5.0e6)])
-        entries = run_on(plans[0], series, start, date(2024, 4, 24))
+        _, entries = run_on(plans[0], series, start, date(2024, 4, 24))
         by_day = {e.day: e.btc_mined for e in entries}
         assert by_day[date(2024, 4, 19)] == pytest.approx(
             2.0 * by_day[date(2024, 4, 20)], rel=1e-12
@@ -276,8 +308,8 @@ class TestFixtureOracle:
         sim_start = date.fromisoformat(cfg["sim_start"])
         sim_end = date.fromisoformat(cfg["sim_end"])
         for plan in plans:
-            entries = run_on(plan, market, sim_start, sim_end, blocks_per_day=cfg["blocks_per_day"])
-            report = case_report(entries, plan, sim_start, sim_end)
+            run = run_on(plan, market, sim_start, sim_end, blocks_per_day=cfg["blocks_per_day"])
+            report = case_report(run, plan, sim_start, sim_end)
             want = expected["cases"][report.case_label]
             assert report.revenue_usd == Decimal(want["revenue_usd"])
             assert report.cost_usd == Decimal(want["cost_usd"])
@@ -297,8 +329,8 @@ class TestDeltas:
         plans = scenario_plans([("2023-01", kwh), ("2023-02", kwh * 0.6)])
         reports = []
         for label, price in prices_by_source.items():
-            entries = run_on(plans[0], series, sim_start, sim_end, prices=[price] * 59, source=label)
-            reports.append(case_report(entries, plans[0], sim_start, sim_end))
+            run = run_on(plans[0], series, sim_start, sim_end, prices=[price] * 59, source=label)
+            reports.append(case_report(run, plans[0], sim_start, sim_end))
         return vs_actual_cells(reports, sim_start, sim_end)
 
     def test_deltas_vs_actual(self):

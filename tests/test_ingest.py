@@ -1,12 +1,24 @@
 """Parsing, validation, gap filling, surplus aggregation, and the output format."""
 import csv
+import io
 import logging
 from datetime import date, timedelta
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from surplusminer.economics import LEDGER_COLUMNS, DailyLedgerEntry, read_ledger_totals, write_ledger_csv
+from surplusminer import economics
+from surplusminer.economics import (
+    LEDGER_COLUMNS,
+    DailyLedgerEntry,
+    mine_scenario,
+    read_ledger_totals,
+    run_case,
+    write_ledger_csv,
+)
 from surplusminer.errors import DataInsufficientError, ValidationError
+from surplusminer.fleet import MonthlyFleet, ScenarioPlan
 from surplusminer.ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketRecord,
@@ -375,22 +387,45 @@ class TestOutputFile:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-# floats whose shortest repr is long, subnormal, exponent-form or repeating
-AWKWARD = (0.1 + 0.2, 5e-324, 1e22, 1 / 3)
+# floats whose shortest repr is long, subnormal, exponent-form, repeating or signed zero
+AWKWARD = (0.1 + 0.2, 5e-324, 1e22, 1 / 3, -0.0)
 DAY = date(2023, 6, 1)
 
 
+def ledger_lines(entries):
+    """The ledger lines that mine_scenario and run_case format for `entries`,
+    one day each. The arithmetic is stubbed so that every cell is the entry's
+    value: 1 unit of the entry's hash rate runs, btc_per_day gives its
+    btc_mined and daily_revenue its revenue_usd."""
+    lines = []
+    for e in entries:
+        plan = ScenarioPlan(e.scenario, 1, (MonthlyFleet(f"{e.day:%Y-%m}", e.scenario, 1, e.operating_units, 0.0, 0.0),))
+        miner = SimpleNamespace(hashrate_ths=e.fleet_hashrate_ths)
+        with mock.patch.object(economics, "btc_per_day", return_value=e.btc_mined), mock.patch.object(
+            economics, "daily_revenue", return_value=e.revenue_usd
+        ):
+            mining = mine_scenario(plan, [e.day], [e.network_hashrate_ths], miner, 144)
+            lines += run_case(e.price_source, mining, [e.price_used_usd])[1]
+    return lines
+
+
 class TestOutputFormat:
-    """csv writes each record's fields as they are: a float as its repr, a
-    date in ISO form, so every written value reads back unchanged."""
+    """Every output CSV holds what csv.writer writes for each record's fields:
+    a float as its repr, a date in ISO form, so every written value reads back
+    unchanged. That includes the ledger, whose lines mine_scenario and run_case
+    format themselves."""
 
     @pytest.mark.parametrize(
         "write,columns,rows",
         [
             (
-                lambda rows, path: write_ledger_csv(rows, path, "hdr"),
+                lambda rows, path: write_ledger_csv(ledger_lines(rows), path, "hdr"),
                 LEDGER_COLUMNS,
-                [DailyLedgerEntry(DAY + timedelta(days=i), 1, "actual", 7, x, x, x, x, x) for i, x in enumerate(AWKWARD)],
+                # each float column holds every AWKWARD value, and a row's five floats differ
+                [
+                    DailyLedgerEntry(DAY + timedelta(days=i), 2, "forest", 1, *(AWKWARD[i:] + AWKWARD[:i]))
+                    for i in range(len(AWKWARD))
+                ],
             ),
             (
                 lambda rows, path: write_eval_csv(rows, path, "hdr"),
@@ -408,6 +443,12 @@ class TestOutputFormat:
     def test_every_cell_reads_back_bit_for_bit(self, tmp_path, write, columns, rows):
         path = tmp_path / "out.csv"
         write(rows, path)
+        want = io.StringIO()
+        want.write("# hdr\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
         with open(path, newline="", encoding="utf-8") as fh:
             comment, header, *cells = csv.reader(fh)
         assert comment == ["# hdr"]

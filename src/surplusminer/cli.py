@@ -43,7 +43,7 @@ from .fleet import (
 from .indicators import FeatureMatrix, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
-    MarketSeries,
+    MarketRecord,
     MonthlySurplusTotal,
     SurplusRecord,
     _MONTH_RE,
@@ -325,8 +325,8 @@ def _check_header(cfg: RunConfig, path: Path, command: str, wanted: dict[str, st
         )
 
 
-def _load_clean_market(cfg: RunConfig) -> tuple[MarketSeries, int]:
-    """The market data over analysis_start..test_end, gap-filled, and the number of gap days filled."""
+def _load_clean_market(cfg: RunConfig) -> tuple[list[MarketRecord], int]:
+    """The market records over analysis_start..test_end, one per day, and the number of gap days filled."""
     return fill_gaps(parse_market_csv(_input_file(cfg, "market_csv")), cfg.analysis_start, cfg.test_end)
 
 
@@ -348,7 +348,7 @@ def cmd_ingest(cfg: RunConfig, out: Path) -> None:
     lines = [
         "ingest summary",
         f"market rows (cleaned): {len(filled)}",
-        f"market span: {filled.start.isoformat()}..{filled.end.isoformat()}",
+        f"market span: {filled[0].day.isoformat()}..{filled[-1].day.isoformat()}",
         f"gap days filled by carry-forward: {gaps}",
         f"surplus records: {len(surplus)}",
         f"surplus months: {totals[0].month}..{totals[-1].month} ({len(totals)} months)",
@@ -509,7 +509,7 @@ def _split_case(case: str) -> tuple[str, int]:
 
 
 def _case_columns(
-    cfg: RunConfig, out: Path, market: MarketSeries
+    cfg: RunConfig, out: Path, market: list[MarketRecord]
 ) -> tuple[list[date], list[float], dict[str, list[float]]]:
     """The simulated days, sim_start..sim_end, with the network hash rate of
     each and the price of each from every source named in the requested
@@ -517,14 +517,14 @@ def _case_columns(
 
     A gap-filled market that does not cover the simulated days is a
     DataInsufficientError naming both windows."""
-    if cfg.sim_start < market.start or market.end < cfg.sim_end:
+    start, end = market[0].day, market[-1].day
+    if cfg.sim_start < start or end < cfg.sim_end:
         raise DataInsufficientError(
-            f"the market data covers {market.start}..{market.end}, "
-            f"not sim_start..sim_end {cfg.sim_start}..{cfg.sim_end}"
+            f"the market data covers {start}..{end}, not sim_start..sim_end {cfg.sim_start}..{cfg.sim_end}"
         )
     window = days(cfg.sim_start, cfg.sim_end)
-    first = (cfg.sim_start - market.start).days
-    records = market.records[first : first + len(window)]
+    first = (cfg.sim_start - start).days
+    records = market[first : first + len(window)]
     needed = {_split_case(case)[0] for case in cfg.cases}
     prices = {"actual": [r.price_usd for r in records]} if "actual" in needed else {}
     models = [name for name in ("forest", "lstm") if name in needed]

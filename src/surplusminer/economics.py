@@ -68,8 +68,6 @@ def daily_revenue(price_used_usd: float, btc: float) -> float:
         raise ValidationError(f"price must be >= 0, got {price_used_usd!r}")
     if price_used_usd > MAX_PRICE_USD:
         raise ValidationError(f"price must be <= {MAX_PRICE_USD:g}, got {price_used_usd!r}")
-    if btc < 0:
-        raise ValidationError(f"btc must be >= 0, got {btc!r}")
     return price_used_usd * btc
 
 
@@ -83,12 +81,9 @@ def depreciation_cost(
 
     owned x price x months / lifespan, evaluated as an exact rational and
     rounded half-up to cents only at the end. Cents past 28 significant
-    digits raise decimal.Inexact rather than round.
+    digits raise decimal.Inexact rather than round. MinerSpec checks the
+    price and lifespan (> 0); owned units and months are counts.
     """
-    if lifespan_months <= 0:
-        raise ValidationError(f"lifespan_months must be > 0, got {lifespan_months}")
-    if owned_units < 0 or unit_price_usd < 0 or months_operated < 0:
-        raise ValidationError("owned_units, unit_price_usd, months_operated must be >= 0")
     value = (
         Fraction(owned_units)
         * Fraction(Decimal(str(unit_price_usd)))
@@ -140,9 +135,7 @@ class SimulationReport:
 
 
 def months_spanned(start: date, end: date) -> int:
-    """Distinct calendar months touched by [start, end]."""
-    if end < start:
-        raise ValidationError("end before start")
+    """Distinct calendar months touched by [start, end], start <= end."""
     return (end.year - start.year) * 12 + (end.month - start.month) + 1
 
 

@@ -100,8 +100,6 @@ def tree_rng(seed: int, b: int) -> np.random.Generator:
 
 def bootstrap_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     """n row indices drawn uniformly with replacement."""
-    if n < 1:
-        raise ValidationError(f"cannot bootstrap from {n} rows")
     return rng.integers(0, n, size=n)
 
 
@@ -234,8 +232,6 @@ def grow_trees(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
-    if not sizes.all():
-        raise DataInsufficientError("cannot grow a tree from zero rows")
     p = X.shape[1]
     m = params.resolved_m_try(p)
     min_split = 2 * params.min_samples_leaf

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DataInsufficientError, ValidationError
-from .ingest import MarketSeries, write_output_csv
+from .errors import DataInsufficientError
+from .ingest import MarketRecord, write_output_csv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,12 +86,9 @@ def feature_values(prices: Sequence[float]) -> tuple[float, ...]:
 
     Only the last FEATURE_WINDOW prices are read: the mean, weighted mean and
     %K over the 14 ending on t, RSI over the 14 changes ending on t, and %D
-    as the mean of the %K of days t-2, t-1 and t.
+    as the mean of the %K of days t-2, t-1 and t. build_features passes
+    exactly FEATURE_WINDOW prices.
     """
-    if len(prices) < FEATURE_WINDOW:
-        raise DataInsufficientError(
-            f"need {FEATURE_WINDOW} prices for one day's features, got {len(prices)}"
-        )
     p = prices[-FEATURE_WINDOW:]
     window = p[-BASE_WINDOW:]
     k_pct = [stoch_k(p[i : i + BASE_WINDOW]) for i in range(D_WINDOW)]
@@ -128,14 +125,10 @@ class FeatureRow:
 
 @dataclass
 class FeatureMatrix:
-    """Feature rows in date order, one per day with full indicator history."""
+    """Feature rows in date order, one per day with full indicator history:
+    build_features makes them so, and slice_dates keeps the order."""
 
     rows: list[FeatureRow]
-
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.rows, self.rows[1:]):
-            if cur.day <= prev.day:
-                raise ValidationError(f"feature rows out of order at {cur.day.isoformat()}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -163,15 +156,17 @@ class FeatureMatrix:
         return FeatureMatrix([r for r in self.rows if start <= r.day <= end])
 
 
-def build_features(series: MarketSeries) -> FeatureMatrix:
-    """Assemble the feature matrix from a cleaned (gap-free) market series.
+def build_features(records: list[MarketRecord]) -> FeatureMatrix:
+    """Assemble the feature matrix from gap-filled market records, one per
+    day in date order, as fill_gaps returns them.
 
     One row per day from the 17th (0-based index FEATURE_WINDOW, a day later
     than the first full window) to the next-to-last; the final day is dropped
-    because it has no next-day target.
+    because it has no next-day target. Fewer than FEATURE_WINDOW + 2 records
+    is a DataInsufficientError.
     """
-    prices = series.prices()
-    dates = series.dates()
+    prices = [r.price_usd for r in records]
+    dates = [r.day for r in records]
     if len(prices) < FEATURE_WINDOW + 2:
         raise DataInsufficientError(
             f"need at least {FEATURE_WINDOW + 2} days for one feature row, got {len(prices)}"

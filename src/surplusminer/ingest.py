@@ -3,11 +3,14 @@
 Two inputs drive every run: a daily Bitcoin market file (closing price and
 network hash rate) and a monthly surplus-electricity file from the utility.
 Both arrive as CSV. This module parses them into typed records and rejects rows
-that violate the documented invariants (with file/line context). fill_gaps
-owns the market window: it cuts the series to it, fills and counts its missing
-days. days walks the calendar. The module also owns the format of every file
-the package writes (output_file) and the checked, typed reading of the JSON
-files it reads back (read_json_object, json_value, json_array, json_fields).
+that violate the documented invariants (with file/line context); each value is
+checked here, where it enters, and not again downstream. The market is a list
+of MarketRecord in strictly increasing date order. fill_gaps owns the market
+window: it cuts the records to it, fills and counts its missing days, and
+returns one record per day. days walks the calendar. The module also owns the
+format of every file the package writes (output_file) and the checked, typed
+reading of the JSON files it reads back (read_json_object, json_value,
+json_array, json_fields).
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ MAX_PRICE_USD = 1e12
 MAX_SURPLUS_KWH = 1e12
 MAX_HOUSEHOLDS = 10**9
 
-_MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+_MONTH_RE = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -69,41 +72,6 @@ class MarketRecord:
                 f"network_hashrate_ths must be finite and > 0, "
                 f"got {self.network_hashrate_ths!r}"
             )
-
-
-@dataclass
-class MarketSeries:
-    """Daily market records in strictly increasing date order."""
-
-    records: list[MarketRecord]
-
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.day <= prev.day:
-                raise ValidationError(
-                    f"records out of order or duplicated at {cur.day.isoformat()}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def start(self) -> date:
-        if not self.records:
-            raise DataInsufficientError("empty market series has no start date")
-        return self.records[0].day
-
-    @property
-    def end(self) -> date:
-        if not self.records:
-            raise DataInsufficientError("empty market series has no end date")
-        return self.records[-1].day
-
-    def prices(self) -> list[float]:
-        return [r.price_usd for r in self.records]
-
-    def dates(self) -> list[date]:
-        return [r.day for r in self.records]
 
 
 def _data_rows(path: str | Path, columns: tuple[str, ...], parse, key=None):
@@ -196,8 +164,9 @@ def _market_record(row: list[str]) -> MarketRecord:
     return MarketRecord(_parse_date(day), _parse_float(price, "price_usd"), _parse_float(rate, "network_hashrate_ths"))
 
 
-def parse_market_csv(path: str | Path) -> MarketSeries:
-    """Parse the daily market CSV (date,price_usd,network_hashrate_ths).
+def parse_market_csv(path: str | Path) -> list[MarketRecord]:
+    """Parse the daily market CSV (date,price_usd,network_hashrate_ths) into
+    its records in strictly increasing date order.
 
     Rows may appear in any order and are sorted by date. Duplicate dates,
     malformed rows, and invalid values are hard errors naming the offending
@@ -205,8 +174,7 @@ def parse_market_csv(path: str | Path) -> MarketSeries:
     """
     path = Path(path)
     rows = _data_rows(path, MARKET_COLUMNS, _market_record, key=lambda rec: ("date", rec.day))
-    records = sorted((rec for _, rec in rows), key=lambda r: r.day)
-    return MarketSeries(records)
+    return sorted((rec for _, rec in rows), key=lambda r: r.day)
 
 
 @contextmanager
@@ -332,12 +300,12 @@ def write_output_csv(path: str | Path, columns, rows, header_comment: str | None
         writer.writerows(rows)
 
 
-def write_market_csv(series: MarketSeries, path: str | Path, header_comment: str | None = None) -> None:
-    """Serialize a market series back to CSV."""
+def write_market_csv(records: list[MarketRecord], path: str | Path, header_comment: str | None = None) -> None:
+    """Serialize market records back to CSV."""
     write_output_csv(
         path,
         MARKET_COLUMNS,
-        ((r.day, r.price_usd, r.network_hashrate_ths) for r in series.records),
+        ((r.day, r.price_usd, r.network_hashrate_ths) for r in records),
         header_comment,
     )
 
@@ -347,13 +315,15 @@ def days(start: date, end: date) -> list[date]:
     return [date.fromordinal(n) for n in range(start.toordinal(), end.toordinal() + 1)]
 
 
-def fill_gaps(series: MarketSeries, start: date, end: date) -> tuple[MarketSeries, int]:
+def fill_gaps(records: list[MarketRecord], start: date, end: date) -> tuple[list[MarketRecord], int]:
     """The market window start..end with no day missing, and the number of
-    days filled (logged). Records after end are dropped, and the window ends
+    days filled (logged). `records` are in strictly increasing date order, as
+    parse_market_csv returns them; the window comes back as one record per
+    day, in date order. Records after end are dropped, and the window ends
     on the last one before. A missing day takes the day before's record, so a
     gap on start takes the last record before it. Fewer than 2 records in the
     window, or none on or before start, is a DataInsufficientError."""
-    kept = [r for r in series.records if r.day <= end]
+    kept = [r for r in records if r.day <= end]
     inside = sum(r.day >= start for r in kept)
     if inside < 2:
         raise DataInsufficientError(f"market data covers {inside} days of {start}..{end}")
@@ -370,7 +340,7 @@ def fill_gaps(series: MarketSeries, start: date, end: date) -> tuple[MarketSerie
         if rec is None:  # never on the first day, so out[-1] is the day before
             rec = MarketRecord(day, out[-1].price_usd, out[-1].network_hashrate_ths)
         out.append(rec)
-    filled = MarketSeries(out[(start - first).days :])
+    filled = out[(start - first).days :]
     carried = len(filled) - inside
     if carried:
         logger.info("fill_gaps: carried previous day forward into %d missing days", carried)
@@ -387,7 +357,7 @@ class SurplusRecord:
     surplus_kwh: float
 
     def __post_init__(self) -> None:
-        if not _MONTH_RE.match(self.month):
+        if not _MONTH_RE.fullmatch(self.month):
             raise ValidationError(f"invalid month {self.month!r}, expected YYYY-MM")
         if not 0 <= self.households <= MAX_HOUSEHOLDS:
             raise ValidationError(f"households must be in [0, {MAX_HOUSEHOLDS:g}], got {self.households}")
@@ -451,8 +421,6 @@ def monthly_totals(records: list[SurplusRecord]) -> list[MonthlySurplusTotal]:
 
 
 def days_in_month(month: str) -> int:
-    """Calendar days in a YYYY-MM month (leap-aware)."""
-    if not _MONTH_RE.match(month):
-        raise ValidationError(f"invalid month {month!r}, expected YYYY-MM")
+    """Calendar days in a YYYY-MM month (leap-aware), such as a SurplusRecord's."""
     year, mon = int(month[:4]), int(month[5:7])
     return calendar.monthrange(year, mon)[1]

@@ -86,8 +86,6 @@ PARAM_NAMES = tuple(name for name, _ in LstmWeights.zeros(1, 1).items())
 
 def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
     """Uniform init on [-1/sqrt(h), 1/sqrt(h)], drawn in a fixed parameter order."""
-    if input_dim < 1 or hidden_size < 1:
-        raise ValidationError("input_dim and hidden_size must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC311)))
     k = 1.0 / np.sqrt(hidden_size)
     w = LstmWeights.zeros(input_dim, hidden_size)
@@ -172,10 +170,7 @@ def bptt_gradients(
     """
     caches: list = []
     preds = _forward(windows, w, caches)
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != preds.shape:
-        raise ValidationError(f"targets shape {targets.shape} does not match batch {preds.shape[0]}")
-    err = preds - targets
+    err = preds - np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(err)):
         bad = int(np.argmax(~np.isfinite(err)))
         raise ValidationError(f"non-finite loss at window {bad}")
@@ -217,11 +212,9 @@ def bptt_gradients(
 
 def clip_gradients(grads: LstmWeights, max_norm: float) -> tuple[LstmWeights, float]:
     """Scale all gradients in place by max_norm/norm when the global norm
-    exceeds it; returns (grads, norm). The squares are summed one parameter
-    at a time, in items() order: a sum over a whole gate stack would round
-    differently."""
-    if max_norm <= 0:
-        raise ValidationError(f"max_norm must be > 0, got {max_norm}")
+    exceeds it; returns (grads, norm). max_norm > 0 is TrainConfig.clip_norm's
+    check. The squares are summed one parameter at a time, in items() order:
+    a sum over a whole gate stack would round differently."""
     total = 0.0
     for _, g in grads.items():
         total += float(np.sum(g * g))
@@ -250,8 +243,6 @@ class MinMaxScaler:
     @classmethod
     def fit(cls, values: np.ndarray) -> "MinMaxScaler":
         values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValidationError("scaler needs a non-empty (n, d) matrix")
         return cls(values.min(axis=0), values.max(axis=0))
 
     @property

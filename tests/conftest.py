@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surplusminer.ingest import MarketRecord, MarketSeries
+from surplusminer.ingest import MarketRecord
 
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))  # makes `oracles` importable from any cwd
@@ -18,13 +18,9 @@ DATA_DIR = TESTS_DIR / "data"
 FIXTURE_CONFIG = DATA_DIR / "fixture_config.json"
 
 
-def make_series(prices, start=date(2022, 1, 1), hashrate=3.0e8) -> MarketSeries:
-    """Daily market series from a plain price list, constant network hash rate."""
-    records = tuple(
-        MarketRecord(start + timedelta(days=i), float(p), hashrate)
-        for i, p in enumerate(prices)
-    )
-    return MarketSeries(records)
+def make_series(prices, start=date(2022, 1, 1), hashrate=3.0e8) -> list[MarketRecord]:
+    """Daily market records from a plain price list, constant network hash rate."""
+    return [MarketRecord(start + timedelta(days=i), float(p), hashrate) for i, p in enumerate(prices)]
 
 
 def decode_nodes(doc):

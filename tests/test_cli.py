@@ -6,6 +6,7 @@ import json
 import logging
 import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
 from surplusminer.errors import ValidationError
 from surplusminer.indicators import FeatureMatrix, build_features
-from surplusminer.ingest import MarketSeries
+from surplusminer.ingest import MarketRecord
 
 from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes, fails_after, killing_sampler
 
@@ -58,7 +59,7 @@ def sha256(path: Path) -> str:
 LOADERS = {"forest": forest.load_forest, "lstm": lstm.load_lstm}
 
 
-def model_prices(name: str, model, market: MarketSeries) -> dict:
+def model_prices(name: str, model, market: list[MarketRecord]) -> dict:
     """Model `name`'s price for each fixture test day from the features of
     `market`, keyed by day: predict_matrix on the rows dated test_start-1..
     test_end-1, or predict_series on those rows and the window history before
@@ -70,12 +71,12 @@ def model_prices(name: str, model, market: MarketSeries) -> dict:
     return dict(zip((row.target_day for row in last.rows), prices.tolist(), strict=True))
 
 
-def reloaded_forecasts(out: Path, market: MarketSeries) -> dict[str, dict]:
+def reloaded_forecasts(out: Path, market: list[MarketRecord]) -> dict[str, dict]:
     """Both models' prices per test day, from the model files in `out` reloaded."""
     return {name: model_prices(name, load(out / f"{name}_model.json"), market) for name, load in LOADERS.items()}
 
 
-def fixture_market() -> MarketSeries:
+def fixture_market() -> list[MarketRecord]:
     return cli._load_clean_market(cli.load_config(FIXTURE_CONFIG))[0]
 
 
@@ -163,9 +164,7 @@ class TestCausalForecasts:
         market = fixture_market()
         d = cfg.sim_start + timedelta(days=data.draw(st.integers(0, (cfg.sim_end - cfg.sim_start).days)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        perturbed = MarketSeries(
-            [replace(r, price_usd=r.price_usd * rng.uniform(0.5, 2.0)) if r.day >= d else r for r in market.records]
-        )
+        perturbed = [replace(r, price_usd=r.price_usd * rng.uniform(0.5, 2.0)) if r.day >= d else r for r in market]
         before = reloaded_forecasts(pipeline_out, market)
         after = reloaded_forecasts(pipeline_out, perturbed)
         for name in ("forest", "lstm"):
@@ -192,6 +191,19 @@ class TestIngest:
         cleaned = (tmp_path / "out" / "market_clean.csv").read_text(encoding="utf-8")
         assert cleaned.count("\n") == 732  # comment + header + 730 days
         assert "2022-03-10" in cleaned
+
+    def test_shuffled_market_rows_write_the_same_bytes(self, pipeline_out, tmp_path):
+        """parse_market_csv alone puts the market in date order: nothing after
+        it checks the order again."""
+        header, *rows = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(7).shuffle(rows)
+        assert rows != sorted(rows)
+        (tmp_path / "market.csv").write_text(header + "".join(rows), encoding="utf-8")
+        cfg = write_config(tmp_path)
+        for cmd in ("ingest", "features"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        for name in ("market_clean.csv", "features.csv", "ingest_summary.txt"):
+            assert (tmp_path / "out" / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
     def test_corrupt_row_exits_2_naming_the_line(self, tmp_path, caplog):
         lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines()
@@ -452,8 +464,16 @@ class TestConfigValidation:
             ("miner", {"hashrate_ths": -1}, "hashrate_ths must be > 0, got -1.0"),
             # a check across keys, naming none of them
             ("miner", {"efficiency_j_per_th": 20}, "efficiency 20.0 J/TH inconsistent with power/hashrate = 12.00 J/TH"),
+            # the one check of each: no library function tests these again
+            ("lstm", {"clip_norm": 0}, "clip_norm must be > 0, got 0.0"),
+            ("lstm", {"hidden_size": 0}, "hidden_size must be >= 1, got 0"),
+            ("miner", {"lifespan_months": 0}, "lifespan_months must be > 0, got 0"),
+            ("miner", {"unit_price_usd": 0}, "unit_price_usd must be > 0, got 0.0"),
         ],
-        ids=["forest", "lstm", "miner", "miner-efficiency"],
+        ids=[
+            "forest", "lstm", "miner", "miner-efficiency",
+            "lstm-clip_norm", "lstm-hidden_size", "miner-lifespan_months", "miner-unit_price_usd",
+        ],
     )
     def test_bad_section_value_exits_2_naming_the_section(self, tmp_path, caplog, section, values, message):
         cfg = write_config(tmp_path, **{section: values})
@@ -503,7 +523,11 @@ class TestConfigValidation:
         assert miner["name"] == "x"
         assert miner["hashrate_ths"] == 473.0 and miner["lifespan_months"] == 90
 
-    @pytest.mark.parametrize("months", [["foo", "bar"], ["2023-12", "2021-01"]], ids=["not-months", "reversed"])
+    @pytest.mark.parametrize(
+        "months",
+        [["foo", "bar"], ["2023-12", "2021-01"], ["2021-01", "\u0662\u0660\u0662\u0663-12"]],
+        ids=["not-months", "reversed", "non-ascii-digits"],
+    )
     def test_bad_surplus_months_exit_2_naming_the_key(self, tmp_path, caplog, months):
         cfg = write_config(tmp_path, surplus_months=months)
         with caplog.at_level(logging.ERROR):

@@ -93,10 +93,6 @@ class TestDepreciation:
     def test_zero_months(self):
         assert depreciation_cost(100, 10_165.0, 0, 90) == Decimal("0.00")
 
-    def test_zero_lifespan_rejected(self):
-        with pytest.raises(ValidationError):
-            depreciation_cost(1, 100.0, 12, 0)
-
     def test_exact_rational_no_float_drift(self):
         # 1/3 of a cent boundary: 1 unit, $0.01, 1 of 3 months = 0.00333...
         assert depreciation_cost(1, 0.01, 1, 3) == Decimal("0.00")
@@ -169,7 +165,7 @@ def run_on(plan, series, sim_start, sim_end, prices=None, source="actual", block
     market `series`: the plan mined under its network hash rate, then priced
     by run_case at `prices`, by default its prices. The case's summed revenue
     and its ledger rows."""
-    records = [r for r in series.records if sim_start <= r.day <= sim_end]
+    records = [r for r in series if sim_start <= r.day <= sim_end]
     if prices is None:
         prices = [r.price_usd for r in records]
     network = [r.network_hashrate_ths for r in records]
@@ -224,7 +220,7 @@ class TestRunCase:
         lower = make_series([20000.0] * 59, start=sim_start, hashrate=4.0e8)
         r_hi, r_lo = (
             case_report(
-                run_on(plans[0], series, sim_start, sim_end, prices=s.prices()),
+                run_on(plans[0], series, sim_start, sim_end, prices=[r.price_usd for r in s]),
                 plans[0], sim_start, sim_end,
             )
             for s in (series, lower)
@@ -234,7 +230,7 @@ class TestRunCase:
     @pytest.mark.parametrize("short", ["prices", "network"])
     def test_column_shorter_than_the_window_rejected(self, short):
         series, plans, sim_start, sim_end = simple_setup()
-        columns = {"prices": series.prices(), "network": [r.network_hashrate_ths for r in series.records]}
+        columns = {"prices": [r.price_usd for r in series], "network": [r.network_hashrate_ths for r in series]}
         columns[short] = columns[short][:-1]
         with pytest.raises(ValueError, match="shorter"):
             mining = mine_scenario(plans[0], days(sim_start, sim_end), columns["network"], MINER, 144)

@@ -29,7 +29,7 @@ from surplusminer.forest import (
     save_forest,
     tree_rng,
 )
-from surplusminer.indicators import build_features
+from surplusminer.indicators import FeatureMatrix, build_features
 from surplusminer.ingest import parse_market_csv
 
 from conftest import DATA_DIR, decode_nodes, encode_nodes, fails_after, killing_sampler, make_series
@@ -280,9 +280,11 @@ class TestBootstrap:
             fractions.append(len(np.unique(idx)) / n)
         assert np.mean(fractions) == pytest.approx(1.0 - 1.0 / math.e, abs=0.02)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            bootstrap_sample(0, tree_rng(0, 0))
+    def test_an_empty_matrix_is_refused_before_any_draw(self):
+        """fit_forest's check is the one that keeps a zero-row bootstrap, and
+        a tree grown from zero rows, from ever being asked for."""
+        with pytest.raises(DataInsufficientError, match="^cannot fit a forest on an empty feature matrix$"):
+            fit_forest(FeatureMatrix([]), ForestParams())
 
 
 class TestDeterminism:
@@ -425,11 +427,6 @@ class TestLockstep:
         assert len(together) == len(kinds)
         for tree, sample, alone_rng in zip(together, samples, streams()):
             assert_same_arrays(tree, grow_tree(X[sample], y[sample], params, alone_rng))
-
-    def test_zero_row_sample_rejected(self):
-        X, y = np.ones((3, 1)), np.arange(3.0)
-        with pytest.raises(DataInsufficientError):
-            grow_trees(X, y, ForestParams(), [np.arange(3), np.arange(0)], [tree_rng(0, 0), tree_rng(0, 1)])
 
 
 def logging_identity(log):

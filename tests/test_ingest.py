@@ -22,7 +22,6 @@ from surplusminer.fleet import MonthlyFleet, ScenarioPlan
 from surplusminer.ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketRecord,
-    MarketSeries,
     MonthlySurplusTotal,
     SurplusRecord,
     days,
@@ -60,13 +59,13 @@ class TestMarketParsing:
         )
         series = parse_market_csv(p)
         assert len(series) == 2
-        assert series.start == date(2023, 1, 1)
-        assert series.records[1].price_usd == 16688.47
+        assert series[0].day == date(2023, 1, 1)
+        assert series[1].price_usd == 16688.47
 
         out = tmp_path / "round.csv"
         write_market_csv(series, out)
         again = parse_market_csv(out)
-        assert again.records == series.records
+        assert again == series
 
     def test_unsorted_input_is_sorted(self, tmp_path):
         p = write(
@@ -75,7 +74,7 @@ class TestMarketParsing:
             MARKET_HEADER + "2023-01-02,2.0,1.0\n2023-01-01,1.0,1.0\n",
         )
         series = parse_market_csv(p)
-        assert [r.day for r in series.records] == [date(2023, 1, 1), date(2023, 1, 2)]
+        assert [r.day for r in series] == [date(2023, 1, 1), date(2023, 1, 2)]
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         p = write(
@@ -129,73 +128,65 @@ class TestDays:
 
 class TestFillGaps:
     def test_carries_previous_day_forward(self, caplog):
-        gappy = MarketSeries(
-            (
-                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
-                MarketRecord(date(2023, 1, 4), 40.0, 400.0),
-            )
-        )
+        gappy = [
+            MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+            MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+        ]
         with caplog.at_level(logging.INFO):
-            filled, carried = fill_gaps(gappy, gappy.start, gappy.end)
+            filled, carried = fill_gaps(gappy, date(2023, 1, 1), date(2023, 1, 4))
         assert len(filled) == 4
         assert carried == 2
-        assert filled.records[1] == MarketRecord(date(2023, 1, 2), 10.0, 100.0)
-        assert filled.records[2] == MarketRecord(date(2023, 1, 3), 10.0, 100.0)
-        assert len(filled) == (filled.end - filled.start).days + 1
+        assert filled[1] == MarketRecord(date(2023, 1, 2), 10.0, 100.0)
+        assert filled[2] == MarketRecord(date(2023, 1, 3), 10.0, 100.0)
+        assert [r.day for r in filled] == days(date(2023, 1, 1), date(2023, 1, 4))
         assert caplog.messages == ["fill_gaps: carried previous day forward into 2 missing days"]
 
     def test_keeps_only_the_window(self):
         series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
         filled, carried = fill_gaps(series, date(2023, 1, 2), date(2023, 1, 4))
-        assert filled.prices() == [2.0, 3.0, 4.0]
+        assert [r.price_usd for r in filled] == [2.0, 3.0, 4.0]
         assert carried == 0
 
     def test_drops_a_record_after_end(self):
-        gappy = MarketSeries(
-            (
-                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
-                MarketRecord(date(2023, 1, 2), 20.0, 200.0),
-                MarketRecord(date(2023, 1, 9), 90.0, 900.0),
-            )
-        )
+        gappy = [
+            MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+            MarketRecord(date(2023, 1, 2), 20.0, 200.0),
+            MarketRecord(date(2023, 1, 9), 90.0, 900.0),
+        ]
         filled, carried = fill_gaps(gappy, date(2023, 1, 1), date(2023, 1, 5))
-        assert filled.dates() == [date(2023, 1, 1), date(2023, 1, 2)]
+        assert [r.day for r in filled] == [date(2023, 1, 1), date(2023, 1, 2)]
         assert carried == 0
 
     def test_gap_before_start_is_not_counted(self):
-        gappy = MarketSeries(
-            (
-                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
-                MarketRecord(date(2023, 1, 4), 40.0, 400.0),
-                MarketRecord(date(2023, 1, 5), 50.0, 500.0),
-            )
-        )
+        gappy = [
+            MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+            MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+            MarketRecord(date(2023, 1, 5), 50.0, 500.0),
+        ]
         filled, carried = fill_gaps(gappy, date(2023, 1, 4), date(2023, 1, 5))
-        assert filled.prices() == [40.0, 50.0]
+        assert [r.price_usd for r in filled] == [40.0, 50.0]
         assert carried == 0
 
     def test_requested_start_before_data_raises(self):
         series = make_series([1, 2, 3], start=date(2023, 1, 10))
         with pytest.raises(DataInsufficientError, match="gap at series start"):
-            fill_gaps(series, date(2023, 1, 1), series.end)
+            fill_gaps(series, date(2023, 1, 1), date(2023, 1, 12))
 
     def test_gap_at_a_later_start_takes_the_record_before(self):
-        gappy = MarketSeries(
-            (
-                MarketRecord(date(2023, 1, 1), 10.0, 100.0),
-                MarketRecord(date(2023, 1, 4), 40.0, 400.0),
-                MarketRecord(date(2023, 1, 5), 50.0, 500.0),
-            )
-        )
-        filled, carried = fill_gaps(gappy, date(2023, 1, 3), gappy.end)
-        assert filled.dates() == [date(2023, 1, 3), date(2023, 1, 4), date(2023, 1, 5)]
-        assert filled.records[0].price_usd == 10.0
+        gappy = [
+            MarketRecord(date(2023, 1, 1), 10.0, 100.0),
+            MarketRecord(date(2023, 1, 4), 40.0, 400.0),
+            MarketRecord(date(2023, 1, 5), 50.0, 500.0),
+        ]
+        filled, carried = fill_gaps(gappy, date(2023, 1, 3), date(2023, 1, 5))
+        assert [r.day for r in filled] == [date(2023, 1, 3), date(2023, 1, 4), date(2023, 1, 5)]
+        assert filled[0].price_usd == 10.0
         assert carried == 1
 
     def test_too_short_raises(self):
         series = make_series([1])
         with pytest.raises(DataInsufficientError, match="covers 1 days"):
-            fill_gaps(series, series.start, series.end)
+            fill_gaps(series, series[0].day, series[0].day)
 
     def test_one_record_inside_the_window_raises(self):
         series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
@@ -255,6 +246,19 @@ class TestSurplus:
             SurplusRecord("x", "2021-1", 1, 1.0)
         ok = SurplusRecord("x", "2021-01", 1, 1.0)
         assert ok.month == "2021-01"
+
+    @pytest.mark.parametrize("month", ["\u0662\u0660\u0662\u0661-05", "2021-05\n"], ids=["non-ascii-digits", "newline"])
+    def test_record_month_is_ascii_yyyy_mm_and_nothing_more(self, month):
+        with pytest.raises(ValidationError) as exc:
+            SurplusRecord("x", month, 1, 1.0)
+        assert str(exc.value) == f"invalid month {month!r}, expected YYYY-MM"
+
+    def test_a_month_of_non_ascii_digits_is_not_a_month(self, tmp_path):
+        """An invalid month, not a month outside the allowed range."""
+        p = write(tmp_path, "s.csv", SURPLUS_HEADER + "coastal,\u0662\u0660\u0662\u0661-05,1200,5606128.5\n")
+        with pytest.raises(ValidationError) as exc:
+            parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS)
+        assert str(exc.value) == f"{p}:2: invalid month '\u0662\u0660\u0662\u0661-05', expected YYYY-MM"
 
     def test_zero_households_with_energy_warns_naming_the_line(self, tmp_path, caplog):
         p = write(tmp_path, "s.csv", SURPLUS_HEADER + "north,2021-01,10,5.0\nsouth,2021-01,0,7.5\n")

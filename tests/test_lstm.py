@@ -149,11 +149,6 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match=r"windows must be \(batch, steps, 2\), got \(2, 4, 3\)"):
             bptt_gradients(np.zeros((2, 4, 3)), np.zeros(2), w)
 
-    def test_targets_must_match_the_batch(self):
-        w = init_weights(2, 3, seed=1)
-        with pytest.raises(ValidationError, match="does not match batch 2"):
-            bptt_gradients(np.zeros((2, 4, 2)), np.zeros(3), w)
-
 
 class TestClipping:
     def test_large_gradients_scaled_to_norm(self):

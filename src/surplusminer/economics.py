@@ -237,7 +237,7 @@ def run_case(source: str, mining: ScenarioMining, prices: list[float]) -> tuple[
     return total, lines
 
 
-def write_ledger_csv(lines: list[str], path, header_comment: str | None = None) -> None:
+def write_ledger_csv(lines: list[str], path, header_comment: str) -> None:
     """The ledger: LEDGER_COLUMNS, then `lines` (run_case's), in the order given."""
     with output_file(path, header_comment) as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")

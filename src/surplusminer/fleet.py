@@ -132,6 +132,6 @@ def block_reward(day: date) -> float:
     return reward
 
 
-def write_fleet_csv(plans: list[ScenarioPlan], path, header_comment: str | None = None) -> None:
+def write_fleet_csv(plans: list[ScenarioPlan], path, header_comment: str) -> None:
     """Write every plan's MonthlyFleet rows, plan by plan."""
     write_output_csv(path, MonthlyFleet._fields, (mf for plan in plans for mf in plan.monthly), header_comment)

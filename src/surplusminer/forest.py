@@ -5,7 +5,8 @@ exhaustive SSE-optimal splits at midpoints between consecutive distinct
 feature values, and mean-of-trees prediction. Every random draw comes from a
 per-tree substream derived by hashing (seed, tree index), so a fit is a pure
 function of (data, params) wherever the trees grow: `train` grows them in
-a forked worker while the LSTM fits.
+a forked worker while the LSTM fits. Tests swap the bootstrap draw by
+patching `bootstrap_sample`, which the forked worker inherits.
 
 A fit's trees grow together, one depth level at a time, as in SLIQ (Mehta,
 Agrawal and Rissanen, EDBT 1996) and SPRINT (Shafer et al., VLDB 1996),
@@ -310,29 +311,10 @@ def grow_tree(
     return grow_trees(X, y, params, [np.arange(len(y))], [rng])[0]
 
 
-# a string, so that importing this module does not load numpy.random
-Sampler = Callable[[int, "np.random.Generator"], "np.ndarray"]
-
-# (X, y, params, sampler) of the fit the forked worker serves; set once in
-# the worker by _start_worker, never in the parent.
-_worker_job: tuple | None = None
-
-
-def _grow_bagged_trees(job: tuple) -> list[Tree]:
-    """Every tree of a fit, grown together: tree b's bootstrap draw and its
-    splits come from stream (seed, b)."""
-    X, y, params, sampler = job
+def _grow_bagged_trees(X: np.ndarray, y: np.ndarray, params: ForestParams) -> list[Tree]:
+    """Every tree of a fit, grown together: tree b's draw and splits come from stream (seed, b)."""
     rngs = [tree_rng(params.seed, b) for b in range(params.n_trees)]
-    return grow_trees(X, y, params, [np.asarray(sampler(len(y), rng)) for rng in rngs], rngs)
-
-
-def _start_worker(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _grow_in_worker() -> list[Tree]:
-    return _grow_bagged_trees(_worker_job)
+    return grow_trees(X, y, params, [bootstrap_sample(len(y), rng) for rng in rngs], rngs)
 
 
 def _available_cpus() -> int:
@@ -345,12 +327,12 @@ def _available_cpus() -> int:
 def fit_forest(
     features: FeatureMatrix,
     params: ForestParams,
-    sampler: Sampler | None = None,
     meanwhile: Callable[[], object] | None = None,
 ) -> ForestModel:
     """Fit B trees on bootstrap resamples of the feature matrix, all grown
     together (`grow_trees`). Tree b depends only on stream (seed, b), so the
-    model is the same in any process.
+    model is the same in any process. Every draw is `bootstrap_sample`'s: a
+    test swaps it by patching that function, which the forked worker inherits.
 
     Given `meanwhile` and two CPUs or more, one forked worker grows the trees
     while `meanwhile` runs in this process, once the worker is forked.
@@ -362,18 +344,14 @@ def fit_forest(
 
     Otherwise (no `meanwhile`, one CPU, which a worker could only share, or
     no os.fork) the trees grow in this process, and then `meanwhile` runs.
-
-    `sampler` is a test hook replacing the bootstrap draw (e.g. identity
-    indices); it receives (n, rng) and must return row indices.
     """
     X = features.feature_array()
     y = features.target_array()
     if len(y) == 0:
         raise DataInsufficientError("cannot fit a forest on an empty feature matrix")
     params.resolved_m_try(X.shape[1])  # reject a bad m_try before the worker starts
-    job = (X, y, params, sampler if sampler is not None else bootstrap_sample)
     if meanwhile is None or _available_cpus() < 2 or not hasattr(os, "fork"):
-        trees = _grow_bagged_trees(job)
+        trees = _grow_bagged_trees(X, y, params)
         if meanwhile is not None:
             meanwhile()
     else:
@@ -382,12 +360,10 @@ def fit_forest(
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # fork, not spawn: the worker inherits X, y and the sampler (which may
-        # be a closure) without pickling, and starts in milliseconds instead of
-        # re-importing numpy, which costs about as much as a small fit
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(1, mp_context=fork, initializer=_start_worker, initargs=(job,)) as worker:
-            grown = worker.submit(_grow_in_worker)
+        # fork, not spawn: the worker inherits this module, a test's patch included, and
+        # starts in milliseconds instead of re-importing numpy (as costly as a small fit)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as worker:
+            grown = worker.submit(_grow_bagged_trees, X, y, params)
             meanwhile()
             try:
                 trees = grown.result()

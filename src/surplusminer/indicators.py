@@ -182,7 +182,7 @@ def build_features(records: list[MarketRecord]) -> FeatureMatrix:
     ])
 
 
-def write_features_csv(matrix: FeatureMatrix, path, header_comment: str | None = None) -> None:
+def write_features_csv(matrix: FeatureMatrix, path, header_comment: str) -> None:
     """Export the feature matrix: date, the FEATURE_NAMES columns, target."""
     write_output_csv(
         path,

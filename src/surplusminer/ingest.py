@@ -290,7 +290,7 @@ def json_array(doc: dict, key: str, dtype: type, ndim: int = 1) -> np.ndarray:
     return arr.astype(np.int64 if dtype is int else float)
 
 
-def write_output_csv(path: str | Path, columns, rows, header_comment: str | None = None) -> None:
+def write_output_csv(path: str | Path, columns, rows, header_comment: str) -> None:
     """Write an output CSV: the column header, then `rows`, in csv's default
     dialect with LF terminators. Floats are written as their repr, so they
     round-trip exactly; dates in ISO form."""
@@ -300,7 +300,7 @@ def write_output_csv(path: str | Path, columns, rows, header_comment: str | None
         writer.writerows(rows)
 
 
-def write_market_csv(records: list[MarketRecord], path: str | Path, header_comment: str | None = None) -> None:
+def write_market_csv(records: list[MarketRecord], path: str | Path, header_comment: str) -> None:
     """Serialize market records back to CSV."""
     write_output_csv(
         path,

@@ -74,6 +74,6 @@ def evaluate(model: str, split: str, actual: Sequence[float], predicted: Sequenc
     )
 
 
-def write_eval_csv(reports: Sequence[EvalReport], path, header_comment: str | None = None) -> None:
+def write_eval_csv(reports: Sequence[EvalReport], path, header_comment: str) -> None:
     """Write evaluation rows (model,split,n,mae,mse,r2)."""
     write_output_csv(path, EvalReport._fields, reports, header_comment)

@@ -45,9 +45,9 @@ def encode_nodes(doc, trees):
 
 
 def killing_sampler():
-    """A bootstrap sampler that sends SIGKILL (the OOM killer's signal) to any
-    process but the one that made it: a forked forest worker dies mid-fit,
-    and the test runner never does."""
+    """A bootstrap draw, to patch over forest.bootstrap_sample, that sends
+    SIGKILL (the OOM killer's signal) to any process but the one that made
+    it: a forked forest worker dies mid-fit, and the test runner never does."""
     here = os.getpid()
 
     def draw(n, rng):

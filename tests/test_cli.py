@@ -1068,6 +1068,7 @@ def train_by_cpus(tmp_path_factory):
             mp.setattr(cli, "fit_lstm", recording)
             rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(out)])
         assert rc == 0
+        assert multiprocessing.active_children() == []
         files = {name: (out / name).read_bytes() for name in TRAIN_OUTPUTS}
         runs[cpus] = {"files": files, "stdout": stdout.getvalue(), "calls": calls}
     return runs
@@ -1121,6 +1122,24 @@ class TestTrainFits:
             "out of memory: the forest worker died before returning its trees, most likely killed for memory"
         ]
         assert not any(r.exc_info for r in caplog.records)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_forest_worker_keeps_its_exit_code(self, tmp_path, caplog, monkeypatch):
+        """The worker's exception reaches train with its own type, so a
+        ValidationError drawn in the worker exits 2, as it would here."""
+        here = os.getpid()
+
+        def draw(n, rng):
+            if os.getpid() != here:
+                raise ValidationError("drawn in the worker")
+            return np.arange(n)
+
+        monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(forest, "bootstrap_sample", draw)
+        with fails_after(60), caplog.at_level(logging.ERROR):
+            rc = main(["train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert caplog.messages == ["validation error: drawn in the worker"]
         assert multiprocessing.active_children() == []
 
     def test_out_of_memory_exits_4_in_one_line(self, tmp_path, caplog, monkeypatch):
@@ -1196,6 +1215,10 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 MAIN = "import sys; from surplusminer.cli import main; sys.exit(main(sys.argv[1:]))"
 # an interpreter in which any import of numpy fails
 MAIN_WITHOUT_NUMPY = 'import sys; sys.modules["numpy"] = None; ' + MAIN
+# one in which any import of multiprocessing or concurrent (the forest's worker pool) fails
+MAIN_WITHOUT_POOL = 'import sys; sys.modules["multiprocessing"] = sys.modules["concurrent"] = None; ' + MAIN
+# pinned to one CPU, where train grows the trees in its own process
+ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
 ACTUAL_CASES = "actual-1,actual-2"
 
 
@@ -1253,6 +1276,36 @@ class TestStartWithoutNumpy:
         proc = run_fresh(MAIN_WITHOUT_NUMPY, "train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out"))
         assert proc.returncode == 4
         assert "ModuleNotFoundError: import of numpy halted" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestStartWithoutPool:
+    """Only a train that forks its forest worker imports multiprocessing and
+    concurrent.futures (~20-38 ms of a start-up-bound command)."""
+
+    def test_commands_without_a_worker_match_a_normal_run(self, tmp_path):
+        commands = ("ingest", "features", "train", "simulate", "report")
+        runs = {}
+        for name, code in (("plain", MAIN), ("without_pool", MAIN_WITHOUT_POOL)):
+            out = tmp_path / name
+            streams = []
+            for command in commands:
+                pin = ONE_CPU if command == "train" else ""
+                proc = run_fresh(pin + code, command, "--config", str(FIXTURE_CONFIG), "--out", str(out))
+                assert proc.returncode == 0, (name, command, proc.stderr)
+                streams.append((proc.stdout, proc.stderr))
+            runs[name] = (streams, {path.name: path.read_bytes() for path in out.iterdir()})
+        assert runs["without_pool"] == runs["plain"]
+        assert runs["plain"][1]["report.txt"] == (DATA_DIR / "golden_report.txt").read_bytes()
+
+    @pytest.mark.skipif(forest._available_cpus() < 2, reason="needs two CPUs to fork a worker")
+    def test_forking_train_needs_the_pool(self, pipeline_out, tmp_path):
+        """The guard bites: train on two CPUs or more imports the pool, and the import fails."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        proc = run_fresh(MAIN_WITHOUT_POOL, "train", "--config", str(FIXTURE_CONFIG), "--out", str(out))
+        assert proc.returncode == 4
+        assert "ModuleNotFoundError: import of multiprocessing halted" in proc.stderr
 
 
 class TestLayerBindings:

@@ -255,11 +255,11 @@ class TestGrowTree:
         assert tree.value[tree.left[internal[-1]]] == y[0]
         assert [predict_tree(tree, row) for row in X] == y.tolist()
 
-    def test_memorizes_distinct_rows_without_bootstrap(self):
+    def test_memorizes_distinct_rows_without_bootstrap(self, monkeypatch):
         matrix = random_matrix(n_days=50, seed=8)
         params = ForestParams(n_trees=3, m_try=2, seed=1)
-        identity = lambda n, rng: np.arange(n)
-        model = fit_forest(matrix, params, sampler=identity)
+        monkeypatch.setattr(forest, "bootstrap_sample", lambda n, rng: np.arange(n))
+        model = fit_forest(matrix, params)
         preds = predict_matrix(model, matrix)
         assert preds == pytest.approx(matrix.target_array(), rel=1e-12)
 
@@ -430,8 +430,8 @@ class TestLockstep:
 
 
 def logging_identity(log):
-    """A sampler hook that logs the pid of the process drawing each tree and
-    draws the identity."""
+    """A bootstrap draw, to patch over forest.bootstrap_sample, that logs the
+    pid of the process drawing each tree and draws the identity."""
 
     def identity(n, rng):
         with open(log, "a") as fh:
@@ -472,10 +472,10 @@ class TestWorkers:
         log = tmp_path / "pids"
         ran_in = []
         monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(forest, "bootstrap_sample", logging_identity(log))
         fit_forest(
             random_matrix(n_days=50, seed=8),
             ForestParams(n_trees=4, m_try=2, seed=1),
-            sampler=logging_identity(log),
             meanwhile=lambda: ran_in.append(os.getpid()),
         )
         pids = log.read_text().split()
@@ -485,29 +485,29 @@ class TestWorkers:
         assert ran_in == [os.getpid()]
 
     @staticmethod
-    def assert_trees_grown_here_before_meanwhile():
+    def assert_trees_grown_here_before_meanwhile(monkeypatch):
         events = []
 
         def identity(n, rng):
             events.append(("tree", os.getpid()))
             return np.arange(n)
 
+        monkeypatch.setattr(forest, "bootstrap_sample", identity)
         fit_forest(
             random_matrix(n_days=50, seed=8),
             ForestParams(n_trees=3, m_try=2, seed=1),
-            sampler=identity,
             meanwhile=lambda: events.append(("meanwhile", os.getpid())),
         )
         assert events == [("tree", os.getpid())] * 3 + [("meanwhile", os.getpid())]
 
     def test_one_cpu_grows_the_trees_here_before_meanwhile(self, monkeypatch):
         monkeypatch.setattr(forest, "_available_cpus", lambda: 1)
-        self.assert_trees_grown_here_before_meanwhile()
+        self.assert_trees_grown_here_before_meanwhile(monkeypatch)
 
     def test_no_fork_grows_the_trees_here_before_meanwhile(self, monkeypatch):
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        self.assert_trees_grown_here_before_meanwhile()
+        self.assert_trees_grown_here_before_meanwhile(monkeypatch)
 
     def test_without_meanwhile_no_worker_starts(self, monkeypatch):
         monkeypatch.setattr(forest, "_available_cpus", lambda: 5)
@@ -517,18 +517,18 @@ class TestWorkers:
             pids.add(os.getpid())
             return np.arange(n)
 
-        fit_forest(random_matrix(n_days=50, seed=8), ForestParams(n_trees=3, m_try=2, seed=1), sampler=identity)
+        monkeypatch.setattr(forest, "bootstrap_sample", identity)
+        fit_forest(random_matrix(n_days=50, seed=8), ForestParams(n_trees=3, m_try=2, seed=1))
         assert pids == {os.getpid()}
 
     def test_sampler_reaches_the_workers(self, tmp_path, monkeypatch):
-        """The test hook runs in the worker process: it logs its pid, and its
-        identity draw makes the forest memorize the rows."""
+        """A patched bootstrap_sample runs in the worker process: it logs its
+        pid, and its identity draw makes the forest memorize the rows."""
         log = tmp_path / "pids"
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(forest, "bootstrap_sample", logging_identity(log))
         matrix = random_matrix(n_days=50, seed=8)
-        model = fit_forest(
-            matrix, ForestParams(n_trees=3, m_try=2, seed=1), sampler=logging_identity(log), meanwhile=lambda: None
-        )
+        model = fit_forest(matrix, ForestParams(n_trees=3, m_try=2, seed=1), meanwhile=lambda: None)
         pids = log.read_text().split()
         assert len(pids) == 3
         assert str(os.getpid()) not in pids
@@ -538,11 +538,11 @@ class TestWorkers:
         """A worker killed mid-fit fails the fit at once; waiting for the lost
         trees would fail the test when the alarm goes off."""
         monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(forest, "bootstrap_sample", killing_sampler())
         with fails_after(20), pytest.raises(MemoryError, match="forest worker died"):
             fit_forest(
                 random_matrix(n_days=50, seed=8),
                 ForestParams(n_trees=3, m_try=2, seed=1),
-                sampler=killing_sampler(),
                 meanwhile=lambda: None,
             )
 

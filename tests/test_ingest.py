@@ -63,7 +63,7 @@ class TestMarketParsing:
         assert series[1].price_usd == 16688.47
 
         out = tmp_path / "round.csv"
-        write_market_csv(series, out)
+        write_market_csv(series, out, "hdr")
         again = parse_market_csv(out)
         assert again == series
 

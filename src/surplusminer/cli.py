@@ -40,7 +40,7 @@ from .fleet import (
     build_scenarios,
     write_fleet_csv,
 )
-from .indicators import FeatureMatrix, build_features, write_features_csv
+from .indicators import FEATURE_NAMES, FeatureRow, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
     MarketRecord,
@@ -361,15 +361,12 @@ def cmd_ingest(cfg: RunConfig, out: Path) -> None:
 def cmd_features(cfg: RunConfig, out: Path) -> None:
     """Build and export the indicator feature matrix."""
     filled, _ = _load_clean_market(cfg)
-    matrix = build_features(filled)
-    write_features_csv(matrix, out / "features.csv", header_comment=_header(cfg))
-    print(
-        f"features: {len(matrix)} rows, "
-        f"{matrix.rows[0].day.isoformat()}..{matrix.rows[-1].day.isoformat()}"
-    )
+    rows = build_features(filled)
+    write_features_csv(rows, out / "features.csv", header_comment=_header(cfg))
+    print(f"features: {len(rows)} rows, {rows[0].day.isoformat()}..{rows[-1].day.isoformat()}")
 
 
-def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
+def _split_features(cfg: RunConfig, rows: list[FeatureRow]) -> tuple[list[FeatureRow], list[FeatureRow]]:
     """The training rows and the forecast rows, under one rule: the forecast
     for day d comes from the feature row dated d-1, whose target is d's price.
 
@@ -384,16 +381,16 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
         raise ValidationError(f"test_start..test_end is the one day {cfg.test_start}; r2 needs at least 2 test days")
     day = timedelta(days=1)
     T = cfg.lstm.window
-    train = matrix.slice_dates(cfg.train_start, cfg.train_end - day)
-    if len(train) == 0:
+    train = [row for row in rows if cfg.train_start <= row.day <= cfg.train_end - day]
+    if not train:
         raise DataInsufficientError("no feature rows in the training window")
-    if matrix.rows[-1].day < cfg.test_end - day:
+    if rows[-1].day < cfg.test_end - day:
         raise DataInsufficientError(
-            f"the market data ends on {matrix.rows[-1].target_day}, before test_end {cfg.test_end}"
+            f"the market data ends on {rows[-1].target_day}, before test_end {cfg.test_end}"
         )
     # counted in days before test_start, not from the window's first date: a
     # window of a million days would start before the first date there is
-    history = sum(0 < (cfg.test_start - row.day).days <= T for row in matrix.rows)
+    history = sum(0 < (cfg.test_start - row.day).days <= T for row in rows)
     if history < T:
         first = cfg.test_start.toordinal() - T
         needed = f"{date.fromordinal(first)}.." if first >= 1 else f"the {T} days up to "
@@ -401,7 +398,7 @@ def _split_features(cfg: RunConfig, matrix: FeatureMatrix) -> tuple[FeatureMatri
             f"too little history before test_start {cfg.test_start}: the {T}-day window "
             f"needs the feature rows dated {needed}{cfg.test_start - day}, got {history}"
         )
-    return train, matrix.slice_dates(cfg.test_start - T * day, cfg.test_end - day)
+    return train, [row for row in rows if cfg.test_start - T * day <= row.day <= cfg.test_end - day]
 
 
 class Forecast(NamedTuple):
@@ -430,8 +427,7 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     test day to forecasts.csv and evaluate them against the market's."""
     _bind_layers()
     filled, _ = _load_clean_market(cfg)
-    matrix = build_features(filled)
-    train, forecast = _split_features(cfg, matrix)
+    train, forecast = _split_features(cfg, build_features(filled))
 
     # the LSTM trains in this process while the forest's worker grows the trees
     lstm_fit: list = []
@@ -444,13 +440,13 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
     # one row per test day, in order, holding its price as the target: the
     # LSTM reads each window of the forecast rows, the forest these rows
-    rows = FeatureMatrix(forecast.rows[cfg.lstm.window - 1 :])
-    test_days = [row.target_day for row in rows.rows]
+    rows = forecast[cfg.lstm.window - 1 :]
+    test_days = [row.target_day for row in rows]
     predicted = {
         "forest": predict_matrix(forest_model, rows).tolist(),
         "lstm": predict_series(lstm_model, forecast).tolist(),
     }
-    actual = rows.target_array()
+    actual = [row.target_price for row in rows]
     evals = [evaluate(name, "test", actual, prices) for name, prices in predicted.items()]
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
     write_output_csv(
@@ -462,9 +458,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
     lines = [
         "training summary",
-        f"train rows: {len(train)} ({train.rows[0].day.isoformat()}..{train.rows[-1].day.isoformat()})",
+        f"train rows: {len(train)} ({train[0].day.isoformat()}..{train[-1].day.isoformat()})",
         f"test days: {len(test_days)} ({test_days[0]}..{test_days[-1]}), each forecast from the day before",
-        f"forest: {cfg.forest.n_trees} trees, m_try={cfg.forest.resolved_m_try(matrix.feature_count)}",
+        f"forest: {cfg.forest.n_trees} trees, m_try={cfg.forest.resolved_m_try(len(FEATURE_NAMES))}",
         f"lstm: {cfg.lstm.epochs} epochs, hidden={cfg.lstm.hidden_size}, window={cfg.lstm.window}",
         "lstm loss trace: " + ", ".join(f"{v:.6f}" for v in lstm_model.loss_trace),
     ]

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
-from .indicators import FeatureMatrix
+from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 from .params import ForestParams
 
@@ -324,12 +324,18 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def feature_array(rows: list[FeatureRow]) -> np.ndarray:
+    """(n, 6) indicator matrix of the feature rows, one row each, columns in
+    FEATURE_NAMES order: the forest's input."""
+    return np.array([r.features for r in rows], dtype=float)
+
+
 def fit_forest(
-    features: FeatureMatrix,
+    rows: list[FeatureRow],
     params: ForestParams,
     meanwhile: Callable[[], object] | None = None,
 ) -> ForestModel:
-    """Fit B trees on bootstrap resamples of the feature matrix, all grown
+    """Fit B trees on bootstrap resamples of the feature rows, all grown
     together (`grow_trees`). Tree b depends only on stream (seed, b), so the
     model is the same in any process. Every draw is `bootstrap_sample`'s: a
     test swaps it by patching that function, which the forked worker inherits.
@@ -345,8 +351,8 @@ def fit_forest(
     Otherwise (no `meanwhile`, one CPU, which a worker could only share, or
     no os.fork) the trees grow in this process, and then `meanwhile` runs.
     """
-    X = features.feature_array()
-    y = features.target_array()
+    X = feature_array(rows)
+    y = np.array([r.target_price for r in rows], dtype=float)
     if len(y) == 0:
         raise DataInsufficientError("cannot fit a forest on an empty feature matrix")
     params.resolved_m_try(X.shape[1])  # reject a bad m_try before the worker starts
@@ -413,11 +419,11 @@ def predict_forest(model: ForestModel, x: Sequence[float]) -> float:
     return float(_predict_rows(model, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def predict_matrix(model: ForestModel, features: FeatureMatrix) -> np.ndarray:
-    """The forest's prediction for every row of a feature matrix."""
-    if not features.rows:
+def predict_matrix(model: ForestModel, rows: list[FeatureRow]) -> np.ndarray:
+    """The forest's prediction for each feature row."""
+    if not rows:
         return np.zeros(0)
-    return _predict_rows(model, features.feature_array())
+    return _predict_rows(model, feature_array(rows))
 
 
 def save_forest(model: ForestModel, path: str | Path) -> None:

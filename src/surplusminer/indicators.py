@@ -1,4 +1,4 @@
-"""Technical indicators over the daily price series, and the model feature matrix.
+"""Technical indicators over the daily price series, and the models' feature rows.
 
 Day t's six features are one function of the prices ending on t:
 `feature_values` reads the last FEATURE_WINDOW (16) of them, days t-15..t.
@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DataInsufficientError
 from .ingest import MarketRecord, write_output_csv
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FEATURE_NAMES = ("sma14", "wma14", "momentum", "k_pct", "d_pct", "rsi")
 
@@ -123,42 +120,9 @@ class FeatureRow:
         return self.day + timedelta(days=1)
 
 
-@dataclass
-class FeatureMatrix:
-    """Feature rows in date order, one per day with full indicator history:
-    build_features makes them so, and slice_dates keeps the order."""
-
-    rows: list[FeatureRow]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def feature_count(self) -> int:
-        return len(FEATURE_NAMES)
-
-    def feature_array(self) -> np.ndarray:
-        """(n, 6) indicator matrix for the tree model."""
-        import numpy as np  # here, so that features (no model) runs without numpy
-        return np.array([r.features for r in self.rows], dtype=float)
-
-    def input_array(self) -> np.ndarray:
-        """(n, 7) indicator matrix plus same-day price, for the sequence model."""
-        import numpy as np
-        return np.array([r.features + (r.price,) for r in self.rows], dtype=float)
-
-    def target_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([r.target_price for r in self.rows], dtype=float)
-
-    def slice_dates(self, start: date, end: date) -> "FeatureMatrix":
-        """Rows whose date falls in [start, end]."""
-        return FeatureMatrix([r for r in self.rows if start <= r.day <= end])
-
-
-def build_features(records: list[MarketRecord]) -> FeatureMatrix:
-    """Assemble the feature matrix from gap-filled market records, one per
-    day in date order, as fill_gaps returns them.
+def build_features(records: list[MarketRecord]) -> list[FeatureRow]:
+    """The feature rows, in date order, of gap-filled market records: one
+    record per day in date order, as fill_gaps returns them.
 
     One row per day from the 17th (0-based index FEATURE_WINDOW, a day later
     than the first full window) to the next-to-last; the final day is dropped
@@ -171,7 +135,7 @@ def build_features(records: list[MarketRecord]) -> FeatureMatrix:
         raise DataInsufficientError(
             f"need at least {FEATURE_WINDOW + 2} days for one feature row, got {len(prices)}"
         )
-    return FeatureMatrix([
+    return [
         FeatureRow(
             day=dates[t],
             features=feature_values(prices[t - FEATURE_WINDOW + 1 : t + 1]),
@@ -179,14 +143,14 @@ def build_features(records: list[MarketRecord]) -> FeatureMatrix:
             target_price=prices[t + 1],
         )
         for t in range(FEATURE_WINDOW, len(prices) - 1)
-    ])
+    ]
 
 
-def write_features_csv(matrix: FeatureMatrix, path, header_comment: str) -> None:
-    """Export the feature matrix: date, the FEATURE_NAMES columns, target."""
+def write_features_csv(rows: list[FeatureRow], path, header_comment: str) -> None:
+    """Export the feature rows: date, the FEATURE_NAMES columns, target."""
     write_output_csv(
         path,
         ["date", *FEATURE_NAMES, "target"],
-        ((r.day, *r.features, r.target_price) for r in matrix.rows),
+        ((r.day, *r.features, r.target_price) for r in rows),
         header_comment,
     )

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataInsufficientError, ValidationError
-from .indicators import FeatureMatrix
+from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 from .params import TrainConfig
 
@@ -230,8 +230,8 @@ def clip_gradients(grads: LstmWeights, max_norm: float) -> tuple[LstmWeights, fl
 class MinMaxScaler:
     """Column-wise min-max map to [0, 1], fitted on the training split only.
 
-    The target takes the last column's scaling: FeatureMatrix.input_array
-    puts the same-day price last, and the target is a price too, so scaled
+    The target takes the last column's scaling: input_array puts the
+    same-day price last, and the target is a price too, so scaled
     predictions invert back to the original units. A column constant in
     training has span 1, so its training values map to 0 and a non-finite
     value stays non-finite, for the forward pass to reject.
@@ -281,15 +281,22 @@ def _windows(scaled: np.ndarray, T: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(scaled, T, axis=0).transpose(0, 2, 1)
 
 
-def fit_lstm(features: FeatureMatrix, config: TrainConfig) -> LstmModel:
-    """Train on sliding windows of the feature matrix (chronological batches).
+def input_array(rows: list[FeatureRow]) -> np.ndarray:
+    """(n, 7) model inputs of the feature rows, one row each: the FEATURE_NAMES
+    columns, then the same-day price as the last column, whose scaling
+    MinMaxScaler gives the target."""
+    return np.array([r.features + (r.price,) for r in rows], dtype=float)
+
+
+def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
+    """Train on sliding windows of the feature rows (chronological batches).
 
     Window i covers rows [i, i+T) and its target is row i+T-1's next-day
     price. The loss trace records the mean squared training loss of each
     epoch (one entry per epoch).
     """
-    inputs = features.input_array()
-    targets = features.target_array()
+    inputs = input_array(rows)
+    targets = np.array([r.target_price for r in rows], dtype=float)
     n = len(targets)
     T = config.window
     if n < T:
@@ -334,17 +341,17 @@ def predict_window(model: LstmModel, window_rows: np.ndarray) -> float:
     return float(_predict_rows(model, arr)[0])
 
 
-def predict_series(model: LstmModel, features: FeatureMatrix) -> np.ndarray:
-    """The prediction from each T-row window of a feature matrix, in row order:
+def predict_series(model: LstmModel, rows: list[FeatureRow]) -> np.ndarray:
+    """The prediction from each T-row window of the feature rows, in row order:
     entry i, from rows [i, i+T), forecasts row i+T-1's target day.
 
-    The first T-1 rows seed windows only, so there are len(features)-T+1
-    entries; a matrix shorter than T is a DataInsufficientError, as in fit_lstm.
+    The first T-1 rows seed windows only, so there are len(rows)-T+1 entries;
+    fewer than T rows is a DataInsufficientError, as in fit_lstm.
     """
     T = model.config.window
-    if len(features) < T:
-        raise DataInsufficientError(f"need at least {T} feature rows, got {len(features)}")
-    return _predict_rows(model, features.input_array())
+    if len(rows) < T:
+        raise DataInsufficientError(f"need at least {T} feature rows, got {len(rows)}")
+    return _predict_rows(model, input_array(rows))
 
 
 def save_lstm(model: LstmModel, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
 from surplusminer.errors import ValidationError
-from surplusminer.indicators import FeatureMatrix, build_features
+from surplusminer.indicators import build_features
 from surplusminer.ingest import MarketRecord
 
 from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes, fails_after, killing_sampler
@@ -66,9 +66,9 @@ def model_prices(name: str, model, market: list[MarketRecord]) -> dict:
     them. Both return one price per row dated test_start-1.., in row order."""
     cfg = cli.load_config(FIXTURE_CONFIG)
     _, rows = cli._split_features(cfg, build_features(market))
-    last = FeatureMatrix(rows.rows[cfg.lstm.window - 1 :])
+    last = rows[cfg.lstm.window - 1 :]
     prices = lstm.predict_series(model, rows) if name == "lstm" else forest.predict_matrix(model, last)
-    return dict(zip((row.target_day for row in last.rows), prices.tolist(), strict=True))
+    return dict(zip((row.target_day for row in last), prices.tolist(), strict=True))
 
 
 def reloaded_forecasts(out: Path, market: list[MarketRecord]) -> dict[str, dict]:
@@ -666,21 +666,28 @@ class TestReportFromLedger:
         n_lines = len((pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines())
         assert f"ledger.csv:{n_lines}:" in caplog.text
 
-    @pytest.mark.parametrize("revenue", ["1e300", "-5000000.0"])
+    @pytest.mark.parametrize("cell, value, message", [
+        (7, "1e300", "revenue_usd must be in [0, 3.6e+15], got '1e300'"),
+        (7, "-5000000.0", "revenue_usd must be in [0, 3.6e+15], got '-5000000.0'"),
+        (7, "nan", "non-finite value 'nan' in revenue_usd"),
+        (7, "inf", "non-finite value 'inf' in revenue_usd"),
+        (1, "3", "invalid scenario '3'"),
+    ], ids=["1e300", "-5000000.0", "nan", "inf", "scenario-3"])
     def test_report_on_ledger_with_out_of_range_revenue_exits_2_naming_the_line(
-        self, pipeline_out, tmp_path, caplog, revenue
+        self, pipeline_out, tmp_path, caplog, cell, value, message
     ):
-        """A day's revenue must lie in [0, $1e12 x 25 BTC x 144 blocks]: 1e300
-        once overflowed the cents conversion, and a negative day was summed."""
+        """A day's revenue must be finite and lie in [0, $1e12 x 25 BTC x 144
+        blocks] (1e300 once overflowed the cents conversion, and a negative
+        day was summed), and its scenario must be 1 or 2."""
         def edit(lines):
             cells = lines[2].split(",")  # line 3, the first day of actual-1
-            cells[7] = revenue
+            cells[cell] = value
             return lines[:2] + [",".join(cells)] + lines[3:]
 
         with caplog.at_level(logging.ERROR):
             rc = self._report_on_edited_ledger(pipeline_out, tmp_path, edit)
         assert rc == 2
-        assert f"ledger.csv:3: revenue_usd must be in [0, 3.6e+15], got {revenue!r}" in caplog.text
+        assert f"ledger.csv:3: {message}" in caplog.text
 
     def test_report_on_ledger_without_a_row_exits_3(self, pipeline_out, tmp_path, caplog):
         with caplog.at_level(logging.ERROR):

@@ -19,6 +19,7 @@ from surplusminer.forest import (
     ForestParams,
     Tree,
     bootstrap_sample,
+    feature_array,
     fit_forest,
     grow_tree,
     grow_trees,
@@ -29,7 +30,7 @@ from surplusminer.forest import (
     save_forest,
     tree_rng,
 )
-from surplusminer.indicators import FeatureMatrix, build_features
+from surplusminer.indicators import FEATURE_NAMES, build_features
 from surplusminer.ingest import parse_market_csv
 
 from conftest import DATA_DIR, decode_nodes, encode_nodes, fails_after, killing_sampler, make_series
@@ -261,7 +262,11 @@ class TestGrowTree:
         monkeypatch.setattr(forest, "bootstrap_sample", lambda n, rng: np.arange(n))
         model = fit_forest(matrix, params)
         preds = predict_matrix(model, matrix)
-        assert preds == pytest.approx(matrix.target_array(), rel=1e-12)
+        assert preds == pytest.approx([r.target_price for r in matrix], rel=1e-12)
+
+    def test_feature_array_is_one_row_per_day(self):
+        matrix = random_matrix(n_days=30, seed=8)
+        assert feature_array(matrix).shape == (len(matrix), len(FEATURE_NAMES))
 
 
 class TestBootstrap:
@@ -284,7 +289,7 @@ class TestBootstrap:
         """fit_forest's check is the one that keeps a zero-row bootstrap, and
         a tree grown from zero rows, from ever being asked for."""
         with pytest.raises(DataInsufficientError, match="^cannot fit a forest on an empty feature matrix$"):
-            fit_forest(FeatureMatrix([]), ForestParams())
+            fit_forest([], ForestParams())
 
 
 class TestDeterminism:
@@ -307,7 +312,7 @@ class TestDeterminism:
         matrix = random_matrix(seed=3)
         small = fit_forest(matrix, ForestParams(n_trees=4, seed=5))
         large = fit_forest(matrix, ForestParams(n_trees=8, seed=5))
-        x = matrix.feature_array()[0]
+        x = feature_array(matrix)[0]
         for b in range(4):
             assert predict_tree(small.trees[b], x) == predict_tree(large.trees[b], x)
 
@@ -342,7 +347,7 @@ class TestDraws:
         from the forest-model/4 file array for array, bit for bit; that file
         had in turn matched the forest-model/3 file node for node."""
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
-        assert matrix.feature_count == 6
+        assert feature_array(matrix).shape == (len(matrix), 6)
         path = tmp_path / "m.json"
         save_forest(fit_forest(matrix, ForestParams(n_trees=5, m_try=6, seed=1)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -350,7 +355,7 @@ class TestDraws:
 
     def test_split_features_in_range(self):
         matrix = random_matrix(seed=5)
-        p = matrix.feature_count
+        p = len(FEATURE_NAMES)
         model = fit_forest(matrix, ForestParams(n_trees=10, m_try=2, seed=4))
         for tree in model.trees:
             split = tree.feature[tree.feature != LEAF]
@@ -532,7 +537,7 @@ class TestWorkers:
         pids = log.read_text().split()
         assert len(pids) == 3
         assert str(os.getpid()) not in pids
-        assert predict_matrix(model, matrix) == pytest.approx(matrix.target_array(), rel=1e-12)
+        assert predict_matrix(model, matrix) == pytest.approx([r.target_price for r in matrix], rel=1e-12)
 
     def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
         """A worker killed mid-fit fails the fit at once; waiting for the lost

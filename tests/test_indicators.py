@@ -10,7 +10,6 @@ from surplusminer.errors import DataInsufficientError
 from surplusminer.indicators import (
     BASE_WINDOW,
     D_WINDOW,
-    FEATURE_NAMES,
     FEATURE_WINDOW,
     build_features,
     feature_values,
@@ -139,7 +138,7 @@ class TestCausality:
     def test_row_reads_only_prices_up_to_its_day(self, ps, data):
         """Grown one day at a time, a path's features match build_features on
         the whole path bit for bit, and no later price moves them."""
-        rows = build_features(make_series(ps, start=self.START)).rows
+        rows = build_features(make_series(ps, start=self.START))
         for t in range(FEATURE_WINDOW, len(ps) - 1):
             path = ps[: t + 1]
             row = rows[t - FEATURE_WINDOW]
@@ -147,7 +146,7 @@ class TestCausality:
             assert hexes(feature_values(path)) == hexes(row.features)
             later = data.draw(st.lists(price_floats, min_size=len(ps) - t - 1,
                                        max_size=len(ps) - t - 1))
-            changed = build_features(make_series(path + later, start=self.START)).rows[t - FEATURE_WINDOW]
+            changed = build_features(make_series(path + later, start=self.START))[t - FEATURE_WINDOW]
             assert hexes(changed.features + (changed.price,)) == hexes(
                 row.features + (row.price,)
             )
@@ -158,10 +157,10 @@ class TestFeatureAssembly:
         """A 20-day series yields exactly 3 rows, on days 17..19 (1-based)."""
         start = date(2023, 1, 1)
         series = make_series(random_prices(20, seed=3), start=start)
-        matrix = build_features(series)
-        assert len(matrix) == 3
-        assert matrix.rows[0].day == start + timedelta(days=16)
-        assert matrix.rows[-1].day == start + timedelta(days=18)
+        rows = build_features(series)
+        assert len(rows) == 3
+        assert rows[0].day == start + timedelta(days=16)
+        assert rows[-1].day == start + timedelta(days=18)
 
     def test_minimum_length(self):
         n_min = BASE_WINDOW + D_WINDOW + 1  # first row index + target day
@@ -174,9 +173,8 @@ class TestFeatureAssembly:
     def test_row_values_match_indicators(self):
         ps = random_prices(40, seed=5)
         series = make_series(ps)
-        matrix = build_features(series)
         t0 = BASE_WINDOW + D_WINDOW - 1
-        for offset, row in enumerate(matrix.rows):
+        for offset, row in enumerate(build_features(series)):
             t = t0 + offset
             assert row.features == (  # in FEATURE_NAMES order
                 oracle_sma(ps, t, BASE_WINDOW),
@@ -192,19 +190,4 @@ class TestFeatureAssembly:
     def test_last_day_has_no_row(self):
         ps = random_prices(25, seed=6)
         series = make_series(ps)
-        matrix = build_features(series)
-        assert matrix.rows[-1].day == series[-1].day - timedelta(days=1)
-
-    def test_arrays_shapes(self):
-        series = make_series(random_prices(30, seed=8))
-        matrix = build_features(series)
-        assert matrix.feature_array().shape == (len(matrix), len(FEATURE_NAMES))
-        assert matrix.input_array().shape == (len(matrix), len(FEATURE_NAMES) + 1)
-        assert matrix.target_array().shape == (len(matrix),)
-        assert list(matrix.input_array()[:, -1]) == [r.price for r in matrix.rows]
-
-    def test_slice_dates(self):
-        series = make_series(random_prices(30, seed=9), start=date(2023, 1, 1))
-        matrix = build_features(series)
-        part = matrix.slice_dates(date(2023, 1, 20), date(2023, 1, 22))
-        assert [r.day.day for r in part.rows] == [20, 21, 22]
+        assert build_features(series)[-1].day == series[-1].day - timedelta(days=1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from surplusminer.errors import DataInsufficientError, ValidationError
-from surplusminer.indicators import FeatureMatrix, build_features
+from surplusminer.indicators import FEATURE_NAMES, build_features
 from surplusminer.ingest import parse_market_csv
 from surplusminer.lstm import (
     PARAM_NAMES,
@@ -23,6 +23,7 @@ from surplusminer.lstm import (
     clip_gradients,
     fit_lstm,
     init_weights,
+    input_array,
     load_lstm,
     predict_series,
     predict_window,
@@ -47,7 +48,7 @@ def zero_weights(input_dim, hidden):
 def untrained_model(matrix, window, hidden, columns=None):
     """A model with initial weights, scaled on `matrix` (or on its input
     `columns`): enough to predict with."""
-    inputs = matrix.input_array()[:, columns] if columns else matrix.input_array()
+    inputs = input_array(matrix)[:, columns] if columns else input_array(matrix)
     return LstmModel(
         weights=init_weights(inputs.shape[1], hidden, seed=8),
         scaler=MinMaxScaler.fit(inputs),
@@ -139,7 +140,7 @@ class TestInputChecks:
 
         matrix = build_features(make_series(sine_prices(60)))
         model = untrained_model(matrix, window=8, hidden=4)
-        rows = matrix.input_array()[:8]
+        rows = input_array(matrix)[:8]
         rows[3, -1] = math.nan  # the price column, which is not constant
         with pytest.raises(ValidationError, match="non-finite"):
             predict_window(model, rows)
@@ -201,6 +202,14 @@ class TestScaler:
         assert scaler.transform_target(150.0) == pytest.approx(0.5)
         assert scaler.inverse_target(0.5) == pytest.approx(150.0)
 
+    def test_input_array_puts_the_price_last(self):
+        """The indicators, then the same-day price: the column whose scaling
+        the target takes."""
+        rows = build_features(make_series(sine_prices(30)))
+        inputs = input_array(rows)
+        assert inputs.shape == (len(rows), len(FEATURE_NAMES) + 1)
+        assert list(inputs[:, -1]) == [r.price for r in rows]
+
 
 class TestInit:
     def test_bounds_and_shapes(self):
@@ -258,14 +267,14 @@ class TestTraining:
 
         flipped = build_features(make_series(list(reversed(prices))))
         model_flipped = fit_lstm(flipped, config)
-        x = matrix.input_array()[:8]
+        x = input_array(matrix)[:8]
         assert predict_window(model, x) != predict_window(model_flipped, x)
 
     def test_scaler_fitted_on_training_matrix(self):
         matrix = build_features(make_series(sine_prices(80)))
         config = TrainConfig(epochs=1, window=8, hidden_size=4, seed=1)
         model = fit_lstm(matrix, config)
-        inputs = matrix.input_array()
+        inputs = input_array(matrix)
         assert model.scaler.mins == pytest.approx(inputs.min(axis=0))
         assert model.scaler.maxs == pytest.approx(inputs.max(axis=0))
 
@@ -295,8 +304,9 @@ class TestPerGateOracle:
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         config = TrainConfig(epochs=2, window=14, hidden_size=hidden, clip_norm=clip_norm, seed=42)
         model = fit_lstm(matrix, config)
+        targets = np.array([r.target_price for r in matrix])
         want, trace = oracle_fit_lstm(
-            matrix.input_array(), matrix.target_array(), config.window, config.hidden_size, config.seed,
+            input_array(matrix), targets, config.window, config.hidden_size, config.seed,
             config.epochs, config.batch_size, config.learning_rate, config.clip_norm,
         )
         for name, arr in model.weights.items():
@@ -310,7 +320,7 @@ class TestPrediction:
         config = TrainConfig(epochs=1, window=8, hidden_size=4, seed=2)
         model = fit_lstm(matrix, config)
         with pytest.raises(ValidationError, match="window"):
-            predict_window(model, matrix.input_array()[:5])
+            predict_window(model, input_array(matrix)[:5])
 
     def test_series_keyed_by_next_day(self):
         start = date(2023, 1, 1)
@@ -320,7 +330,7 @@ class TestPrediction:
         preds = predict_series(model, matrix)
         assert len(preds) == len(matrix) - config.window + 1
         # entry i is the window of rows i..i+T-1, the forecast for the day after row i+T-1
-        inputs = matrix.input_array()
+        inputs = input_array(matrix)
         for i in (0, len(preds) - 1):
             want = predict_window(model, inputs[i : i + config.window])
             assert preds[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
@@ -333,7 +343,7 @@ class TestPrediction:
         T = 14
         matrix = build_features(make_series(sine_prices(300)))
         model = untrained_model(matrix, window=T, hidden=32)
-        inputs = model.scaler.transform(matrix.input_array())
+        inputs = model.scaler.transform(input_array(matrix))
         want = [
             float(model.scaler.inverse_target(_forward(inputs[None, i : i + T], model.weights)[0]))
             for i in range(len(matrix) - T + 1)
@@ -358,21 +368,21 @@ class TestPrediction:
         def last_feature(row, value):  # the RSI column
             return replace(row, features=row.features[:-1] + (value,))
 
-        flat = FeatureMatrix([last_feature(row, 50.0) for row in matrix.rows])
+        flat = [last_feature(row, 50.0) for row in matrix]
         model = untrained_model(flat, window=8, hidden=4)
-        hostile = FeatureMatrix(flat.rows[:-1] + [last_feature(flat.rows[-1], math.inf)])
+        hostile = flat[:-1] + [last_feature(flat[-1], math.inf)]
         with pytest.raises(ValidationError, match="non-finite"):
             predict_series(model, hostile)
 
     def test_series_shorter_than_a_window(self):
         matrix = build_features(make_series(sine_prices(60)))
         model = untrained_model(matrix, window=8, hidden=4)
-        short = FeatureMatrix(matrix.rows[:7])
+        short = matrix[:7]
         with pytest.raises(DataInsufficientError, match="need at least 8 feature rows, got 7"):
             predict_series(model, short)
-        exact = FeatureMatrix(matrix.rows[:8])
+        exact = matrix[:8]
         preds = predict_series(model, exact)
-        assert preds.tolist() == [predict_window(model, exact.input_array())]
+        assert preds.tolist() == [predict_window(model, input_array(exact))]
 
     def test_series_memory_does_not_grow_with_steps(self):
         """About 1,470 windows of 14 steps at hidden 64. Keeping every
@@ -396,7 +406,7 @@ class TestPrediction:
         path = tmp_path / "m.json"
         save_lstm(model, path)
         loaded = load_lstm(path)
-        x = matrix.input_array()[:8]
+        x = input_array(matrix)[:8]
         assert predict_window(loaded, x) == predict_window(model, x)
         assert loaded.loss_trace == model.loss_trace
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 from .economics import (
     BLOCKS_PER_DAY,
@@ -43,6 +43,7 @@ from .fleet import (
 from .indicators import FEATURE_NAMES, FeatureRow, build_features, write_features_csv
 from .ingest import (
     DEFAULT_SURPLUS_MONTHS,
+    MAX_PRICE_USD,
     MarketRecord,
     MonthlySurplusTotal,
     SurplusRecord,
@@ -92,7 +93,9 @@ def __getattr__(name: str):
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-VALID_CASES = ("actual-1", "actual-2", "forest-1", "forest-2", "lstm-1", "lstm-2")
+# The forecast models; forecasts.csv holds their prices in this order.
+MODELS = ("forest", "lstm")
+VALID_CASES = tuple(f"{source}-{scenario}" for source in ("actual", *MODELS) for scenario in (1, 2))
 # The config keys that decide which feature rows the models train on and forecast from.
 SPLIT_KEYS = ("analysis_start", "train_start", "train_end", "test_start", "test_end")
 
@@ -401,16 +404,12 @@ def _split_features(cfg: RunConfig, rows: list[FeatureRow]) -> tuple[list[Featur
     return train, [row for row in rows if cfg.test_start - T * day <= row.day <= cfg.test_end - day]
 
 
-class Forecast(NamedTuple):
-    """Both models' prices for one test day: a forecasts.csv row, its fields in column order."""
-
-    day: date
-    forest_usd: float
-    lstm_usd: float
+# forecasts.csv's columns: a test day, then each model's price for it.
+FORECAST_COLUMNS = ("day", *(f"{name}_usd" for name in MODELS))
 
 
 def _forecasts_header(cfg: RunConfig, models) -> dict[str, str]:
-    """forecasts.csv's header fields for `models` ("forest", "lstm"): by name,
+    """forecasts.csv's header fields for `models` (of MODELS): by name,
     everything their prices depend on. That is the market file's sha256, the
     split dates and each model's settings (seed included, as reprs); train
     writes the same model bytes from these on any CPU count."""
@@ -451,9 +450,9 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
     write_output_csv(
         out / "forecasts.csv",
-        Forecast._fields,
-        map(Forecast, test_days, predicted["forest"], predicted["lstm"]),
-        _key_values(_forecasts_header(cfg, ("forest", "lstm"))),
+        FORECAST_COLUMNS,
+        zip(test_days, *(predicted[name] for name in MODELS)),
+        _key_values(_forecasts_header(cfg, MODELS)),
     )
 
     lines = [
@@ -483,19 +482,19 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, l
     Its header must hold this run's fields for `models` (_forecasts_header,
     _check_header). A row that does not parse is a ValidationError naming its
     line, and a file without exactly one row per test day, in date order, one
-    naming the file. Any finite price is taken."""
+    naming the file. Any finite price is read; _case_columns checks its range."""
     path = out / "forecasts.csv"
     _check_header(cfg, path, "train", _forecasts_header(cfg, models))
 
-    def parse_row(row: list[str]) -> Forecast:
-        return Forecast(_parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], Forecast._fields[1:])))
+    def parse_row(row: list[str]) -> tuple:
+        return _parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], FORECAST_COLUMNS[1:]))
 
-    rows = [forecast for _, forecast in _data_rows(path, Forecast._fields, parse_row)]
-    if [row.day for row in rows] != days(cfg.test_start, cfg.test_end):
+    test_days, *columns = zip(*(forecast for _, forecast in _data_rows(path, FORECAST_COLUMNS, parse_row)))
+    if list(test_days) != days(cfg.test_start, cfg.test_end):
         raise ValidationError(
             f"{path} must have one row per day from {cfg.test_start} to {cfg.test_end}, in date order; run train again"
         )
-    return {name: [getattr(row, f"{name}_usd") for row in rows] for name in models}
+    return {name: list(column) for name, column in zip(MODELS, columns) if name in models}
 
 
 def _split_case(case: str) -> tuple[str, int]:
@@ -512,7 +511,8 @@ def _case_columns(
     cases: the market's, and the forecasts that train wrote for each model.
 
     A gap-filled market that does not cover the simulated days is a
-    DataInsufficientError naming both windows."""
+    DataInsufficientError naming both windows, and a forecast price outside
+    [0, MAX_PRICE_USD] on a simulated day a ValidationError naming the day."""
     start, end = market[0].day, market[-1].day
     if cfg.sim_start < start or end < cfg.sim_end:
         raise DataInsufficientError(
@@ -523,12 +523,17 @@ def _case_columns(
     records = market[first : first + len(window)]
     needed = {_split_case(case)[0] for case in cfg.cases}
     prices = {"actual": [r.price_usd for r in records]} if "actual" in needed else {}
-    models = [name for name in ("forest", "lstm") if name in needed]
+    models = [name for name in MODELS if name in needed]
     if models:
         first = (cfg.sim_start - cfg.test_start).days
-        prices.update(
-            (name, column[first : first + len(window)]) for name, column in _read_forecasts(cfg, out, models).items()
-        )
+        for name, column in _read_forecasts(cfg, out, models).items():
+            prices[name] = column[first : first + len(window)]
+            for day, price in zip(window, prices[name]):
+                if not 0 <= price <= MAX_PRICE_USD:
+                    raise ValidationError(
+                        f"{out / 'forecasts.csv'}: {name} price for {day} must be in [0, {MAX_PRICE_USD:g}], "
+                        f"got {price!r}"
+                    )
     return window, [r.network_hashrate_ths for r in records], prices
 
 
@@ -615,7 +620,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     lines: list[str] = []
     for case in cases:
         source, scenario = _split_case(case)
-        revenue[case], case_lines = run_case(source, mined[scenario], prices[source])
+        revenue[case], case_lines = run_case(source, scenario, mined[scenario], prices[source])
         lines += case_lines
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))
     write_ledger_csv(lines, out / "ledger.csv", header_comment=_key_values(_ledger_fields(cfg)))

@@ -3,8 +3,10 @@
 A case is one (price source, scenario plan) pair. Each simulated day mines
 reward x (fleet share of network hash rate) x 144 blocks, the same for every
 price source of a scenario (mine_scenario), valued at the case's price for
-that day (run_case). A case's revenue is the plain float sum, in date order,
-of its daily revenues: run_case sums them as it formats the ledger lines, and
+that day (run_case). Both are plain arithmetic on values checked where they
+entered: the market by MarketRecord, the forecasts by cli._case_columns, the
+miner by MinerSpec. A case's revenue is the plain float sum, in date order, of
+its daily revenues: run_case sums them as it formats the ledger lines, and
 read_ledger_totals sums the same floats read back from ledger.csv, where each
 is written as its repr, so both give the same bits. Money becomes exact cents
 (Decimal) at the report boundary, and depreciation is exact rational
@@ -42,15 +44,10 @@ def btc_per_day(
 ) -> float:
     """Expected BTC mined per day: reward x (fleet/network) x blocks.
 
-    A fleet share above 1 is physically impossible and is capped (with a
-    warning) rather than extrapolated.
+    The network hash rate is > 0 (MarketRecord), the fleet's >= 0 and the
+    reward HALVING_SCHEDULE's. A fleet share above 1 is physically impossible
+    and is capped (with a warning) rather than extrapolated.
     """
-    if network_hashrate_ths <= 0:
-        raise ValidationError(f"network hash rate must be > 0, got {network_hashrate_ths!r}")
-    if fleet_hashrate_ths < 0:
-        raise ValidationError(f"fleet hash rate must be >= 0, got {fleet_hashrate_ths!r}")
-    if reward_btc < 0:
-        raise ValidationError(f"reward must be >= 0, got {reward_btc!r}")
     share = fleet_hashrate_ths / network_hashrate_ths
     if share > 1.0:
         logger.warning(
@@ -63,11 +60,8 @@ def btc_per_day(
 
 
 def daily_revenue(price_used_usd: float, btc: float) -> float:
-    """Revenue for one day: price x BTC mined (exact float product)."""
-    if price_used_usd < 0:
-        raise ValidationError(f"price must be >= 0, got {price_used_usd!r}")
-    if price_used_usd > MAX_PRICE_USD:
-        raise ValidationError(f"price must be <= {MAX_PRICE_USD:g}, got {price_used_usd!r}")
+    """Revenue for one day: price x BTC mined (exact float product), the
+    price in [0, MAX_PRICE_USD] (MarketRecord, cli._case_columns)."""
     return price_used_usd * btc
 
 
@@ -171,69 +165,45 @@ def case_totals(
     )
 
 
-class ScenarioMining(NamedTuple):
-    """A scenario's mining over the simulated days, up to its first failing day.
-
-    Each of `days` is the day in ISO form, the BTC mined, and the ledger's
-    mining cells operating_units,fleet_hashrate_ths,network_hashrate_ths,
-    btc_mined as csv writes them (an int by str, a float by repr)."""
-
-    scenario: int
-    days: list[tuple[str, float, str]]
-    failure: str | None  # "<ISO day>: <error>" of the day after the last of `days`; None when every day mined
-
-
 def mine_scenario(
-    plan: ScenarioPlan,
-    window: list[date],
-    network: list[float],
-    miner: MinerSpec,
-    blocks_per_day: int,
-) -> ScenarioMining:
-    """Mine the days of `window` under `plan`, stopping at the first day that fails.
+    plan: ScenarioPlan, window: list[date], network: list[float], miner: MinerSpec, blocks_per_day: int
+) -> list[tuple[str, float, str]]:
+    """The days of `window` mined under `plan`, each as (ISO day, BTC mined,
+    the ledger's cells operating_units,fleet_hashrate_ths,network_hashrate_ths,
+    btc_mined as csv writes them: an int by str, a float by repr).
 
-    network is day-aligned with window: the actual network hash rate of each
-    day. Each day also uses block_reward(day) and the plan's operating units
-    for the day's month. A column of another length is a ValueError.
+    network is day-aligned with window: each day's actual network hash rate.
+    A month the plan lacks is a ValidationError naming the scenario and the
+    day; block_reward's error for a day before its schedule propagates. A
+    column of another length is a ValueError.
     """
     operating_by_month = {mf.month: mf.operating for mf in plan.monthly}
     mined: list[tuple[str, float, str]] = []
     for day, network_ths in zip(window, network, strict=True):
-        try:
-            month = f"{day.year:04d}-{day.month:02d}"
-            if month not in operating_by_month:
-                raise ValidationError(f"plan has no entry for month {month}")
-            operating = operating_by_month[month]
-            fleet_ths = operating * miner.hashrate_ths
-            btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
-        except ValidationError as exc:
-            return ScenarioMining(plan.scenario, mined, f"{day.isoformat()}: {exc}")
+        month = f"{day.year:04d}-{day.month:02d}"
+        if month not in operating_by_month:
+            raise ValidationError(f"scenario {plan.scenario}, {day.isoformat()}: plan has no entry for month {month}")
+        operating = operating_by_month[month]
+        fleet_ths = operating * miner.hashrate_ths
+        btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
         mined.append((day.isoformat(), btc, f"{operating},{fleet_ths!r},{network_ths!r},{btc!r}"))
-    return ScenarioMining(plan.scenario, mined, None)
+    return mined
 
 
-def run_case(source: str, mining: ScenarioMining, prices: list[float]) -> tuple[float, list[str]]:
-    """Price one case: its scenario's mined days at the case's price of each day.
-
-    prices is day-aligned with the simulated days. Returns the case's revenue,
-    summed in date order, and its ledger.csv lines in date order. Any error on
-    a day names the case and the day: a bad price on a mined day, else the
-    mining's failure. A price column of another length than a fully mined
-    window is a ValueError.
-    """
-    label = f"{source}-{mining.scenario}"
+def run_case(
+    source: str, scenario: int, mined: list[tuple[str, float, str]], prices: list[float]
+) -> tuple[float, list[str]]:
+    """Price one case: its scenario's mined days (mine_scenario's) at the
+    case's price of each day, which prices holds day-aligned (a column of
+    another length is a ValueError). Returns the case's revenue, summed in
+    date order, and its ledger.csv lines in date order."""
     total = 0.0
     lines: list[str] = []
-    for (day, btc, cells), price in zip(mining.days, prices, strict=mining.failure is None):
-        try:
-            revenue = daily_revenue(price, btc)
-        except ValidationError as exc:
-            raise ValidationError(f"case {label}, {day}: {exc}") from None
+    for (day, btc, cells), price in zip(mined, prices, strict=True):
+        revenue = daily_revenue(price, btc)
         # += in date order, as read_ledger_totals adds: from Python 3.12, sum() compensates floats
         total += revenue
-        lines.append(f"{day},{mining.scenario},{source},{cells},{revenue!r},{price!r}\n")
-    if mining.failure is not None:
-        raise ValidationError(f"case {label}, {mining.failure}")
+        lines.append(f"{day},{scenario},{source},{cells},{revenue!r},{price!r}\n")
     return total, lines
 
 

@@ -149,9 +149,16 @@ def _parse_date(text: str) -> date:
         raise ValidationError(f"invalid ISO date {text!r}") from None
 
 
+def _ascii_number(text: str) -> str:
+    """text, unless it holds a non-ASCII digit or a '_', which float() and int() also read."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _parse_float(text: str, column: str) -> float:
     try:
-        value = float(text)
+        value = float(_ascii_number(text))
     except ValueError:
         raise ValidationError(f"invalid number {text!r} in {column}") from None
     if not math.isfinite(value):
@@ -389,7 +396,7 @@ def parse_surplus_csv(path: str | Path, months: tuple[str, str]) -> list[Surplus
         if not region:
             raise ValidationError("empty region")
         try:
-            households = int(row[2])
+            households = int(_ascii_number(row[2]))
         except ValueError:
             raise ValidationError(f"invalid integer {row[2]!r} in households") from None
         rec = SurplusRecord(region, row[1].strip(), households, _parse_float(row[3], "surplus_kwh"))

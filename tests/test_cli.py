@@ -248,7 +248,7 @@ class TestIngest:
         assert rc == 2
         assert f"surplus.csv:2: {message}" in caplog.text
 
-    def test_surplus_missing_a_simulated_month_exits_2_naming_the_case(self, tmp_path, caplog):
+    def test_surplus_missing_a_simulated_month_exits_2_naming_the_scenario(self, tmp_path, caplog):
         """Fleet plans cover the months the surplus file has; a simulated day in
         any other month is refused before an output is written."""
         text = (DATA_DIR / "surplus.csv").read_text(encoding="utf-8")
@@ -260,8 +260,29 @@ class TestIngest:
             rc = main(["simulate", "--config", str(write_config(tmp_path)), "--cases", "actual-1,actual-2",
                        "--out", str(out)])
         assert rc == 2
-        assert caplog.messages == ["validation error: case actual-1, 2023-12-01: plan has no entry for month 2023-12"]
+        assert caplog.messages == ["validation error: scenario 1, 2023-12-01: plan has no entry for month 2023-12"]
         assert not any((out / name).exists() for name in ("fleet.csv", "ledger.csv", "report.txt"))
+
+    def test_a_simulated_day_before_the_reward_schedule_exits_2(self, tmp_path, caplog):
+        """The fixture moved back 11 years simulates 2012-06-01..2012-12-31,
+        which starts before the first block reward that fleet.HALVING_SCHEDULE
+        defines (2012-11-28); no output is written."""
+        for name in ("market.csv", "surplus.csv"):
+            text = (DATA_DIR / name).read_text(encoding="utf-8")
+            for year in (2021, 2022, 2023):
+                text = text.replace(f"\n{year}-", f"\n{year - 11}-").replace(f",{year}-", f",{year - 11}-")
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        config = write_config(
+            tmp_path, analysis_start="2011-01-01", train_start="2011-01-01", train_end="2012-05-31",
+            test_start="2012-06-01", test_end="2012-12-31", sim_start="2012-06-01", sim_end="2012-12-31",
+            surplus_months=["2010-01", "2012-12"],
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR):
+            rc = main(["simulate", "--config", str(config), "--cases", "actual-1,actual-2", "--out", str(out)])
+        assert rc == 2
+        assert caplog.messages == ["validation error: no reward defined before 2012-11-28, got 2012-06-01"]
+        assert list(out.iterdir()) == []
 
     def test_gap_on_analysis_start_takes_the_day_before(self, tmp_path, capsys, caplog):
         """The record before analysis_start is kept until the gaps are filled,
@@ -818,18 +839,20 @@ class TestForecastsFile:
         assert rc == 2
         assert "forecasts.csv must have one row per day from 2023-06-01 to 2023-12-31, in date order" in caplog.text
 
-    def test_negative_forecast_reaches_run_case(self, pipeline_out, tmp_path, caplog):
-        """Any finite price is read; run_case refuses a negative one, naming the case and the day."""
+    def test_negative_forecast_exits_2_naming_the_model_and_the_day(self, pipeline_out, tmp_path, caplog):
+        """Any finite price is read; simulate refuses a negative one on a
+        simulated day, naming the file, the model and the day."""
         def negative(lines):
             lines[2] = lines[2].rsplit(",", 1)[0] + ",-1.5\n"
             return lines
 
         rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, "--cases", "lstm-1", edit=self._edit_rows(negative))
         assert rc == 2
-        assert "case lstm-1, 2023-06-01: price must be >= 0, got -1.5" in caplog.text
+        forecasts = tmp_path / "out" / "forecasts.csv"
+        assert f"{forecasts}: lstm price for 2023-06-01 must be in [0, 1e+12], got -1.5" in caplog.text
 
     def test_forecast_above_the_price_bound_exits_2_before_writing(self, pipeline_out, tmp_path, caplog):
-        """run_case refuses a price above $1e12 as it does a negative one; no other file changes."""
+        """simulate refuses a price above $1e12 as it does a negative one; no other file changes."""
         def huge(lines):
             day, _, lstm_usd = lines[3].split(",")
             lines[3] = f"{day},1e300,{lstm_usd}"
@@ -837,7 +860,8 @@ class TestForecastsFile:
 
         rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(huge))
         assert rc == 2
-        assert "case forest-1, 2023-06-02: price must be <= 1e+12, got 1e+300" in caplog.text
+        forecasts = tmp_path / "out" / "forecasts.csv"
+        assert f"{forecasts}: forest price for 2023-06-02 must be in [0, 1e+12], got 1e+300" in caplog.text
         out = tmp_path / "out"
         for path in pipeline_out.iterdir():
             if path.name != "forecasts.csv":
@@ -863,19 +887,12 @@ class TestForecastsFile:
         assert rows == [row for row in full if kept(row.split(","))]
         assert len(rows) in (6 * 122, 6 * 153, 2 * 214)
 
-    @pytest.mark.parametrize(
-        "cases, message",
-        [
-            ("lstm-1", "case lstm-1, 2023-06-05: price must be >= 0, got -1.0"),
-            ("actual-1,lstm-1", "case actual-1, 2023-12-01: plan has no entry for month 2023-12"),
-        ],
-        ids=["lstm-1", "actual-1,lstm-1"],
-    )
-    def test_a_case_fails_on_its_first_bad_day(self, pipeline_out, tmp_path, caplog, cases, message):
-        """A surplus file without 2023-12 stops the mining on 2023-12-01, and
-        lstm-1's price on 2023-06-05 is negative. lstm-1 fails on the earlier
-        day; actual-1, sorted first and priced only from the market, fails on
-        2023-12-01. Either way no output is written."""
+    @pytest.mark.parametrize("cases", ["lstm-1", "actual-1,lstm-1"], ids=["lstm-1", "actual-1,lstm-1"])
+    def test_a_case_fails_on_its_first_bad_day(self, pipeline_out, tmp_path, caplog, cases):
+        """A surplus file without 2023-12 would stop the mining on 2023-12-01,
+        and lstm-1's price on 2023-06-05 is negative. The prices are checked
+        before any day is mined, so the price is the error, also when
+        actual-1, sorted first, runs too. Either way no output is written."""
         config = write_config(tmp_path)
         surplus = tmp_path / "surplus.csv"
         lines = surplus.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -889,7 +906,9 @@ class TestForecastsFile:
         with caplog.at_level(logging.ERROR):
             rc = main(["simulate", "--config", str(config), "--out", str(out), "--cases", cases])
         assert rc == 2
-        assert caplog.messages == [f"validation error: {message}"]
+        assert caplog.messages == [
+            f"validation error: {out / 'forecasts.csv'}: lstm price for 2023-06-05 must be in [0, 1e+12], got -1.0"
+        ]
         assert sorted(p.name for p in out.iterdir()) == ["forecasts.csv"]
 
 

@@ -303,6 +303,17 @@ class TestRowLocation:
                 4, "invalid number 'abc' in price_usd",
                 id="market-bad-cell",
             ),
+            # float() and int() read '_' between digits, and any Unicode digit
+            pytest.param(
+                "market", MARKET_HEADER + "2022-01-01,1.0,1.0\n2022-01-02,1_8134.04,1.0\n",
+                4, "invalid number '1_8134.04' in price_usd",
+                id="market-underscore",
+            ),
+            pytest.param(
+                "market", MARKET_HEADER + "2022-01-01,1.0,1.0\n2022-01-02,1.0,\u0661\u0668\u0668.\u0666\n",
+                4, "invalid number '\u0661\u0668\u0668.\u0666' in network_hashrate_ths",
+                id="market-non-ascii-digits",
+            ),
             pytest.param(
                 "surplus", "region,month,kwh\n",
                 2, "expected header region,month,households,surplus_kwh, got 'region,month,kwh'",
@@ -317,6 +328,11 @@ class TestRowLocation:
                 "surplus", SURPLUS_HEADER + "north,2021-01,10,5.0\nnorth,2021-02,ten,5.0\n",
                 4, "invalid integer 'ten' in households",
                 id="surplus-bad-cell",
+            ),
+            pytest.param(
+                "surplus", SURPLUS_HEADER + "north,2021-01,10,5.0\nnorth,2021-02,1_200,5.0\n",
+                4, "invalid integer '1_200' in households",
+                id="surplus-underscore",
             ),
             pytest.param(
                 "ledger", "date,revenue\n",
@@ -408,8 +424,8 @@ def ledger_lines(entries):
         with mock.patch.object(economics, "btc_per_day", return_value=e.btc_mined), mock.patch.object(
             economics, "daily_revenue", return_value=e.revenue_usd
         ):
-            mining = mine_scenario(plan, [e.day], [e.network_hashrate_ths], miner, 144)
-            lines += run_case(e.price_source, mining, [e.price_used_usd])[1]
+            mined = mine_scenario(plan, [e.day], [e.network_hashrate_ths], miner, 144)
+            lines += run_case(e.price_source, e.scenario, mined, [e.price_used_usd])[1]
     return lines
 
 

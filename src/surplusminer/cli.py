@@ -23,6 +23,8 @@ from typing import get_type_hints
 
 from .economics import (
     BLOCKS_PER_DAY,
+    CASES,
+    PRICE_SOURCES,
     SimulationReport,
     case_totals,
     mine_scenario,
@@ -94,8 +96,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # The forecast models; forecasts.csv holds their prices in this order.
-MODELS = ("forest", "lstm")
-VALID_CASES = tuple(f"{source}-{scenario}" for source in ("actual", *MODELS) for scenario in (1, 2))
+MODELS = PRICE_SOURCES[1:]
 # The config keys that decide which feature rows the models train on and forecast from.
 SPLIT_KEYS = ("analysis_start", "train_start", "train_end", "test_start", "test_end")
 
@@ -118,7 +119,7 @@ class RunConfig:
     seed: int = 42
     loss_rate: float = DEFAULT_LOSS_RATE
     blocks_per_day: int = BLOCKS_PER_DAY
-    cases: tuple[str, ...] = VALID_CASES
+    cases: tuple[str, ...] = tuple(CASES)
     surplus_months: tuple[str, str] = DEFAULT_SURPLUS_MONTHS
     forest: ForestParams = field(default_factory=ForestParams)
     lstm: TrainConfig = field(default_factory=TrainConfig)
@@ -153,10 +154,8 @@ class RunConfig:
         if not self.cases:
             raise ValidationError("no cases requested")
         for case in self.cases:
-            if case not in VALID_CASES:
-                raise ValidationError(
-                    f"unknown case {case!r}; valid cases: {', '.join(VALID_CASES)}"
-                )
+            if case not in CASES:
+                raise ValidationError(f"unknown case {case!r}; valid cases: {', '.join(CASES)}")
 
     def input_path(self, raw: str) -> Path:
         """Input paths in the config are relative to the config file itself."""
@@ -497,18 +496,12 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, l
     return {name: list(column) for name, column in zip(MODELS, columns) if name in models}
 
 
-def _split_case(case: str) -> tuple[str, int]:
-    """A case label's price source and scenario number: "forest-2" is ("forest", 2)."""
-    source, scenario = case.rsplit("-", 1)
-    return source, int(scenario)
-
-
 def _case_columns(
     cfg: RunConfig, out: Path, market: list[MarketRecord]
 ) -> tuple[list[date], list[float], dict[str, list[float]]]:
-    """The simulated days, sim_start..sim_end, with the network hash rate of
-    each and the price of each from every source named in the requested
-    cases: the market's, and the forecasts that train wrote for each model.
+    """The simulated days, sim_start..sim_end, the network hash rate of each,
+    and each day's price by PRICE_SOURCES name: the market's, and train's
+    forecast of each model the requested cases need.
 
     A gap-filled market that does not cover the simulated days is a
     DataInsufficientError naming both windows, and a forecast price outside
@@ -521,8 +514,8 @@ def _case_columns(
     window = days(cfg.sim_start, cfg.sim_end)
     first = (cfg.sim_start - start).days
     records = market[first : first + len(window)]
-    needed = {_split_case(case)[0] for case in cfg.cases}
-    prices = {"actual": [r.price_usd for r in records]} if "actual" in needed else {}
+    prices = {"actual": [r.price_usd for r in records]}
+    needed = {CASES[case][0] for case in cfg.cases}
     models = [name for name in MODELS if name in needed]
     if models:
         first = (cfg.sim_start - cfg.test_start).days
@@ -588,7 +581,7 @@ def _ledger_fields(cfg: RunConfig) -> dict[str, str]:
     case's rows do not depend on which other cases ran, so a report on any of
     them can check the ledger against the run config), and the sha256 of the
     market file its rows come from and of the surplus file its fleet comes from."""
-    return {**_config_fields(replace(cfg, cases=VALID_CASES)), **_digests(cfg, "market_sha256", "surplus_sha256")}
+    return {**_config_fields(replace(cfg, cases=tuple(CASES))), **_digests(cfg, "market_sha256", "surplus_sha256")}
 
 
 def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, ScenarioPlan], revenue: dict[str, float]) -> None:
@@ -598,7 +591,7 @@ def _write_report(cfg: RunConfig, out: Path, plans: tuple[ScenarioPlan, Scenario
     months = months_spanned(cfg.sim_start, cfg.sim_end)
     reports = []
     for case in sorted(set(cfg.cases)):
-        source, scenario = _split_case(case)
+        source, scenario = CASES[case]
         reports.append(case_totals(source, revenue[case], plans[scenario - 1], cfg.miner, months))
     path = out / "report.txt"
     _write_text(cfg, path, render_report(reports, cfg))
@@ -614,12 +607,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
     cases = sorted(set(cfg.cases))
     mined = {
         scenario: mine_scenario(plans[scenario - 1], window, network, cfg.miner, cfg.blocks_per_day)
-        for scenario in sorted({_split_case(case)[1] for case in cases})
+        for scenario in sorted({CASES[case][1] for case in cases})
     }
     revenue: dict[str, float] = {}
     lines: list[str] = []
     for case in cases:
-        source, scenario = _split_case(case)
+        source, scenario = CASES[case]
         revenue[case], case_lines = run_case(source, scenario, mined[scenario], prices[source])
         lines += case_lines
     write_fleet_csv(list(plans), out / "fleet.csv", header_comment=_header(cfg))

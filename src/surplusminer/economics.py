@@ -1,16 +1,17 @@
 """Daily mining output, revenue, depreciation, and per-case profit reports.
 
-A case is one (price source, scenario plan) pair. Each simulated day mines
-reward x (fleet share of network hash rate) x 144 blocks, the same for every
-price source of a scenario (mine_scenario), valued at the case's price for
-that day (run_case). Both are plain arithmetic on values checked where they
-entered: the market by MarketRecord, the forecasts by cli._case_columns, the
-miner by MinerSpec. A case's revenue is the plain float sum, in date order, of
-its daily revenues: run_case sums them as it formats the ledger lines, and
-read_ledger_totals sums the same floats read back from ledger.csv, where each
-is written as its repr, so both give the same bits. Money becomes exact cents
-(Decimal) at the report boundary, and depreciation is exact rational
-arithmetic throughout, so profit = revenue - cost holds to the cent.
+A case is one (price source, scenario plan) pair, and this module owns them:
+PRICE_SOURCES names the sources, CASES maps each case label to its pair. Each
+simulated day mines reward x (fleet share of network hash rate) x 144 blocks,
+the same for every price source of a scenario (mine_scenario), valued at the
+case's price for that day (run_case). Both are plain arithmetic on values
+checked where they entered: the market by MarketRecord, the forecasts by
+cli._case_columns, the miner by MinerSpec. A case's revenue is the plain float
+sum, in date order, of its daily revenues: run_case sums them as it formats
+the ledger lines, and read_ledger_totals sums the same floats read back from
+ledger.csv, where each is written as its repr, so both give the same bits.
+Money becomes exact cents (Decimal) at the report boundary, and depreciation
+is exact rational arithmetic, so profit = revenue - cost holds to the cent.
 """
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ from .ingest import MAX_PRICE_USD, _data_rows, _parse_float, days, output_file
 logger = logging.getLogger(__name__)
 
 BLOCKS_PER_DAY = 144
+
+# The market's price, then each forecast model's, in forecasts.csv's column order.
+PRICE_SOURCES = ("actual", "forest", "lstm")
+# Each case label and its (price source, scenario): every source for both fleet plans.
+CASES = {f"{source}-{scenario}": (source, scenario) for source in PRICE_SOURCES for scenario in (1, 2)}
 
 _CENT = Decimal("0.01")
 # The money step that must not round: cents past the 28 significant digits
@@ -215,25 +221,26 @@ def write_ledger_csv(lines: list[str], path, header_comment: str) -> None:
 
 
 def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date) -> dict[str, float]:
-    """Per case label in a ledger.csv (price source-scenario): the revenue
-    summed in file order.
+    """Per case label in a ledger.csv: the revenue summed in file order.
 
-    A wrong header, a short row, a bad value or a revenue outside [0, the most
-    one day can earn] is a ValidationError naming the line; a case without
-    exactly one row per day from sim_start to sim_end, in date order, is one
-    naming the case; a ledger without a row is a DataInsufficientError.
+    A wrong header, a short row, a case not in CASES, a bad value or a revenue
+    outside [0, the most one day can earn] is a ValidationError naming the
+    line; a case without exactly one row per day from sim_start to sim_end, in
+    date order, is one naming the case; a ledger without a row is a
+    DataInsufficientError.
     """
     # every block at the largest reward ever paid, sold at ingest's highest price
     max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * blocks_per_day
 
     def parse_row(row: list[str]) -> tuple[str, str, float]:
         entry = DailyLedgerEntry._make(row)
-        if entry.scenario not in ("1", "2"):
-            raise ValidationError(f"invalid scenario {entry.scenario!r}")
+        case = f"{entry.price_source}-{entry.scenario}"
+        if case not in CASES:
+            raise ValidationError(f"unknown case {case!r}")
         revenue = _parse_float(entry.revenue_usd, "revenue_usd")
         if not 0 <= revenue <= max_revenue:
             raise ValidationError(f"revenue_usd must be in [0, {max_revenue:g}], got {entry.revenue_usd!r}")
-        return f"{entry.price_source}-{entry.scenario}", entry.day, revenue
+        return case, entry.day, revenue
 
     totals: dict[str, float] = {}
     case_days: dict[str, list[str]] = {}

@@ -121,6 +121,17 @@ class TestFullPipeline:
         assert "out_dir" not in doc
         assert "base_dir" not in doc
 
+    def test_default_cases_hash_as_the_fixture_lists_them(self, tmp_path):
+        """A config without `cases` runs the six cases in their default order,
+        the fixture config's: both hash alike, so no output header changes.
+        Reordering economics.CASES would change the default, and so every
+        header."""
+        cfg = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))
+        del cfg["cases"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.config_hash(cli.load_config(path)) == FIXTURE_HASH
+
     def test_eval_covers_both_models(self, pipeline_out):
         rows = (pipeline_out / "eval.csv").read_text(encoding="utf-8").splitlines()[2:]
         n = {row.split(",")[0]: int(row.split(",")[2]) for row in rows}
@@ -564,6 +575,16 @@ class TestConfigValidation:
         assert f"{tmp_path / 'out' / 'ledger.csv'} is missing; run simulate first" in caplog.text
 
 
+def negative_lstm(day: str):
+    """An edit of forecasts.csv's lines: lstm's price for `day` becomes -1.0."""
+    def edit(lines):
+        (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{day},")]
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",-1.0\n"
+        return lines
+
+    return edit
+
+
 def doubled_surplus(text: str) -> str:
     """surplus.csv's text with every surplus_kwh, the last column, doubled."""
     header, *rows = text.splitlines()
@@ -692,14 +713,16 @@ class TestReportFromLedger:
         (7, "-5000000.0", "revenue_usd must be in [0, 3.6e+15], got '-5000000.0'"),
         (7, "nan", "non-finite value 'nan' in revenue_usd"),
         (7, "inf", "non-finite value 'inf' in revenue_usd"),
-        (1, "3", "invalid scenario '3'"),
-    ], ids=["1e300", "-5000000.0", "nan", "inf", "scenario-3"])
+        (1, "3", "unknown case 'actual-3'"),
+        (2, "persistence", "unknown case 'persistence-1'"),
+    ], ids=["1e300", "-5000000.0", "nan", "inf", "scenario-3", "persistence"])
     def test_report_on_ledger_with_out_of_range_revenue_exits_2_naming_the_line(
         self, pipeline_out, tmp_path, caplog, cell, value, message
     ):
         """A day's revenue must be finite and lie in [0, $1e12 x 25 BTC x 144
         blocks] (1e300 once overflowed the cents conversion, and a negative
-        day was summed), and its scenario must be 1 or 2."""
+        day was summed), and its price source and scenario must be a case of
+        economics.CASES."""
         def edit(lines):
             cells = lines[2].split(",")  # line 3, the first day of actual-1
             cells[cell] = value
@@ -868,19 +891,23 @@ class TestForecastsFile:
                 assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     @pytest.mark.parametrize(
-        "overrides, args, kept",
+        "overrides, args, edit, kept",
         [
-            ({"sim_end": "2023-09-30"}, (), lambda cells: cells[0] <= "2023-09-30"),
-            ({"sim_start": "2023-08-01"}, (), lambda cells: cells[0] >= "2023-08-01"),
-            ({}, ("--cases", "forest-1,lstm-2"), lambda cells: cells[2] + cells[1] in ("forest1", "lstm2")),
+            ({"sim_end": "2023-09-30"}, (), None, lambda cells: cells[0] <= "2023-09-30"),
+            ({"sim_start": "2023-08-01"}, (), negative_lstm("2023-06-05"), lambda cells: cells[0] >= "2023-08-01"),
+            ({}, ("--cases", "forest-1,lstm-2"), None, lambda cells: cells[2] + cells[1] in ("forest1", "lstm2")),
         ],
         ids=["sim_end", "sim_start", "cases"],
     )
     def test_sim_end_or_cases_inside_the_test_window_need_no_retrain(
-        self, pipeline_out, tmp_path, caplog, overrides, args, kept
+        self, pipeline_out, tmp_path, caplog, overrides, args, edit, kept
     ):
-        """The rows simulated are the full run's rows of the days and cases kept."""
-        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, *args, **overrides)
+        """The rows simulated are the full run's rows of the days and cases
+        kept. Only the simulated days' forecasts are checked: the sim_start
+        run has a negative lstm price on 2023-06-05, before sim_start."""
+        rc = self._simulate_on_copy(
+            pipeline_out, tmp_path, caplog, *args, edit=edit and self._edit_rows(edit), **overrides
+        )
         assert rc == 0
         rows = (tmp_path / "out" / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
         full = (pipeline_out / "ledger.csv").read_text(encoding="utf-8").splitlines()[2:]
@@ -900,9 +927,7 @@ class TestForecastsFile:
         out = tmp_path / "out"
         out.mkdir()
         forecasts = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-        (i,) = [i for i, line in enumerate(forecasts) if line.startswith("2023-06-05,")]
-        forecasts[i] = forecasts[i].rsplit(",", 1)[0] + ",-1.0\n"
-        (out / "forecasts.csv").write_text("".join(forecasts), encoding="utf-8")
+        (out / "forecasts.csv").write_text("".join(negative_lstm("2023-06-05")(forecasts)), encoding="utf-8")
         with caplog.at_level(logging.ERROR):
             rc = main(["simulate", "--config", str(config), "--out", str(out), "--cases", cases])
         assert rc == 2

@@ -377,7 +377,9 @@ def _split_features(cfg: RunConfig, rows: list[FeatureRow]) -> tuple[list[Featur
     test_end-1, led by the lstm.window-1 rows before them: the LSTM's window
     history, all known by the time of each forecast. Rows are consecutive
     days, as build_features makes them from the gap-filled series. A one-day
-    test window is a ValidationError: train's r2 needs two test days.
+    test window is a ValidationError: train's r2 needs two test days. Fewer
+    training rows than one LSTM window is a DataInsufficientError: the LSTM
+    fits on whole windows. train runs no fit until these checks pass.
     """
     if cfg.test_start == cfg.test_end:
         raise ValidationError(f"test_start..test_end is the one day {cfg.test_start}; r2 needs at least 2 test days")
@@ -399,6 +401,11 @@ def _split_features(cfg: RunConfig, rows: list[FeatureRow]) -> tuple[list[Featur
         raise DataInsufficientError(
             f"too little history before test_start {cfg.test_start}: the {T}-day window "
             f"needs the feature rows dated {needed}{cfg.test_start - day}, got {history}"
+        )
+    if len(train) < T:
+        raise DataInsufficientError(
+            f"too few training rows: train_start..train_end {cfg.train_start}..{cfg.train_end} "
+            f"gives {len(train)} feature rows, fewer than the {T}-day LSTM window"
         )
     return train, [row for row in rows if cfg.test_start - T * day <= row.day <= cfg.test_end - day]
 
@@ -422,7 +429,8 @@ def _forecasts_header(cfg: RunConfig, models) -> dict[str, str]:
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
     """Fit both models on the training rows, write both models' price for every
-    test day to forecasts.csv and evaluate them against the market's."""
+    test day to forecasts.csv and evaluate them against the market's. Nothing
+    is written until both models are scored, so a refused train writes no file."""
     _bind_layers()
     filled, _ = _load_clean_market(cfg)
     train, forecast = _split_features(cfg, build_features(filled))
@@ -433,8 +441,6 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
         train, cfg.forest, meanwhile=lambda: lstm_fit.append(fit_lstm(train, cfg.lstm))
     )
     (lstm_model,) = lstm_fit
-    save_forest(forest_model, out / "forest_model.json")
-    save_lstm(lstm_model, out / "lstm_model.json")
 
     # one row per test day, in order, holding its price as the target: the
     # LSTM reads each window of the forecast rows, the forest these rows
@@ -446,6 +452,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     }
     actual = [row.target_price for row in rows]
     evals = [evaluate(name, "test", actual, prices) for name, prices in predicted.items()]
+    save_forest(forest_model, out / "forest_model.json")
+    save_lstm(lstm_model, out / "lstm_model.json")
     write_eval_csv(evals, out / "eval.csv", header_comment=_header(cfg))
     write_output_csv(
         out / "forecasts.csv",

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataInsufficientError, ValidationError
+from .errors import ValidationError
 from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 from .params import ForestParams
@@ -301,16 +301,6 @@ def grow_trees(
     return [Tree(*arrays) for arrays in zip(*(np.split(column[order], ends) for column in columns))]
 
 
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: ForestParams,
-    rng: np.random.Generator,
-) -> Tree:
-    """One tree on every row of X and y, in order: grow_trees for one tree."""
-    return grow_trees(X, y, params, [np.arange(len(y))], [rng])[0]
-
-
 def _grow_bagged_trees(X: np.ndarray, y: np.ndarray, params: ForestParams) -> list[Tree]:
     """Every tree of a fit, grown together: tree b's draw and splits come from stream (seed, b)."""
     rngs = [tree_rng(params.seed, b) for b in range(params.n_trees)]
@@ -335,7 +325,8 @@ def fit_forest(
     params: ForestParams,
     meanwhile: Callable[[], object] | None = None,
 ) -> ForestModel:
-    """Fit B trees on bootstrap resamples of the feature rows, all grown
+    """Fit B trees on bootstrap resamples of the feature rows, at least one
+    (train's split check refuses an empty training window), all grown
     together (`grow_trees`). Tree b depends only on stream (seed, b), so the
     model is the same in any process. Every draw is `bootstrap_sample`'s: a
     test swaps it by patching that function, which the forked worker inherits.
@@ -353,8 +344,6 @@ def fit_forest(
     """
     X = feature_array(rows)
     y = np.array([r.target_price for r in rows], dtype=float)
-    if len(y) == 0:
-        raise DataInsufficientError("cannot fit a forest on an empty feature matrix")
     params.resolved_m_try(X.shape[1])  # reject a bad m_try before the worker starts
     if meanwhile is None or _available_cpus() < 2 or not hasattr(os, "fork"):
         trees = _grow_bagged_trees(X, y, params)
@@ -420,9 +409,7 @@ def predict_forest(model: ForestModel, x: Sequence[float]) -> float:
 
 
 def predict_matrix(model: ForestModel, rows: list[FeatureRow]) -> np.ndarray:
-    """The forest's prediction for each feature row."""
-    if not rows:
-        return np.zeros(0)
+    """The forest's prediction for each of the feature rows, at least one."""
     return _predict_rows(model, feature_array(rows))
 
 

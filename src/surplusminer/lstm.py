@@ -81,9 +81,6 @@ class LstmWeights:
         yield "c", self.c
 
 
-PARAM_NAMES = tuple(name for name, _ in LstmWeights.zeros(1, 1).items())
-
-
 def init_weights(input_dim: int, hidden_size: int, seed: int) -> LstmWeights:
     """Uniform init on [-1/sqrt(h), 1/sqrt(h)], drawn in a fixed parameter order."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC311)))
@@ -293,14 +290,13 @@ def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
 
     Window i covers rows [i, i+T) and its target is row i+T-1's next-day
     price. The loss trace records the mean squared training loss of each
-    epoch (one entry per epoch).
+    epoch (one entry per epoch). There must be at least T rows, one window:
+    train's split check refuses a shorter training window.
     """
     inputs = input_array(rows)
     targets = np.array([r.target_price for r in rows], dtype=float)
     n = len(targets)
     T = config.window
-    if n < T:
-        raise DataInsufficientError(f"need at least {T} feature rows, got {n}")
 
     scaler = MinMaxScaler.fit(inputs)
     n_windows = n - T + 1
@@ -346,7 +342,7 @@ def predict_series(model: LstmModel, rows: list[FeatureRow]) -> np.ndarray:
     entry i, from rows [i, i+T), forecasts row i+T-1's target day.
 
     The first T-1 rows seed windows only, so there are len(rows)-T+1 entries;
-    fewer than T rows is a DataInsufficientError, as in fit_lstm.
+    fewer than T rows is a DataInsufficientError.
     """
     T = model.config.window
     if len(rows) < T:

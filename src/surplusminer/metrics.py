@@ -10,17 +10,9 @@ from .ingest import write_output_csv
 
 
 def _paired(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.ndim != 1 or p.ndim != 1:
-        raise ValidationError("actual and predicted must be 1-d")
-    if len(a) != len(p):
-        raise ValidationError(f"length mismatch: {len(a)} actual vs {len(p)} predicted")
-    if len(a) == 0:
-        raise ValidationError("cannot compute a metric over zero points")
-    if not (np.isfinite(a).all() and np.isfinite(p).all()):
-        raise ValidationError("metric inputs must be finite")
-    return a, p
+    """Both series as float arrays. They are not checked: train passes one
+    finite price per test day for each, two days or more (cli._split_features)."""
+    return np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
 
 
 def mse(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -38,12 +30,10 @@ def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
 def r2(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination: 1 - SS_res / SS_tot.
 
-    Undefined for a constant actual series (zero total variance) and for
-    fewer than two points; both are errors.
+    Undefined for a constant actual series (zero total variance), which is
+    a ValidationError.
     """
     a, p = _paired(actual, predicted)
-    if len(a) < 2:
-        raise ValidationError("r2 needs at least 2 points")
     ss_tot = float(np.sum((a - np.mean(a)) ** 2))
     if ss_tot == 0.0:
         raise ValidationError("r2 undefined: actual series is constant")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surplusminer.forest import ForestParams, Tree, grow_trees
 from surplusminer.ingest import MarketRecord
 
 TESTS_DIR = Path(__file__).parent
@@ -21,6 +22,11 @@ FIXTURE_CONFIG = DATA_DIR / "fixture_config.json"
 def make_series(prices, start=date(2022, 1, 1), hashrate=3.0e8) -> list[MarketRecord]:
     """Daily market records from a plain price list, constant network hash rate."""
     return [MarketRecord(start + timedelta(days=i), float(p), hashrate) for i, p in enumerate(prices)]
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator) -> Tree:
+    """One tree on every row of X and y, in order: grow_trees for one tree."""
+    return grow_trees(X, y, params, [np.arange(len(y))], [rng])[0]
 
 
 def decode_nodes(doc):

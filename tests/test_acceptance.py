@@ -24,7 +24,7 @@ from surplusminer.economics import (
 )
 from surplusminer.errors import ValidationError
 from surplusminer.fleet import HALVING_SCHEDULE, block_reward
-from surplusminer.forest import ForestParams, bootstrap_sample, grow_tree, predict_tree
+from surplusminer.forest import ForestParams, bootstrap_sample, predict_tree
 from surplusminer.indicators import (
     FEATURE_WINDOW,
     build_features,
@@ -34,10 +34,10 @@ from surplusminer.indicators import (
     stoch_k,
     weighted_mean,
 )
-from surplusminer.lstm import PARAM_NAMES, TrainConfig, bptt_gradients, fit_lstm, init_weights
+from surplusminer.lstm import TrainConfig, bptt_gradients, fit_lstm, init_weights
 
 import oracles
-from conftest import DATA_DIR, FIXTURE_CONFIG, make_series
+from conftest import DATA_DIR, FIXTURE_CONFIG, grow_tree, make_series
 from test_lstm import sine_prices
 
 
@@ -150,7 +150,7 @@ def test_c06_lstm_gradients_match_finite_differences():
     params, grads = dict(w.items()), dict(grads.items())
     worst = 0.0
     entries = 0
-    for name in PARAM_NAMES:
+    for name in params:
         flat_arr = params[name].reshape(-1)
         flat_grad = np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1)
         for j in range(flat_arr.size):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from surplusminer import cli, forest, lstm
 from surplusminer.cli import main
-from surplusminer.errors import ValidationError
+from surplusminer.errors import DataInsufficientError, ValidationError
 from surplusminer.indicators import build_features
 from surplusminer.ingest import MarketRecord
 
@@ -1144,21 +1144,77 @@ class TestTrainFits:
     def test_one_cpu_trains_the_lstm_once_without_workers(self, train_by_cpus):
         assert train_by_cpus[1]["calls"] == [(os.getpid(), 0)]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_lstm_failure_exits_3_and_leaves_no_worker(self, tmp_path, caplog, monkeypatch, cpus):
-        monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
-        # 11 training rows (2023-05-20..2023-05-30, whose targets fall on or
-        # before train_end), fewer than the 14-day window: the LSTM fails
-        # inside the fit
-        cfg = write_config(tmp_path, train_start="2023-05-20")
+    @staticmethod
+    def refused_train(cfg: Path, pipeline_out: Path, tmp_path: Path) -> int:
+        """train's exit code in a copy of a full run's output directory whose
+        models stand in for an earlier run's. train must leave it as it was:
+        a refused train writes no file."""
         out = tmp_path / "out"
-        with caplog.at_level(logging.ERROR):
-            rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        shutil.copytree(pipeline_out, out)
+        for name in ("forest_model.json", "lstm_model.json"):
+            (out / name).write_text(f'{{"a {name} model": "from an earlier run"}}\n')
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rc = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        return rc
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lstm_failure_exits_3_and_leaves_no_worker(self, pipeline_out, tmp_path, caplog, monkeypatch, cpus):
+        """An LSTM fit that fails while the forest's worker grows its trees
+        (or after them, on one CPU) ends train with its own exit code."""
+
+        def too_little_data(*args, **kwargs):
+            raise DataInsufficientError("the LSTM found too little data")
+
+        monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "fit_lstm", too_little_data)
+        with fails_after(60), caplog.at_level(logging.ERROR):
+            rc = self.refused_train(FIXTURE_CONFIG, pipeline_out, tmp_path)
         assert rc == 3
-        assert "need at least 14 feature rows, got 11" in caplog.text
+        assert caplog.messages == ["insufficient data: the LSTM found too little data"]
         assert multiprocessing.active_children() == []
-        # the forest is saved only once both fits have succeeded
-        assert not (out / "forest_model.json").exists()
+
+    def test_too_few_training_rows_for_one_window_exits_3_before_any_fit(
+        self, pipeline_out, tmp_path, caplog, monkeypatch
+    ):
+        """11 training rows (2023-05-20..2023-05-30, whose targets fall on or
+        before train_end) are fewer than the 14-day window: refused before
+        the forest's worker starts or any tree grows."""
+        fits = []
+        monkeypatch.setattr(cli, "fit_forest", lambda *args, **kwargs: fits.append(args))
+        cfg = write_config(tmp_path, train_start="2023-05-20")
+        with caplog.at_level(logging.ERROR):
+            rc = self.refused_train(cfg, pipeline_out, tmp_path)
+        assert rc == 3
+        assert caplog.messages == [
+            "insufficient data: too few training rows: train_start..train_end 2023-05-20..2023-05-31 "
+            "gives 11 feature rows, fewer than the 14-day LSTM window"
+        ]
+        assert fits == []
+
+    def test_a_training_window_without_feature_rows_exits_3_before_any_fit(self, pipeline_out, tmp_path, caplog):
+        """train_start = train_end leaves no row dated train_start..train_end-1."""
+        cfg = write_config(tmp_path, train_start="2023-05-31")
+        with caplog.at_level(logging.ERROR):
+            rc = self.refused_train(cfg, pipeline_out, tmp_path)
+        assert rc == 3
+        assert caplog.messages == ["insufficient data: no feature rows in the training window"]
+
+    def test_constant_test_prices_exit_2_writing_no_file(self, pipeline_out, tmp_path, caplog):
+        """Every test day at one price leaves r2 undefined. Both models are fit
+        before that shows, but neither is written: an earlier run's stay."""
+        cfg = write_config(tmp_path)
+        market = tmp_path / "market.csv"
+        lines = market.read_text().splitlines()
+        for i, line in enumerate(lines):
+            day, _, hashrate = line.split(",")
+            if "2023-06-01" <= day <= "2023-12-31":
+                lines[i] = f"{day},30000.0,{hashrate}"
+        market.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR):
+            rc = self.refused_train(cfg, pipeline_out, tmp_path)
+        assert rc == 2
+        assert caplog.messages == ["validation error: r2 undefined: actual series is constant"]
 
     def test_killed_forest_worker_exits_4(self, tmp_path, caplog, monkeypatch):
         """The forest's worker killed mid-fit (as the OOM killer would) ends

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surplusminer.errors import DataInsufficientError, ValidationError
+from surplusminer.errors import ValidationError
 from surplusminer import forest
 from surplusminer.forest import (
     LEAF,
@@ -21,7 +21,6 @@ from surplusminer.forest import (
     bootstrap_sample,
     feature_array,
     fit_forest,
-    grow_tree,
     grow_trees,
     load_forest,
     predict_forest,
@@ -33,7 +32,7 @@ from surplusminer.forest import (
 from surplusminer.indicators import FEATURE_NAMES, build_features
 from surplusminer.ingest import parse_market_csv
 
-from conftest import DATA_DIR, decode_nodes, encode_nodes, fails_after, killing_sampler, make_series
+from conftest import DATA_DIR, decode_nodes, encode_nodes, fails_after, grow_tree, killing_sampler, make_series
 from oracles import naive_best_split, naive_grow, naive_predict, same_tree
 
 
@@ -284,12 +283,6 @@ class TestBootstrap:
             idx = bootstrap_sample(n, tree_rng(7, b))
             fractions.append(len(np.unique(idx)) / n)
         assert np.mean(fractions) == pytest.approx(1.0 - 1.0 / math.e, abs=0.02)
-
-    def test_an_empty_matrix_is_refused_before_any_draw(self):
-        """fit_forest's check is the one that keeps a zero-row bootstrap, and
-        a tree grown from zero rows, from ever being asked for."""
-        with pytest.raises(DataInsufficientError, match="^cannot fit a forest on an empty feature matrix$"):
-            fit_forest([], ForestParams())
 
 
 class TestDeterminism:

@@ -1,6 +1,4 @@
 """Evaluation metrics against hand-computed and two-pass reference values."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,25 +86,9 @@ class TestProperties:
 
 
 class TestValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            mse([1.0, 2.0], [1.0])
-
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            mae([], [])
-
-    def test_r2_needs_two_points(self):
-        with pytest.raises(ValidationError):
-            r2([1.0], [1.0])
-
     def test_r2_constant_actual_rejected(self):
         with pytest.raises(ValidationError, match="constant"):
             r2([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            mse([1.0, math.nan], [1.0, 2.0])
 
 
 class TestEvaluate:

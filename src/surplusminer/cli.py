@@ -376,22 +376,17 @@ def _split_features(cfg: RunConfig, rows: list[FeatureRow]) -> tuple[list[Featur
     falls on or before train_end. Forecast rows are dated test_start-1..
     test_end-1, led by the lstm.window-1 rows before them: the LSTM's window
     history, all known by the time of each forecast. Rows are consecutive
-    days, as build_features makes them from the gap-filled series. A one-day
-    test window is a ValidationError: train's r2 needs two test days. Fewer
-    training rows than one LSTM window is a DataInsufficientError: the LSTM
-    fits on whole windows. train runs no fit until these checks pass.
+    days up to test_end-1, as build_features makes them from the market that
+    fill_gaps gives. A one-day test window is a ValidationError: train's r2
+    needs two test days. Fewer training rows than one LSTM window, none
+    included, is a DataInsufficientError: the LSTM fits on whole windows.
+    train runs no fit until these checks pass.
     """
     if cfg.test_start == cfg.test_end:
         raise ValidationError(f"test_start..test_end is the one day {cfg.test_start}; r2 needs at least 2 test days")
     day = timedelta(days=1)
     T = cfg.lstm.window
     train = [row for row in rows if cfg.train_start <= row.day <= cfg.train_end - day]
-    if not train:
-        raise DataInsufficientError("no feature rows in the training window")
-    if rows[-1].day < cfg.test_end - day:
-        raise DataInsufficientError(
-            f"the market data ends on {rows[-1].target_day}, before test_end {cfg.test_end}"
-        )
     # counted in days before test_start, not from the window's first date: a
     # window of a million days would start before the first date there is
     history = sum(0 < (cfg.test_start - row.day).days <= T for row in rows)
@@ -508,19 +503,12 @@ def _case_columns(
     cfg: RunConfig, out: Path, market: list[MarketRecord]
 ) -> tuple[list[date], list[float], dict[str, list[float]]]:
     """The simulated days, sim_start..sim_end, the network hash rate of each,
-    and each day's price by PRICE_SOURCES name: the market's, and train's
-    forecast of each model the requested cases need.
-
-    A gap-filled market that does not cover the simulated days is a
-    DataInsufficientError naming both windows, and a forecast price outside
-    [0, MAX_PRICE_USD] on a simulated day a ValidationError naming the day."""
-    start, end = market[0].day, market[-1].day
-    if cfg.sim_start < start or end < cfg.sim_end:
-        raise DataInsufficientError(
-            f"the market data covers {start}..{end}, not sim_start..sim_end {cfg.sim_start}..{cfg.sim_end}"
-        )
+    and each day's price by PRICE_SOURCES name: the market's, from `market`,
+    fill_gaps' one record per day of analysis_start..test_end, and train's
+    forecast of each model the requested cases need. A forecast price outside
+    [0, MAX_PRICE_USD] on a simulated day is a ValidationError naming the day."""
     window = days(cfg.sim_start, cfg.sim_end)
-    first = (cfg.sim_start - start).days
+    first = (cfg.sim_start - market[0].day).days
     records = market[first : first + len(window)]
     prices = {"actual": [r.price_usd for r in records]}
     needed = {CASES[case][0] for case in cfg.cases}

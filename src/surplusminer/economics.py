@@ -4,14 +4,16 @@ A case is one (price source, scenario plan) pair, and this module owns them:
 PRICE_SOURCES names the sources, CASES maps each case label to its pair. Each
 simulated day mines reward x (fleet share of network hash rate) x 144 blocks,
 the same for every price source of a scenario (mine_scenario), valued at the
-case's price for that day (run_case). Both are plain arithmetic on values
-checked where they entered: the market by MarketRecord, the forecasts by
-cli._case_columns, the miner by MinerSpec. A case's revenue is the plain float
-sum, in date order, of its daily revenues: run_case sums them as it formats
-the ledger lines, and read_ledger_totals sums the same floats read back from
-ledger.csv, where each is written as its repr, so both give the same bits.
-Money becomes exact cents (Decimal) at the report boundary, and depreciation
-is exact rational arithmetic, so profit = revenue - cost holds to the cent.
+case's price for that day (run_case). Both work on values checked where they
+entered: the market by MarketRecord, the forecasts by cli._case_columns, the
+miner by MinerSpec. run_case is plain arithmetic; mine_scenario also refuses a
+simulated month the surplus plan lacks and, through block_reward, a day before
+the reward schedule. A case's revenue is the plain float sum, in date order, of
+its daily revenues: run_case sums them as it formats the ledger lines, and
+read_ledger_totals sums the same floats read back from ledger.csv, where each
+is written as its repr, so both give the same bits. Money becomes exact cents
+(Decimal) at the report boundary, and depreciation is exact rational
+arithmetic, so profit = revenue - cost holds to the cent.
 """
 from __future__ import annotations
 

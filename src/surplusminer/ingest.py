@@ -6,10 +6,11 @@ Both arrive as CSV. This module parses them into typed records and rejects rows
 that violate the documented invariants (with file/line context); each value is
 checked here, where it enters, and not again downstream. The market is a list
 of MarketRecord in strictly increasing date order. fill_gaps owns the market
-window: it cuts the records to it, fills and counts its missing days, and
-returns one record per day. days walks the calendar. The module also owns the
-format of every file the package writes (output_file) and the checked, typed
-reading of the JSON files it reads back (read_json_object, json_value,
+window: it returns one record per day of it, filling and counting the missing
+days, or refuses a market that does not reach both of its ends, so no caller
+checks the market's dates again. days walks the calendar. The module also owns
+the format of every file the package writes (output_file) and the checked,
+typed reading of the JSON files it reads back (read_json_object, json_value,
 json_array, json_fields).
 """
 from __future__ import annotations
@@ -323,13 +324,13 @@ def days(start: date, end: date) -> list[date]:
 
 
 def fill_gaps(records: list[MarketRecord], start: date, end: date) -> tuple[list[MarketRecord], int]:
-    """The market window start..end with no day missing, and the number of
-    days filled (logged). `records` are in strictly increasing date order, as
-    parse_market_csv returns them; the window comes back as one record per
-    day, in date order. Records after end are dropped, and the window ends
-    on the last one before. A missing day takes the day before's record, so a
-    gap on start takes the last record before it. Fewer than 2 records in the
-    window, or none on or before start, is a DataInsufficientError."""
+    """The market window start..end as exactly one record per day, in date
+    order, and the number of days filled (logged). `records` are in strictly
+    increasing date order, as parse_market_csv returns them; those after end
+    are dropped. A missing day takes the day before's record, so a gap on
+    start or on end takes the last record before it. Fewer than 2 records in
+    the window, none on or before start, or none on or after end is a
+    DataInsufficientError."""
     kept = [r for r in records if r.day <= end]
     inside = sum(r.day >= start for r in kept)
     if inside < 2:
@@ -340,9 +341,11 @@ def fill_gaps(records: list[MarketRecord], start: date, end: date) -> tuple[list
             f"gap at series start: first record is {first.isoformat()}, "
             f"requested range starts {start.isoformat()}"
         )
+    if records[-1].day < end:
+        raise DataInsufficientError(f"the market data ends on {records[-1].day}, before {end}")
     by_day = {r.day: r for r in kept}
     out: list[MarketRecord] = []
-    for day in days(first, kept[-1].day):
+    for day in days(first, end):
         rec = by_day.get(day)
         if rec is None:  # never on the first day, so out[-1] is the day before
             rec = MarketRecord(day, out[-1].price_usd, out[-1].network_hashrate_ths)

@@ -978,22 +978,63 @@ class TestSimulateReport:
 
 
 class TestMarketWindow:
-    def test_market_ending_before_sim_end_exits_3_naming_both_windows(self, tmp_path, caplog):
-        """simulate checks once that the gap-filled market covers every
-        simulated day, before it prices any case, and writes no file."""
+    """fill_gaps gives every command the market over analysis_start..test_end
+    day by day, or refuses it; no command checks the market's dates again."""
+
+    @staticmethod
+    def write_market(tmp_path: Path, edit) -> Path:
+        """The fixture config in tmp_path, its market.csv's lines passed through edit."""
         lines = (DATA_DIR / "market.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "market.csv").write_text("".join(edit(lines)), encoding="utf-8")
+        return write_config(tmp_path)
+
+    @pytest.mark.parametrize("command", ["ingest", "features", "train", "simulate"])
+    def test_market_ending_before_test_end_exits_3_leaving_out_unchanged(
+        self, pipeline_out, tmp_path, caplog, command
+    ):
+        """Cut at 2023-12-20, the market has no record on or after test_end:
+        each command exits 3 with fill_gaps' message, and an earlier run's
+        output directory stays as it was, config_used.json included."""
         removed = tuple(f"2023-12-{day}" for day in range(21, 32))
-        (tmp_path / "market.csv").write_text("".join(ln for ln in lines if not ln.startswith(removed)), encoding="utf-8")
-        cfg = write_config(tmp_path)
+        cfg = self.write_market(tmp_path, lambda lines: [ln for ln in lines if not ln.startswith(removed)])
         out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
         with caplog.at_level(logging.ERROR):
-            rc = main(["simulate", "--config", str(cfg), "--cases", "actual-1", "--out", str(out)])
+            rc = main([command, "--config", str(cfg), "--out", str(out)])
         assert rc == 3
-        assert (
-            "insufficient data: the market data covers 2022-01-01..2023-12-20, "
-            "not sim_start..sim_end 2023-06-01..2023-12-31"
-        ) in caplog.text
-        assert list(out.iterdir()) == []
+        assert caplog.messages == ["insufficient data: the market data ends on 2023-12-20, before 2023-12-31"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in pipeline_out.iterdir()}
+
+    def test_a_gap_on_test_end_takes_the_day_before(self, tmp_path, capsys):
+        """Without a 2023-12-31 row but with one for 2024-01-01, test_end is
+        filled from 2023-12-30 like any other gap: the run writes the prices
+        and the report of a market whose 2023-12-31 row copies 2023-12-30's.
+        Only the market file's sha256 in the forecasts' and the ledger's
+        headers tells the two runs apart."""
+
+        def gap_on_test_end(lines):
+            return [ln for ln in lines if not ln.startswith("2023-12-31")] + ["2024-01-01,99999.0,1.0\n"]
+
+        def copy_of_the_day_before(lines):
+            (day_before,) = [ln for ln in lines if ln.startswith("2023-12-30")]
+            return [ln for ln in lines if not ln.startswith("2023-12-31")] + [day_before.replace("12-30", "12-31")]
+
+        outs = []
+        for name, edit in (("gap", gap_on_test_end), ("copy", copy_of_the_day_before)):
+            (tmp_path / name).mkdir()
+            cfg = self.write_market(tmp_path / name, edit)
+            outs.append(tmp_path / name / "out")
+            for cmd in ("ingest", "features", "train", "simulate", "report"):
+                assert main([cmd, "--config", str(cfg), "--out", str(outs[-1])]) == 0, f"{name}: {cmd}"
+            if name == "gap":
+                assert "gap days filled by carry-forward: 1" in capsys.readouterr().out
+        gap, copy = outs
+        assert (gap / "report.txt").read_bytes() == (copy / "report.txt").read_bytes()
+        assert (gap / "market_clean.csv").read_bytes() == (copy / "market_clean.csv").read_bytes()
+        for name in ("forecasts.csv", "ledger.csv"):
+            gap_lines, copy_lines = ((out / name).read_text(encoding="utf-8").splitlines() for out in outs)
+            assert gap_lines[0] != copy_lines[0]
+            assert gap_lines[1:] == copy_lines[1:]
 
 
 class TestHostileModelFiles:
@@ -1198,7 +1239,10 @@ class TestTrainFits:
         with caplog.at_level(logging.ERROR):
             rc = self.refused_train(cfg, pipeline_out, tmp_path)
         assert rc == 3
-        assert caplog.messages == ["insufficient data: no feature rows in the training window"]
+        assert caplog.messages == [
+            "insufficient data: too few training rows: train_start..train_end 2023-05-31..2023-05-31 "
+            "gives 0 feature rows, fewer than the 14-day LSTM window"
+        ]
 
     def test_constant_test_prices_exit_2_writing_no_file(self, pipeline_out, tmp_path, caplog):
         """Every test day at one price leaves r2 undefined. Both models are fit
@@ -1284,17 +1328,6 @@ class TestTrainFits:
         assert "2022-01-11..2022-01-24, got 8" in caplog.text
         assert (out / "forest_model.json").read_bytes() == earlier
         assert not (out / "lstm_model.json").exists()
-
-    def test_market_ending_before_test_end_exits_3_before_any_fit(self, tmp_path, caplog):
-        """The fixture market ends 2023-12-31: a month of test days would have
-        no price to forecast from, and simulate could never read the forecasts."""
-        cfg = write_config(tmp_path, test_end="2024-01-31")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.ERROR):
-            rc = main(["train", "--config", str(cfg), "--out", str(out)])
-        assert rc == 3
-        assert "the market data ends on 2023-12-31, before test_end 2024-01-31" in caplog.text
-        assert list(out.iterdir()) == []
 
     def test_window_reaching_before_the_first_date_exits_3(self, tmp_path, caplog):
         """test_start minus a million days is before 0001-01-01, which a date cannot hold."""

@@ -148,14 +148,23 @@ class TestFillGaps:
         assert carried == 0
 
     def test_drops_a_record_after_end(self):
+        """A record after end is dropped, and shows that the market reaches
+        end: the missing days up to it, end included, are carried forward."""
         gappy = [
             MarketRecord(date(2023, 1, 1), 10.0, 100.0),
             MarketRecord(date(2023, 1, 2), 20.0, 200.0),
             MarketRecord(date(2023, 1, 9), 90.0, 900.0),
         ]
         filled, carried = fill_gaps(gappy, date(2023, 1, 1), date(2023, 1, 5))
-        assert [r.day for r in filled] == [date(2023, 1, 1), date(2023, 1, 2)]
-        assert carried == 0
+        assert [r.day for r in filled] == days(date(2023, 1, 1), date(2023, 1, 5))
+        assert [r.price_usd for r in filled] == [10.0, 20.0, 20.0, 20.0, 20.0]
+        assert [r.network_hashrate_ths for r in filled[2:]] == [200.0] * 3
+        assert carried == 3
+
+    def test_market_ending_before_end_raises_naming_both_dates(self):
+        series = make_series([1, 2, 3, 4, 5], start=date(2023, 1, 1))
+        with pytest.raises(DataInsufficientError, match=r"^the market data ends on 2023-01-05, before 2023-01-06$"):
+            fill_gaps(series, date(2023, 1, 1), date(2023, 1, 6))
 
     def test_gap_before_start_is_not_counted(self):
         gappy = [

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .economics import (
-    BLOCKS_PER_DAY,
     CASES,
     PRICE_SOURCES,
     SimulationReport,
@@ -118,7 +117,6 @@ class RunConfig:
     sim_end: date = date(2023, 12, 31)
     seed: int = 42
     loss_rate: float = DEFAULT_LOSS_RATE
-    blocks_per_day: int = BLOCKS_PER_DAY
     cases: tuple[str, ...] = tuple(CASES)
     surplus_months: tuple[str, str] = DEFAULT_SURPLUS_MONTHS
     forest: ForestParams = field(default_factory=ForestParams)
@@ -144,8 +142,6 @@ class RunConfig:
             raise ValidationError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.blocks_per_day < 1:
-            raise ValidationError(f"blocks_per_day must be >= 1, got {self.blocks_per_day}")
         first, last = self.surplus_months
         if not (_MONTH_RE.fullmatch(first) and _MONTH_RE.fullmatch(last) and first <= last):
             raise ValidationError(
@@ -602,7 +598,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> None:
 
     cases = sorted(set(cfg.cases))
     mined = {
-        scenario: mine_scenario(plans[scenario - 1], window, network, cfg.miner, cfg.blocks_per_day)
+        scenario: mine_scenario(plans[scenario - 1], window, network, cfg.miner)
         for scenario in sorted({CASES[case][1] for case in cases})
     }
     revenue: dict[str, float] = {}
@@ -621,7 +617,7 @@ def cmd_report(cfg: RunConfig, out: Path) -> None:
     plans = _build_plans(cfg)
     ledger_path = out / "ledger.csv"
     _check_header(cfg, ledger_path, "simulate", _ledger_fields(cfg))
-    revenue = read_ledger_totals(ledger_path, cfg.blocks_per_day, cfg.sim_start, cfg.sim_end)
+    revenue = read_ledger_totals(ledger_path, cfg.sim_start, cfg.sim_end)
     missing = sorted(set(cfg.cases) - set(revenue))
     if missing:
         raise ValidationError(f"{ledger_path} has no rows for requested case(s): {', '.join(missing)}")

@@ -31,7 +31,7 @@ from .ingest import MAX_PRICE_USD, _data_rows, _parse_float, days, output_file
 
 logger = logging.getLogger(__name__)
 
-BLOCKS_PER_DAY = 144
+BLOCKS_PER_DAY = 144  # Bitcoin's target of one block every 10 minutes
 
 # The market's price, then each forecast model's, in forecasts.csv's column order.
 PRICE_SOURCES = ("actual", "forest", "lstm")
@@ -174,7 +174,7 @@ def case_totals(
 
 
 def mine_scenario(
-    plan: ScenarioPlan, window: list[date], network: list[float], miner: MinerSpec, blocks_per_day: int
+    plan: ScenarioPlan, window: list[date], network: list[float], miner: MinerSpec
 ) -> list[tuple[str, float, str]]:
     """The days of `window` mined under `plan`, each as (ISO day, BTC mined,
     the ledger's cells operating_units,fleet_hashrate_ths,network_hashrate_ths,
@@ -193,7 +193,7 @@ def mine_scenario(
             raise ValidationError(f"scenario {plan.scenario}, {day.isoformat()}: plan has no entry for month {month}")
         operating = operating_by_month[month]
         fleet_ths = operating * miner.hashrate_ths
-        btc = btc_per_day(fleet_ths, network_ths, block_reward(day), blocks_per_day)
+        btc = btc_per_day(fleet_ths, network_ths, block_reward(day), BLOCKS_PER_DAY)
         mined.append((day.isoformat(), btc, f"{operating},{fleet_ths!r},{network_ths!r},{btc!r}"))
     return mined
 
@@ -222,7 +222,7 @@ def write_ledger_csv(lines: list[str], path, header_comment: str) -> None:
         fh.writelines(lines)
 
 
-def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date) -> dict[str, float]:
+def read_ledger_totals(path, sim_start: date, sim_end: date) -> dict[str, float]:
     """Per case label in a ledger.csv: the revenue summed in file order.
 
     A wrong header, a short row, a case not in CASES, a bad value or a revenue
@@ -232,7 +232,7 @@ def read_ledger_totals(path, blocks_per_day: int, sim_start: date, sim_end: date
     DataInsufficientError.
     """
     # every block at the largest reward ever paid, sold at ingest's highest price
-    max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * blocks_per_day
+    max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * BLOCKS_PER_DAY
 
     def parse_row(row: list[str]) -> tuple[str, str, float]:
         entry = DailyLedgerEntry._make(row)

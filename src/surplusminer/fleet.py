@@ -25,29 +25,23 @@ DEFAULT_LOSS_RATE = 0.0359  # combined transmission/conversion loss fraction
 
 @dataclass(frozen=True)
 class MinerSpec:
-    """Nameplate figures for one mining unit."""
+    """Nameplate figures for one mining unit; its efficiency in J/TH is
+    power_w / hashrate_ths (12 for the default)."""
 
     name: str = "Antminer S21 XP Hyd"
     hashrate_ths: float = 473.0
     power_w: float = 5676.0
-    efficiency_j_per_th: float = 12.0
     unit_price_usd: float = 10165.0
     lifespan_months: int = 90
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.isprintable():
             raise ValidationError(f"name must be non-empty and printable, got {self.name!r}")
-        for attr in ("hashrate_ths", "power_w", "efficiency_j_per_th", "unit_price_usd"):
+        for attr in ("hashrate_ths", "power_w", "unit_price_usd"):
             if getattr(self, attr) <= 0:
                 raise ValidationError(f"{attr} must be > 0, got {getattr(self, attr)!r}")
         if self.lifespan_months <= 0:
             raise ValidationError(f"lifespan_months must be > 0, got {self.lifespan_months}")
-        implied = self.power_w / self.hashrate_ths  # W per TH/s == J per TH
-        if abs(implied - self.efficiency_j_per_th) > 0.05 * self.efficiency_j_per_th:
-            raise ValidationError(
-                f"efficiency {self.efficiency_j_per_th} J/TH inconsistent with "
-                f"power/hashrate = {implied:.2f} J/TH"
-            )
 
     @property
     def power_kw(self) -> float:

@@ -22,6 +22,7 @@ MINER_HASHRATE_THS = 473.0
 MINER_POWER_W = 5676.0
 MINER_UNIT_PRICE_USD = 10165.0
 MINER_LIFESPAN_MONTHS = 90
+BLOCKS_PER_DAY = 144
 
 # block subsidy from each date (inclusive)
 HALVINGS = [
@@ -69,7 +70,6 @@ def hours_in_month(month):
 def main():
     cfg = json.loads((HERE / "fixture_config.json").read_text())
     loss_rate = cfg["loss_rate"]
-    blocks_per_day = cfg["blocks_per_day"]
     sim_start = date.fromisoformat(cfg["sim_start"])
     sim_end = date.fromisoformat(cfg["sim_end"])
     first_month, last_month = cfg["surplus_months"]
@@ -103,7 +103,7 @@ def main():
             month = f"{day.year:04d}-{day.month:02d}"
             fleet_ths = operating[scenario][month] * MINER_HASHRATE_THS
             share = fleet_ths / network
-            btc = block_reward(day) * share * blocks_per_day
+            btc = block_reward(day) * share * BLOCKS_PER_DAY
             total_revenue += price * btc
             day += timedelta(days=1)
 

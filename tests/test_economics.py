@@ -145,7 +145,7 @@ def case_report(run, plan, sim_start, sim_end):
     return case_totals(rows[0].price_source, revenue, plan, MINER, months_spanned(sim_start, sim_end))
 
 
-def run_on(plan, series, sim_start, sim_end, prices=None, source="actual", blocks_per_day=144):
+def run_on(plan, series, sim_start, sim_end, prices=None, source="actual"):
     """One case over sim_start..sim_end with the columns cli slices from the
     market `series`: the plan mined under its network hash rate, then priced
     by run_case at `prices`, by default its prices. The case's summed revenue
@@ -154,7 +154,7 @@ def run_on(plan, series, sim_start, sim_end, prices=None, source="actual", block
     if prices is None:
         prices = [r.price_usd for r in records]
     network = [r.network_hashrate_ths for r in records]
-    mined = mine_scenario(plan, days(sim_start, sim_end), network, MINER, blocks_per_day)
+    mined = mine_scenario(plan, days(sim_start, sim_end), network, MINER)
     revenue, lines = run_case(source, plan.scenario, mined, prices)
     return revenue, ledger_rows(lines)
 
@@ -218,7 +218,7 @@ class TestRunCase:
         columns = {"prices": [r.price_usd for r in series], "network": [r.network_hashrate_ths for r in series]}
         columns[short] = columns[short][:-1]
         with pytest.raises(ValueError, match="shorter"):
-            mined = mine_scenario(plans[0], days(sim_start, sim_end), columns["network"], MINER, 144)
+            mined = mine_scenario(plans[0], days(sim_start, sim_end), columns["network"], MINER)
             run_case("actual", 1, mined, columns["prices"])
 
     @pytest.mark.parametrize(
@@ -237,7 +237,7 @@ class TestRunCase:
         plans = scenario_plans([("2012-11", 5.0e6)])
         window = days(start, date(2012, 12, 31))
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            mine_scenario(plans[1], window, [4.0e8] * len(window), MINER, 144)
+            mine_scenario(plans[1], window, [4.0e8] * len(window), MINER)
 
     def test_zero_fleet_zero_money(self):
         start = date(2023, 1, 1)
@@ -280,7 +280,7 @@ class TestFixtureOracle:
         sim_start = date.fromisoformat(cfg["sim_start"])
         sim_end = date.fromisoformat(cfg["sim_end"])
         for plan in plans:
-            run = run_on(plan, market, sim_start, sim_end, blocks_per_day=cfg["blocks_per_day"])
+            run = run_on(plan, market, sim_start, sim_end)
             report = case_report(run, plan, sim_start, sim_end)
             want = expected["cases"][report.case_label]
             assert report.revenue_usd == Decimal(want["revenue_usd"])

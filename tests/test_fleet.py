@@ -65,18 +65,12 @@ class TestEnergy:
 class TestMinerSpec:
     def test_default_consistency(self):
         # 5676 W / 473 TH/s = 12.0 J/TH
-        assert MINER.power_w / MINER.hashrate_ths == pytest.approx(
-            MINER.efficiency_j_per_th
-        )
+        assert MINER.power_w / MINER.hashrate_ths == 12.0
         assert MINER.power_kw == pytest.approx(5.676)
 
-    def test_inconsistent_efficiency_rejected(self):
-        with pytest.raises(ValidationError):
-            MinerSpec("bogus", 473.0, 5676.0, 20.0, 10165.0, 90)
-
-    @pytest.mark.parametrize("field,value", [(1, -1.0), (2, 0.0), (4, -5.0), (5, 0)])
+    @pytest.mark.parametrize("field,value", [(1, -1.0), (2, 0.0), (3, -5.0), (4, 0)])
     def test_positivity(self, field, value):
-        args = ["m", 473.0, 5676.0, 12.0, 10165.0, 90]
+        args = ["m", 473.0, 5676.0, 10165.0, 90]
         args[field] = value
         with pytest.raises(ValidationError):
             MinerSpec(*args)

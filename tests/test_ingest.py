@@ -286,7 +286,7 @@ LEDGER_ROW = "2023-06-01,1,actual,7,3311.0,400000000.0,0.11,3000.0,27000.0\n"
 READERS = {
     "market": (parse_market_csv, MARKET_HEADER),
     "surplus": (lambda p: parse_surplus_csv(p, DEFAULT_SURPLUS_MONTHS), SURPLUS_HEADER),
-    "ledger": (lambda p: read_ledger_totals(p, 144, date(2023, 6, 1), date(2023, 6, 1)), LEDGER_HEADER),
+    "ledger": (lambda p: read_ledger_totals(p, date(2023, 6, 1), date(2023, 6, 1)), LEDGER_HEADER),
 }
 
 
@@ -433,7 +433,7 @@ def ledger_lines(entries):
         with mock.patch.object(economics, "btc_per_day", return_value=e.btc_mined), mock.patch.object(
             economics, "daily_revenue", return_value=e.revenue_usd
         ):
-            mined = mine_scenario(plan, [e.day], [e.network_hashrate_ths], miner, 144)
+            mined = mine_scenario(plan, [e.day], [e.network_hashrate_ths], miner)
             lines += run_case(e.price_source, e.scenario, mined, [e.price_used_usd])[1]
     return lines
 

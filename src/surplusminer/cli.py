@@ -434,12 +434,17 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
     (lstm_model,) = lstm_fit
 
     # one row per test day, in order, holding its price as the target: the
-    # LSTM reads each window of the forecast rows, the forest these rows
+    # LSTM reads each window of the forecast rows, the forest these rows.
+    # Each forecast is quoted to the cent, as the market quotes prices, so the
+    # LSTM's last-bit differences between BLAS kernels reach no output but its model
     rows = forecast[cfg.lstm.window - 1 :]
     test_days = [row.target_day for row in rows]
     predicted = {
-        "forest": predict_matrix(forest_model, rows).tolist(),
-        "lstm": predict_series(lstm_model, forecast).tolist(),
+        name: [round(price, 2) for price in prices.tolist()]
+        for name, prices in (
+            ("forest", predict_matrix(forest_model, rows)),
+            ("lstm", predict_series(lstm_model, forecast)),
+        )
     }
     actual = [row.target_price for row in rows]
     evals = [evaluate(name, "test", actual, prices) for name, prices in predicted.items()]

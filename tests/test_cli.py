@@ -96,8 +96,9 @@ class TestFullPipeline:
         assert got == want
 
     def test_output_bytes_match_golden_digests(self, pipeline_out):
-        """sha256 of each output whose bytes do not depend on BLAS summation
-        order (the LSTM outputs and what is priced from them are left out)."""
+        """sha256 of each output but lstm_model.json, whose bytes depend on
+        the BLAS kernel, and the two text reports: train quotes each forecast
+        to the cent, so forecasts.csv, eval.csv and ledger.csv do not."""
         want = json.loads((DATA_DIR / "golden_digests.json").read_text(encoding="utf-8"))
         got = {name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest() for name in want}
         assert got == want
@@ -762,6 +763,7 @@ class TestForecastsFile:
     only if this run has the same market file, split and model settings."""
 
     def test_prices_are_those_of_the_reloaded_models_bit_for_bit(self, pipeline_out):
+        """Quoted to the cent: round(price, 2) of each model's prediction."""
         lines = (pipeline_out / "forecasts.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1] == "day,forest_usd,lstm_usd"
         got = {"forest": {}, "lstm": {}}
@@ -770,7 +772,7 @@ class TestForecastsFile:
             got["forest"][date.fromisoformat(day)] = float(forest_usd).hex()
             got["lstm"][date.fromisoformat(day)] = float(lstm_usd).hex()
         want = reloaded_forecasts(pipeline_out, fixture_market())
-        assert got == {name: {day: price.hex() for day, price in prices.items()} for name, prices in want.items()}
+        assert got == {name: {day: round(price, 2).hex() for day, price in prices.items()} for name, prices in want.items()}
         assert len(got["lstm"]) == 214
 
     def test_header_names_what_the_prices_depend_on(self, pipeline_out):

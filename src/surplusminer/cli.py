@@ -485,18 +485,19 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, l
     Its header must hold this run's fields for `models` (_forecasts_header,
     _check_header). A row that does not parse is a ValidationError naming its
     line, and a file without exactly one row per test day, in date order, one
-    naming the file. Any finite price is read; _case_columns checks its range."""
+    naming the file (one without a row included). Any finite price is read; _case_columns checks its range."""
     path = out / "forecasts.csv"
     _check_header(cfg, path, "train", _forecasts_header(cfg, models))
 
     def parse_row(row: list[str]) -> tuple:
         return _parse_date(row[0]), *(_parse_float(v, c) for v, c in zip(row[1:], FORECAST_COLUMNS[1:]))
 
-    test_days, *columns = zip(*(forecast for _, forecast in _data_rows(path, FORECAST_COLUMNS, parse_row)))
-    if list(test_days) != days(cfg.test_start, cfg.test_end):
+    rows = [forecast for _, forecast in _data_rows(path, FORECAST_COLUMNS, parse_row)]
+    if [row[0] for row in rows] != days(cfg.test_start, cfg.test_end):
         raise ValidationError(
             f"{path} must have one row per day from {cfg.test_start} to {cfg.test_end}, in date order; run train again"
         )
+    _, *columns = zip(*rows)
     return {name: list(column) for name, column in zip(MODELS, columns) if name in models}
 
 

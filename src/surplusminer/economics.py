@@ -228,8 +228,8 @@ def read_ledger_totals(path, sim_start: date, sim_end: date) -> dict[str, float]
     A wrong header, a short row, a case not in CASES, a bad value or a revenue
     outside [0, the most one day can earn] is a ValidationError naming the
     line; a case without exactly one row per day from sim_start to sim_end, in
-    date order, is one naming the case; a ledger without a row is a
-    DataInsufficientError.
+    date order, is one naming the case. A ledger without a row holds no case:
+    the caller names each requested case it lacks.
     """
     # every block at the largest reward ever paid, sold at ingest's highest price
     max_revenue = MAX_PRICE_USD * max(reward for _, reward in HALVING_SCHEDULE) * BLOCKS_PER_DAY

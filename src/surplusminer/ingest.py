@@ -84,14 +84,13 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse, key=None):
 
     The '#' skip lets files written by this package (which carry a provenance
     header line, see output_file) round-trip through the same parser. A file
-    without a data row is a DataInsufficientError. A different header, a row
-    of another width, a ValidationError from parse, a duplicate, a row csv
-    cannot read (csv.Error) or bytes that are not UTF-8 is a ValidationError
-    starting `<path>:<line>: `: an input row's location is written here
-    alone, and only when the row fails.
+    without a data row yields nothing: its reader says what that means. A
+    different header, a row of another width, a ValidationError from parse, a
+    duplicate, a row csv cannot read (csv.Error) or bytes that are not UTF-8
+    is a ValidationError starting `<path>:<line>: `: an input row's location
+    is written here alone, and only when the row fails.
     """
     header = None
-    any_rows = False
     seen: dict[tuple, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -106,7 +105,6 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse, key=None):
                 elif len(row) != len(columns):
                     raise ValidationError(f"expected {len(columns)} columns, got {len(row)}")
                 else:
-                    any_rows = True
                     record = parse(row)
                     if key is not None:
                         label = key(record)
@@ -118,8 +116,6 @@ def _data_rows(path: str | Path, columns: tuple[str, ...], parse, key=None):
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise ValidationError(_not_utf8(path)) from None
-    if not any_rows:
-        raise DataInsufficientError(f"{path}: no records")
 
 
 def _not_utf8(path: str | Path) -> str:
@@ -182,7 +178,10 @@ def parse_market_csv(path: str | Path) -> list[MarketRecord]:
     """
     path = Path(path)
     rows = _data_rows(path, MARKET_COLUMNS, _market_record, key=lambda rec: ("date", rec.day))
-    return sorted((rec for _, rec in rows), key=lambda r: r.day)
+    records = sorted((rec for _, rec in rows), key=lambda r: r.day)
+    if not records:
+        raise DataInsufficientError(f"{path}: no records")
+    return records
 
 
 @contextmanager
@@ -416,6 +415,8 @@ def parse_surplus_csv(path: str | Path, months: tuple[str, str]) -> list[Surplus
                 path, line_no, rec.region, rec.month, rec.surplus_kwh,
             )
         records.append(rec)
+    if not records:
+        raise DataInsufficientError(f"{path}: no records")
     records.sort(key=lambda r: (r.month, r.region))
     return records
 

@@ -738,11 +738,15 @@ class TestReportFromLedger:
         assert rc == 2
         assert f"ledger.csv:3: {message}" in caplog.text
 
-    def test_report_on_ledger_without_a_row_exits_3(self, pipeline_out, tmp_path, caplog):
+    def test_report_on_ledger_without_a_row_exits_2_naming_every_case(self, pipeline_out, tmp_path, caplog):
+        """A ledger with its header lines and no row lacks every case (it exited 3, as no records)."""
         with caplog.at_level(logging.ERROR):
             rc = self._report_on_edited_ledger(pipeline_out, tmp_path, lambda lines: lines[:2])
-        assert rc == 3
-        assert f"{tmp_path / 'out' / 'ledger.csv'}: no records" in caplog.text
+        assert rc == 2
+        assert (
+            f"{tmp_path / 'out' / 'ledger.csv'} has no rows for requested case(s): "
+            "actual-1, actual-2, forest-1, forest-2, lstm-1, lstm-2"
+        ) in caplog.text
 
     def test_report_on_ledger_missing_a_column_exits_2_naming_the_line(self, pipeline_out, tmp_path, caplog):
         def drop_price_source(lines):
@@ -867,6 +871,15 @@ class TestForecastsFile:
         rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(lambda lines: lines[:10] + lines[11:]))
         assert rc == 2
         assert "forecasts.csv must have one row per day from 2023-06-01 to 2023-12-31, in date order" in caplog.text
+
+    def test_forecasts_without_a_row_exits_2_saying_run_train_again(self, pipeline_out, tmp_path, caplog):
+        """Its header lines and no row: one row per test day is missing (it exited 3, as no records)."""
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=self._edit_rows(lambda lines: lines[:2]))
+        assert rc == 2
+        assert (
+            f"{tmp_path / 'out' / 'forecasts.csv'} must have one row per day from 2023-06-01 to 2023-12-31, "
+            "in date order; run train again"
+        ) in caplog.text
 
     def test_negative_forecast_exits_2_naming_the_model_and_the_day(self, pipeline_out, tmp_path, caplog):
         """Any finite price is read; simulate refuses a negative one on a

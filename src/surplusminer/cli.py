@@ -484,8 +484,9 @@ def _read_forecasts(cfg: RunConfig, out: Path, models: list[str]) -> dict[str, l
 
     Its header must hold this run's fields for `models` (_forecasts_header,
     _check_header). A row that does not parse is a ValidationError naming its
-    line, and a file without exactly one row per test day, in date order, one
-    naming the file (one without a row included). Any finite price is read; _case_columns checks its range."""
+    line, and a file without exactly one row per test day, in date order (one
+    without a row included), one naming the file. Any finite price is read;
+    _case_columns checks its range."""
     path = out / "forecasts.csv"
     _check_header(cfg, path, "train", _forecasts_header(cfg, models))
 

@@ -1,6 +1,6 @@
 """Regenerate every pinned output and print what moved.
 
-Usage, from any directory: python3 tests/data/gen_goldens.py [--base REV]
+Usage, from any directory: python3 tests/data/gen_goldens.py
 
 Runs ingest -> report on two workloads, each in a temporary directory:
 - fixture, on fixture_config.json;
@@ -11,17 +11,16 @@ fixture's report.txt, the digest of each file golden_digests.json lists, and
 the digest lines of paper-longsim.sha256 (its comment header and file list
 stay). To pin another output, list it there with any digest and run this.
 
-It also runs both workloads on the source and fixture of git revision REV
-(default HEAD) and prints, per workload, a table of each value that differs
-between the two runs: the config hash (tests/test_cli.py pins the fixture's as
+It also runs both workloads on the source and fixture of git's HEAD and
+prints, per workload, a table of each value that differs between the two
+runs: the config hash (tests/test_cli.py pins the fixture's as
 FIXTURE_HASH), each case's revenue, profit and vs_actual, and each model's
 MAE and R2; then it names each pinned file whose bytes changed. With no
-change since REV it rewrites every pinned file as it was and the tables are
+change since HEAD it rewrites every pinned file as it was and the tables are
 empty.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import json
@@ -54,10 +53,10 @@ def run_pipeline(src: Path, config: Path, out: Path) -> None:
             sys.exit(f"{cmd} on {config} with {src} exited {proc.returncode}:\n{proc.stderr}")
 
 
-def extract(rev: str, dest: Path) -> None:
-    """The src/ and tests/data/ trees of git revision `rev`, written under `dest`."""
+def extract_head(dest: Path) -> None:
+    """The src/ and tests/data/ trees of git's HEAD, written under `dest`."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, "src", "tests/data"], capture_output=True, check=True
+        ["git", "-C", str(ROOT), "archive", "HEAD", "src", "tests/data"], capture_output=True, check=True
     ).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
@@ -116,8 +115,8 @@ def rewrite_digests_json(path: Path, out: Path) -> list[str]:
     return [name for name in old if old[name] != new[name]]
 
 
-def print_changes(workload: str, rev: str, old: dict[str, str], new: dict[str, str], files: list[str]) -> None:
-    rows = [("value", rev, "this tree"), *change_table(old, new)]
+def print_changes(workload: str, old: dict[str, str], new: dict[str, str], files: list[str]) -> None:
+    rows = [("value", "HEAD", "this tree"), *change_table(old, new)]
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     print(f"{workload}:")
     for row in rows:
@@ -126,28 +125,26 @@ def print_changes(workload: str, rev: str, old: dict[str, str], new: dict[str, s
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="git revision to compare with (default: HEAD)")
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        extract(args.base, base)
+        extract_head(base)
 
         fixture = tmp / "fixture"
         run_pipeline(ROOT / "src", HERE / "fixture_config.json", fixture / "out")
         run_pipeline(base / "src", base / "tests/data/fixture_config.json", fixture / "base")
-        files = ["golden_report.txt"] if rewrite(REPORT_FILE, (fixture / "out/report.txt").read_text(encoding="utf-8")) else []
+        report = (fixture / "out" / "report.txt").read_text(encoding="utf-8")
+        files = ["golden_report.txt"] if rewrite(REPORT_FILE, report) else []
         files += rewrite_digests_json(DIGESTS_FILE, fixture / "out")
         new_values = run_values(fixture / "out")
-        print_changes("fixture", args.base, run_values(fixture / "base"), new_values, files)
+        print_changes("fixture", run_values(fixture / "base"), new_values, files)
 
         paper = tmp / "paper-longsim"
         config = write_inputs(paper / "inputs", GENERATOR_SEED)["paper-longsim"]
         run_pipeline(ROOT / "src", config, paper / "out")
         run_pipeline(base / "src", config, paper / "base")
         files = rewrite_sha256_file(SHA256_FILE, paper)
-        print_changes("paper-longsim", args.base, run_values(paper / "base"), run_values(paper / "out"), files)
+        print_changes("paper-longsim", run_values(paper / "base"), run_values(paper / "out"), files)
     print("fixture config hash (FIXTURE_HASH):", new_values["config hash"])
 
 

@@ -67,14 +67,13 @@ class Tree:
     Node 0 is the root, and each depth level follows the one above it, its
     nodes in pairs, left child then right, in the order of their parents, so
     the j-th internal node's children are nodes 2j + 1 and 2j + 2. Internal
-    node i sends rows with x[feature[i]] <= threshold[i] to left[i] and the
-    rest to left[i] + 1. At a leaf, feature is LEAF and value[i] is the
-    prediction. Unused threshold and value entries are 0.0.
+    node i sends rows with x[feature[i]] <= split_or_value[i] to left[i] and
+    the rest to left[i] + 1. At a leaf, feature is LEAF and split_or_value[i]
+    is the prediction. These are the two arrays the model file stores.
     """
 
     feature: np.ndarray  # int64
-    threshold: np.ndarray  # float64
-    value: np.ndarray  # float64
+    split_or_value: np.ndarray  # float64
 
     @property
     def node_count(self) -> int:
@@ -242,8 +241,8 @@ def grow_trees(
     # (tree, breadth-first) node order, each node's row count and its tree
     rows = np.concatenate(samples)
     tree_of = np.arange(len(samples))
-    # per level: each node's tree, feature (LEAF unless it splits), threshold, value
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # per level: each node's tree, feature (LEAF unless it splits), split_or_value
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     depth = 0
     while sizes.size:
         k = len(sizes)
@@ -255,7 +254,7 @@ def grow_trees(
             & (max_depth is None or depth < max_depth)
         )
         feature = np.full(k, LEAF, dtype=np.int64)
-        threshold = np.zeros(k)
+        number = np.zeros(k)
         candidates = np.flatnonzero(may_split)
         if candidates.size:
             counts = np.bincount(tree_of[candidates], minlength=len(samples))
@@ -265,29 +264,28 @@ def grow_trees(
                 nodes = candidates[batch]
                 n = sizes[nodes]
                 offsets = np.minimum(np.arange(n.max()), (n - 1)[:, None])
-                feature[nodes], threshold[nodes], _ = _split_search(
+                feature[nodes], number[nodes], _ = _split_search(
                     X, y, rows[starts[nodes][:, None] + offsets], n, subsets[batch]
                 )
         split = feature != LEAF
 
         # np.mean's arithmetic at a leaf: a pairwise sum, then one division
         # (for one row, the row's value)
-        value = np.zeros(k)
         one = ~split & (sizes == 1)
-        value[one] = ys[starts[one]]
+        number[one] = ys[starts[one]]
         many = np.flatnonzero(~split & (sizes > 1))
-        value[many] = [
+        number[many] = [
             float(np.add.reduce(ys[a : a + n])) / n
             for a, n in zip(starts[many].tolist(), sizes[many].tolist())
         ]
-        levels.append((tree_of, feature, threshold, value))
+        levels.append((tree_of, feature, number))
 
         # the next level: each split node's rows, left child's then right
         # child's, each in their order (a stable sort by child)
         node_of_row = np.repeat(np.arange(k), sizes)
         kept = split[node_of_row]
         node_of_row, rows = node_of_row[kept], rows[kept]
-        goes_right = ~(X[rows, feature[node_of_row]] <= threshold[node_of_row])
+        goes_right = ~(X[rows, feature[node_of_row]] <= number[node_of_row])
         child = 2 * (np.add.accumulate(split) - 1)[node_of_row] + goes_right
         rows = rows[child.argsort(kind="stable")]
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
@@ -373,9 +371,9 @@ def fit_forest(
 def predict_tree(tree: Tree, x: Sequence[float]) -> float:
     node = 0
     while tree.feature[node] != LEAF:
-        goes_left = x[tree.feature[node]] <= tree.threshold[node]
+        goes_left = x[tree.feature[node]] <= tree.split_or_value[node]
         node = tree.left[node] + (not goes_left)
-    return float(tree.value[node])
+    return float(tree.split_or_value[node])
 
 
 def _tree_predictions(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -388,9 +386,9 @@ def _tree_predictions(tree: Tree, X: np.ndarray) -> np.ndarray:
         f = tree.feature[at]
         internal = f != LEAF
         active, at, f = active[internal], at[internal], f[internal]
-        goes_left = X[active, f] <= tree.threshold[at]
+        goes_left = X[active, f] <= tree.split_or_value[at]
         node[active] = tree.left[at] + ~goes_left
-    return tree.value[node]
+    return tree.split_or_value[node]
 
 
 def _predict_rows(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -418,18 +416,13 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
     header (schema, params, feature_count, each tree's node count), then every
     node of every tree, in tree order, as two base64 strings. `feature` holds
     int8s, LEAF at a leaf; `split_or_value` little-endian float64s, the
-    threshold at a split and the value at a leaf. A node uses one of the two
-    numbers and the other is 0.0, so one number per node loses nothing."""
+    threshold at a split and the value at a leaf: the Tree's two arrays."""
     if model.feature_count > _MAX_FEATURES:
         raise ValidationError(
             f"cannot save a forest over {model.feature_count} features: the model file holds at most {_MAX_FEATURES}"
         )
     feature = np.concatenate([t.feature for t in model.trees])
-    number = np.where(
-        feature != LEAF,
-        np.concatenate([t.threshold for t in model.trees]),
-        np.concatenate([t.value for t in model.trees]),
-    )
+    number = np.concatenate([t.split_or_value for t in model.trees])
     doc = {
         "schema": FOREST_SCHEMA,
         "params": asdict(model.params),
@@ -475,10 +468,8 @@ def _unpacked_trees(doc: dict, node_counts: list[int], feature_count: int) -> li
     split = feature != LEAF
     refuse(~np.isfinite(number), "numbers must be finite")
     refuse(split & ((feature < 0) | (feature >= feature_count)), f"split feature out of range for {feature_count} features")
-    columns = (feature, np.where(split, number, 0.0), np.where(split, 0.0, number))
     trees = []
-    for b, arrays in enumerate(zip(*(np.split(column, ends[:-1]) for column in columns))):
-        tree = Tree(*arrays)
+    for b, tree in enumerate(map(Tree, np.split(feature, ends[:-1]), np.split(number, ends[:-1]))):
         internal = tree.feature != LEAF
         n, k = tree.node_count, int(np.count_nonzero(internal))
         if n != 2 * k + 1:

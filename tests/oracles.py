@@ -182,10 +182,10 @@ def same_tree(tree, naive: NaiveNode) -> bool:
         if (tree.feature[i] == -1) != (node.value is not None):
             return False
         if node.value is not None:
-            if node.value != pytest.approx(tree.value[i], rel=1e-12, abs=1e-15):
+            if node.value != pytest.approx(tree.split_or_value[i], rel=1e-12, abs=1e-15):
                 return False
             continue
-        if tree.feature[i] != node.feature or tree.threshold[i] != node.threshold:
+        if tree.feature[i] != node.feature or tree.split_or_value[i] != node.threshold:
             return False
         stack.append((tree.left[i] + 1, node.right))
         stack.append((tree.left[i], node.left))

@@ -46,15 +46,13 @@ def chain_tree(depth):
     """A hand-built flat chain: at level k, x <= k + 0.5 goes to a leaf of
     value k, anything larger one level down; the last leaf holds `depth`.
     Each level is the pair (leaf, next split), so the nodes are in level order."""
-    feature, threshold, value = [], [], []
+    feature, split_or_value = [], []
     for level in range(depth):
         feature += [0, LEAF]
-        threshold += [level + 0.5, 0.0]
-        value += [0.0, float(level)]
+        split_or_value += [level + 0.5, float(level)]
     feature.append(LEAF)
-    threshold.append(0.0)
-    value.append(float(depth))
-    return Tree(feature=np.array(feature), threshold=np.array(threshold), value=np.array(value))
+    split_or_value.append(float(depth))
+    return Tree(feature=np.array(feature), split_or_value=np.array(split_or_value))
 
 
 def best_split(X, y, features):
@@ -195,10 +193,10 @@ class TestGrowTree:
         while stack:
             i, rows = stack.pop()
             if tree.feature[i] == LEAF:
-                assert tree.value[i] == float(np.mean(y[rows])), i
+                assert tree.split_or_value[i] == float(np.mean(y[rows])), i
                 continue
             f, thr, _ = best_split(X[rows], y[rows], range(p))
-            assert (tree.feature[i], tree.threshold[i]) == (f, thr), i
+            assert (tree.feature[i], tree.split_or_value[i]) == (f, thr), i
             mask = X[rows, f] <= thr
             stack.append((tree.left[i] + 1, rows[~mask]))
             stack.append((tree.left[i], rows[mask]))
@@ -210,7 +208,7 @@ class TestGrowTree:
         tree = grow_tree(X, y, params, tree_rng(0, 0))
         assert tree.node_count == 1
         assert tree.feature[0] == LEAF
-        assert tree.value[0] == 1.5
+        assert tree.split_or_value[0] == 1.5
 
     def test_min_samples_leaf_gates_splitting(self):
         """Nodes smaller than 2 * min_samples_leaf must never split."""
@@ -226,7 +224,7 @@ class TestGrowTree:
             if tree.feature[i] == LEAF:
                 continue
             assert len(rows) >= 2 * 3
-            mask = rows[:, tree.feature[i]] <= tree.threshold[i]
+            mask = rows[:, tree.feature[i]] <= tree.split_or_value[i]
             stack.append((tree.left[i], rows[mask]))
             stack.append((tree.left[i] + 1, rows[~mask]))
 
@@ -250,9 +248,9 @@ class TestGrowTree:
         # the chain runs down the left children, one level per row: each
         # level below the root is the pair (split, right leaf)
         assert internal.tolist() == [0] + list(range(1, 2 * n - 4, 2))
-        assert tree.threshold[internal].tolist() == [n - 1.5 - k for k in range(n - 1)]
-        assert [tree.value[tree.left[i] + 1] for i in internal] == y[::-1][: n - 1].tolist()
-        assert tree.value[tree.left[internal[-1]]] == y[0]
+        assert tree.split_or_value[internal].tolist() == [n - 1.5 - k for k in range(n - 1)]
+        assert [tree.split_or_value[tree.left[i] + 1] for i in internal] == y[::-1][: n - 1].tolist()
+        assert tree.split_or_value[tree.left[internal[-1]]] == y[0]
         assert [predict_tree(tree, row) for row in X] == y.tolist()
 
     def test_memorizes_distinct_rows_without_bootstrap(self, monkeypatch):
@@ -547,7 +545,7 @@ class TestWorkers:
 
 def assert_same_arrays(got: Tree, want: Tree):
     """Bit for bit the same arrays, dtype included (-0.0 differs from 0.0)."""
-    for name in ("feature", "threshold", "value"):
+    for name in ("feature", "split_or_value"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
@@ -578,15 +576,15 @@ class TestSerialization:
         depth = sys.getrecursionlimit() + 500
         tree = chain_tree(depth)
         # a split and a leaf whose number is -0.0, which the file must keep
-        tree.threshold[0] = tree.value[1] = -0.0
+        tree.split_or_value[0] = tree.split_or_value[1] = -0.0
         params = ForestParams(n_trees=1, m_try=1, seed=0)
         model = ForestModel(trees=[tree], params=params, feature_count=1)
         path = tmp_path / "deep.json"
         save_forest(model, path)
         loaded = load_forest(path)
         assert_same_arrays(loaded.trees[0], tree)
-        assert math.copysign(1.0, loaded.trees[0].threshold[0]) == -1.0
-        assert math.copysign(1.0, loaded.trees[0].value[1]) == -1.0
+        assert math.copysign(1.0, loaded.trees[0].split_or_value[0]) == -1.0
+        assert math.copysign(1.0, loaded.trees[0].split_or_value[1]) == -1.0
         # x = k + 0.2 descends k levels right, then one left, to leaf value k
         for x in (0.0, 7.2, float(depth - 1) + 0.2, float(depth) + 5.0):
             assert predict_tree(loaded.trees[0], [x]) == predict_tree(tree, [x])
@@ -641,7 +639,8 @@ _CHILD_OUT_OF_ORDER = {
     "left--1": (lambda tree: _move_last_split(tree, -1), "child index"),
 }
 
-# the key of the blob that stores each column of a Tree
+# the key of the blob that stores a split's feature, a split's threshold and
+# a leaf's value
 _BLOB = {"feature": "feature", "threshold": "split_or_value", "value": "split_or_value"}
 
 

@@ -4,8 +4,9 @@ Day t's six features are one function of the prices ending on t:
 `feature_values` reads the last FEATURE_WINDOW (16) of them, days t-15..t.
 Each indicator below is a function of one window and takes the window's
 length from the slice it is given. Arithmetic is deliberately plain
-left-to-right Python (sum()/n and friends) so every value can be reproduced
-exactly from the defining formula.
+left-to-right Python (a += loop, then /n, and friends) so every value can be
+reproduced exactly from the defining formula on every Python: not sum(),
+which compensates floats from Python 3.12 on.
 """
 from __future__ import annotations
 
@@ -27,7 +28,10 @@ FEATURE_WINDOW = BASE_WINDOW + D_WINDOW - 1
 
 def mean(window: Sequence[float]) -> float:
     """Simple moving average of the window (and %D, of the last three %K)."""
-    return sum(window) / len(window)
+    acc = 0.0
+    for p in window:
+        acc += p
+    return acc / len(window)
 
 
 def weighted_mean(window: Sequence[float]) -> float:

@@ -85,6 +85,11 @@ class TestKnownValues:
     def test_sma_tiny(self):
         assert [mean(w) for _, w in trailing([2.0, 4.0, 6.0, 8.0], 2)] == [3.0, 5.0, 7.0]
 
+    def test_sma_adds_left_to_right(self):
+        """1e16 + 1.0 rounds back to 1e16, so the plain sum is 0.0; the
+        compensated sum() of Python 3.12 and later would give 1.0 / 3."""
+        assert mean([1e16, 1.0, -1e16]) == 0.0
+
     def test_momentum_tiny(self):
         ps = [5.0] * (FEATURE_WINDOW - 1) + [7.0, 4.0]
         assert feature_values(ps[:-1])[2] == 2.0

@@ -422,9 +422,8 @@ def parse_surplus_csv(path: str | Path, months: tuple[str, str]) -> list[Surplus
 
 
 def monthly_totals(records: list[SurplusRecord]) -> list[MonthlySurplusTotal]:
-    """Sum surplus energy across regions, one total per month, sorted by month."""
-    if not records:
-        raise DataInsufficientError("no surplus records")
+    """Sum surplus energy across regions, one total per month, sorted by
+    month, of parse_surplus_csv's records (it refuses a file without one)."""
     sums: dict[str, float] = {}
     for rec in records:
         sums[rec.month] = sums.get(rec.month, 0.0) + rec.surplus_kwh

@@ -277,7 +277,7 @@ class TestPerGateOracle:
     for bit: the same products in the same order must give the same floats,
     however the package lays out or batches its weights."""
 
-    @pytest.mark.parametrize("d, h, T, m", [(7, 16, 14, 32), (3, 5, 4, 6), (2, 3, 1, 1)])
+    @pytest.mark.parametrize("d, h, T, m", [(7, 64, 14, 32), (7, 16, 14, 32), (3, 5, 4, 6), (2, 3, 1, 1)])
     def test_gradients_and_loss(self, d, h, T, m):
         rng = np.random.default_rng(18 + d)
         w = init_weights(d, h, seed=d)
@@ -290,10 +290,12 @@ class TestPerGateOracle:
         for name, grad in grads.items():
             assert grad.tobytes() == want[name].tobytes(), name
 
-    @pytest.mark.parametrize("hidden, clip_norm", [(16, 1.0), (8, 0.05)])
+    @pytest.mark.parametrize("hidden, clip_norm", [(64, 1.0), (16, 1.0), (8, 0.05)])
     def test_two_epoch_fit_on_the_fixture(self, hidden, clip_norm):
-        """Weights and loss trace of a 2-epoch fit on the fixture's features;
-        the small clip_norm makes every step go through the scaling."""
+        """Weights and loss trace of a 2-epoch fit on the fixture's features
+        (700 windows, so the last batch holds 28); hidden size 64 is the
+        shipped one, and the small clip_norm makes every step go through the
+        scaling."""
         matrix = build_features(parse_market_csv(DATA_DIR / "market.csv"))
         config = TrainConfig(epochs=2, window=14, hidden_size=hidden, clip_norm=clip_norm, seed=42)
         model = fit_lstm(matrix, config)

@@ -360,7 +360,8 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
         "loss_trace": model.loss_trace,
     }
     with output_file(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        # one json.dumps string: json.dump to a file runs the pure-Python encoder
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -215,12 +215,12 @@ def grow_trees(
     """Grow one tree per sample, all of them one depth level at a time together.
 
     Tree t is grown on the rows samples[t] of X and y, in that order, with
-    draws from rngs[t]. Leaves form when targets are constant, the node is
-    smaller than 2 * min_samples_leaf, max_depth is reached, or no gaining
-    split exists. Each level takes the open nodes of every tree in (tree,
-    breadth-first) order, left child before right, and each tree draws the
-    feature subsets of its nodes that may split in one call: node i of its
-    k such nodes gets the m lowest-ranked of p uniform variates in row i of
+    draws from rngs[t]. Every tree grows out (Breiman 2001): a node is a
+    leaf when it holds one row, its targets are constant or no split gains.
+    Each level takes the open nodes of every tree in (tree, breadth-first)
+    order, left child before right, and each tree draws the feature subsets
+    of its nodes that may split in one call: node i of its k such nodes gets
+    the m lowest-ranked of p uniform variates in row i of
     rngs[t].random((k, p)), in ascending feature order. The nodes of all
     trees are then bucketed by size (powers of 4) and each bucket is searched
     in padded passes of `_split_search`, cut at _MAX_LANE_ROWS lane-rows
@@ -234,8 +234,6 @@ def grow_trees(
     sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
     p = X.shape[1]
     m = params.resolved_m_try(p)
-    min_split = 2 * params.min_samples_leaf
-    max_depth = params.max_depth
 
     # the open nodes of the current level: their rows of X, concatenated in
     # (tree, breadth-first) node order, each node's row count and its tree
@@ -243,16 +241,12 @@ def grow_trees(
     tree_of = np.arange(len(samples))
     # per level: each node's tree, feature (LEAF unless it splits), split_or_value
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    depth = 0
     while sizes.size:
         k = len(sizes)
         starts = np.add.accumulate(sizes) - sizes
         ys = y[rows]
-        may_split = (
-            (np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts))
-            & (sizes >= min_split)
-            & (max_depth is None or depth < max_depth)
-        )
+        # a one-row node is constant too
+        may_split = np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts)
         feature = np.full(k, LEAF, dtype=np.int64)
         number = np.zeros(k)
         candidates = np.flatnonzero(may_split)
@@ -290,7 +284,6 @@ def grow_trees(
         rows = rows[child.argsort(kind="stable")]
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
         tree_of = np.repeat(tree_of[split], 2)
-        depth += 1
 
     # a stable sort by tree keeps each tree's nodes in level order
     tree_of, *columns = (np.concatenate(column) for column in zip(*levels))

@@ -11,8 +11,6 @@ from .errors import ValidationError
 class ForestParams:
     n_trees: int = 100
     m_try: int | None = None  # None: max(1, floor(p / 3))
-    min_samples_leaf: int = 1
-    max_depth: int | None = None
     seed: int = field(default=0, metadata={"config_key": False})  # the run's master seed
 
     def __post_init__(self) -> None:
@@ -20,10 +18,6 @@ class ForestParams:
             raise ValidationError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.m_try is not None and self.m_try < 1:
             raise ValidationError(f"m_try must be >= 1, got {self.m_try}")
-        if self.min_samples_leaf < 1:
-            raise ValidationError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
 
     def resolved_m_try(self, p: int) -> int:
         m = self.m_try if self.m_try is not None else max(1, p // 3)

@@ -132,16 +132,10 @@ def naive_best_split(
     return best[1], best[2], best[0]
 
 
-def naive_grow(
-    X: list[list[float]],
-    y: list[float],
-    max_depth: Optional[int],
-    min_samples_leaf: int = 1,
-    depth: int = 0,
-) -> NaiveNode:
-    if min(y) == max(y) or len(y) < 2 * min_samples_leaf or (
-        max_depth is not None and depth >= max_depth
-    ):
+def naive_grow(X: list[list[float]], y: list[float]) -> NaiveNode:
+    """The tree grown out: every node splits until its targets are constant
+    (one row included) or no split gains."""
+    if min(y) == max(y):
         return NaiveNode(value=sum(y) / len(y))
     found = naive_best_split(X, y)
     if found is None:
@@ -158,8 +152,8 @@ def naive_grow(
     return NaiveNode(
         feature=f,
         threshold=thr,
-        left=naive_grow(lx, ly, max_depth, min_samples_leaf, depth + 1),
-        right=naive_grow(rx, ry, max_depth, min_samples_leaf, depth + 1),
+        left=naive_grow(lx, ly),
+        right=naive_grow(rx, ry),
     )
 
 

@@ -106,7 +106,6 @@ def test_c04_tree_growth_matches_exhaustive_search():
     for trial in range(200):
         n = int(rng.integers(2, 13))
         p = int(rng.integers(1, 4))
-        depth = int(rng.integers(0, 3))
         cols = []
         for _ in range(p):
             if rng.random() < 0.5:
@@ -119,9 +118,9 @@ def test_c04_tree_growth_matches_exhaustive_search():
         else:
             y = rng.normal(0.0, 1.0, size=n)
 
-        params = ForestParams(n_trees=1, m_try=p, max_depth=depth, seed=1)
+        params = ForestParams(n_trees=1, m_try=p, seed=1)
         tree = grow_tree(X, y, params, np.random.default_rng(trial))
-        naive = oracles.naive_grow([list(row) for row in X], list(y), depth)
+        naive = oracles.naive_grow([list(row) for row in X], list(y))
 
         assert oracles.same_tree(tree, naive), f"trial {trial}: structure differs"
         got_sse = sum((predict_tree(tree, row) - t) ** 2 for row, t in zip(X, y))

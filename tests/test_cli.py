@@ -27,7 +27,7 @@ from surplusminer.ingest import MarketRecord
 
 from conftest import DATA_DIR, FIXTURE_CONFIG, decode_nodes, encode_nodes, fails_after, killing_sampler
 
-FIXTURE_HASH = "a0bcc05b373b"
+FIXTURE_HASH = "27f8a4472183"
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestFullPipeline:
         with caplog.at_level(logging.ERROR):
             rc = main(["report", "--config", str(FIXTURE_CONFIG), "--out", str(out), "--seed", "7"])
         assert rc == 2
-        assert "config=a0bcc05b373b, seed=42, but the run config has config=b654642ba0ac, seed=7" in caplog.text
+        assert f"config={FIXTURE_HASH}, seed=42, but the run config has config=a3f1ed3577d4, seed=7" in caplog.text
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in pipeline_out.iterdir()}
 
 
@@ -373,10 +373,13 @@ class TestIngest:
 
 class TestConfigValidation:
     def test_unknown_key_exits_2(self, tmp_path, caplog):
-        """blocks_per_day and miner.efficiency_j_per_th were keys (144 blocks and
-        power / hash rate): an old config that sets either exits 2."""
+        """blocks_per_day, miner.efficiency_j_per_th, forest.min_samples_leaf and
+        forest.max_depth were keys (144 blocks, power / hash rate, 1 and none):
+        an old config that sets any of them exits 2."""
         unknown = {"typo_key": {"typo_key": 1}, "blocks_per_day": {"blocks_per_day": 144},
-                   "miner.efficiency_j_per_th": {"miner": {"efficiency_j_per_th": 12.0}}}
+                   "miner.efficiency_j_per_th": {"miner": {"efficiency_j_per_th": 12.0}},
+                   "forest.min_samples_leaf": {"forest": {"min_samples_leaf": 1}},
+                   "forest.max_depth": {"forest": {"max_depth": None}}}
         for key, overrides in unknown.items():
             cfg = write_config(tmp_path, **overrides)
             caplog.clear()
@@ -785,8 +788,7 @@ class TestForecastsFile:
             f"market_sha256={sha256(DATA_DIR / 'market.csv')}",
             "analysis_start=2022-01-01", "train_start=2022-01-01", "train_end=2023-05-31",
             "test_start=2023-06-01", "test_end=2023-12-31",
-            "forest.n_trees=20", "forest.m_try=None", "forest.min_samples_leaf=1", "forest.max_depth=None",
-            "forest.seed=42",
+            "forest.n_trees=20", "forest.m_try=None", "forest.seed=42",
             "lstm.epochs=5", "lstm.window=14", "lstm.hidden_size=16", "lstm.learning_rate=0.001",
             "lstm.batch_size=32", "lstm.clip_norm=1.0", "lstm.seed=42",
         ])
@@ -832,10 +834,10 @@ class TestForecastsFile:
             ({}, ("--seed", "7", "--cases", "lstm-2"), "lstm.seed=42", "lstm.seed=7"),
             ({}, ("--seed", "7"), "forest.seed=42, lstm.seed=42", "forest.seed=7, lstm.seed=7"),
             (
-                {"forest": {"n_trees": 10, "max_depth": 3}},
+                {"forest": {"n_trees": 10, "m_try": 3}},
                 ("--cases", "actual-1,forest-1"),
-                "forest.n_trees=20, forest.max_depth=None",
-                "forest.n_trees=10, forest.max_depth=3",
+                "forest.n_trees=20, forest.m_try=None",
+                "forest.n_trees=10, forest.m_try=3",
             ),
         ],
         ids=["train_end", "lstm-window", "seed-forest-2", "seed-lstm-2", "seed-all-cases", "forest-settings"],

@@ -1,8 +1,8 @@
 """Single-layer LSTM regressor with a linear head, trained by BPTT.
 
 Everything is hand-rolled numpy: gate forward passes, backpropagation through
-time, global-norm gradient clipping, and plain SGD over chronological
-mini-batches. Inputs are min-max scaled to [0, 1] with statistics fitted on
+time, global-norm gradient clipping, and Adam (Kingma and Ba, ICLR 2015) at
+its published defaults over chronological mini-batches. Inputs are min-max scaled to [0, 1] with statistics fitted on
 the training split only; the target (next-day price) shares the price
 column's scaling so predictions invert back to dollars.
 
@@ -34,7 +34,7 @@ from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
 from .params import TrainConfig
 
-LSTM_SCHEMA = "lstm-model/2"
+LSTM_SCHEMA = "lstm-model/3"  # /3: trained with Adam, /2 with plain SGD
 
 @dataclass
 class LstmWeights:
@@ -265,11 +265,22 @@ class LstmModel:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _apply_sgd(w: LstmWeights, grads: LstmWeights, lr: float) -> None:
-    """One SGD step in place, a whole stack (W, U, b, V, c) at a time."""
+# Adam's published defaults: the moments' decay rates and the denominator's epsilon
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _apply_adam(w: LstmWeights, grads: LstmWeights, m: LstmWeights, v: LstmWeights, step: int, lr: float) -> None:
+    """One bias-corrected Adam step of size lr in place, a whole stack (W, U,
+    b, V, c) at a time. m and v hold each stack's first and second moment
+    estimates, updated here; step counts the steps taken, this one included."""
+    m_scale, v_scale = 1.0 - _BETA1**step, 1.0 - _BETA2**step
     for stack in fields(LstmWeights):
-        arr = getattr(w, stack.name)
-        arr -= lr * getattr(grads, stack.name)
+        g, m_k, v_k, arr = (getattr(x, stack.name) for x in (grads, m, v, w))
+        m_k *= _BETA1
+        m_k += (1.0 - _BETA1) * g
+        v_k *= _BETA2
+        v_k += (1.0 - _BETA2) * (g * g)
+        arr -= lr * (m_k / m_scale) / (np.sqrt(v_k / v_scale) + _EPS)
 
 
 def _windows(scaled: np.ndarray, T: int) -> np.ndarray:
@@ -289,7 +300,7 @@ def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
     """Train on sliding windows of the feature rows (chronological batches).
 
     Window i covers rows [i, i+T) and its target is row i+T-1's next-day
-    price. The loss trace records the mean squared training loss of each
+    price. Each batch takes one Adam step of size learning_rate. The loss trace records the mean squared training loss of each
     epoch (one entry per epoch). There must be at least T rows, one window:
     train's split check refuses a shorter training window.
     """
@@ -304,6 +315,8 @@ def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
     window_targets = scaler.transform_target(targets)[T - 1 :]
 
     w = init_weights(inputs.shape[1], config.hidden_size, config.seed)
+    m, v = (LstmWeights.zeros(inputs.shape[1], config.hidden_size) for _ in range(2))
+    step = 0  # counted across epochs, for Adam's bias correction
     trace: list[float] = []
     for _ in range(config.epochs):
         sse = 0.0
@@ -312,7 +325,8 @@ def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
             batch_targets = window_targets[start : start + config.batch_size]
             grads, loss = bptt_gradients(batch, batch_targets, w)
             grads, _ = clip_gradients(grads, config.clip_norm)
-            _apply_sgd(w, grads, config.learning_rate)
+            step += 1
+            _apply_adam(w, grads, m, v, step, config.learning_rate)
             sse += loss * len(batch_targets)
         trace.append(sse / n_windows)
     return LstmModel(weights=w, scaler=scaler, config=config, loss_trace=trace)

@@ -272,16 +272,22 @@ def oracle_clip(grads: dict, max_norm: float) -> dict:
 
 def oracle_fit_lstm(inputs, targets, window: int, hidden: int, seed: int, epochs: int,
                     batch_size: int, learning_rate: float, clip_norm: float) -> tuple[dict, list[float]]:
-    """Plain SGD on chronological batches of every `window`-row window of the
+    """Adam on chronological batches of every `window`-row window of the
     min-max scaled (n, d) inputs, window i's target being targets[i+window-1]
-    on the last column's scale. Returns the weights and each epoch's mean
-    squared training loss."""
+    on the last column's scale: Kingma and Ba's algorithm 1 (ICLR 2015) with
+    beta1 0.9, beta2 0.999 and epsilon 1e-8, per parameter, steps counted
+    across epochs. Returns the weights and each epoch's mean squared
+    training loss."""
     mins, maxs = inputs.min(axis=0), inputs.max(axis=0)
     spans = np.where(maxs - mins > 0, maxs - mins, 1.0)
     scaled = (inputs - mins) / spans
     windows = np.lib.stride_tricks.sliding_window_view(scaled, window, axis=0).transpose(0, 2, 1)
     window_targets = ((targets - mins[-1]) / spans[-1])[window - 1 :]
     p = oracle_lstm_init(inputs.shape[1], hidden, seed)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = {name: np.zeros_like(arr) for name, arr in p.items()}
+    v = {name: np.zeros_like(arr) for name, arr in p.items()}
+    t = 0
     trace = []
     for _ in range(epochs):
         sse = 0.0
@@ -289,8 +295,14 @@ def oracle_fit_lstm(inputs, targets, window: int, hidden: int, seed: int, epochs
             batch_targets = window_targets[start : start + batch_size]
             grads, loss = oracle_lstm_gradients(windows[start : start + batch_size], batch_targets, p)
             grads = oracle_clip(grads, clip_norm)
+            t += 1
             for name in LSTM_NAMES:
-                p[name] -= learning_rate * grads[name]
+                g = grads[name]
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1**t)
+                v_hat = v[name] / (1.0 - b2**t)
+                p[name] = p[name] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             sse += loss * len(batch_targets)
         trace.append(sse / len(windows))
     return p, trace

@@ -263,6 +263,30 @@ class TestTraining:
         x = input_array(matrix)[:8]
         assert predict_window(model, x) != predict_window(model_flipped, x)
 
+    def test_first_adam_step_moves_each_weight_by_the_step_size(self):
+        """From zero moments, a bias-corrected Adam step is lr * g / (|g| + eps):
+        at most lr for every weight, and lr * sign(g) to within eps / |g| where
+        |g| > 1e-4. Without the bias correction it would be about 3.16 lr
+        (0.1 / sqrt(0.001)), which an oracle written alike could share. One
+        batch holds every window, so the fit takes one step from the initial
+        weights along their clipped gradients."""
+        matrix = build_features(make_series(sine_prices(60)))
+        config = TrainConfig(epochs=1, window=8, hidden_size=4, batch_size=1000, seed=5)
+        model = fit_lstm(matrix, config)
+        scaled = model.scaler.transform(input_array(matrix))
+        windows = np.lib.stride_tricks.sliding_window_view(scaled, 8, axis=0).transpose(0, 2, 1)
+        targets = model.scaler.transform_target([r.target_price for r in matrix])[7:]
+        start = init_weights(len(FEATURE_NAMES) + 1, 4, seed=5)
+        grads, _ = clip_gradients(bptt_gradients(windows, targets, start)[0], config.clip_norm)
+        lr, large_count = config.learning_rate, 0
+        for (name, before), (_, after), (_, g) in zip(start.items(), model.weights.items(), grads.items()):
+            moved = before - after
+            assert np.all(np.abs(moved) <= lr * (1 + 1e-12)), name
+            large = np.abs(g) > 1e-4
+            assert moved[large] == pytest.approx(lr * np.sign(g[large]), rel=1e-4), name
+            large_count += int(large.sum())
+        assert large_count > 50
+
     def test_scaler_fitted_on_training_matrix(self):
         matrix = build_features(make_series(sine_prices(80)))
         config = TrainConfig(epochs=1, window=8, hidden_size=4, seed=1)

@@ -63,7 +63,7 @@ from .ingest import (
     write_market_csv,
     write_output_csv,
 )
-from .params import ForestParams, TrainConfig
+from .params import FOREST_SCHEMA, LSTM_SCHEMA, ForestParams, TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -96,6 +96,8 @@ def __getattr__(name: str):
 
 # The forecast models; forecasts.csv holds their prices in this order.
 MODELS = PRICE_SOURCES[1:]
+# Each model's file schema, which changes with how the model is trained.
+MODEL_SCHEMAS = {"forest": FOREST_SCHEMA, "lstm": LSTM_SCHEMA}
 # The config keys that decide which feature rows the models train on and forecast from.
 SPLIT_KEYS = ("analysis_start", "train_start", "train_end", "test_start", "test_end")
 
@@ -408,12 +410,14 @@ FORECAST_COLUMNS = ("day", *(f"{name}_usd" for name in MODELS))
 def _forecasts_header(cfg: RunConfig, models) -> dict[str, str]:
     """forecasts.csv's header fields for `models` (of MODELS): by name,
     everything their prices depend on. That is the market file's sha256, the
-    split dates and each model's settings (seed included, as reprs); train
-    writes the same model bytes from these on any CPU count."""
+    split dates, and each model's schema (which names how it trains) and
+    settings (seed included, as reprs); train writes the same model bytes
+    from these on any CPU count."""
     header = _digests(cfg, "market_sha256")
     header.update((key, getattr(cfg, key).isoformat()) for key in SPLIT_KEYS)
     for name in models:
         settings = getattr(cfg, name)
+        header[f"{name}.schema"] = MODEL_SCHEMAS[name]
         header.update((f"{name}.{f.name}", repr(getattr(settings, f.name))) for f in fields(settings))
     return header
 

@@ -38,9 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
-from .params import ForestParams
-
-FOREST_SCHEMA = "forest-model/5"
+from .params import FOREST_SCHEMA, ForestParams
 
 # The model file stores split features as int8, so it holds at most this many.
 _MAX_FEATURES = 127

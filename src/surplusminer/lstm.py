@@ -32,9 +32,7 @@ import numpy as np
 from .errors import DataInsufficientError, ValidationError
 from .indicators import FeatureRow
 from .ingest import json_array, json_fields, json_value, output_file, read_json_object
-from .params import TrainConfig
-
-LSTM_SCHEMA = "lstm-model/3"  # /3: trained with Adam, /2 with plain SGD
+from .params import LSTM_SCHEMA, TrainConfig
 
 @dataclass
 class LstmWeights:

@@ -1,10 +1,14 @@
-"""The forest and lstm sections of the run config, apart from the model code so
-that the commands that fit and load no model read a config without numpy."""
+"""The forest and lstm sections of the run config and the model files' schemas,
+apart from the model code so that the commands that fit and load no model
+read a config, and check forecasts.csv's header, without numpy."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+
+FOREST_SCHEMA = "forest-model/5"
+LSTM_SCHEMA = "lstm-model/3"  # /3: trained with Adam, /2 with plain SGD
 
 
 @dataclass(frozen=True)

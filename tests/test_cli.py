@@ -788,8 +788,8 @@ class TestForecastsFile:
             f"market_sha256={sha256(DATA_DIR / 'market.csv')}",
             "analysis_start=2022-01-01", "train_start=2022-01-01", "train_end=2023-05-31",
             "test_start=2023-06-01", "test_end=2023-12-31",
-            "forest.n_trees=20", "forest.m_try=None", "forest.seed=42",
-            "lstm.epochs=5", "lstm.window=14", "lstm.hidden_size=16", "lstm.learning_rate=0.001",
+            "forest.schema=forest-model/5", "forest.n_trees=20", "forest.m_try=None", "forest.seed=42",
+            "lstm.schema=lstm-model/3", "lstm.epochs=5", "lstm.window=14", "lstm.hidden_size=16", "lstm.learning_rate=0.001",
             "lstm.batch_size=32", "lstm.clip_norm=1.0", "lstm.seed=42",
         ])
 
@@ -854,6 +854,27 @@ class TestForecastsFile:
             "run train again"
         ) in caplog.text
         assert (tmp_path / "out" / "report.txt").read_bytes() == (pipeline_out / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "made_with, header_edit",
+        [("lstm-model/2", ("lstm.schema=lstm-model/3", "lstm.schema=lstm-model/2")),
+         ("None", (" lstm.schema=lstm-model/3", ""))],
+        ids=["sgd-era-schema", "no-schema-field"],
+    )
+    def test_lstm_forecasts_of_another_schema_exit_2(self, pipeline_out, tmp_path, caplog, made_with, header_edit):
+        """Forecasts from an LSTM trained another way (lstm-model/2 took plain
+        SGD steps; a header from before the schema field has none) are not
+        priced; the cases that use only actual prices still run."""
+        edit = self._edit_rows(lambda lines: [lines[0].replace(*header_edit), *lines[1:]])
+        rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, "--cases", "lstm-1", edit=edit)
+        assert rc == 2
+        assert (
+            f"{tmp_path / 'out' / 'forecasts.csv'} was made with lstm.schema={made_with}, but the run config has "
+            "lstm.schema=lstm-model/3; run train again"
+        ) in caplog.text
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(out), "--cases", "actual-1,actual-2"]) == 0
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(out), "--cases", "forest-1"]) == 0
 
     def test_missing_forecasts_file_exits_2(self, pipeline_out, tmp_path, caplog):
         rc = self._simulate_on_copy(pipeline_out, tmp_path, caplog, edit=lambda out: (out / "forecasts.csv").unlink())

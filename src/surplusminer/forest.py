@@ -196,7 +196,8 @@ def _node_batches(sizes: np.ndarray, m: int) -> list[np.ndarray]:
     of its widest node's size per node (at least one node per slice)."""
     bucket = np.searchsorted(4 ** np.arange(32, dtype=np.int64), sizes)
     batches = []
-    for b in np.unique(bucket).tolist():
+    # not np.unique, which imports numpy.ma (~20 ms in the forked worker)
+    for b in sorted(set(bucket.tolist())):
         nodes = np.flatnonzero(bucket == b)
         step = max(1, _MAX_LANE_ROWS // (m * int(sizes[nodes].max())))
         batches += [nodes[i : i + step] for i in range(0, len(nodes), step)]

@@ -1455,6 +1455,19 @@ class TestStartWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "False"]
 
+    def test_growing_trees_leaves_numpy_ma_unloaded(self):
+        """np.unique imports numpy.ma (~20 ms in the forked forest worker of
+        every train); grow_trees must not."""
+        proc = run_fresh(
+            "import sys, numpy as np; from surplusminer.forest import ForestParams, grow_trees, tree_rng; "
+            "X = np.random.default_rng(0).normal(size=(50, 3)); "
+            "trees = grow_trees(X, X.sum(axis=1), ForestParams(n_trees=2), [np.arange(50)] * 2, "
+            "[tree_rng(0, 0), tree_rng(0, 1)]); "
+            "print(trees[0].node_count > 1, 'numpy.ma' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
     def test_train_needs_numpy(self, tmp_path):
         """The guard bites: train imports numpy, and the import fails."""
         proc = run_fresh(MAIN_WITHOUT_NUMPY, "train", "--config", str(FIXTURE_CONFIG), "--out", str(tmp_path / "out"))

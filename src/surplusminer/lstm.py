@@ -2,9 +2,10 @@
 
 Everything is hand-rolled numpy: gate forward passes, backpropagation through
 time, global-norm gradient clipping, and Adam (Kingma and Ba, ICLR 2015) at
-its published defaults over chronological mini-batches. Inputs are min-max scaled to [0, 1] with statistics fitted on
-the training split only; the target (next-day price) shares the price
-column's scaling so predictions invert back to dollars.
+its published defaults over chronological mini-batches. Inputs are min-max
+scaled to [0, 1] with statistics fitted on the training split only; the
+target (next-day price) shares the price column's scaling so predictions
+invert back to dollars.
 
 Training and prediction share one forward pass, `_forward`, over a strided
 (batch, steps, features) view of the scaled rows (`_windows`); it checks
@@ -298,9 +299,10 @@ def fit_lstm(rows: list[FeatureRow], config: TrainConfig) -> LstmModel:
     """Train on sliding windows of the feature rows (chronological batches).
 
     Window i covers rows [i, i+T) and its target is row i+T-1's next-day
-    price. Each batch takes one Adam step of size learning_rate. The loss trace records the mean squared training loss of each
-    epoch (one entry per epoch). There must be at least T rows, one window:
-    train's split check refuses a shorter training window.
+    price. Each batch takes one Adam step of size learning_rate. The loss
+    trace records the mean squared training loss of each epoch (one entry
+    per epoch). There must be at least T rows, one window: train's split
+    check refuses a shorter training window.
     """
     inputs = input_array(rows)
     targets = np.array([r.target_price for r in rows], dtype=float)

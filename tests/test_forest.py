@@ -358,7 +358,8 @@ class TestLockstep:
         batches = forest._node_batches(np.array([3, 20, 4, 3, 2, 17]), 2)
         assert [b.tolist() for b in batches] == [[0, 2], [3, 4], [1], [5]]
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @pytest.mark.parametrize("y_decimals, copies", [(None, 1), (0, 1), (3, 1), (None, 2), (3, 2)])
+    @settings(derandomize=True, max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(8, 60),
@@ -366,14 +367,20 @@ class TestLockstep:
         kinds=st.lists(st.sampled_from(["bootstrap", "constant", "one-row", "all"]), min_size=1, max_size=6),
         lane_cap=st.sampled_from([1, 40, forest._MAX_LANE_ROWS]),
     )
-    def test_each_tree_is_the_tree_grown_alone(self, seed, n, p, kinds, lane_cap):
+    def test_each_tree_is_the_tree_grown_alone(self, y_decimals, copies, seed, n, p, kinds, lane_cap):
         """A mixed list: bootstrap draws, a sample whose targets are all equal,
         a one-row sample and every row. A lane cap of 1 or 40 cuts the
-        buckets into slices; the trees grown alone use the default cap."""
+        buckets into slices; the trees grown alone use the default cap.
+        Targets rounded to whole numbers tie split gains exactly; `copies`
+        2 repeats every row, so each value of X and y appears twice."""
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(0.0, 1.0, size=(n, p)), 1)
         y = rng.normal(0.0, 5.0, size=n)
+        if y_decimals is not None:
+            y = np.round(y, y_decimals)
         y[:4] = 2.5
+        X, y = np.tile(X, (copies, 1)), np.tile(y, copies)
+        n *= copies
         params = ForestParams(n_trees=len(kinds), m_try=int(rng.integers(1, p + 1)), seed=seed)
         samples = []
         for b, kind in enumerate(kinds):
